@@ -93,16 +93,34 @@ let results_json () =
              !recorded_results) );
     ]
 
-let write_results path =
+(* Quick mode (TANDEM_BENCH_QUICK=1): every experiment shrinks to a smoke
+   run that walks the same code path; its estimates are meaningless. *)
+let quick_mode () =
+  match Sys.getenv_opt "TANDEM_BENCH_QUICK" with
+  | Some ("1" | "true" | "yes") -> true
+  | Some _ | None -> false
+
+(* The one writer behind every JSON file the harness leaves in the cwd;
+   [what] names the content on the confirmation line. *)
+let write_json ?(note = "") ~what path json =
   match open_out path with
   | out ->
-      output_string out (Json.to_string ~pretty:true (results_json ()));
+      output_string out (Json.to_string ~pretty:true json);
       output_string out "\n";
       close_out out;
-      Printf.printf "\nresults written to %s (%d registries)\n" path
-        (List.length !recorded_results)
+      Printf.printf "\n%s written to %s%s\n" what path note
   | exception Sys_error message ->
       Printf.eprintf "cannot write %s: %s\n" path message
+
+(* Committed BENCH files are rewritten by full runs only. *)
+let write_bench ~what path json =
+  if quick_mode () then
+    Printf.printf "quick mode: estimates meaningless, %s left untouched\n" path
+  else write_json ~what path json
+
+let write_results path =
+  write_json ~what:"results" path (results_json ())
+    ~note:(Printf.sprintf " (%d registries)" (List.length !recorded_results))
 
 (* ------------------------------------------------------------------ *)
 (* Domain-parallel point fan-out
@@ -189,6 +207,121 @@ let total_failures bank = List.fold_left (fun acc tcp -> acc + Tcp.failures tcp)
 
 let total_restarts bank = List.fold_left (fun acc tcp -> acc + Tcp.restarts tcp) 0 bank.tcps
 
+(* The three-node bank of the closed-loop ablations: 4 CPUs per node, node
+   1 linked to nodes 2 and 3 (and 2 to 3 with [link_2_3]), one data volume
+   per node holding a key-range third of the accounts, every server class
+   on node 1, and one TCP of [terminals] per node so that commit homes (and
+   each transaction's home TMP and monitor trail) spread across the
+   cluster. *)
+let three_node_bank ~seed ~config ?cache_capacity ?(link_2_3 = false)
+    ~accounts ~server_classes ~program ~terminals () =
+  let cluster = Cluster.create ~seed ~config () in
+  let nodes = [ 1; 2; 3 ] in
+  List.iter (fun id -> ignore (Cluster.add_node cluster ~id ~cpus:4)) nodes;
+  Cluster.link cluster 1 2;
+  Cluster.link cluster 1 3;
+  if link_2_3 then Cluster.link cluster 2 3;
+  let partitions =
+    List.map (fun node -> (node, Printf.sprintf "$DATA%d" node)) nodes
+  in
+  List.iter
+    (fun (node, name) ->
+      ignore
+        (Cluster.add_volume cluster ~node ~name ~primary_cpu:2 ~backup_cpu:3
+           ?cache_capacity ()))
+    partitions;
+  let spec =
+    {
+      Workload.accounts;
+      tellers = 10;
+      branches = 5;
+      initial_balance = 10_000;
+      account_partitions = partitions;
+      system_home = (1, "$DATA1");
+    }
+  in
+  Workload.install_bank cluster spec;
+  List.iter
+    (fun server_class ->
+      ignore
+        (match server_class with
+        | `Bank count -> Workload.add_bank_servers cluster ~node:1 ~count ()
+        | `Transfer count ->
+            Workload.add_transfer_servers cluster ~node:1 ~count ()
+        | `Inquiry count ->
+            Workload.add_inquiry_servers cluster ~node:1 ~count ()))
+    server_classes;
+  let tcps =
+    List.map
+      (fun node ->
+        Cluster.add_tcp cluster ~node
+          ~name:(Printf.sprintf "$TCP%d" node)
+          ~terminals ~program ())
+      nodes
+  in
+  (cluster, spec, tcps)
+
+(* ------------------------------------------------------------------ *)
+(* Closed-loop runs *)
+
+let tx_per_second completed span =
+  float_of_int completed /. Sim_time.to_seconds_float span
+
+type settled = {
+  committed : int;
+  submitted : int;
+  elapsed : Sim_time.span;
+  tps : float; (* committed per second of [elapsed] *)
+  metrics : Metrics.t;
+}
+
+(* Run the cluster to [until] while a 10 ms poll watches for the instant
+   every one of the [submitted] inputs has reached a final disposition
+   (committed, failed, or aborted by its program). Elapsed is that settle
+   instant, not the run bound: watchdog and retry machinery keep the event
+   queue alive long after the workload drains. *)
+let drain ~until cluster tcps ~submitted =
+  let sum_over f = List.fold_left (fun acc tcp -> acc + f tcp) 0 tcps in
+  let engine = Cluster.engine cluster in
+  let finish_time = ref None in
+  let rec poll () =
+    let settled =
+      sum_over Tcp.completed + sum_over Tcp.failures
+      + sum_over Tcp.program_aborts
+    in
+    if settled >= submitted then finish_time := Some (Engine.now engine)
+    else ignore (Engine.schedule_after engine (Sim_time.milliseconds 10) poll)
+  in
+  ignore (Engine.schedule_after engine (Sim_time.milliseconds 10) poll);
+  Cluster.run ~until cluster;
+  let elapsed =
+    match !finish_time with Some t -> t | None -> Engine.now engine
+  in
+  let committed = sum_over Tcp.completed in
+  {
+    committed;
+    submitted;
+    elapsed;
+    tps = tx_per_second committed elapsed;
+    metrics = Cluster.metrics cluster;
+  }
+
+(* Deal [inputs] round-robin: input i goes to TCP [i mod n], terminal
+   [(i / n) mod terminals]; then drain within a 30-minute bound. *)
+let run_closed_loop cluster tcps ~terminals inputs =
+  let tcp_count = List.length tcps in
+  List.iteri
+    (fun i input ->
+      Tcp.submit (List.nth tcps (i mod tcp_count))
+        ~terminal:(i / tcp_count mod terminals)
+        input)
+    inputs;
+  drain ~until:(Sim_time.minutes 30) cluster tcps
+    ~submitted:(List.length inputs)
+
+let mean_latency_ms metrics =
+  Metrics.mean (Metrics.read_sample metrics "encompass.tx_latency_ms")
+
 (* Committed-transaction counts per bucket over a run window. *)
 let bucketed_throughput ~engine ~bucket ~buckets count_now =
   let samples = Array.make buckets 0 in
@@ -201,6 +334,3 @@ let bucketed_throughput ~engine ~bucket ~buckets count_now =
            previous := current))
   done;
   samples
-
-let tx_per_second completed span =
-  float_of_int completed /. Sim_time.to_seconds_float span

@@ -21,11 +21,6 @@ open Bench_util
 let baseline_commit =
   "baseline 021486f: unbatched commit path = the all-off configuration"
 
-let quick_mode () =
-  match Sys.getenv_opt "TANDEM_BENCH_QUICK" with
-  | Some ("1" | "true" | "yes") -> true
-  | Some _ | None -> false
-
 (* All batching off: the seed commit's behaviour, knob for knob. *)
 let knobs_off =
   {
@@ -71,43 +66,6 @@ let accounts = 4800
    for the controller cache to absorb. *)
 let dp_cache_capacity = 8
 
-let make_cluster ~config ~terminals =
-  let cluster = Cluster.create ~seed:7 ~config () in
-  ignore (Cluster.add_node cluster ~id:1 ~cpus:4);
-  ignore (Cluster.add_node cluster ~id:2 ~cpus:4);
-  ignore (Cluster.add_node cluster ~id:3 ~cpus:4);
-  Cluster.link cluster 1 2;
-  Cluster.link cluster 1 3;
-  List.iter
-    (fun (node, name) ->
-      ignore
-        (Cluster.add_volume cluster ~node ~name ~primary_cpu:2 ~backup_cpu:3
-           ~cache_capacity:dp_cache_capacity ()))
-    [ (1, "$DATA1"); (2, "$DATA2"); (3, "$DATA3") ];
-  let spec =
-    {
-      Workload.accounts;
-      tellers = 10;
-      branches = 5;
-      initial_balance = 10_000;
-      account_partitions = [ (1, "$DATA1"); (2, "$DATA2"); (3, "$DATA3") ];
-      system_home = (1, "$DATA1");
-    }
-  in
-  Workload.install_bank cluster spec;
-  ignore (Workload.add_transfer_servers cluster ~node:1 ~count:16 ());
-  (* One TCP per node: terminal load (and with it each transaction's home
-     TMP and monitor trail) spreads across the cluster. *)
-  let tcps =
-    List.map
-      (fun node ->
-        Cluster.add_tcp cluster ~node
-          ~name:(Printf.sprintf "$TCP%d" node)
-          ~terminals ~program:Workload.transfer_program ())
-      [ 1; 2; 3 ]
-  in
-  (cluster, tcps)
-
 (* The same pseudo-random transfer schedule for every configuration: the
    generator is seeded independently of the cluster, so knob settings cannot
    perturb the input. Transfers deliberately straddle nodes 2 and 3. *)
@@ -121,40 +79,18 @@ let transfer_schedule ~count =
       Workload.transfer_input_between ~from_account ~to_account ~amount)
 
 let measure ~label ~config ~terminals ~per_terminal =
-  let cluster, tcps = make_cluster ~config ~terminals in
-  let tcp_count = List.length tcps in
-  let inputs =
-    transfer_schedule ~count:(tcp_count * terminals * per_terminal)
+  let cluster, _spec, tcps =
+    three_node_bank ~seed:7 ~config ~cache_capacity:dp_cache_capacity
+      ~accounts ~server_classes:[ `Transfer 16 ]
+      ~program:Workload.transfer_program ~terminals ()
   in
-  List.iteri
-    (fun i input ->
-      let tcp = List.nth tcps (i mod tcp_count) in
-      Tcp.submit tcp ~terminal:(i / tcp_count mod terminals) input)
-    inputs;
-  let submitted = List.length inputs in
-  let sum_over f = List.fold_left (fun acc tcp -> acc + f tcp) 0 tcps in
-  (* Elapsed is the instant the last input reaches a final disposition, not
-     the run bound: watchdog and retry machinery keep the event queue alive
-     long after the workload drains. *)
-  let engine = Cluster.engine cluster in
-  let finish_time = ref None in
-  let rec poll () =
-    let settled =
-      sum_over Tcp.completed + sum_over Tcp.failures
-      + sum_over Tcp.program_aborts
-    in
-    if settled >= submitted then finish_time := Some (Engine.now engine)
-    else ignore (Engine.schedule_after engine (Sim_time.milliseconds 10) poll)
+  let run =
+    run_closed_loop cluster tcps ~terminals
+      (transfer_schedule ~count:(List.length tcps * terminals * per_terminal))
   in
-  ignore (Engine.schedule_after engine (Sim_time.milliseconds 10) poll);
-  Cluster.run ~until:(Sim_time.minutes 30) cluster;
-  let metrics = Cluster.metrics cluster in
-  record_registry ~label metrics;
-  let elapsed =
-    match !finish_time with Some t -> t | None -> Engine.now engine
-  in
+  record_registry ~label run.metrics;
   (if Sys.getenv_opt "TANDEM_BENCH_DEBUG" <> None then begin
-     let seconds = Sim_time.to_seconds_float elapsed in
+     let seconds = Sim_time.to_seconds_float run.elapsed in
      Printf.printf "  [%s] elapsed %.2fs — resource utilization:\n" label
        seconds;
      List.iter
@@ -193,33 +129,27 @@ let measure ~label ~config ~terminals ~per_terminal =
          Printf.printf "    node %d: %s\n" node_id (String.concat "  " line))
        [ 1; 2; 3 ]
    end);
-  let committed = sum_over Tcp.completed in
-  let tps = tx_per_second committed elapsed in
-  ( committed,
-    List.length inputs,
-    elapsed,
-    tps,
-    Metrics.mean (Metrics.read_sample metrics "encompass.tx_latency_ms") )
+  (label, run, mean_latency_ms run.metrics)
 
 let write_json ~terminals rows =
   let entries =
     List.map
-      (fun (label, committed, submitted, elapsed, tps, latency) ->
+      (fun (label, run, latency) ->
         Json.Obj
           [
             ("config", Json.String label);
-            ("committed", Json.Int committed);
-            ("submitted", Json.Int submitted);
-            ("elapsed_s", Json.Float (Sim_time.to_seconds_float elapsed));
-            ("tx_per_sec", Json.Float tps);
+            ("committed", Json.Int run.committed);
+            ("submitted", Json.Int run.submitted);
+            ("elapsed_s", Json.Float (Sim_time.to_seconds_float run.elapsed));
+            ("tx_per_sec", Json.Float run.tps);
             ("mean_latency_ms", Json.Float latency);
           ])
       rows
   in
   let tps_of config_label =
     List.find_map
-      (fun (label, _, _, _, tps, _) ->
-        if String.equal label config_label then Some tps else None)
+      (fun (label, run, _) ->
+        if String.equal label config_label then Some run.tps else None)
       rows
   in
   let speedup =
@@ -227,21 +157,15 @@ let write_json ~terminals rows =
     | Some off, Some on when off > 0.0 -> Json.Float (on /. off)
     | _ -> Json.Null
   in
-  let json =
-    Json.Obj
-      [
-        ("schema", Json.String "tandem-bench-commitpath/1");
-        ("baseline_commit", Json.String baseline_commit);
-        ("terminals", Json.Int terminals);
-        ("configs", Json.List entries);
-        ("speedup_all_on_vs_all_off", speedup);
-      ]
-  in
-  let out = open_out "BENCH_commitpath.json" in
-  output_string out (Json.to_string ~pretty:true json);
-  output_string out "\n";
-  close_out out;
-  Printf.printf "\nthroughput ablation written to BENCH_commitpath.json\n"
+  write_bench ~what:"throughput ablation" "BENCH_commitpath.json"
+    (Json.Obj
+       [
+         ("schema", Json.String "tandem-bench-commitpath/1");
+         ("baseline_commit", Json.String baseline_commit);
+         ("terminals", Json.Int terminals);
+         ("configs", Json.List entries);
+         ("speedup_all_on_vs_all_off", speedup);
+       ])
 
 let run () =
   heading "COMMITPATH — committed tx/sec with commit-path batching ablated";
@@ -255,30 +179,23 @@ let run () =
   let per_terminal = if quick then 1 else 5 in
   let rows =
     List.map
-      (fun (label, config) ->
-        let committed, submitted, elapsed, tps, latency =
-          measure ~label ~config ~terminals ~per_terminal
-        in
-        (label, committed, submitted, elapsed, tps, latency))
+      (fun (label, config) -> measure ~label ~config ~terminals ~per_terminal)
       configs
   in
   print_table
     ~columns:
       [ "config"; "committed"; "elapsed s"; "tx/sec"; "mean latency ms" ]
     (List.map
-       (fun (label, committed, submitted, elapsed, tps, latency) ->
+       (fun (label, run, latency) ->
          [
            label;
-           Printf.sprintf "%d/%d" committed submitted;
-           f2 (Sim_time.to_seconds_float elapsed);
-           f2 tps;
+           Printf.sprintf "%d/%d" run.committed run.submitted;
+           f2 (Sim_time.to_seconds_float run.elapsed);
+           f2 run.tps;
            f1 latency;
          ])
        rows);
-  if quick then
-    print_endline
-      "quick mode: estimates meaningless, BENCH_commitpath.json left untouched"
-  else write_json ~terminals:(3 * terminals) rows;
+  write_json ~terminals:(3 * terminals) rows;
   observed
     "at 96 closed-loop terminals every knob alone beats the all-off \
      baseline, which thrashes on data-volume misses and the lock convoys \

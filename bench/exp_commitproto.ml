@@ -25,11 +25,6 @@ open Bench_util
 let baseline_commit =
   "baseline 345c78b: TMP 2PC with presumed abort = the 2pc row"
 
-let quick_mode () =
-  match Sys.getenv_opt "TANDEM_BENCH_QUICK" with
-  | Some ("1" | "true" | "yes") -> true
-  | Some _ | None -> false
-
 let acceptor_count = 3
 
 let protocols =
@@ -42,41 +37,6 @@ let config_of protocol =
 (* Failure-free ablation: same schedule, both protocols. *)
 
 let accounts = 1200
-
-let make_cluster ~config ~terminals =
-  let cluster = Cluster.create ~seed:11 ~config () in
-  List.iter
-    (fun id -> ignore (Cluster.add_node cluster ~id ~cpus:4))
-    [ 1; 2; 3 ];
-  Cluster.link cluster 1 2;
-  Cluster.link cluster 1 3;
-  Cluster.link cluster 2 3;
-  List.iter
-    (fun (node, name) ->
-      ignore
-        (Cluster.add_volume cluster ~node ~name ~primary_cpu:2 ~backup_cpu:3 ()))
-    [ (1, "$DATA1"); (2, "$DATA2"); (3, "$DATA3") ];
-  let spec =
-    {
-      Workload.accounts;
-      tellers = 10;
-      branches = 5;
-      initial_balance = 10_000;
-      account_partitions = [ (1, "$DATA1"); (2, "$DATA2"); (3, "$DATA3") ];
-      system_home = (1, "$DATA1");
-    }
-  in
-  Workload.install_bank cluster spec;
-  ignore (Workload.add_bank_servers cluster ~node:1 ~count:16 ());
-  let tcps =
-    List.map
-      (fun node ->
-        Cluster.add_tcp cluster ~node
-          ~name:(Printf.sprintf "$TCP%d" node)
-          ~terminals ~program:Workload.debit_credit_program ())
-      [ 1; 2; 3 ]
-  in
-  (cluster, spec, tcps)
 
 (* The same pseudo-random debit-credit schedule for every protocol: the
    generator is seeded independently of the cluster, so the protocol under
@@ -101,44 +61,20 @@ let protocol_counters =
    the domain pool, and the caller records the registries from the main
    domain in protocol order, keeping BENCH_results.json deterministic. *)
 let measure_failure_free ~config ~terminals ~per_terminal =
-  let cluster, spec, tcps = make_cluster ~config ~terminals in
-  let tcp_count = List.length tcps in
-  let inputs = schedule spec ~count:(tcp_count * terminals * per_terminal) in
-  List.iteri
-    (fun i input ->
-      let tcp = List.nth tcps (i mod tcp_count) in
-      Tcp.submit tcp ~terminal:(i / tcp_count mod terminals) input)
-    inputs;
-  let submitted = List.length inputs in
-  let sum_over f = List.fold_left (fun acc tcp -> acc + f tcp) 0 tcps in
-  let engine = Cluster.engine cluster in
-  let finish_time = ref None in
-  let rec poll () =
-    let settled =
-      sum_over Tcp.completed + sum_over Tcp.failures
-      + sum_over Tcp.program_aborts
-    in
-    if settled >= submitted then finish_time := Some (Engine.now engine)
-    else ignore (Engine.schedule_after engine (Sim_time.milliseconds 10) poll)
+  let cluster, spec, tcps =
+    three_node_bank ~seed:11 ~config ~link_2_3:true ~accounts
+      ~server_classes:[ `Bank 16 ] ~program:Workload.debit_credit_program
+      ~terminals ()
   in
-  ignore (Engine.schedule_after engine (Sim_time.milliseconds 10) poll);
-  Cluster.run ~until:(Sim_time.minutes 30) cluster;
-  let metrics = Cluster.metrics cluster in
-  let elapsed =
-    match !finish_time with Some t -> t | None -> Engine.now engine
+  let run =
+    run_closed_loop cluster tcps ~terminals
+      (schedule spec ~count:(List.length tcps * terminals * per_terminal))
   in
-  let committed = sum_over Tcp.completed in
   let counters =
-    List.map (fun name -> (name, Metrics.sum_counters metrics name))
+    List.map (fun name -> (name, Metrics.sum_counters run.metrics name))
       protocol_counters
   in
-  ( committed,
-    submitted,
-    elapsed,
-    tx_per_second committed elapsed,
-    Metrics.mean (Metrics.read_sample metrics "encompass.tx_latency_ms"),
-    counters,
-    metrics )
+  (run, mean_latency_ms run.metrics, counters)
 
 (* ------------------------------------------------------------------ *)
 (* Time-locks-held under a home-node crash. *)
@@ -234,19 +170,19 @@ let measure_home_crash protocol =
 let write_json ~terminals ff_rows crash_rows =
   let ff_entries =
     List.map
-      (fun (label, committed, submitted, elapsed, tps, latency, counters) ->
+      (fun (label, run, latency, counters) ->
         Json.Obj
           [
             ("protocol", Json.String label);
-            ("committed", Json.Int committed);
-            ("submitted", Json.Int submitted);
-            ("elapsed_s", Json.Float (Sim_time.to_seconds_float elapsed));
-            ("tx_per_sec", Json.Float tps);
+            ("committed", Json.Int run.committed);
+            ("submitted", Json.Int run.submitted);
+            ("elapsed_s", Json.Float (Sim_time.to_seconds_float run.elapsed));
+            ("tx_per_sec", Json.Float run.tps);
             ("mean_latency_ms", Json.Float latency);
             ( "msgs_per_commit",
               Json.Float
                 (float_of_int (List.assoc "net.msgs_sent" counters)
-                /. float_of_int (max 1 committed)) );
+                /. float_of_int (max 1 run.committed)) );
             ( "counters",
               Json.Obj
                 (List.map (fun (name, v) -> (name, Json.Int v)) counters) );
@@ -270,41 +206,34 @@ let write_json ~terminals ff_rows crash_rows =
           ])
       crash_rows
   in
-  let lookup label =
+  let msgs_of label =
     List.find_map
-      (fun (l, _, _, _, tps, _, counters) ->
-        if String.equal l label then
-          Some (tps, List.assoc "net.msgs_sent" counters)
+      (fun (l, _, _, counters) ->
+        if String.equal l label then Some (List.assoc "net.msgs_sent" counters)
         else None)
       ff_rows
   in
   let overhead =
-    match (lookup "2pc", lookup "paxos-3") with
-    | Some (_, msgs_2pc), Some (_, msgs_paxos) when msgs_2pc > 0 ->
+    match (msgs_of "2pc", msgs_of "paxos-3") with
+    | Some msgs_2pc, Some msgs_paxos when msgs_2pc > 0 ->
         Json.Float (float_of_int msgs_paxos /. float_of_int msgs_2pc)
     | _ -> Json.Null
   in
-  let json =
-    Json.Obj
-      [
-        ("schema", Json.String "tandem-bench-commitproto/1");
-        ("baseline_commit", Json.String baseline_commit);
-        ( "workload",
-          Json.String
-            "failure-free: 100% debit-credit over 3 nodes; crash: pinned \
-             decided+undecided transactions, home dead 120ms-2500ms" );
-        ("terminals", Json.Int terminals);
-        ("acceptors", Json.Int acceptor_count);
-        ("failure_free", Json.List ff_entries);
-        ("home_crash", Json.List crash_entries);
-        ("msgs_overhead_paxos_vs_2pc", overhead);
-      ]
-  in
-  let out = open_out "BENCH_commitproto.json" in
-  output_string out (Json.to_string ~pretty:true json);
-  output_string out "\n";
-  close_out out;
-  Printf.printf "\ncommit-protocol ablation written to BENCH_commitproto.json\n"
+  write_bench ~what:"commit-protocol ablation" "BENCH_commitproto.json"
+    (Json.Obj
+       [
+         ("schema", Json.String "tandem-bench-commitproto/1");
+         ("baseline_commit", Json.String baseline_commit);
+         ( "workload",
+           Json.String
+             "failure-free: 100% debit-credit over 3 nodes; crash: pinned \
+              decided+undecided transactions, home dead 120ms-2500ms" );
+         ("terminals", Json.Int terminals);
+         ("acceptors", Json.Int acceptor_count);
+         ("failure_free", Json.List ff_entries);
+         ("home_crash", Json.List crash_entries);
+         ("msgs_overhead_paxos_vs_2pc", overhead);
+       ])
 
 let run () =
   heading "COMMITPROTO — Paxos Commit vs 2PC: failure-free cost, crash-window gain";
@@ -321,10 +250,9 @@ let run () =
      order from this domain. *)
   let ff_rows =
     List.map2
-      (fun (label, _) (committed, submitted, elapsed, tps, latency, counters,
-                       metrics) ->
-        record_registry ~label metrics;
-        (label, committed, submitted, elapsed, tps, latency, counters))
+      (fun (label, _) (run, latency, counters) ->
+        record_registry ~label run.metrics;
+        (label, run, latency, counters))
       protocols
       (pool_map
          (fun (_, protocol) ->
@@ -336,15 +264,15 @@ let run () =
     ~columns:
       [ "protocol"; "committed"; "tx/sec"; "latency ms"; "msgs"; "msgs/commit" ]
     (List.map
-       (fun (label, committed, submitted, _elapsed, tps, latency, counters) ->
+       (fun (label, run, latency, counters) ->
          let msgs = List.assoc "net.msgs_sent" counters in
          [
            label;
-           Printf.sprintf "%d/%d" committed submitted;
-           f2 tps;
+           Printf.sprintf "%d/%d" run.committed run.submitted;
+           f2 run.tps;
            f1 latency;
            string_of_int msgs;
-           f1 (float_of_int msgs /. float_of_int (max 1 committed));
+           f1 (float_of_int msgs /. float_of_int (max 1 run.committed));
          ])
        ff_rows);
   Printf.printf "\nhome-node crash at %dms, repair at %dms:\n" crash_ms
@@ -371,10 +299,7 @@ let run () =
            decided;
          ])
        crash_rows);
-  if quick then
-    print_endline
-      "quick mode: estimates meaningless, BENCH_commitproto.json left untouched"
-  else write_json ~terminals:(3 * terminals) ff_rows crash_rows;
+  write_json ~terminals:(3 * terminals) ff_rows crash_rows;
   observed
     "failure-free, Paxos Commit carries the acceptor rounds (every \
      prepared vote and the home's decision replicated to 3 acceptors, \

@@ -50,11 +50,6 @@ let baselines =
     ("metrics/labeled counter bump", 6_690_000.0);
   ]
 
-let quick_mode () =
-  match Sys.getenv_opt "TANDEM_BENCH_QUICK" with
-  | Some ("1" | "true" | "yes") -> true
-  | Some _ | None -> false
-
 let time_events f =
   let started = Unix.gettimeofday () in
   let events = f () in
@@ -196,19 +191,13 @@ let write_json rows =
               ]))
       rows
   in
-  let json =
-    Json.Obj
-      [
-        ("schema", Json.String "tandem-bench-engine/1");
-        ("baseline_commit", Json.String baseline_commit);
-        ("benchmarks", Json.List entries);
-      ]
-  in
-  let out = open_out "BENCH_engine.json" in
-  output_string out (Json.to_string ~pretty:true json);
-  output_string out "\n";
-  close_out out;
-  Printf.printf "\nengine results written to BENCH_engine.json\n"
+  write_bench ~what:"engine results" "BENCH_engine.json"
+    (Json.Obj
+       [
+         ("schema", Json.String "tandem-bench-engine/1");
+         ("baseline_commit", Json.String baseline_commit);
+         ("benchmarks", Json.List entries);
+       ])
 
 let run () =
   heading "ENGINE — simulation-engine events/sec (wall-clock)";
@@ -244,9 +233,7 @@ let run () =
     (fun (name, _, _, rate) ->
       Printf.printf "ENGINE_SMOKE name=%S events_per_sec=%.0f\n" name rate)
     rows;
-  if quick then
-    print_endline "quick mode: BENCH_engine.json left untouched"
-  else write_json rows;
+  write_json rows;
   observed
     "monomorphizing the event heap, fusing the run loop's peek/pop, pooling \
      event records and reaping cancelled tombstones lift every engine shape; \

@@ -27,11 +27,6 @@ open Bench_util
 let baseline_commit =
   "baseline 23f2b62: jobs=1 = the serial harness, byte-for-byte"
 
-let quick_mode () =
-  match Sys.getenv_opt "TANDEM_BENCH_QUICK" with
-  | Some ("1" | "true" | "yes") -> true
-  | Some _ | None -> false
-
 let jobs_sweep = [ 1; 2; 4; 8 ]
 
 let time f =
@@ -155,21 +150,15 @@ let batch_json (batch, rows) =
     ]
 
 let write_json ~host_cores results =
-  let json =
-    Json.Obj
-      [
-        ("schema", Json.String "tandem-bench-parallel/1");
-        ("baseline_commit", Json.String baseline_commit);
-        ("host_cores", Json.Int host_cores);
-        ("jobs_sweep", Json.List (List.map (fun j -> Json.Int j) jobs_sweep));
-        ("batches", Json.List (List.map batch_json results));
-      ]
-  in
-  let out = open_out "BENCH_parallel.json" in
-  output_string out (Json.to_string ~pretty:true json);
-  output_string out "\n";
-  close_out out;
-  Printf.printf "\nharness speedup written to BENCH_parallel.json\n"
+  write_bench ~what:"harness speedup" "BENCH_parallel.json"
+    (Json.Obj
+       [
+         ("schema", Json.String "tandem-bench-parallel/1");
+         ("baseline_commit", Json.String baseline_commit);
+         ("host_cores", Json.Int host_cores);
+         ("jobs_sweep", Json.List (List.map (fun j -> Json.Int j) jobs_sweep));
+         ("batches", Json.List (List.map batch_json results));
+       ])
 
 let run () =
   let quick = quick_mode () in
@@ -214,10 +203,7 @@ let run () =
       results
   in
   if diverged then failwith "exp_parallel: fingerprints diverged across jobs";
-  if quick then
-    print_endline
-      "\nquick mode: estimates meaningless, BENCH_parallel.json left untouched"
-  else write_json ~host_cores results;
+  write_json ~host_cores results;
   observed
     "the batches are embarrassingly parallel (no shared mutable state \
      survives the audit), so throughput tracks the host's core count; \

@@ -24,11 +24,6 @@ open Bench_util
 let baseline_commit =
   "baseline 33a4439: full-force 2PC = the all-off configuration"
 
-let quick_mode () =
-  match Sys.getenv_opt "TANDEM_BENCH_QUICK" with
-  | Some ("1" | "true" | "yes") -> true
-  | Some _ | None -> false
-
 (* All protocol optimizations off: every commit forces the monitor trail and
    every participating audit trail, every vote is a full prepared vote, and
    every abort is forced and acknowledged. *)
@@ -67,43 +62,6 @@ let mix_program =
       in
       verbs.Screen_program.send ~server_class input)
 
-let make_cluster ~config ~terminals =
-  let cluster = Cluster.create ~seed:11 ~config () in
-  ignore (Cluster.add_node cluster ~id:1 ~cpus:4);
-  ignore (Cluster.add_node cluster ~id:2 ~cpus:4);
-  ignore (Cluster.add_node cluster ~id:3 ~cpus:4);
-  Cluster.link cluster 1 2;
-  Cluster.link cluster 1 3;
-  List.iter
-    (fun (node, name) ->
-      ignore
-        (Cluster.add_volume cluster ~node ~name ~primary_cpu:2 ~backup_cpu:3 ()))
-    [ (1, "$DATA1"); (2, "$DATA2"); (3, "$DATA3") ];
-  let spec =
-    {
-      Workload.accounts;
-      tellers = 10;
-      branches = 5;
-      initial_balance = 10_000;
-      account_partitions = [ (1, "$DATA1"); (2, "$DATA2"); (3, "$DATA3") ];
-      system_home = (1, "$DATA1");
-    }
-  in
-  Workload.install_bank cluster spec;
-  (* Enough servers that terminals never queue for one: closed-loop latency
-     is then the transaction's own path, not server-class wait time. *)
-  ignore (Workload.add_bank_servers cluster ~node:1 ~count:16 ());
-  ignore (Workload.add_inquiry_servers cluster ~node:1 ~count:32 ());
-  let tcps =
-    List.map
-      (fun node ->
-        Cluster.add_tcp cluster ~node
-          ~name:(Printf.sprintf "$TCP%d" node)
-          ~terminals ~program:mix_program ())
-      [ 1; 2; 3 ]
-  in
-  (cluster, tcps)
-
 (* The same pseudo-random 90/10 schedule for every configuration: the
    generator is seeded independently of the cluster, so knob settings cannot
    perturb the input. *)
@@ -135,57 +93,35 @@ let protocol_counters =
   ]
 
 let measure ~label ~config ~terminals ~per_terminal =
-  let cluster, tcps = make_cluster ~config ~terminals in
-  let tcp_count = List.length tcps in
-  let inputs = mixed_schedule ~count:(tcp_count * terminals * per_terminal) in
-  List.iteri
-    (fun i input ->
-      let tcp = List.nth tcps (i mod tcp_count) in
-      Tcp.submit tcp ~terminal:(i / tcp_count mod terminals) input)
-    inputs;
-  let submitted = List.length inputs in
-  let sum_over f = List.fold_left (fun acc tcp -> acc + f tcp) 0 tcps in
-  let engine = Cluster.engine cluster in
-  let finish_time = ref None in
-  let rec poll () =
-    let settled =
-      sum_over Tcp.completed + sum_over Tcp.failures
-      + sum_over Tcp.program_aborts
-    in
-    if settled >= submitted then finish_time := Some (Engine.now engine)
-    else ignore (Engine.schedule_after engine (Sim_time.milliseconds 10) poll)
+  (* Enough servers that terminals never queue for one: closed-loop latency
+     is then the transaction's own path, not server-class wait time. *)
+  let cluster, _spec, tcps =
+    three_node_bank ~seed:11 ~config ~accounts
+      ~server_classes:[ `Bank 16; `Inquiry 32 ]
+      ~program:mix_program ~terminals ()
   in
-  ignore (Engine.schedule_after engine (Sim_time.milliseconds 10) poll);
-  Cluster.run ~until:(Sim_time.minutes 30) cluster;
-  let metrics = Cluster.metrics cluster in
-  record_registry ~label metrics;
-  let elapsed =
-    match !finish_time with Some t -> t | None -> Engine.now engine
+  let run =
+    run_closed_loop cluster tcps ~terminals
+      (mixed_schedule ~count:(List.length tcps * terminals * per_terminal))
   in
-  let committed = sum_over Tcp.completed in
-  let tps = tx_per_second committed elapsed in
+  record_registry ~label run.metrics;
   let counters =
-    List.map (fun name -> (name, Metrics.sum_counters metrics name))
+    List.map (fun name -> (name, Metrics.sum_counters run.metrics name))
       protocol_counters
   in
-  ( committed,
-    submitted,
-    elapsed,
-    tps,
-    Metrics.mean (Metrics.read_sample metrics "encompass.tx_latency_ms"),
-    counters )
+  (label, run, mean_latency_ms run.metrics, counters)
 
 let write_json ~terminals rows =
   let entries =
     List.map
-      (fun (label, committed, submitted, elapsed, tps, latency, counters) ->
+      (fun (label, run, latency, counters) ->
         Json.Obj
           [
             ("config", Json.String label);
-            ("committed", Json.Int committed);
-            ("submitted", Json.Int submitted);
-            ("elapsed_s", Json.Float (Sim_time.to_seconds_float elapsed));
-            ("tx_per_sec", Json.Float tps);
+            ("committed", Json.Int run.committed);
+            ("submitted", Json.Int run.submitted);
+            ("elapsed_s", Json.Float (Sim_time.to_seconds_float run.elapsed));
+            ("tx_per_sec", Json.Float run.tps);
             ("mean_latency_ms", Json.Float latency);
             ( "counters",
               Json.Obj
@@ -195,8 +131,8 @@ let write_json ~terminals rows =
   in
   let tps_of config_label =
     List.find_map
-      (fun (label, _, _, _, tps, _, _) ->
-        if String.equal label config_label then Some tps else None)
+      (fun (label, run, _, _) ->
+        if String.equal label config_label then Some run.tps else None)
       rows
   in
   let speedup =
@@ -204,22 +140,16 @@ let write_json ~terminals rows =
     | Some off, Some on when off > 0.0 -> Json.Float (on /. off)
     | _ -> Json.Null
   in
-  let json =
-    Json.Obj
-      [
-        ("schema", Json.String "tandem-bench-readpath/1");
-        ("baseline_commit", Json.String baseline_commit);
-        ("workload", Json.String "90% balance inquiry / 10% debit-credit");
-        ("terminals", Json.Int terminals);
-        ("configs", Json.List entries);
-        ("speedup_all_on_vs_all_off", speedup);
-      ]
-  in
-  let out = open_out "BENCH_readpath.json" in
-  output_string out (Json.to_string ~pretty:true json);
-  output_string out "\n";
-  close_out out;
-  Printf.printf "\nread-path ablation written to BENCH_readpath.json\n"
+  write_bench ~what:"read-path ablation" "BENCH_readpath.json"
+    (Json.Obj
+       [
+         ("schema", Json.String "tandem-bench-readpath/1");
+         ("baseline_commit", Json.String baseline_commit);
+         ("workload", Json.String "90% balance inquiry / 10% debit-credit");
+         ("terminals", Json.Int terminals);
+         ("configs", Json.List entries);
+         ("speedup_all_on_vs_all_off", speedup);
+       ])
 
 let run () =
   heading "READPATH — committed tx/sec on a 90/10 mix, protocol knobs ablated";
@@ -233,11 +163,7 @@ let run () =
   let per_terminal = if quick then 1 else 20 in
   let rows =
     List.map
-      (fun (label, config) ->
-        let committed, submitted, elapsed, tps, latency, counters =
-          measure ~label ~config ~terminals ~per_terminal
-        in
-        (label, committed, submitted, elapsed, tps, latency, counters))
+      (fun (label, config) -> measure ~label ~config ~terminals ~per_terminal)
       configs
   in
   print_table
@@ -247,12 +173,12 @@ let run () =
         "pruned"; "fast path"; "forces";
       ]
     (List.map
-       (fun (label, committed, submitted, _elapsed, tps, latency, counters) ->
+       (fun (label, run, latency, counters) ->
          let c name = string_of_int (List.assoc name counters) in
          [
            label;
-           Printf.sprintf "%d/%d" committed submitted;
-           f2 tps;
+           Printf.sprintf "%d/%d" run.committed run.submitted;
+           f2 run.tps;
            f1 latency;
            c "tmp.read_only_votes";
            c "tmp.phase2_pruned";
@@ -260,10 +186,7 @@ let run () =
            c "audit.forces";
          ])
        rows);
-  if quick then
-    print_endline
-      "quick mode: estimates meaningless, BENCH_readpath.json left untouched"
-  else write_json ~terminals:(3 * terminals) rows;
+  write_json ~terminals:(3 * terminals) rows;
   observed
     "on the 90/10 mix the read-only vote dominates (1.54x alone: nine of \
      ten transactions stop paying any forced write and remote inquiries \

@@ -23,11 +23,6 @@ open Bench_util
 let baseline_commit =
   "baseline 1d12ab5: rollforward_parallelism=seq = the seq column"
 
-let quick_mode () =
-  match Sys.getenv_opt "TANDEM_BENCH_QUICK" with
-  | Some ("1" | "true" | "yes") -> true
-  | Some _ | None -> false
-
 let nodes = 8
 
 let crash_node = 5 (* a pure account-partition node, not the system home *)
@@ -204,26 +199,20 @@ let write_json points =
         ("replay_equal", Json.Bool p.replay_equal);
       ]
   in
-  let json =
-    Json.Obj
-      [
-        ("schema", Json.String "tandem-bench-recovery/1");
-        ("baseline_commit", Json.String baseline_commit);
-        ( "config",
-          Json.Obj
-            [
-              ("nodes", Json.Int nodes);
-              ("crash_node", Json.Int crash_node);
-              ("workers", Json.Int workers);
-            ] );
-        ("points", Json.List (List.map point points));
-      ]
-  in
-  let out = open_out "BENCH_recovery.json" in
-  output_string out (Json.to_string ~pretty:true json);
-  output_string out "\n";
-  close_out out;
-  Printf.printf "\nrecovery ablation written to BENCH_recovery.json\n"
+  write_bench ~what:"recovery ablation" "BENCH_recovery.json"
+    (Json.Obj
+       [
+         ("schema", Json.String "tandem-bench-recovery/1");
+         ("baseline_commit", Json.String baseline_commit);
+         ( "config",
+           Json.Obj
+             [
+               ("nodes", Json.Int nodes);
+               ("crash_node", Json.Int crash_node);
+               ("workers", Json.Int workers);
+             ] );
+         ("points", Json.List (List.map point points));
+       ])
 
 let run () =
   let quick = quick_mode () in
@@ -256,10 +245,7 @@ let run () =
            (if p.replay_equal then "yes" else "NO");
          ])
        rows);
-  if quick then
-    print_endline
-      "quick mode: estimates meaningless, BENCH_recovery.json left untouched"
-  else write_json rows;
+  write_json rows;
   observed
     "independent chains overlap their mirrored-drive reads and verdict \
      lookups; the win grows with the trail length while the replayed \

@@ -40,11 +40,6 @@ let baseline_commit =
    terminal pools per node, mix 1/4 debit-credit 3/8 transfer 3/8 inquiry, \
    group-commit 500us, controller cache 384 blocks"
 
-let quick_mode () =
-  match Sys.getenv_opt "TANDEM_BENCH_QUICK" with
-  | Some ("1" | "true" | "yes") -> true
-  | Some _ | None -> false
-
 (* The tuned commit path from the COMMITPATH experiment's all-on column:
    batching knobs amortize the per-transaction fixed costs the scale-out
    story depends on. *)
@@ -221,32 +216,18 @@ let measure ~accounts ~nodes ~terminals_per_node ~per_terminal =
         done
       done)
     built.pools;
-  let sum_over f = List.fold_left (fun acc tcp -> acc + f tcp) 0 built.tcps in
-  let engine = Cluster.engine built.cluster in
-  let finish_time = ref None in
-  let rec poll () =
-    let settled =
-      sum_over Tcp.completed + sum_over Tcp.failures
-      + sum_over Tcp.program_aborts
-    in
-    if settled >= !submitted then finish_time := Some (Engine.now engine)
-    else ignore (Engine.schedule_after engine (Sim_time.milliseconds 10) poll)
+  let run =
+    drain ~until:(Sim_time.minutes 60) built.cluster built.tcps
+      ~submitted:!submitted
   in
-  ignore (Engine.schedule_after engine (Sim_time.milliseconds 10) poll);
-  Cluster.run ~until:(Sim_time.minutes 60) built.cluster;
-  let metrics = Cluster.metrics built.cluster in
-  let elapsed =
-    match !finish_time with Some t -> t | None -> Engine.now engine
-  in
-  let latency = Metrics.read_sample metrics "encompass.tx_latency_ms" in
-  let committed = sum_over Tcp.completed in
+  let latency = Metrics.read_sample run.metrics "encompass.tx_latency_ms" in
   {
     p_nodes = nodes;
     p_terminals = nodes * terminals_per_node;
-    p_committed = committed;
-    p_submitted = !submitted;
-    p_elapsed = elapsed;
-    p_tps = tx_per_second committed elapsed;
+    p_committed = run.committed;
+    p_submitted = run.submitted;
+    p_elapsed = run.elapsed;
+    p_tps = run.tps;
     p_p50_ms = Metrics.percentile latency 0.5;
     p_p99_ms = Metrics.percentile latency 0.99;
   }
@@ -308,11 +289,7 @@ let write_json ~accounts ~node_curve ~terminal_curve =
        ]
       @ scaling)
   in
-  let out = open_out "BENCH_scaleout.json" in
-  output_string out (Json.to_string ~pretty:true json);
-  output_string out "\n";
-  close_out out;
-  Printf.printf "\nscale-out curves written to BENCH_scaleout.json\n"
+  write_bench ~what:"scale-out curves" "BENCH_scaleout.json" json
 
 let run () =
   heading "SCALEOUT — million-account bank, tx/sec and p99 vs nodes/terminals";
@@ -382,10 +359,7 @@ let run () =
       (shared @ measured)
   in
   print_table ~columns:curve_columns (List.map point_row terminal_curve);
-  if quick then
-    print_endline
-      "quick mode: estimates meaningless, BENCH_scaleout.json left untouched"
-  else write_json ~accounts ~node_curve ~terminal_curve;
+  write_json ~accounts ~node_curve ~terminal_curve;
   observed
     "with per-node server classes, per-region history partitions and \
      accounts sharded two volumes per node, committed tx/sec grows \

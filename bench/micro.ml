@@ -207,17 +207,10 @@ let committed_tx =
       Bench_util.queue_debit_credit bank ~per_terminal:1;
       Tandem_encompass.Cluster.run bank.cluster))
 
-(* Quick mode (TANDEM_BENCH_QUICK=1): one tiny sample per benchmark — used
-   by the CI bench-smoke job to prove the harness still builds and runs.
-   Estimates are meaningless in this mode, so BENCH_hotpath.json is not
-   rewritten. *)
-let quick_mode () =
-  match Sys.getenv_opt "TANDEM_BENCH_QUICK" with
-  | Some ("1" | "true" | "yes") -> true
-  | Some _ | None -> false
-
+(* Quick mode takes one tiny sample per benchmark — enough to prove the
+   harness still builds and runs. *)
 let estimates tests =
-  let quick = quick_mode () in
+  let quick = Bench_util.quick_mode () in
   let benchmark test =
     let quota = Time.second (if quick then 0.001 else 0.25) in
     Benchmark.all
@@ -285,19 +278,13 @@ let write_hotpath_json rows =
                        ]))))
       rows
   in
-  let json =
-    Tandem_sim.Json.Obj
-      [
-        ("schema", Tandem_sim.Json.String "tandem-bench-hotpath/1");
-        ("baseline_commit", Tandem_sim.Json.String hotpath_baseline_commit);
-        ("benchmarks", Tandem_sim.Json.List entries);
-      ]
-  in
-  let out = open_out "BENCH_hotpath.json" in
-  output_string out (Tandem_sim.Json.to_string ~pretty:true json);
-  output_string out "\n";
-  close_out out;
-  Printf.printf "\nhot-path results written to BENCH_hotpath.json\n"
+  Bench_util.write_bench ~what:"hot-path results" "BENCH_hotpath.json"
+    (Tandem_sim.Json.Obj
+       [
+         ("schema", Tandem_sim.Json.String "tandem-bench-hotpath/1");
+         ("baseline_commit", Tandem_sim.Json.String hotpath_baseline_commit);
+         ("benchmarks", Tandem_sim.Json.List entries);
+       ])
 
 let run () =
   Bench_util.heading "M — micro-benchmarks (wall-clock, Bechamel)";
@@ -326,6 +313,4 @@ let run () =
   let core_rows = estimates core in
   let hotpath_rows = estimates hotpath in
   print_estimates (core_rows @ hotpath_rows);
-  if quick_mode () then
-    Printf.printf "\nquick mode: BENCH_hotpath.json left untouched\n"
-  else write_hotpath_json hotpath_rows
+  write_hotpath_json hotpath_rows

@@ -13,10 +13,55 @@ open Tandem_encompass
 (* bank: a single-node (or value-set) debit-credit run with optional
    failure injection, reporting the metrics registry. *)
 
+(* The cluster options of the bank, stats and trace subcommands; only the
+   defaults of terminals, servers and seconds differ between them. *)
+type bank_opts = {
+  seed : int;
+  cpus : int;
+  volumes : int;
+  terminals : int;
+  servers : int;
+  seconds : int;
+  skew : float;
+}
+
+(* Out-of-range values are refused up front with exit code 2, before they
+   reach a constructor that would raise. *)
+let bank_opts_term ~terminals ~servers ~seconds =
+  let int_opt name default doc =
+    Arg.(value & opt int default & info [ name ] ~doc)
+  in
+  let make seed cpus volumes terminals servers seconds skew =
+    let check name value lo hi =
+      if value < lo || value > hi then begin
+        Printf.eprintf "tandem: --%s %d: expected %s\n" name value
+          (if hi = max_int then Printf.sprintf "at least %d" lo
+           else Printf.sprintf "%d-%d" lo hi);
+        exit 2
+      end
+    in
+    check "cpus" cpus 2 16;
+    check "volumes" volumes 1 max_int;
+    check "terminals" terminals 1 32;
+    check "servers" servers 1 max_int;
+    check "seconds" seconds 1 max_int;
+    { seed; cpus; volumes; terminals; servers; seconds; skew }
+  in
+  Term.(
+    const make
+    $ int_opt "seed" 42 "Random seed."
+    $ int_opt "cpus" 4 "Processors (2-16)."
+    $ int_opt "volumes" 1 "Data volumes."
+    $ int_opt "terminals" terminals "Terminals (1-32)."
+    $ int_opt "servers" servers "BANK server class size."
+    $ int_opt "seconds" seconds "Simulated run length."
+    $ Arg.(
+        value & opt float 0.0 & info [ "skew" ] ~doc:"Zipf theta over accounts."))
+
 (* Build the standard single-node bank and queue the closed-loop input —
    shared by the bank, stats and trace subcommands. *)
-let setup_bank ?(trace_tags = []) ~seed ~cpus ~volumes ~terminals ~servers
-    ~seconds ~skew () =
+let setup_bank ?(trace_tags = [])
+    { seed; cpus; volumes; terminals; servers; seconds; skew } =
   let cluster = Cluster.create ~seed () in
   List.iter
     (fun tag ->
@@ -56,12 +101,9 @@ let setup_bank ?(trace_tags = []) ~seed ~cpus ~volumes ~terminals ~servers
   done;
   (cluster, tcp)
 
-let run_bank seed cpus volumes terminals servers seconds skew fail_cpu fail_at
+let run_bank ({ cpus; volumes; seconds; _ } as opts) fail_cpu fail_at
     trace_tags =
-  let cluster, tcp =
-    setup_bank ~trace_tags ~seed ~cpus ~volumes ~terminals ~servers ~seconds
-      ~skew ()
-  in
+  let cluster, tcp = setup_bank ~trace_tags opts in
   (match (fail_cpu, fail_at) with
   | Some cpu, at ->
       ignore
@@ -85,15 +127,6 @@ let run_bank seed cpus volumes terminals servers seconds skew fail_cpu fail_at
   end
 
 let bank_cmd =
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed.") in
-  let cpus = Arg.(value & opt int 4 & info [ "cpus" ] ~doc:"Processors (2-16).") in
-  let volumes = Arg.(value & opt int 1 & info [ "volumes" ] ~doc:"Data volumes.") in
-  let terminals = Arg.(value & opt int 8 & info [ "terminals" ] ~doc:"Terminals (1-32).") in
-  let servers = Arg.(value & opt int 4 & info [ "servers" ] ~doc:"BANK server class size.") in
-  let seconds = Arg.(value & opt int 30 & info [ "seconds" ] ~doc:"Simulated run length.") in
-  let skew =
-    Arg.(value & opt float 0.0 & info [ "skew" ] ~doc:"Zipf theta over accounts.")
-  in
   let fail_cpu =
     Arg.(value & opt (some int) None & info [ "fail-cpu" ] ~doc:"Fail this processor.")
   in
@@ -106,24 +139,31 @@ let bank_cmd =
   Cmd.v
     (Cmd.info "bank" ~doc:"Run the debit-credit workload on one node")
     Term.(
-      const run_bank $ seed $ cpus $ volumes $ terminals $ servers $ seconds
-      $ skew $ fail_cpu $ fail_at $ trace)
+      const run_bank
+      $ bank_opts_term ~terminals:8 ~servers:4 ~seconds:30
+      $ fail_cpu $ fail_at $ trace)
 
 (* ------------------------------------------------------------------ *)
 (* stats: run a workload, then print the whole observability surface —
-   metrics registry, commit-latency percentiles from the histograms and
-   the per-transaction span summary; optionally dump it all as JSON. *)
+   metrics registry, latency percentiles (commit, abort and recovery from
+   their histograms, end-to-end from the exact terminal sample) and the
+   per-transaction span summary; optionally dump it all as JSON. *)
+
+let print_latency what ~count quantile max =
+  if count > 0 then
+    Printf.printf
+      "%s latency (n=%d): p50=%.1fms p90=%.1fms p99=%.1fms max=%.1fms\n" what
+      count (quantile 0.5) (quantile 0.9) (quantile 0.99) max
 
 let pp_latency_histogram metrics name what =
   let h = Metrics.read_histogram metrics name in
-  if Metrics.histogram_count h > 0 then
-    Printf.printf
-      "%s latency (n=%d): p50=%.1fms p90=%.1fms p99=%.1fms max=%.1fms\n" what
-      (Metrics.histogram_count h)
-      (Metrics.histogram_quantile h 0.5)
-      (Metrics.histogram_quantile h 0.9)
-      (Metrics.histogram_quantile h 0.99)
-      (Metrics.histogram_max h)
+  print_latency what ~count:(Metrics.histogram_count h)
+    (Metrics.histogram_quantile h) (Metrics.histogram_max h)
+
+let pp_latency_sample metrics name what =
+  let s = Metrics.read_sample metrics name in
+  print_latency what ~count:(Metrics.sample_count s) (Metrics.percentile s)
+    (Metrics.sample_max s)
 
 (* The blocking-window histogram (microseconds): how long voted-yes
    participants held locks waiting for someone else's verdict. Always
@@ -181,7 +221,7 @@ let print_stats ~top ~json cluster =
     [ "tmf.recovery_chains"; "tmf.recovery_images_replayed" ];
   pp_latency_histogram metrics "tmf.commit_latency_ms" "commit";
   pp_latency_histogram metrics "tmf.abort_latency_ms" "abort";
-  pp_latency_histogram metrics "encompass.tx_latency_ms.hist" "end-to-end";
+  pp_latency_sample metrics "encompass.tx_latency_ms" "end-to-end";
   pp_latency_histogram metrics "tmf.recovery_ms" "recovery";
   pp_indoubt_histogram metrics;
   Format.printf "@.%a@." (Span.pp_summary ~top) spans;
@@ -204,13 +244,11 @@ let print_stats ~top ~json cluster =
           Printf.eprintf "cannot write stats: %s\n" message;
           exit 1)
 
-let run_stats workload seed cpus volumes terminals servers seconds skew top
-    json =
+let run_stats workload ({ seed; cpus; volumes; seconds; _ } as opts) top json
+    =
   match workload with
   | "bank" ->
-      let cluster, tcp =
-        setup_bank ~seed ~cpus ~volumes ~terminals ~servers ~seconds ~skew ()
-      in
+      let cluster, tcp = setup_bank opts in
       Cluster.run ~until:(Sim_time.seconds seconds) cluster;
       Printf.printf
         "bank: %ds simulated on %d cpus / %d volumes — %d committed (%.1f \
@@ -251,13 +289,6 @@ let stats_cmd =
   let workload =
     Arg.(value & pos 0 string "bank" & info [] ~docv:"WORKLOAD" ~doc:"bank or mfg.")
   in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed.") in
-  let cpus = Arg.(value & opt int 4 & info [ "cpus" ] ~doc:"Processors (2-16).") in
-  let volumes = Arg.(value & opt int 1 & info [ "volumes" ] ~doc:"Data volumes.") in
-  let terminals = Arg.(value & opt int 8 & info [ "terminals" ] ~doc:"Terminals (1-32).") in
-  let servers = Arg.(value & opt int 4 & info [ "servers" ] ~doc:"BANK server class size.") in
-  let seconds = Arg.(value & opt int 30 & info [ "seconds" ] ~doc:"Simulated run length.") in
-  let skew = Arg.(value & opt float 0.0 & info [ "skew" ] ~doc:"Zipf theta over accounts.") in
   let top = Arg.(value & opt int 5 & info [ "top" ] ~doc:"Slowest transactions to show.") in
   let json =
     Arg.(value & opt (some string) None & info [ "json" ] ~docv:"PATH"
@@ -268,8 +299,9 @@ let stats_cmd =
        ~doc:"Run a workload and print metrics, latency percentiles and the \
              transaction span summary")
     Term.(
-      const run_stats $ workload $ seed $ cpus $ volumes $ terminals $ servers
-      $ seconds $ skew $ top $ json)
+      const run_stats $ workload
+      $ bank_opts_term ~terminals:8 ~servers:4 ~seconds:30
+      $ top $ json)
 
 (* ------------------------------------------------------------------ *)
 (* trace: run the bank with trace subsystems enabled and print the event
@@ -293,12 +325,9 @@ let print_timeline span =
     span.Span.forced_writes span.Span.lock_waits span.Span.restarts
     span.Span.images_undone span.Span.remote_nodes
 
-let run_trace seed cpus volumes terminals servers seconds skew tags top =
+let run_trace ({ seconds; _ } as opts) tags top =
   let tags = if tags = [] then [ "*" ] else tags in
-  let cluster, tcp =
-    setup_bank ~trace_tags:tags ~seed ~cpus ~volumes ~terminals ~servers
-      ~seconds ~skew ()
-  in
+  let cluster, tcp = setup_bank ~trace_tags:tags opts in
   let trace = Tandem_os.Net.trace (Cluster.net cluster) in
   Cluster.run ~until:(Sim_time.seconds seconds) cluster;
   Printf.printf "bank: %ds simulated — %d committed, %d restarts, %d failed\n"
@@ -311,13 +340,6 @@ let run_trace seed cpus volumes terminals servers seconds skew tags top =
   List.iter print_timeline (Span.slowest ~n:top spans)
 
 let trace_cmd =
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed.") in
-  let cpus = Arg.(value & opt int 4 & info [ "cpus" ] ~doc:"Processors (2-16).") in
-  let volumes = Arg.(value & opt int 1 & info [ "volumes" ] ~doc:"Data volumes.") in
-  let terminals = Arg.(value & opt int 4 & info [ "terminals" ] ~doc:"Terminals (1-32).") in
-  let servers = Arg.(value & opt int 2 & info [ "servers" ] ~doc:"BANK server class size.") in
-  let seconds = Arg.(value & opt int 5 & info [ "seconds" ] ~doc:"Simulated run length.") in
-  let skew = Arg.(value & opt float 0.0 & info [ "skew" ] ~doc:"Zipf theta over accounts.") in
   let tags =
     Arg.(value & opt_all string [] & info [ "tag" ]
          ~doc:"Trace subsystem to enable (tmf, pair, hw, net, bus; repeatable; \
@@ -329,8 +351,9 @@ let trace_cmd =
        ~doc:"Run the bank with trace subsystems enabled and print the event \
              log and span timelines")
     Term.(
-      const run_trace $ seed $ cpus $ volumes $ terminals $ servers $ seconds
-      $ skew $ tags $ top)
+      const run_trace
+      $ bank_opts_term ~terminals:4 ~servers:2 ~seconds:5
+      $ tags $ top)
 
 (* ------------------------------------------------------------------ *)
 (* mfg: the four-plant manufacturing data base with a partition window. *)

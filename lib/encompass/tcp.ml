@@ -32,14 +32,10 @@ let checkpoint t =
 
 let metrics_sample t label = Metrics.sample (Net.metrics t.net) label
 
-(* The sample keeps every value for the existing experiment readers; the
-   histogram answers percentile queries without unbounded storage. *)
 let observe_latency t started =
   let elapsed = Sim_time.diff (Engine.now (Net.engine t.net)) started in
   Metrics.observe (metrics_sample t "encompass.tx_latency_ms")
-    (float_of_int elapsed /. 1e3);
-  Metrics.observe_latency (Net.metrics t.net) "encompass.tx_latency_ms.hist"
-    elapsed
+    (float_of_int elapsed /. 1e3)
 
 let abort_quietly t process transid_string reason =
   match Option.bind transid_string Tmf.Transid.of_string with
