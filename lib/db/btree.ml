@@ -67,8 +67,10 @@ let child_index separators key =
 
 let array_insert arr i x =
   let n = Array.length arr in
-  Array.init (n + 1) (fun j ->
-      if j < i then arr.(j) else if j = i then x else arr.(j - 1))
+  let grown = Array.make (n + 1) x in
+  Array.blit arr 0 grown 0 i;
+  Array.blit arr i grown (i + 1) (n - i);
+  grown
 
 let array_remove arr i =
   let n = Array.length arr in

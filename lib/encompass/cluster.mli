@@ -66,7 +66,14 @@ val add_file : t -> Tandem_db.Schema.file_def -> unit
 
 val load_file : t -> file:string -> (Tandem_db.Key.t * string) list -> unit
 (** Bulk-load initial records without charging simulated I/O, then flush the
-    loaded image to "disc" so it survives crashes. *)
+    loaded image to "disc" so it survives crashes.
+
+    Cost: O(rows × tree height), plus one disc-image copy of each partition
+    the rows reach; partitions no row reaches are left alone, cache
+    included. Charging is switched back on for every touched volume even
+    when a row is rejected — a duplicate or bad key, or a partition whose
+    volume lacks the file raises [Invalid_argument] — so a failed load never
+    leaves later I/O free. *)
 
 val add_server_class :
   t ->

@@ -63,9 +63,9 @@ let install_bank cluster spec =
   Cluster.add_file cluster
     (Schema.define ~name:history_file ~organization:Schema.Entry_sequenced
        ~degree:32 ~partitions:single_partition ());
-  let rows count =
-    List.init count (fun i -> (Key.of_int i, balance_payload spec.initial_balance))
-  in
+  (* Payloads are immutable strings: every row shares one. *)
+  let payload = balance_payload spec.initial_balance in
+  let rows count = List.init count (fun i -> (Key.of_int i, payload)) in
   Cluster.load_file cluster ~file:account_file (rows spec.accounts);
   Cluster.load_file cluster ~file:teller_file (rows spec.tellers);
   Cluster.load_file cluster ~file:branch_file (rows spec.branches)

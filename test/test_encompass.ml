@@ -1107,6 +1107,130 @@ let prop_random_partitions_conserve_funds =
       true)
 
 (* ------------------------------------------------------------------ *)
+(* Bulk loading: linear cost, crash-safe image, charging restored *)
+
+let bulk_rows = 65_536
+
+let bulk_partitions = 16
+
+(* [bulk_partitions] volumes share the rows evenly; one more volume holds a
+   partition whose low key lies above every row, so no row reaches it. *)
+let bulk_cluster () =
+  let cluster = Cluster.create ~seed:5 () in
+  ignore (Cluster.add_node cluster ~id:1 ~cpus:4);
+  let volume i = Printf.sprintf "$BULK%d" i in
+  for i = 0 to bulk_partitions do
+    ignore (Cluster.add_volume cluster ~node:1 ~name:(volume i) ())
+  done;
+  let low_key i =
+    if i = 0 then Key.min_key else Key.of_int (i * bulk_rows / bulk_partitions)
+  in
+  Cluster.add_file cluster
+    (Schema.define ~name:"BULK" ~organization:Schema.Key_sequenced ~degree:8
+       ~partitions:
+         (List.init (bulk_partitions + 1) (fun i ->
+              { Schema.low_key = low_key i; node = 1; volume = volume i }))
+       ());
+  cluster
+
+let bulk_targets cluster =
+  let def = Option.get (Schema.find (Cluster.dictionary cluster) "BULK") in
+  List.map
+    (fun p ->
+      let dp = Cluster.discprocess cluster ~node:p.Schema.node ~volume:p.Schema.volume in
+      (Discprocess.store dp, Option.get (Discprocess.file dp "BULK")))
+    def.Schema.partitions
+
+let minor_words_of f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let test_load_file_is_linear () =
+  let payload = Record.encode [ ("balance", "1000") ] in
+  let rows = List.init bulk_rows (fun i -> (Key.of_int i, payload)) in
+  (* Reference: the same inserts with charging off, then exactly one disc
+     image per store — the least any bulk load can do. *)
+  let twin = bulk_cluster () in
+  let def = Option.get (Schema.find (Cluster.dictionary twin) "BULK") in
+  let targets = Array.of_list (bulk_targets twin) in
+  let reference =
+    minor_words_of (fun () ->
+        Array.iter (fun (store, _) -> Store.set_charging store false) targets;
+        List.iter
+          (fun (key, payload) ->
+            let _, f = targets.(Schema.partition_index def key) in
+            ignore (File.insert f key payload))
+          rows;
+        Array.iter
+          (fun (store, _) ->
+            Store.overwrite_disk_image store;
+            Store.set_charging store true)
+          targets)
+  in
+  let cluster = bulk_cluster () in
+  let targets = bulk_targets cluster in
+  let untouched, _ = List.nth targets bulk_partitions in
+  let untouched_dirty = Store.dirty_count untouched in
+  check_bool "the unreached partition starts with a dirty root" true
+    (untouched_dirty > 0);
+  let loaded =
+    minor_words_of (fun () -> Cluster.load_file cluster ~file:"BULK" rows)
+  in
+  if loaded > 1.5 *. reference then
+    Alcotest.failf "load_file allocated %.0f words, %.2fx the %.0f-word reference"
+      loaded (loaded /. reference) reference;
+  check_int "the unreached partition keeps its cache" untouched_dirty
+    (Store.dirty_count untouched);
+  List.iteri
+    (fun i (store, f) ->
+      if i < bulk_partitions then begin
+        Store.crash store;
+        (* Count from the flushed image without charging simulated reads. *)
+        Store.set_charging store false;
+        let survivors = ref 0 in
+        File.iter f (fun _ _ -> incr survivors);
+        Store.set_charging store true;
+        check_int
+          (Printf.sprintf "partition %d survives a crash whole" i)
+          (bulk_rows / bulk_partitions) !survivors
+      end)
+    targets
+
+let test_failed_load_restores_charging () =
+  let cluster = Cluster.create ~seed:6 () in
+  ignore (Cluster.add_node cluster ~id:1 ~cpus:4);
+  ignore (Cluster.add_volume cluster ~node:1 ~name:"$DATA1" ~primary_cpu:2 ~backup_cpu:3 ());
+  let define name =
+    Cluster.add_file cluster
+      (Schema.define ~name ~organization:Schema.Key_sequenced
+         ~partitions:[ { Schema.low_key = Key.min_key; node = 1; volume = "$DATA1" } ]
+         ())
+  in
+  define "GOOD";
+  define "BAD";
+  let row i = (Key.of_int i, Record.encode [ ("n", string_of_int i) ]) in
+  Cluster.load_file cluster ~file:"GOOD" (List.init 100 row);
+  Alcotest.check_raises "duplicate key rejected"
+    (Invalid_argument "Cluster.load_file: duplicate key") (fun () ->
+      Cluster.load_file cluster ~file:"BAD" [ row 1; row 2; row 1 ]);
+  (* GOOD's blocks left the cache when its load finished, so this read is
+     cold and must pay a physical read on the shared volume. *)
+  let volume = Cluster.volume cluster ~node:1 ~volume:"$DATA1" in
+  let reads_before = Tandem_disk.Volume.reads volume in
+  let result = ref None in
+  Cluster.run_client cluster ~node:1 ~cpu:0 (fun process ->
+      result :=
+        Some (File_client.read (Cluster.files cluster) ~self:process ~file:"GOOD"
+                (Key.of_int 50)));
+  Cluster.run cluster;
+  (match !result with
+  | Some (Ok (Some _)) -> ()
+  | _ -> Alcotest.fail "the loaded row must be readable");
+  check_bool "the cold read is charged" true
+    (Tandem_disk.Volume.reads volume > reads_before)
+
+(* ------------------------------------------------------------------ *)
 (* Determinism *)
 
 let test_same_seed_same_outcome () =
@@ -1183,6 +1307,13 @@ let () =
             test_fuzzy_archive_open_tx_aborts;
           Alcotest.test_case "fuzzy archive, open tx commits" `Quick
             test_fuzzy_archive_open_tx_commits;
+        ] );
+      ( "bulk_load",
+        [
+          Alcotest.test_case "linear allocation, crash-safe image" `Quick
+            test_load_file_is_linear;
+          Alcotest.test_case "failed load restores charging" `Quick
+            test_failed_load_restores_charging;
         ] );
       ( "determinism",
         [ Alcotest.test_case "same seed same outcome" `Quick test_same_seed_same_outcome ] );
