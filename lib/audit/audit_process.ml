@@ -13,6 +13,11 @@ type t = {
 
 let service net trail ~name pair () process =
   let config = Net.config net in
+  let forces =
+    lazy
+      (Tandem_sim.Metrics.counter_with (Net.metrics net) "audit.forces"
+         ~labels:[ ("trail", name) ])
+  in
   let rec loop () =
     let message = Process_pair.receive pair process in
     (match message.Message.payload with
@@ -29,9 +34,7 @@ let service net trail ~name pair () process =
         Rpc.reply net ~self:process ~to_:message Audit_ok
     | Audit_force ->
         Cpu.consume (Process.cpu process) config.Hw_config.cpu_message_cost;
-        Tandem_sim.Metrics.incr
-          (Tandem_sim.Metrics.counter_with (Net.metrics net) "audit.forces"
-             ~labels:[ ("trail", name) ]);
+        Tandem_sim.Metrics.incr (Lazy.force forces);
         (* Run the force in its own fiber: the 25 ms physical write must not
            stall the service loop, and concurrent forces batch into one
            physical write at the group-commit daemon. *)

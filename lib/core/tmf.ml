@@ -19,6 +19,8 @@ type t = {
   rollforwards : (Ids.node_id, Rollforward.t) Hashtbl.t;
   acceptors : (Ids.node_id, Acceptor.t) Hashtbl.t;
   restart_limit : int;
+  begins : Tandem_sim.Metrics.counter Lazy.t;
+  begins_by_node : Tandem_sim.Metrics.counter_family;
 }
 
 let create ?(restart_limit = 3) net =
@@ -29,6 +31,10 @@ let create ?(restart_limit = 3) net =
     rollforwards = Hashtbl.create 8;
     acceptors = Hashtbl.create 8;
     restart_limit;
+    begins = lazy (Tandem_sim.Metrics.counter (Net.metrics net) "tmf.begins");
+    begins_by_node =
+      Tandem_sim.Metrics.counter_family (Net.metrics net)
+        ~name:"tmf.begins_by_node" ~label:"node";
   }
 
 let net t = t.net
@@ -107,11 +113,9 @@ let begin_transaction t ~node ~cpu =
   Tmp.arm_transaction_timer (tmp t node) transid;
   ignore (Tandem_sim.Span.start (Net.spans t.net) (Transid.to_string transid));
   Tx_table.broadcast state.Tmf_state.tx_tables transid Tx_state.Active;
+  Tandem_sim.Metrics.incr (Lazy.force t.begins);
   Tandem_sim.Metrics.incr
-    (Tandem_sim.Metrics.counter (Net.metrics t.net) "tmf.begins");
-  Tandem_sim.Metrics.incr
-    (Tandem_sim.Metrics.counter_with (Net.metrics t.net) "tmf.begins_by_node"
-       ~labels:[ ("node", string_of_int node) ]);
+    (Tandem_sim.Metrics.family_counter t.begins_by_node (string_of_int node));
   transid
 
 let end_transaction t ~self transid =

@@ -48,15 +48,26 @@ type t = {
       (* FIFO; [retry_loop] swaps in a rebuilt queue after each pass *)
   mutable retry_running : bool;
   mutable primary : Process.t option;
+  (* Counter handles resolve on first use, so a metric enters the registry
+     when it is first counted. Protocol-optimization counters live under
+     "tmp." — they count what the coordinator's optimizations *saved*, not
+     transaction dispositions. *)
+  tmf_safe_deliveries : Metrics.counter Lazy.t;
+  tmf_aborts : Metrics.counter Lazy.t;
+  tmf_commits : Metrics.counter Lazy.t;
+  tmf_prepares_sent : Metrics.counter Lazy.t;
+  tmf_auto_aborts : Metrics.counter Lazy.t;
+  tmf_unilateral_aborts : Metrics.counter Lazy.t;
+  tmf_remote_begins : Metrics.counter Lazy.t;
+  tmf_commits_by_node : Metrics.counter Lazy.t;
+  tmp_presumed_aborts : Metrics.counter Lazy.t;
+  tmp_phase2_pruned : Metrics.counter Lazy.t;
+  tmp_fast_path_commits : Metrics.counter Lazy.t;
+  tmp_paxos_commits : Metrics.counter Lazy.t;
+  tmp_read_only_votes : Metrics.counter Lazy.t;
 }
 
 let state t = t.node_state
-
-let counter t name = Metrics.counter (Net.metrics t.net) ("tmf." ^ name)
-
-(* Protocol-optimization counters live under "tmp." — they count what the
-   coordinator's optimizations *saved*, not transaction dispositions. *)
-let tmp_counter t name = Metrics.counter (Net.metrics t.net) ("tmp." ^ name)
 
 let hw t = Net.config t.net
 
@@ -195,7 +206,7 @@ let kick_retry t =
   | _ -> ()
 
 let safe_deliver t dst payload =
-  Metrics.incr (counter t "safe_deliveries");
+  Metrics.incr (Lazy.force t.tmf_safe_deliveries);
   Queue.add (dst, payload) t.safe_queue;
   kick_retry t
 
@@ -346,7 +357,7 @@ let rec local_abort t ~self transid reason =
   | None ->
       Trace.emit (Net.trace t.net) "tmf" "node %d: abort %a (%s)" (own_node t)
         Transid.pp transid reason;
-      Metrics.incr (counter t "aborts");
+      Metrics.incr (Lazy.force t.tmf_aborts);
       Span.mark_backout (spans t) (Transid.to_string transid);
       broadcast t transid Tx_state.Aborting;
       (* All of the transaction's audit records are written to the trails
@@ -367,7 +378,7 @@ let rec local_abort t ~self transid reason =
       let presumed = (hw t).Hw_config.tmp_presumed_abort in
       if presumed then begin
         record_disposition ~forced:false t Monitor_trail.Aborted transid;
-        Metrics.incr (tmp_counter t "presumed_aborts")
+        Metrics.incr (Lazy.force t.tmp_presumed_aborts)
       end
       else record_disposition t Monitor_trail.Aborted transid;
       broadcast t transid Tx_state.Aborted;
@@ -397,10 +408,8 @@ and local_commit_phase2 t ~self transid =
       local_abort t ~self transid "monitor records an abort"
   | None ->
       record_disposition t Monitor_trail.Committed transid;
-      Metrics.incr (counter t "commits");
-      Metrics.incr
-        (Metrics.counter_with (Net.metrics t.net) "tmf.commits_by_node"
-           ~labels:[ ("node", string_of_int (own_node t)) ]);
+      Metrics.incr (Lazy.force t.tmf_commits);
+      Metrics.incr (Lazy.force t.tmf_commits_by_node);
       Span.mark_phase2 (spans t) (Transid.to_string transid);
       broadcast t transid Tx_state.Ended;
       release_locks t ~self transid;
@@ -419,7 +428,7 @@ and local_commit_phase2 t ~self transid =
 (* Phase one at this node (and transitively below it). *)
 
 let prepare_one t ~self info child =
-  Metrics.incr (counter t "prepares_sent");
+  Metrics.incr (Lazy.force t.tmf_prepares_sent);
   Span.incr_prepares (spans t) (Transid.to_string info.Tmf_state.transid);
   (* Request plus reply. *)
   Span.add_messages (spans t) (Transid.to_string info.Tmf_state.transid) 2;
@@ -442,7 +451,7 @@ let prune_read_only t info read_only_children =
   match read_only_children with
   | [] -> ()
   | pruned ->
-      Metrics.add (tmp_counter t "phase2_pruned") (List.length pruned);
+      Metrics.add (Lazy.force t.tmp_phase2_pruned) (List.length pruned);
       info.Tmf_state.children <-
         List.filter
           (fun child -> not (List.mem child pruned))
@@ -599,7 +608,7 @@ let run_fast_path_commit t ~self transid =
              nothing of the transaction survived, and the client must be
              told to start over. *)
           if commit_marker_survives t transid then begin
-            Metrics.incr (tmp_counter t "fast_path_commits");
+            Metrics.incr (Lazy.force t.tmp_fast_path_commits);
             local_commit_phase2 t ~self transid;
             Committed_reply
           end
@@ -608,7 +617,7 @@ let run_fast_path_commit t ~self transid =
             Aborted_reply "node failed during end-transaction"
           end
       | Ok () ->
-          Metrics.incr (tmp_counter t "fast_path_commits");
+          Metrics.incr (Lazy.force t.tmp_fast_path_commits);
           local_commit_phase2 t ~self transid;
           Committed_reply
       | Error reason ->
@@ -639,7 +648,7 @@ let run_paxos_decision t ~self ~acceptors info transid =
       ~participants transid
   with
   | Ok () ->
-      Metrics.incr (tmp_counter t "paxos_commits");
+      Metrics.incr (Lazy.force t.tmp_paxos_commits);
       record_disposition ~forced:false t Monitor_trail.Committed transid;
       local_commit_phase2 t ~self transid;
       Committed_reply
@@ -785,7 +794,7 @@ let on_prepare t ~self transid =
                      cannot touch this node's data — write no monitor
                      record, and leave the protocol entirely. The parent
                      prunes this node from phase two. *)
-                  Metrics.incr (tmp_counter t "read_only_votes");
+                  Metrics.incr (Lazy.force t.tmp_read_only_votes);
                   release_locks t ~self transid;
                   broadcast t transid Tx_state.Ended;
                   cancel_auto_abort info;
@@ -885,7 +894,7 @@ and resolve_in_doubt t ~self transid =
           with_tx_lock t transid (fun () ->
               local_abort t ~self transid "home node recorded an abort")
       | Ok (None, false) ->
-          Metrics.incr (tmp_counter t "presumed_aborts");
+          Metrics.incr (Lazy.force t.tmp_presumed_aborts);
           with_tx_lock t transid (fun () ->
               local_abort t ~self transid "presumed abort: home has no record")
       | Ok (None, true) | Error `Unreachable -> ())
@@ -974,7 +983,7 @@ and arm_transaction_timer t transid =
                                          transid disposition)
                                | Error (`Unreachable | `Contended) -> ())
                        | Some _ | None ->
-                           Metrics.incr (counter t "auto_aborts");
+                           Metrics.incr (Lazy.force t.tmf_auto_aborts);
                            Process.spawn_fiber process (fun () ->
                                with_tx_lock t transid (fun () ->
                                    (* Re-check under the resolution lock: a
@@ -1067,7 +1076,7 @@ let handle t process message =
                         then Refused_reply "already voted yes"
                         else begin
                           info.Tmf_state.locally_aborted <- true;
-                          Metrics.incr (counter t "unilateral_aborts");
+                          Metrics.incr (Lazy.force t.tmf_unilateral_aborts);
                           local_abort t ~self:process transid reason;
                           Aborted_reply reason
                         end)
@@ -1084,7 +1093,7 @@ let handle t process message =
             if known || Transid.home transid = own_node t then Known_reply
             else begin
               ignore (Tmf_state.ensure_tx t.node_state transid);
-              Metrics.incr (counter t "remote_begins");
+              Metrics.incr (Lazy.force t.tmf_remote_begins);
               arm_transaction_timer t transid;
               broadcast t transid Tx_state.Active;
               Registered_reply
@@ -1201,6 +1210,8 @@ let service t pair _replica process =
   loop ()
 
 let spawn ~net ~state ?(config = default_config) ~primary_cpu ~backup_cpu () =
+  let metrics = Net.metrics net in
+  let counter name = lazy (Metrics.counter metrics name) in
   let t =
     {
       net;
@@ -1209,6 +1220,22 @@ let spawn ~net ~state ?(config = default_config) ~primary_cpu ~backup_cpu () =
       safe_queue = Queue.create ();
       retry_running = false;
       primary = None;
+      tmf_safe_deliveries = counter "tmf.safe_deliveries";
+      tmf_aborts = counter "tmf.aborts";
+      tmf_commits = counter "tmf.commits";
+      tmf_prepares_sent = counter "tmf.prepares_sent";
+      tmf_auto_aborts = counter "tmf.auto_aborts";
+      tmf_unilateral_aborts = counter "tmf.unilateral_aborts";
+      tmf_remote_begins = counter "tmf.remote_begins";
+      tmf_commits_by_node =
+        lazy
+          (Metrics.counter_with metrics "tmf.commits_by_node"
+             ~labels:[ ("node", string_of_int (Node.id state.Tmf_state.node)) ]);
+      tmp_presumed_aborts = counter "tmp.presumed_aborts";
+      tmp_phase2_pruned = counter "tmp.phase2_pruned";
+      tmp_fast_path_commits = counter "tmp.fast_path_commits";
+      tmp_paxos_commits = counter "tmp.paxos_commits";
+      tmp_read_only_votes = counter "tmp.read_only_votes";
     }
   in
   ignore
@@ -1243,7 +1270,7 @@ let start_watchdog t ~interval =
             in
             List.iter
               (fun transid ->
-                Metrics.incr (counter t "unilateral_aborts");
+                Metrics.incr (Lazy.force t.tmf_unilateral_aborts);
                 with_tx_lock t transid (fun () ->
                     local_abort t ~self:process transid
                       "loss of communication with home node"))

@@ -6,6 +6,7 @@ type t = {
   tables : (string, Tx_state.t) Hashtbl.t array; (* per cpu *)
   mutable messages : int;
   census : (Tx_state.t option * Tx_state.t, int) Hashtbl.t;
+  broadcast_msgs : Metrics.counter Lazy.t;
 }
 
 let create node =
@@ -15,6 +16,8 @@ let create node =
       tables = Array.init (Node.cpu_count node) (fun _ -> Hashtbl.create 64);
       messages = 0;
       census = Hashtbl.create 16;
+      broadcast_msgs =
+        lazy (Metrics.counter (Node.metrics node) "tmf.state_broadcast_msgs");
     }
   in
   (* A reloaded processor comes back with fresh memory: its copy of the
@@ -58,11 +61,9 @@ let apply t ~cpu transid new_state =
 let broadcast t transid new_state =
   let engine = Node.engine t.node in
   let config = Node.config t.node in
-  let metrics = Node.metrics t.node in
   let up = Node.up_cpus t.node in
   t.messages <- t.messages + List.length up;
-  Metrics.add (Metrics.counter metrics "tmf.state_broadcast_msgs")
-    (List.length up);
+  Metrics.add (Lazy.force t.broadcast_msgs) (List.length up);
   List.iter
     (fun cpu ->
       Engine.post_after engine config.Hw_config.bus_latency (fun () ->

@@ -29,6 +29,8 @@ type t = {
          at a time, as in the real single-threaded DISCPROCESS. Lock-manager
          waits happen before taking it. *)
   mutable pair : (unit, unit) Process_pair.t option;
+  coalesced_checkpoints : Tandem_sim.Metrics.counter Lazy.t;
+  checkpoint_batch_size : Tandem_sim.Metrics.sample Lazy.t;
 }
 
 let name t = t.dp_name
@@ -309,11 +311,8 @@ let execute t process ~requester (op : op_meta) payload =
   let pending = ref 0 in
   let reply = execute_op t process ~requester ~pending op payload in
   if !pending > 0 then begin
-    let metrics = Net.metrics t.net in
-    Tandem_sim.Metrics.incr
-      (Tandem_sim.Metrics.counter metrics "dp.coalesced_checkpoints");
-    Tandem_sim.Metrics.observe
-      (Tandem_sim.Metrics.sample metrics "dp.checkpoint_batch_size")
+    Tandem_sim.Metrics.incr (Lazy.force t.coalesced_checkpoints);
+    Tandem_sim.Metrics.observe (Lazy.force t.checkpoint_batch_size)
       (float_of_int !pending);
     checkpoint_cost t
   end;
@@ -428,6 +427,10 @@ let spawn ~net ~tmf ~node ~volume ~name ~trail ~primary_cpu ~backup_cpu
       reply_cache_old = Hashtbl.create 1024;
       data_mutex = Tandem_sim.Fiber_mutex.create ();
       pair = None;
+      coalesced_checkpoints =
+        lazy (Tandem_sim.Metrics.counter (Net.metrics net) "dp.coalesced_checkpoints");
+      checkpoint_batch_size =
+        lazy (Tandem_sim.Metrics.sample (Net.metrics net) "dp.checkpoint_batch_size");
     }
   in
   let pair =

@@ -32,7 +32,13 @@ type file_state = {
    release_all/locks_of O(locks held) instead of O(table). *)
 type t = {
   engine : Engine.t;
-  metrics : Metrics.t;
+  (* Counters resolve on first use, so a run that never waits shows no
+     lock.waits line. *)
+  c_requests : Metrics.counter Lazy.t;
+  c_waits : Metrics.counter Lazy.t;
+  c_grants_after_wait : Metrics.counter Lazy.t;
+  c_timeouts : Metrics.counter Lazy.t;
+  c_release_all : Metrics.counter Lazy.t;
   spans : Span.t option;
   table_name : string;
   files : (string, file_state) Hashtbl.t;
@@ -44,7 +50,11 @@ type t = {
 let create ?spans engine ~metrics ~name =
   {
     engine;
-    metrics;
+    c_requests = lazy (Metrics.counter metrics "lock.requests");
+    c_waits = lazy (Metrics.counter metrics "lock.waits");
+    c_grants_after_wait = lazy (Metrics.counter metrics "lock.grants_after_wait");
+    c_timeouts = lazy (Metrics.counter metrics "lock.timeouts");
+    c_release_all = lazy (Metrics.counter metrics "lock.release_all");
     spans;
     table_name = name;
     files = Hashtbl.create 32;
@@ -108,8 +118,6 @@ let grant t ~owner resource =
       (file_state t file).file_owner <- Some owner;
       note_granted t ~owner resource
 
-let counter t name = Metrics.counter t.metrics ("lock." ^ name)
-
 (* Wake every waiter on the given files whose request became grantable, in
    FIFO order per file; a grant can unblock later grants only by release,
    never by another grant, so one pass over each queue suffices. Timed-out
@@ -138,7 +146,7 @@ let wake_grantable t files =
                   | Some h -> Engine.cancel h
                   | None -> ());
                   grant t ~owner:waiter.wait_owner waiter.resource;
-                  Metrics.incr (counter t "grants_after_wait");
+                  Metrics.incr (Lazy.force t.c_grants_after_wait);
                   waiter.resume (Ok `Granted)
                 end
                 else Queue.add waiter queue
@@ -160,13 +168,13 @@ let enqueue_waiter t waiter =
   t.waiting <- t.waiting + 1
 
 let acquire t ~owner ~timeout resource =
-  Metrics.incr (counter t "requests");
+  Metrics.incr (Lazy.force t.c_requests);
   if grantable t ~owner resource then begin
     grant t ~owner resource;
     `Granted
   end
   else begin
-    Metrics.incr (counter t "waits");
+    Metrics.incr (Lazy.force t.c_waits);
     (match t.spans with
     | Some spans -> Span.incr_lock_waits spans owner
     | None -> ());
@@ -181,7 +189,7 @@ let acquire t ~owner ~timeout resource =
                    (* Stays queued; wake_grantable discards it lazily. *)
                    waiter.pending <- false;
                    t.waiting <- t.waiting - 1;
-                   Metrics.incr (counter t "timeouts");
+                   Metrics.incr (Lazy.force t.c_timeouts);
                    resume (Ok `Timeout)
                  end));
         enqueue_waiter t waiter)
@@ -219,7 +227,7 @@ let release_all t ~owner =
               | Some _ | None -> ()))
         held;
       wake_grantable t (Hashtbl.fold (fun file () acc -> file :: acc) touched []));
-  Metrics.incr (counter t "release_all")
+  Metrics.incr (Lazy.force t.c_release_all)
 
 let holder t resource =
   match resource with

@@ -6,7 +6,9 @@ type t = {
   name : string;
   cpu : Cpu.t;
   mailbox : Mailbox.t;
-  mutable fibers : Fiber.t list;
+  mutable fibers : Fiber.t list; (* every live fiber, plus those finished since the last prune *)
+  mutable spawned_since_prune : int;
+  mutable live_at_prune : int;
   mutable alive : bool;
   pending_replies : (int, Message.payload -> unit) Hashtbl.t;
 }
@@ -19,6 +21,8 @@ let create engine ~pid ~name ~cpu =
     cpu;
     mailbox = Mailbox.create ();
     fibers = [];
+    spawned_since_prune = 0;
+    live_at_prune = 0;
     alive = true;
     pending_replies = Hashtbl.create 8;
   }
@@ -26,7 +30,17 @@ let create engine ~pid ~name ~cpu =
 let spawn_fiber t body =
   if not t.alive then invalid_arg "Process.spawn_fiber: process is dead";
   let fiber = Fiber.spawn ~engine:t.engine ~name:t.name body in
-  t.fibers <- fiber :: t.fibers
+  t.fibers <- fiber :: t.fibers;
+  (* A server spawns a fiber per request, so drop the finished ones once
+     the spawns since the last prune outnumber the fibers it kept: the list
+     stays O(live) at amortised O(1) per spawn. Killing a finished fiber
+     was a no-op, so [kill] loses nothing. *)
+  t.spawned_since_prune <- t.spawned_since_prune + 1;
+  if t.spawned_since_prune > max 64 t.live_at_prune then begin
+    t.fibers <- List.filter Fiber.is_alive t.fibers;
+    t.live_at_prune <- List.length t.fibers;
+    t.spawned_since_prune <- 0
+  end
 
 let start t body = spawn_fiber t (fun () -> body t)
 

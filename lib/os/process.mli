@@ -19,7 +19,9 @@ val start : t -> (t -> unit) -> unit
 
 val spawn_fiber : t -> (unit -> unit) -> unit
 (** Add an auxiliary fiber to a live process (used for per-terminal threads
-    inside a TCP, and for takeover logic). *)
+    inside a TCP, for per-request fibers in a server, and for takeover
+    logic). Finished fibers are dropped as later ones are spawned, so a
+    process holds O(live) fibers however many it has run. *)
 
 val pid : t -> Ids.pid
 

@@ -668,6 +668,36 @@ let test_fiber_ids_per_engine () =
   Alcotest.(check (list int))
     "interleaved second engine identical" [ 1; 2; 3; 4; 5 ] (List.rev !ids_b)
 
+(* A server spawns a fiber per request; the process must hold only the
+   live ones, and pruning finished fibers must not let a parked one escape
+   a later kill. *)
+let test_process_keeps_only_live_fibers () =
+  let open Tandem_os in
+  let engine = Engine.create () in
+  let cpu = Cpu.create engine ~node:1 ~id:0 in
+  let process =
+    Process.create engine ~pid:{ Ids.node = 1; cpu = 0; serial = 1 } ~name:"P" ~cpu
+  in
+  let killed = ref false and cleaned_up = ref false in
+  Process.start process (fun process ->
+      Fun.protect
+        ~finally:(fun () -> cleaned_up := true)
+        (fun () ->
+          try ignore (Process.receive process)
+          with Fiber.Killed as e ->
+            killed := true;
+            raise e));
+  for _ = 1 to 100_000 do
+    Process.spawn_fiber process (fun () -> ())
+  done;
+  let words = Obj.reachable_words (Obj.repr process) in
+  check_bool
+    (Printf.sprintf "process holds O(live) fibers (%d words)" words)
+    true (words < 20_000);
+  Process.kill process;
+  check_bool "parked fiber discontinued with Killed" true !killed;
+  check_bool "parked fiber's cleanup ran" true !cleaned_up
+
 let () =
   let qcheck = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "tandem_sim"
@@ -715,6 +745,8 @@ let () =
             test_suspend_until_times_out;
           Alcotest.test_case "ids are per engine" `Quick
             test_fiber_ids_per_engine;
+          Alcotest.test_case "process keeps only live fibers" `Quick
+            test_process_keeps_only_live_fibers;
         ] );
       ( "domain_pool",
         [

@@ -23,6 +23,77 @@ let test_transid_round_trip () =
   Alcotest.(check (option (of_pp Fmt.nop))) "garbage" None
     (Tmf.Transid.of_string "not-a-transid")
 
+(* Every table lookup renders a transid, so the rendering is made once and
+   handed out as is. *)
+let test_transid_rendered_once () =
+  let transid = Tmf.Transid.make ~home:7 ~cpu:3 ~seq:12345 in
+  let rendered = Tmf.Transid.to_string transid in
+  let before = Gc.minor_words () in
+  for _ = 1 to 1_000 do
+    ignore (Sys.opaque_identity (Tmf.Transid.to_string transid))
+  done;
+  let allocated = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.)) "to_string allocates nothing" 0. allocated;
+  check_bool "same physical string" true
+    (Tmf.Transid.to_string transid == rendered);
+  let input = "7.3.12345" in
+  match Tmf.Transid.of_string input with
+  | Some parsed ->
+      check_bool "parse equals" true (Tmf.Transid.equal parsed transid);
+      check_bool "parse keeps the input as the rendering" true
+        (Tmf.Transid.to_string parsed == input)
+  | None -> Alcotest.fail "parse failed"
+
+let test_transid_non_canonical () =
+  let canonical = Tmf.Transid.make ~home:7 ~cpu:3 ~seq:1 in
+  List.iter
+    (fun input ->
+      match Tmf.Transid.of_string input with
+      | Some parsed ->
+          check_bool (input ^ " parses to 7.3.1") true
+            (Tmf.Transid.equal parsed canonical);
+          Alcotest.(check string) (input ^ " renders canonically") "7.3.1"
+            (Tmf.Transid.to_string parsed)
+      | None -> Alcotest.fail (input ^ " did not parse"))
+    [ "07.3.1"; "+7.3.1"; "0x7.3.1"; "7.03.0_1"; "7.3.0001" ];
+  (match Tmf.Transid.of_string "-2.0.-0" with
+  | Some parsed ->
+      Alcotest.(check string) "negative renders canonically" "-2.0.0"
+        (Tmf.Transid.to_string parsed)
+  | None -> Alcotest.fail "-2.0.-0 did not parse");
+  List.iter
+    (fun input ->
+      Alcotest.(check bool) (Printf.sprintf "%S is rejected" input) true
+        (Tmf.Transid.of_string input = None))
+    [ ""; "."; ".."; "7.3"; "7.3.1."; ".7.3.1"; "7.3.1.2"; "7..1"; "7.3.x";
+      "7.3.-"; "7.3. 1"; "a.b.c"; "7.3.99999999999999999999" ]
+
+(* The scanner agrees with the plain split-and-[int_of_string_opt] parse on
+   any string over the characters a field can hold. *)
+let prop_transid_parse_matches_reference =
+  let reference s =
+    match String.split_on_char '.' s with
+    | [ home; cpu; seq ] -> (
+        match
+          (int_of_string_opt home, int_of_string_opt cpu, int_of_string_opt seq)
+        with
+        | Some home, Some cpu, Some seq -> Some (home, cpu, seq)
+        | _ -> None)
+    | _ -> None
+  in
+  QCheck.Test.make ~name:"transid parse matches split + int_of_string"
+    ~count:2000
+    QCheck.(string_gen_of_size Gen.(int_bound 12) (Gen.oneofl
+      [ '0'; '1'; '7'; '9'; '.'; '.'; '-'; '+'; 'x'; '_' ]))
+    (fun s ->
+      match (Tmf.Transid.of_string s, reference s) with
+      | None, None -> true
+      | Some parsed, Some (home, cpu, seq) ->
+          let expected = Tmf.Transid.make ~home ~cpu ~seq in
+          Tmf.Transid.equal parsed expected
+          && Tmf.Transid.to_string parsed = Tmf.Transid.to_string expected
+      | _ -> false)
+
 let prop_transid_round_trip =
   QCheck.Test.make ~name:"transid string round trip" ~count:200
     QCheck.(triple (int_bound 99) (int_bound 15) small_nat)
@@ -256,8 +327,18 @@ let () =
   Alcotest.run "tmf_core"
     [
       ( "transid",
-        [ Alcotest.test_case "round trip" `Quick test_transid_round_trip ]
-        @ qcheck [ prop_transid_round_trip; prop_transid_order_consistent ] );
+        [
+          Alcotest.test_case "round trip" `Quick test_transid_round_trip;
+          Alcotest.test_case "rendered once" `Quick test_transid_rendered_once;
+          Alcotest.test_case "non-canonical input" `Quick
+            test_transid_non_canonical;
+        ]
+        @ qcheck
+            [
+              prop_transid_round_trip;
+              prop_transid_order_consistent;
+              prop_transid_parse_matches_reference;
+            ] );
       ( "tx_state",
         [ Alcotest.test_case "figure 3 arcs" `Quick test_state_machine_arcs ] );
       ( "tx_table",
