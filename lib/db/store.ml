@@ -1,10 +1,13 @@
 open Tandem_disk
 
+(* Both images are indexed by block number: slot [b] holds block [b]'s
+   content, [None] when it is unallocated. The arrays double on demand. *)
 type t = {
   volume : Volume.t;
   cache : Cache.t;
-  current : (int, Block_content.t) Hashtbl.t;
-  mutable disk : (int, Block_content.t) Hashtbl.t;
+  mutable current : Block_content.t option array;
+  mutable disk : Block_content.t option array;
+  mutable live : int; (* allocated blocks in [current] *)
   mutable next_block : int;
   mutable charging : bool;
 }
@@ -13,20 +16,42 @@ let create volume ~cache_capacity =
   {
     volume;
     cache = Cache.create ~capacity:cache_capacity;
-    current = Hashtbl.create 256;
-    disk = Hashtbl.create 256;
+    current = Array.make 256 None;
+    disk = Array.make 256 None;
+    live = 0;
     next_block = 0;
     charging = true;
   }
+
+let get image block =
+  if block >= 0 && block < Array.length image then image.(block) else None
+
+let holds image block = Option.is_some (get image block)
+
+(* [image], or a copy of it doubled until it has a slot for [block]. *)
+let with_slot image block =
+  let length = Array.length image in
+  if block < length then image
+  else begin
+    let bigger = Array.make (max (block + 1) (2 * length)) None in
+    Array.blit image 0 bigger 0 length;
+    bigger
+  end
+
+let set_current t block content =
+  t.current <- with_slot t.current block;
+  (match t.current.(block) with None -> t.live <- t.live + 1 | Some _ -> ());
+  t.current.(block) <- Some content
 
 let volume t = t.volume
 
 let set_charging t flag = t.charging <- flag
 
 let flush_block t block =
-  match Hashtbl.find_opt t.current block with
-  | Some content ->
-      Hashtbl.replace t.disk block content;
+  match get t.current block with
+  | Some _ as content ->
+      t.disk <- with_slot t.disk block;
+      t.disk.(block) <- content;
       Cache.clean t.cache block
   | None -> ()
 
@@ -57,28 +82,31 @@ let touch_for_write t block =
 let alloc t content =
   let block = t.next_block in
   t.next_block <- t.next_block + 1;
-  Hashtbl.replace t.current block content;
+  set_current t block content;
   touch_for_write t block;
   block
 
 let read t block =
-  if not (Hashtbl.mem t.current block) then raise Not_found;
+  if not (holds t.current block) then raise Not_found;
   touch_for_read t block;
   (* Fetch after the touch: the physical read may have suspended the fiber,
      and the block may have been rewritten meanwhile. *)
-  match Hashtbl.find_opt t.current block with
+  match get t.current block with
   | Some content -> content
   | None -> raise Not_found
 
 let write t block content =
-  if not (Hashtbl.mem t.current block) then
+  if not (holds t.current block) then
     invalid_arg "Store.write: unallocated block";
-  Hashtbl.replace t.current block content;
+  t.current.(block) <- Some content;
   touch_for_write t block
 
 let free t block =
-  Hashtbl.remove t.current block;
-  Hashtbl.remove t.disk block;
+  if holds t.current block then begin
+    t.current.(block) <- None;
+    t.live <- t.live - 1
+  end;
+  if holds t.disk block then t.disk.(block) <- None;
   Cache.drop t.cache block
 
 let flush_all t =
@@ -91,16 +119,18 @@ let flush_all t =
     (Cache.dirty_blocks t.cache)
 
 let crash t =
-  Hashtbl.reset t.current;
-  Hashtbl.iter (fun block content -> Hashtbl.replace t.current block content)
-    t.disk;
+  t.current <- Array.copy t.disk;
+  t.live <-
+    Array.fold_left
+      (fun live slot -> if Option.is_some slot then live + 1 else live)
+      0 t.current;
   Cache.clear t.cache
 
 let overwrite_disk_image t =
-  t.disk <- Hashtbl.copy t.current;
+  t.disk <- Array.copy t.current;
   Cache.clear t.cache
 
-let block_count t = Hashtbl.length t.current
+let block_count t = t.live
 
 let dirty_count t = List.length (Cache.dirty_blocks t.cache)
 
@@ -109,14 +139,22 @@ let cache_hits t = Cache.hits t.cache
 let cache_misses t = Cache.misses t.cache
 
 let snapshot t =
-  Hashtbl.fold (fun block content acc -> (block, content) :: acc) t.current []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  (* One scan from the top builds the list in ascending order. *)
+  let blocks = ref [] in
+  for block = Array.length t.current - 1 downto 0 do
+    match t.current.(block) with
+    | Some content -> blocks := (block, content) :: !blocks
+    | None -> ()
+  done;
+  !blocks
 
 let restore t blocks =
-  Hashtbl.reset t.current;
+  Array.fill t.current 0 (Array.length t.current) None;
+  t.live <- 0;
   Cache.clear t.cache;
   List.iter
     (fun (block, content) ->
-      Hashtbl.replace t.current block content;
+      if block < 0 then invalid_arg "Store.restore: negative block";
+      set_current t block content;
       t.next_block <- max t.next_block (block + 1))
     blocks

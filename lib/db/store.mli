@@ -13,7 +13,12 @@
     I/O charging: a read misses the cache into a physical read; a write
     dirties the cache; dirty evictions and explicit flushes write physically.
     [set_charging false] suspends all physical I/O and cache traffic for
-    data-base loading in experiment setup. *)
+    data-base loading in experiment setup.
+
+    Block numbers are dense and non-negative: {!alloc} hands them out from
+    zero. Both images are arrays indexed by block number, so {!read},
+    {!write}, {!alloc} and {!free} are O(1) with no hashing, and {!crash}
+    and {!overwrite_disk_image} are one array copy each. *)
 
 type t
 
@@ -46,6 +51,7 @@ val overwrite_disk_image : t -> unit
     used when restoring an archived copy in ROLLFORWARD experiments. *)
 
 val block_count : t -> int
+(** Allocated blocks in the current image; O(1). *)
 
 val dirty_count : t -> int
 
@@ -57,4 +63,5 @@ val snapshot : t -> (int * Block_content.t) list
 (** Current image, sorted by block number (archive creation; tests). *)
 
 val restore : t -> (int * Block_content.t) list -> unit
-(** Replace the current image wholesale (archive restoration). *)
+(** Replace the current image wholesale (archive restoration). Raises
+    [Invalid_argument] for a negative block number. *)

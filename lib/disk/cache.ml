@@ -1,18 +1,21 @@
 type block = int
 
-(* Doubly-linked LRU list threaded through a hashtable. *)
+(* A circular doubly-linked LRU list through a sentinel entry:
+   [sentinel.next] is the most-recently-used block, [sentinel.prev] the
+   least. A block-indexed slot array finds a resident block's entry; an
+   absent block's slot holds the sentinel itself. *)
 type entry = {
   block : block;
   mutable dirty : bool;
-  mutable prev : entry option; (* towards most-recently-used *)
-  mutable next : entry option; (* towards least-recently-used *)
+  mutable prev : entry; (* towards most-recently-used *)
+  mutable next : entry; (* towards least-recently-used *)
 }
 
 type t = {
   cap : int;
-  table : (block, entry) Hashtbl.t;
-  mutable mru : entry option;
-  mutable lru : entry option;
+  sentinel : entry;
+  mutable slots : entry array;
+  mutable count : int;
   mutable hit_count : int;
   mutable miss_count : int;
 }
@@ -21,93 +24,116 @@ type eviction = { block : block; dirty : bool }
 
 let create ~capacity =
   if capacity < 1 then invalid_arg "Cache.create: capacity must be positive";
+  let rec sentinel =
+    { block = -1; dirty = false; prev = sentinel; next = sentinel }
+  in
   {
     cap = capacity;
-    table = Hashtbl.create (2 * capacity);
-    mru = None;
-    lru = None;
+    sentinel;
+    slots = Array.make 64 sentinel;
+    count = 0;
     hit_count = 0;
     miss_count = 0;
   }
 
 let capacity t = t.cap
 
-let resident t = Hashtbl.length t.table
+let resident t = t.count
 
-let unlink t entry =
-  (match entry.prev with
-  | Some p -> p.next <- entry.next
-  | None -> t.mru <- entry.next);
-  (match entry.next with
-  | Some n -> n.prev <- entry.prev
-  | None -> t.lru <- entry.prev);
-  entry.prev <- None;
-  entry.next <- None
+(* The entry of a resident block, or the sentinel. *)
+let find t block =
+  if block >= 0 && block < Array.length t.slots then t.slots.(block)
+  else t.sentinel
+
+let unlink entry =
+  entry.prev.next <- entry.next;
+  entry.next.prev <- entry.prev
 
 let push_front t entry =
-  entry.next <- t.mru;
-  entry.prev <- None;
-  (match t.mru with Some m -> m.prev <- Some entry | None -> ());
-  t.mru <- Some entry;
-  if t.lru = None then t.lru <- Some entry
+  let first = t.sentinel.next in
+  entry.prev <- t.sentinel;
+  entry.next <- first;
+  first.prev <- entry;
+  t.sentinel.next <- entry
+
+let ensure_slot t block =
+  let length = Array.length t.slots in
+  if block >= length then begin
+    let slots = Array.make (max (block + 1) (2 * length)) t.sentinel in
+    Array.blit t.slots 0 slots 0 length;
+    t.slots <- slots
+  end
 
 let touch t block =
-  match Hashtbl.find_opt t.table block with
-  | Some entry ->
-      t.hit_count <- t.hit_count + 1;
-      unlink t entry;
-      push_front t entry;
-      `Hit
-  | None ->
-      t.miss_count <- t.miss_count + 1;
-      let evicted =
-        if Hashtbl.length t.table >= t.cap then begin
-          match t.lru with
-          | Some victim ->
-              unlink t victim;
-              Hashtbl.remove t.table victim.block;
-              Some { block = victim.block; dirty = victim.dirty }
-          | None -> None
-        end
-        else None
-      in
-      let entry = { block; dirty = false; prev = None; next = None } in
-      Hashtbl.replace t.table block entry;
-      push_front t entry;
-      `Miss evicted
+  if block < 0 then invalid_arg "Cache.touch: negative block";
+  let entry = find t block in
+  if entry != t.sentinel then begin
+    t.hit_count <- t.hit_count + 1;
+    if t.sentinel.next != entry then begin
+      unlink entry;
+      push_front t entry
+    end;
+    `Hit
+  end
+  else begin
+    t.miss_count <- t.miss_count + 1;
+    let evicted =
+      if t.count >= t.cap then begin
+        let victim = t.sentinel.prev in
+        unlink victim;
+        t.slots.(victim.block) <- t.sentinel;
+        t.count <- t.count - 1;
+        Some { block = victim.block; dirty = victim.dirty }
+      end
+      else None
+    in
+    ensure_slot t block;
+    let entry =
+      { block; dirty = false; prev = t.sentinel; next = t.sentinel }
+    in
+    t.slots.(block) <- entry;
+    t.count <- t.count + 1;
+    push_front t entry;
+    `Miss evicted
+  end
 
 let mark_dirty t block =
-  match Hashtbl.find_opt t.table block with
-  | Some entry -> entry.dirty <- true
-  | None -> invalid_arg "Cache.mark_dirty: block not resident"
+  let entry = find t block in
+  if entry == t.sentinel then
+    invalid_arg "Cache.mark_dirty: block not resident";
+  entry.dirty <- true
 
-let clean t block =
-  match Hashtbl.find_opt t.table block with
-  | Some entry -> entry.dirty <- false
-  | None -> ()
+(* The sentinel is never dirty, so these need no residency test. *)
+let clean t block = (find t block).dirty <- false
 
-let is_dirty t block =
-  match Hashtbl.find_opt t.table block with
-  | Some entry -> entry.dirty
-  | None -> false
+let is_dirty t block = (find t block).dirty
 
 let dirty_blocks t =
-  Hashtbl.fold
-    (fun block (entry : entry) acc -> if entry.dirty then block :: acc else acc)
-    t.table []
-  |> List.sort Int.compare
+  let rec walk entry acc =
+    if entry == t.sentinel then acc
+    else walk entry.next (if entry.dirty then entry.block :: acc else acc)
+  in
+  List.sort Int.compare (walk t.sentinel.next [])
 
 let drop t block =
-  match Hashtbl.find_opt t.table block with
-  | Some entry ->
-      unlink t entry;
-      Hashtbl.remove t.table block
-  | None -> ()
+  let entry = find t block in
+  if entry != t.sentinel then begin
+    unlink entry;
+    t.slots.(block) <- t.sentinel;
+    t.count <- t.count - 1
+  end
 
 let clear t =
-  Hashtbl.reset t.table;
-  t.mru <- None;
-  t.lru <- None
+  let rec walk entry =
+    if entry != t.sentinel then begin
+      t.slots.(entry.block) <- t.sentinel;
+      walk entry.next
+    end
+  in
+  walk t.sentinel.next;
+  t.sentinel.next <- t.sentinel;
+  t.sentinel.prev <- t.sentinel;
+  t.count <- 0
 
 let hits t = t.hit_count
 

@@ -4,7 +4,7 @@ open Screen_program
 
 type terminal = {
   index : int;
-  mutable queue : string list; (* oldest first *)
+  queue : string Queue.t; (* inputs not yet started, oldest first *)
   mutable waiter : unit Fiber.resume option;
   mutable current_input : string option; (* checkpointed screen data *)
   mutable current_transid : string option;
@@ -179,11 +179,9 @@ let execute t term process input =
   attempt (Tmf.restart_limit t.tmf)
 
 let rec next_input term =
-  match term.queue with
-  | input :: rest ->
-      term.queue <- rest;
-      input
-  | [] ->
+  match Queue.take_opt term.queue with
+  | Some input -> input
+  | None ->
       Fiber.suspend (fun resume -> term.waiter <- Some resume);
       next_input term
 
@@ -238,7 +236,7 @@ let spawn ~net ~tmf ~node ~name ~lookup_class ~primary_cpu ~backup_cpu
         Array.init terminals (fun index ->
             {
               index;
-              queue = [];
+              queue = Queue.create ();
               waiter = None;
               current_input = None;
               current_transid = None;
@@ -268,7 +266,7 @@ let submit t ~terminal input =
   if terminal < 0 || terminal >= Array.length t.terminals then
     invalid_arg "Tcp.submit: no such terminal";
   let term = t.terminals.(terminal) in
-  term.queue <- term.queue @ [ input ];
+  Queue.push input term.queue;
   match term.waiter with
   | Some resume ->
       term.waiter <- None;
@@ -292,5 +290,7 @@ let restarts t = sum t (fun term -> term.restarts)
 let busy_terminals t =
   Array.fold_left
     (fun acc term ->
-      if term.current_input <> None || term.queue <> [] then acc + 1 else acc)
+      if term.current_input <> None || not (Queue.is_empty term.queue) then
+        acc + 1
+      else acc)
     0 t.terminals

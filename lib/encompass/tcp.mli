@@ -27,7 +27,7 @@ val name : t -> string
 
 val submit : t -> terminal:int -> string -> unit
 (** Deliver one screen input to a terminal; it queues behind earlier
-    inputs. *)
+    inputs. O(1). *)
 
 val terminal_count : t -> int
 

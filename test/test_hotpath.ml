@@ -1,12 +1,15 @@
 (* Equivalence properties for the indexed hot paths.
 
-   The audit trail and the lock table were re-backed by indexes (per-transid
-   record vectors, per-owner lock sets, per-file waiter queues) purely for
-   complexity; observable behaviour must not move. Each property drives the
-   real structure and a naive specification model through the same random
-   operation sequence and compares every observation. A third property pins
-   the parallel phase-one default: concurrent prepares must yield the very
-   dispositions serial prepares do. *)
+   The audit trail, the lock table, the block cache and the block store were
+   re-backed by indexes (per-transid record vectors, per-owner lock sets,
+   per-file waiter queues, block-numbered arrays) purely for complexity;
+   observable behaviour must not move. Each property drives the real
+   structure and a naive specification model (for the cache and the store,
+   the hashtable code they replaced) through the same random operation
+   sequence and compares every observation. Unit tests pin the fast paths
+   those indexes exist for, and a last test pins the parallel phase-one
+   default: concurrent prepares must yield the very dispositions serial
+   prepares do. *)
 
 open Tandem_sim
 open Tandem_audit
@@ -331,6 +334,445 @@ let prop_lock_table_matches_model =
         ops)
 
 (* ------------------------------------------------------------------ *)
+(* Block cache and block store vs the hashtable-backed originals *)
+
+module Cache = Tandem_disk.Cache
+module Store = Tandem_db.Store
+module Block_content = Tandem_db.Block_content
+
+(* The LRU cache as it was before blocks were addressed by number: a
+   doubly-linked list threaded through a hashtable. *)
+module Cache_model = struct
+  type entry = {
+    block : int;
+    mutable dirty : bool;
+    mutable prev : entry option;
+    mutable next : entry option;
+  }
+
+  type t = {
+    cap : int;
+    table : (int, entry) Hashtbl.t;
+    mutable mru : entry option;
+    mutable lru : entry option;
+    mutable hit_count : int;
+    mutable miss_count : int;
+  }
+
+  let create ~capacity =
+    {
+      cap = capacity;
+      table = Hashtbl.create (2 * capacity);
+      mru = None;
+      lru = None;
+      hit_count = 0;
+      miss_count = 0;
+    }
+
+  let unlink t entry =
+    (match entry.prev with
+    | Some p -> p.next <- entry.next
+    | None -> t.mru <- entry.next);
+    (match entry.next with
+    | Some n -> n.prev <- entry.prev
+    | None -> t.lru <- entry.prev);
+    entry.prev <- None;
+    entry.next <- None
+
+  let push_front t entry =
+    entry.next <- t.mru;
+    entry.prev <- None;
+    (match t.mru with Some m -> m.prev <- Some entry | None -> ());
+    t.mru <- Some entry;
+    if t.lru = None then t.lru <- Some entry
+
+  (* [`Miss (Some (block, dirty))] names the evicted block. *)
+  let touch t block =
+    match Hashtbl.find_opt t.table block with
+    | Some entry ->
+        t.hit_count <- t.hit_count + 1;
+        unlink t entry;
+        push_front t entry;
+        `Hit
+    | None ->
+        t.miss_count <- t.miss_count + 1;
+        let evicted =
+          if Hashtbl.length t.table >= t.cap then begin
+            match t.lru with
+            | Some victim ->
+                unlink t victim;
+                Hashtbl.remove t.table victim.block;
+                Some (victim.block, victim.dirty)
+            | None -> None
+          end
+          else None
+        in
+        let entry = { block; dirty = false; prev = None; next = None } in
+        Hashtbl.replace t.table block entry;
+        push_front t entry;
+        `Miss evicted
+
+  let mark_dirty t block =
+    match Hashtbl.find_opt t.table block with
+    | Some entry -> entry.dirty <- true
+    | None -> invalid_arg "Cache.mark_dirty: block not resident"
+
+  let clean t block =
+    match Hashtbl.find_opt t.table block with
+    | Some entry -> entry.dirty <- false
+    | None -> ()
+
+  let is_dirty t block =
+    match Hashtbl.find_opt t.table block with
+    | Some entry -> entry.dirty
+    | None -> false
+
+  let dirty_blocks t =
+    Hashtbl.fold
+      (fun block entry acc -> if entry.dirty then block :: acc else acc)
+      t.table []
+    |> List.sort Int.compare
+
+  let drop t block =
+    match Hashtbl.find_opt t.table block with
+    | Some entry ->
+        unlink t entry;
+        Hashtbl.remove t.table block
+    | None -> ()
+
+  let clear t =
+    Hashtbl.reset t.table;
+    t.mru <- None;
+    t.lru <- None
+
+  let resident t = Hashtbl.length t.table
+end
+
+(* The block store as it was, uncharged: two hashtable images over the
+   model cache. *)
+module Store_model = struct
+  type t = {
+    cache : Cache_model.t;
+    current : (int, Block_content.t) Hashtbl.t;
+    mutable disk : (int, Block_content.t) Hashtbl.t;
+    mutable next_block : int;
+  }
+
+  let create ~cache_capacity =
+    {
+      cache = Cache_model.create ~capacity:cache_capacity;
+      current = Hashtbl.create 256;
+      disk = Hashtbl.create 256;
+      next_block = 0;
+    }
+
+  let flush_block t block =
+    match Hashtbl.find_opt t.current block with
+    | Some content ->
+        Hashtbl.replace t.disk block content;
+        Cache_model.clean t.cache block
+    | None -> ()
+
+  let handle_eviction t = function
+    | Some (block, true) -> flush_block t block
+    | Some (_, false) | None -> ()
+
+  let touch_for_write t block =
+    (match Cache_model.touch t.cache block with
+    | `Hit -> ()
+    | `Miss evicted -> handle_eviction t evicted);
+    Cache_model.mark_dirty t.cache block
+
+  let alloc t content =
+    let block = t.next_block in
+    t.next_block <- t.next_block + 1;
+    Hashtbl.replace t.current block content;
+    touch_for_write t block;
+    block
+
+  let read t block =
+    if not (Hashtbl.mem t.current block) then raise Not_found;
+    (match Cache_model.touch t.cache block with
+    | `Hit -> ()
+    | `Miss evicted -> handle_eviction t evicted);
+    Hashtbl.find t.current block
+
+  let write t block content =
+    if not (Hashtbl.mem t.current block) then
+      invalid_arg "Store.write: unallocated block";
+    Hashtbl.replace t.current block content;
+    touch_for_write t block
+
+  let free t block =
+    Hashtbl.remove t.current block;
+    Hashtbl.remove t.disk block;
+    Cache_model.drop t.cache block
+
+  let flush_all t = List.iter (flush_block t) (Cache_model.dirty_blocks t.cache)
+
+  let crash t =
+    Hashtbl.reset t.current;
+    Hashtbl.iter (fun block content -> Hashtbl.replace t.current block content)
+      t.disk;
+    Cache_model.clear t.cache
+
+  let overwrite_disk_image t =
+    t.disk <- Hashtbl.copy t.current;
+    Cache_model.clear t.cache
+
+  let block_count t = Hashtbl.length t.current
+
+  let snapshot t =
+    Hashtbl.fold (fun block content acc -> (block, content) :: acc) t.current []
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+
+  let restore t blocks =
+    Hashtbl.reset t.current;
+    Cache_model.clear t.cache;
+    List.iter
+      (fun (block, content) ->
+        Hashtbl.replace t.current block content;
+        t.next_block <- max t.next_block (block + 1))
+      blocks
+end
+
+(* Mostly a small hot range, so hits and evictions happen, plus sparse
+   block numbers up to 12,000. *)
+let block_gen =
+  QCheck.Gen.(frequency [ (4, int_bound 24); (1, int_bound 12_000) ])
+
+type cache_op =
+  | Touch of int
+  | Mark_dirty of int
+  | Clean of int
+  | Drop of int
+  | Clear
+
+let cache_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, map (fun b -> Touch b) block_gen);
+        (3, map (fun b -> Mark_dirty b) block_gen);
+        (1, map (fun b -> Clean b) block_gen);
+        (1, map (fun b -> Drop b) block_gen);
+        (1, return Clear);
+      ])
+
+let cache_op_print = function
+  | Touch b -> Printf.sprintf "touch %d" b
+  | Mark_dirty b -> Printf.sprintf "mark_dirty %d" b
+  | Clean b -> Printf.sprintf "clean %d" b
+  | Drop b -> Printf.sprintf "drop %d" b
+  | Clear -> "clear"
+
+(* Runs [f], turning [Invalid_argument] into [Error ()]. *)
+let outcome f =
+  match f () with v -> Ok v | exception Invalid_argument _ -> Error ()
+
+let cache_agrees cache model probes =
+  Cache.resident cache = Cache_model.resident model
+  && Cache.hits cache = model.Cache_model.hit_count
+  && Cache.misses cache = model.Cache_model.miss_count
+  && Cache.dirty_blocks cache = Cache_model.dirty_blocks model
+  && List.for_all
+       (fun b -> Cache.is_dirty cache b = Cache_model.is_dirty model b)
+       probes
+
+let prop_cache_matches_model =
+  QCheck.Test.make ~name:"block-indexed cache = hashtable cache" ~count:300
+    (QCheck.make
+       ~print:(fun (capacity, ops) ->
+         Printf.sprintf "capacity %d: %s" capacity
+           (String.concat "; " (List.map cache_op_print ops)))
+       QCheck.Gen.(pair (1 -- 8) (list_size (1 -- 120) cache_op_gen)))
+    (fun (capacity, ops) ->
+      let cache = Cache.create ~capacity in
+      let model = Cache_model.create ~capacity in
+      List.for_all
+        (fun op ->
+          let same_result, probe =
+            match op with
+            | Touch b ->
+                let real =
+                  match Cache.touch cache b with
+                  | `Hit -> `Hit
+                  | `Miss evicted ->
+                      `Miss
+                        (Option.map
+                           (fun { Cache.block; dirty } -> (block, dirty))
+                           evicted)
+                in
+                (real = Cache_model.touch model b, b)
+            | Mark_dirty b ->
+                ( outcome (fun () -> Cache.mark_dirty cache b)
+                  = outcome (fun () -> Cache_model.mark_dirty model b),
+                  b )
+            | Clean b ->
+                Cache.clean cache b;
+                Cache_model.clean model b;
+                (true, b)
+            | Drop b ->
+                Cache.drop cache b;
+                Cache_model.drop model b;
+                (true, b)
+            | Clear ->
+                Cache.clear cache;
+                Cache_model.clear model;
+                (true, 0)
+          in
+          same_result && cache_agrees cache model [ probe; probe + 1; 0 ])
+        ops)
+
+type store_op =
+  | Alloc of int
+  | Read of int
+  | Write of int * int
+  | Free of int
+  | Flush_all
+  | Crash
+  | Overwrite_disk_image
+  | Restore of (int * int) list
+
+let store_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (5, map (fun v -> Alloc v) small_nat);
+        (5, map (fun b -> Read b) block_gen);
+        (4, map2 (fun b v -> Write (b, v)) block_gen small_nat);
+        (1, map (fun b -> Free b) block_gen);
+        (1, return Flush_all);
+        (1, return Crash);
+        (1, return Overwrite_disk_image);
+        ( 1,
+          map
+            (fun blocks -> Restore blocks)
+            (list_size (0 -- 12) (pair block_gen small_nat)) );
+      ])
+
+let store_op_print = function
+  | Alloc v -> Printf.sprintf "alloc %d" v
+  | Read b -> Printf.sprintf "read %d" b
+  | Write (b, v) -> Printf.sprintf "write %d %d" b v
+  | Free b -> Printf.sprintf "free %d" b
+  | Flush_all -> "flush_all"
+  | Crash -> "crash"
+  | Overwrite_disk_image -> "overwrite_disk_image"
+  | Restore blocks ->
+      Printf.sprintf "restore [%s]"
+        (String.concat "; "
+           (List.map (fun (b, v) -> Printf.sprintf "%d=%d" b v) blocks))
+
+let block_of v =
+  Block_content.Entry_segment
+    { base_entry = v; entries = [| string_of_int v |] }
+
+(* Runs [f], turning [Not_found] and [Invalid_argument] into errors. *)
+let store_outcome f =
+  match f () with
+  | v -> Ok v
+  | exception Not_found -> Error "not found"
+  | exception Invalid_argument _ -> Error "invalid"
+
+let prop_store_matches_model =
+  QCheck.Test.make ~name:"block-indexed store = hashtable store" ~count:300
+    (QCheck.make
+       ~print:(fun (capacity, ops) ->
+         Printf.sprintf "cache %d: %s" capacity
+           (String.concat "; " (List.map store_op_print ops)))
+       QCheck.Gen.(pair (1 -- 8) (list_size (1 -- 80) store_op_gen)))
+    (fun (cache_capacity, ops) ->
+      let volume =
+        Tandem_disk.Volume.create (Engine.create ())
+          ~metrics:(Metrics.create ()) ~name:"$DATA"
+          ~access_time:(Sim_time.milliseconds 25)
+      in
+      let store = Store.create volume ~cache_capacity in
+      Store.set_charging store false;
+      let model = Store_model.create ~cache_capacity in
+      List.for_all
+        (fun op ->
+          let same_result =
+            match op with
+            | Alloc v ->
+                Store.alloc store (block_of v)
+                = Store_model.alloc model (block_of v)
+            | Read b ->
+                store_outcome (fun () -> Store.read store b)
+                = store_outcome (fun () -> Store_model.read model b)
+            | Write (b, v) ->
+                store_outcome (fun () -> Store.write store b (block_of v))
+                = store_outcome (fun () ->
+                      Store_model.write model b (block_of v))
+            | Free b ->
+                Store.free store b;
+                Store_model.free model b;
+                true
+            | Flush_all ->
+                Store.flush_all store;
+                Store_model.flush_all model;
+                true
+            | Crash ->
+                Store.crash store;
+                Store_model.crash model;
+                true
+            | Overwrite_disk_image ->
+                Store.overwrite_disk_image store;
+                Store_model.overwrite_disk_image model;
+                true
+            | Restore blocks ->
+                let blocks = List.map (fun (b, v) -> (b, block_of v)) blocks in
+                Store.restore store blocks;
+                Store_model.restore model blocks;
+                true
+          in
+          same_result
+          && Store.block_count store = Store_model.block_count model
+          && Store.snapshot store = Store_model.snapshot model
+          && Store.dirty_count store
+             = List.length (Cache_model.dirty_blocks model.Store_model.cache)
+          && Store.cache_hits store = model.Store_model.cache.hit_count
+          && Store.cache_misses store = model.Store_model.cache.miss_count)
+        ops)
+
+(* A hit is an array load and a relink: nothing to allocate. *)
+let test_cache_hit_allocates_nothing () =
+  let cache = Cache.create ~capacity:2 in
+  ignore (Cache.touch cache 0);
+  ignore (Cache.touch cache 1);
+  let before = Gc.minor_words () in
+  for i = 1 to 1_000 do
+    (* Alternating blocks makes every hit move the least-recently-used
+       entry to the front. *)
+    ignore (Sys.opaque_identity (Cache.touch cache (i land 1)))
+  done;
+  let allocated = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.)) "1,000 hits allocate nothing" 0. allocated;
+  Alcotest.(check int) "all hits" 1_000 (Cache.hits cache)
+
+let test_cache_rejects_negative_block () =
+  let cache = Cache.create ~capacity:2 in
+  Alcotest.check_raises "negative block"
+    (Invalid_argument "Cache.touch: negative block") (fun () ->
+      ignore (Cache.touch cache (-1)))
+
+let test_key_of_int_matches_sprintf () =
+  let check n =
+    Alcotest.(check string)
+      (Printf.sprintf "Key.of_int %d" n)
+      (Printf.sprintf "%012d" n) (Tandem_db.Key.of_int n)
+  in
+  List.iter check
+    [ 0; 9; 10; 99_999_999_999; 1_000_000_000_000; max_int; -5; min_int ];
+  let rng = Random.State.make [| 15 |] in
+  for i = 0 to 99_999 do
+    (* Consecutive small numbers, then random ones of every width. *)
+    if i < 50_000 then check i
+    else check (Random.State.full_int rng max_int asr Random.State.int rng 62)
+  done
+
+(* ------------------------------------------------------------------ *)
 (* Parallel phase one = serial phase one, disposition for disposition *)
 
 let three_node_cluster ~parallel =
@@ -443,6 +885,16 @@ let () =
         qcheck [ prop_trail_matches_model ] );
       ( "lock index",
         qcheck [ prop_lock_table_matches_model ] );
+      ( "block index",
+        qcheck [ prop_cache_matches_model; prop_store_matches_model ]
+        @ [
+            Alcotest.test_case "cache hit allocates nothing" `Quick
+              test_cache_hit_allocates_nothing;
+            Alcotest.test_case "cache rejects a negative block" `Quick
+              test_cache_rejects_negative_block;
+            Alcotest.test_case "Key.of_int = sprintf %012d" `Quick
+              test_key_of_int_matches_sprintf;
+          ] );
       ( "parallel phase one",
         [
           Alcotest.test_case "dispositions identical to serial" `Quick
