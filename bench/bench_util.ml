@@ -152,9 +152,8 @@ type bank = {
 (* One node, [volumes] data volumes sharing the account file by key range,
    [tcps] TCPs of [terminals] each, BANK and TRANSFER classes. *)
 let make_bank ?(seed = 42) ?(cpus = 4) ?(volumes = 1) ?(tcp_count = 1)
-    ?(terminals = 8) ?(bank_servers = 2) ?(accounts = 500) ?lock_timeout
-    ?restart_limit () =
-  let cluster = Cluster.create ~seed ?lock_timeout ?restart_limit () in
+    ?(terminals = 8) ?(bank_servers = 2) ?(accounts = 500) ?config () =
+  let cluster = Cluster.create ~seed ?config () in
   ignore (Cluster.add_node cluster ~id:1 ~cpus);
   let volume_names = List.init volumes (fun i -> Printf.sprintf "$DATA%d" (i + 1)) in
   List.iteri

@@ -90,14 +90,11 @@ let drain_deadline_ms = 20_000
    is short, so its in-doubt resolution fires well inside the outage. *)
 let measure_home_crash protocol =
   let open Tandem_chaos in
-  let config = config_of protocol in
-  let tmp_config =
-    { Tmf.Tmp.default_config with
-      transaction_time_limit = Sim_time.seconds 1 }
+  let config =
+    { (config_of protocol) with transaction_time_limit = Sim_time.seconds 1 }
   in
   let bank =
-    Harness.build_bank ~nodes:3 ~transfers:false ~config ~tmp_config ~seed:42
-      ~quick:true ()
+    Harness.build_bank ~nodes:3 ~transfers:false ~config ~seed:42 ~quick:true ()
   in
   let cluster = bank.Harness.cluster in
   let home = 3 and participant = 2 in

@@ -13,7 +13,10 @@ open Bench_util
 let measure ~skew =
   let bank =
     make_bank ~seed:107 ~cpus:4 ~tcp_count:2 ~terminals:8 ~accounts:40
-      ~lock_timeout:(Sim_time.milliseconds 750) ()
+      ~config:
+        { Tandem_os.Hw_config.default with
+          lock_timeout = Sim_time.milliseconds 750 }
+      ()
   in
   queue_debit_credit bank ~per_terminal:25 ~skew;
   Cluster.run ~until:(Sim_time.minutes 4) bank.cluster;

@@ -49,10 +49,10 @@ let touch_handler rng ctx body =
       touch 0
 
 let measure ?(parallel = false) ~k ~transactions () =
-  let tmp_config =
-    { Tmf.Tmp.default_config with parallel_prepare = parallel }
+  let config =
+    { Tandem_os.Hw_config.default with parallel_prepare = parallel }
   in
-  let cluster = Cluster.create ~seed:(100 + k) ~tmp_config () in
+  let cluster = Cluster.create ~seed:(100 + k) ~config () in
   for id = 1 to nodes do
     ignore (Cluster.add_node cluster ~id ~cpus:4)
   done;

@@ -13,7 +13,11 @@ open Bench_util
 
 let measure ~timeout_ms =
   let cluster =
-    Cluster.create ~seed:67 ~lock_timeout:(Sim_time.milliseconds timeout_ms) ()
+    Cluster.create ~seed:67
+      ~config:
+        { Tandem_os.Hw_config.default with
+          lock_timeout = Sim_time.milliseconds timeout_ms }
+      ()
   in
   ignore (Cluster.add_node cluster ~id:1 ~cpus:4);
   ignore (Cluster.add_volume cluster ~node:1 ~name:"$DATA1" ~primary_cpu:2 ~backup_cpu:3 ());

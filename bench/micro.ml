@@ -180,7 +180,7 @@ let safe_queue_fill =
          let state =
            Tmf.Tmf_state.make_node_state ~node ~monitor_volume:volume ()
          in
-         let tmp = Tmf.Tmp.spawn ~net ~state ~primary_cpu:0 ~backup_cpu:1 () in
+         let tmp = Tmf.Tmp.spawn ~net ~state ~primary_cpu:0 ~backup_cpu:1 in
          for i = 0 to 999 do
            Tmf.Tmp.safe_deliver tmp 2 (Tmf.Tmp.Phase2_commit (string_of_int i))
          done))

@@ -551,16 +551,15 @@ let run_indoubt protocol_name acceptors seed resolve force =
         exit 2
   in
   let config =
-    { Tandem_os.Hw_config.default with tmp_commit_protocol = protocol }
-  in
-  let tmp_config =
-    { Tmf.Tmp.default_config with
-      transaction_time_limit = Sim_time.seconds 1 }
+    {
+      Tandem_os.Hw_config.default with
+      tmp_commit_protocol = protocol;
+      transaction_time_limit = Sim_time.seconds 1;
+    }
   in
   let open Tandem_chaos in
   let bank =
-    Harness.build_bank ~nodes:3 ~transfers:false ~config ~tmp_config ~seed
-      ~quick:true ()
+    Harness.build_bank ~nodes:3 ~transfers:false ~config ~seed ~quick:true ()
   in
   let cluster = bank.Harness.cluster in
   (* Quiet cluster: leave the preloaded terminal queues unserved by
@@ -917,9 +916,9 @@ let () =
     [
       `S "HARDWARE CONFIGURATION";
       `P
-        "Simulated-hardware knobs ($(b,Hw_config)) and their defaults. Set \
-         them in code when building a cluster; benchmarks ablate them one \
-         at a time.";
+        "Hardware and protocol knobs ($(b,Hw_config)) and their defaults. \
+         Set them in code when building a cluster; benchmarks ablate them \
+         one at a time.";
     ]
     @ List.map
         (fun (name, default, doc) ->

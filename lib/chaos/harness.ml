@@ -12,9 +12,9 @@ type bank = {
 let volume_name node = Printf.sprintf "$DATA%d" node
 
 let build_bank ?(nodes = 1) ?(cpus = 4) ?transfers ?(inquiries = false)
-    ?config ?tmp_config ~seed ~quick () =
+    ?config ~seed ~quick () =
   let transfers = Option.value transfers ~default:(nodes > 1) in
-  let cluster = Cluster.create ~seed ?config ?tmp_config () in
+  let cluster = Cluster.create ~seed ?config () in
   let node_ids = List.init nodes (fun i -> i + 1) in
   List.iter
     (fun id ->

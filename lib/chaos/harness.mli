@@ -25,7 +25,6 @@ val build_bank :
   ?transfers:bool ->
   ?inquiries:bool ->
   ?config:Tandem_os.Hw_config.t ->
-  ?tmp_config:Tmf.Tmp.config ->
   seed:int ->
   quick:bool ->
   unit ->

@@ -195,20 +195,16 @@ let home_crash_phase2 =
   let home = 3 and participant = 2 in
   let acceptor_count = 3 in
   let run_protocol ~seed ~quick protocol =
-    let config =
-      { Tandem_os.Hw_config.default with tmp_commit_protocol = protocol }
-    in
     (* A short transaction time limit puts the participant's in-doubt
        resolution attempts well inside the outage window. *)
-    let tmp_config =
+    let config =
       {
-        Tmf.Tmp.default_config with
+        Tandem_os.Hw_config.default with
+        tmp_commit_protocol = protocol;
         transaction_time_limit = Sim_time.seconds 1;
       }
     in
-    let bank =
-      Harness.build_bank ~nodes:3 ~config ~tmp_config ~seed ~quick ()
-    in
+    let bank = Harness.build_bank ~nodes:3 ~config ~seed ~quick () in
     let cluster = bank.Harness.cluster in
     let injector = Injector.create cluster in
     (* Fixed instants (not drawn) so both protocol runs face the identical

@@ -18,19 +18,17 @@ type t = {
   tmps : (Ids.node_id, Tmp.t) Hashtbl.t;
   rollforwards : (Ids.node_id, Rollforward.t) Hashtbl.t;
   acceptors : (Ids.node_id, Acceptor.t) Hashtbl.t;
-  restart_limit : int;
   begins : Tandem_sim.Metrics.counter Lazy.t;
   begins_by_node : Tandem_sim.Metrics.counter_family;
 }
 
-let create ?(restart_limit = 3) net =
+let create net =
   {
     net;
     node_states = Hashtbl.create 8;
     tmps = Hashtbl.create 8;
     rollforwards = Hashtbl.create 8;
     acceptors = Hashtbl.create 8;
-    restart_limit;
     begins = lazy (Tandem_sim.Metrics.counter (Net.metrics net) "tmf.begins");
     begins_by_node =
       Tandem_sim.Metrics.counter_family (Net.metrics net)
@@ -38,8 +36,6 @@ let create ?(restart_limit = 3) net =
   }
 
 let net t = t.net
-
-let restart_limit t = t.restart_limit
 
 let node_state t node =
   match Hashtbl.find_opt t.node_states node with
@@ -61,14 +57,14 @@ let acceptor t node =
   | Some a -> a
   | None -> invalid_arg (Printf.sprintf "Tmf: node %d not installed" node)
 
-let install_node t node ~monitor_volume ?tmp_config () =
+let install_node t node ~monitor_volume =
   let id = Node.id node in
   if Hashtbl.mem t.node_states id then
     invalid_arg "Tmf.install_node: already installed";
   let force_window = (Net.config t.net).Hw_config.group_commit_window in
   let state = Tmf_state.make_node_state ~force_window ~node ~monitor_volume () in
   Hashtbl.replace t.node_states id state;
-  let tmp = Tmp.spawn ~net:t.net ~state ?config:tmp_config ~primary_cpu:0 ~backup_cpu:1 () in
+  let tmp = Tmp.spawn ~net:t.net ~state ~primary_cpu:0 ~backup_cpu:1 in
   Hashtbl.replace t.tmps id tmp;
   Backout.spawn ~net:t.net ~state ~primary_cpu:1 ~backup_cpu:0;
   (* Every node carries an acceptor on its system volume; under the 2PC

@@ -23,20 +23,14 @@ module Paxos_commit = Paxos_commit
 
 type t
 
-val create : ?restart_limit:int -> Tandem_os.Net.t -> t
-(** [restart_limit] (default 3) is the configurable transaction restart
-    limit the TCP enforces. *)
+val create : Tandem_os.Net.t -> t
 
 val net : t -> Tandem_os.Net.t
-
-val restart_limit : t -> int
 
 val install_node :
   t ->
   Tandem_os.Node.t ->
   monitor_volume:Tandem_disk.Volume.t ->
-  ?tmp_config:Tmp.config ->
-  unit ->
   unit
 (** Equip a node with TMF. The TMP runs on processors 0/1 and the
     BACKOUTPROCESS on 1/0 (process-pairs migrate on failures anyway). *)

@@ -25,25 +25,16 @@ type Message.payload +=
       live : bool;
     }
 
-type config = {
-  prepare_timeout : Sim_time.span;
-  safe_retry_interval : Sim_time.span;
-  transaction_time_limit : Sim_time.span;
-  parallel_prepare : bool;
-}
+(* The RPC timeout on a phase-one request and on each safe-delivery send,
+   and the pause between safe-delivery passes over the queue. No caller
+   ever needed other values. *)
+let prepare_timeout = Sim_time.seconds 5
 
-let default_config =
-  {
-    prepare_timeout = Sim_time.seconds 5;
-    safe_retry_interval = Sim_time.milliseconds 500;
-    transaction_time_limit = Sim_time.seconds 60;
-    parallel_prepare = true;
-  }
+let safe_retry_interval = Sim_time.milliseconds 500
 
 type t = {
   net : Net.t;
   node_state : Tmf_state.node_state;
-  tmp_config : config;
   mutable safe_queue : (Ids.node_id * Message.payload) Queue.t;
       (* FIFO; [retry_loop] swaps in a rebuilt queue after each pass *)
   mutable retry_running : bool;
@@ -162,7 +153,7 @@ let rec retry_loop t process =
       else
         match
           Rpc.call_name t.net ~self:process ~node:dst ~name:"$TMP"
-            ~timeout:t.tmp_config.prepare_timeout ~retries:0 payload
+            ~timeout:prepare_timeout ~retries:0 payload
         with
         | Ok Ack -> ()
         | Ok _ | Error _ -> kept.(index) <- true
@@ -192,7 +183,7 @@ let rec retry_loop t process =
     Queue.transfer t.safe_queue requeued;
     t.safe_queue <- requeued;
     if not (Queue.is_empty t.safe_queue) then
-      Fiber.sleep (Net.engine t.net) t.tmp_config.safe_retry_interval;
+      Fiber.sleep (Net.engine t.net) safe_retry_interval;
     retry_loop t process
   end
 
@@ -434,7 +425,7 @@ let prepare_one t ~self info child =
   Span.add_messages (spans t) (Transid.to_string info.Tmf_state.transid) 2;
   match
     Rpc.call_name t.net ~self ~node:child ~name:"$TMP"
-      ~timeout:t.tmp_config.prepare_timeout ~retries:1
+      ~timeout:prepare_timeout ~retries:1
       (Prepare (Transid.to_string info.Tmf_state.transid))
   with
   | Ok Prepared_reply -> Ok `Prepared
@@ -460,7 +451,7 @@ let prune_read_only t info read_only_children =
 let prepare_children t ~self info =
   let read_only = ref [] in
   let result =
-    if not t.tmp_config.parallel_prepare then begin
+    if not (hw t).Hw_config.parallel_prepare then begin
       let rec prepare = function
         | [] -> Ok ()
         | child :: rest -> (
@@ -958,7 +949,7 @@ and arm_transaction_timer t transid =
     info.Tmf_state.auto_abort <-
       Some
         (Engine.schedule_after (Net.engine t.net)
-           t.tmp_config.transaction_time_limit (fun () ->
+           (hw t).Hw_config.transaction_time_limit (fun () ->
              info.Tmf_state.auto_abort <- None;
              match info.Tmf_state.resolved with
              | Some _ -> ()
@@ -1209,14 +1200,13 @@ let service t pair _replica process =
   in
   loop ()
 
-let spawn ~net ~state ?(config = default_config) ~primary_cpu ~backup_cpu () =
+let spawn ~net ~state ~primary_cpu ~backup_cpu =
   let metrics = Net.metrics net in
   let counter name = lazy (Metrics.counter metrics name) in
   let t =
     {
       net;
       node_state = state;
-      tmp_config = config;
       safe_queue = Queue.create ();
       retry_running = false;
       primary = None;

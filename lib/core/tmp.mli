@@ -49,30 +49,11 @@ type Tandem_os.Message.payload +=
       (** Answer to [Query_status]: the monitor trail's verdict plus whether
           the transid is still live (registered) at the answering node. *)
 
-type config = {
-  prepare_timeout : Tandem_sim.Sim_time.span;
-  safe_retry_interval : Tandem_sim.Sim_time.span;
-  transaction_time_limit : Tandem_sim.Sim_time.span;
-      (** Automatic abort of a transaction that stays unresolved this long
-          (unless this node has already voted yes — then its locks are held
-          for the home node's disposition, per the protocol). *)
-  parallel_prepare : bool;
-      (** Send phase-one requests to this node's children concurrently
-          instead of one at a time (the paper does not specify the order;
-          the dispositions are identical either way — see the equivalence
-          property test). Default [true]; serial remains as an ablation
-          (exp_e7/e17 measure the latency difference). *)
-}
-
-val default_config : config
-
 val spawn :
   net:Tandem_os.Net.t ->
   state:Tmf_state.node_state ->
-  ?config:config ->
   primary_cpu:Tandem_os.Ids.cpu_id ->
   backup_cpu:Tandem_os.Ids.cpu_id ->
-  unit ->
   t
 
 val state : t -> Tmf_state.node_state

@@ -5,7 +5,6 @@ open Tandem_db
 type t = {
   net : Net.t;
   tmf : Tmf.t;
-  tmp_config : Tmf.Tmp.config option;
   dict : Schema.t;
   file_client : File_client.t;
   discprocesses : (Ids.node_id * string, Discprocess.t) Hashtbl.t;
@@ -14,16 +13,15 @@ type t = {
   mutable tcps : Tcp.t list;
 }
 
-let create ?seed ?config ?restart_limit ?lock_timeout ?tmp_config () =
+let create ?seed ?config () =
   let net = Net.create ?seed ?config () in
-  let tmf = Tmf.create ?restart_limit net in
+  let tmf = Tmf.create net in
   let dict = Schema.create_dictionary () in
   {
     net;
     tmf;
-    tmp_config;
     dict;
-    file_client = File_client.create ~net ~tmf ~dictionary:dict ?lock_timeout ();
+    file_client = File_client.create ~net ~tmf ~dictionary:dict;
     discprocesses = Hashtbl.create 16;
     system_volumes = Hashtbl.create 16;
     server_classes = Hashtbl.create 16;
@@ -59,7 +57,7 @@ let make_volume t ~node ~name =
 let add_node t ~id ~cpus =
   let node = Net.add_node t.net ~id ~cpus in
   let monitor_volume = make_volume t ~node ~name:"$SYSTEM" in
-  Tmf.install_node t.tmf node ~monitor_volume ?tmp_config:t.tmp_config ();
+  Tmf.install_node t.tmf node ~monitor_volume;
   let audit_volume = make_volume t ~node ~name:"$AUDITVOL" in
   Tmf.add_audit_trail t.tmf ~node:id ~name:"$AUDIT" ~volume:audit_volume ();
   node

@@ -7,14 +7,10 @@
 
 type t
 
-val create :
-  ?seed:int ->
-  ?config:Tandem_os.Hw_config.t ->
-  ?restart_limit:int ->
-  ?lock_timeout:Tandem_sim.Sim_time.span ->
-  ?tmp_config:Tmf.Tmp.config ->
-  unit ->
-  t
+val create : ?seed:int -> ?config:Tandem_os.Hw_config.t -> unit -> t
+(** A cluster with no nodes yet. [config] (default {!Tandem_os.Hw_config.default})
+    is the one boot-time configuration: hardware costs and protocol knobs
+    alike, read by every service the cluster spawns. *)
 
 val net : t -> Tandem_os.Net.t
 

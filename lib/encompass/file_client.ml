@@ -7,7 +7,6 @@ type t = {
   net : Net.t;
   tmf : Tmf.t;
   dict : Schema.t;
-  lock_timeout : Sim_time.span;
 }
 
 type error =
@@ -26,8 +25,7 @@ let is_transient = function
       false
   | Path_error _ | Tx_unreachable -> true
 
-let create ~net ~tmf ~dictionary ?(lock_timeout = Sim_time.seconds 2) () =
-  { net; tmf; dict = dictionary; lock_timeout }
+let create ~net ~tmf ~dictionary = { net; tmf; dict = dictionary }
 
 let dictionary t = t.dict
 
@@ -61,7 +59,7 @@ let call t ~self ~transid partition build_payload =
         {
           op_id = Net.fresh_corr t.net;
           transid = Option.map Tmf.Transid.to_string transid;
-          lock_timeout = t.lock_timeout;
+          lock_timeout = (Net.config t.net).Hw_config.lock_timeout;
         }
       in
       (* Charge the data request and its reply to the transaction's span. *)

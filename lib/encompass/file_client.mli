@@ -25,8 +25,6 @@ val create :
   net:Tandem_os.Net.t ->
   tmf:Tmf.t ->
   dictionary:Tandem_db.Schema.t ->
-  ?lock_timeout:Tandem_sim.Sim_time.span ->
-  unit ->
   t
 
 val dictionary : t -> Tandem_db.Schema.t

@@ -72,6 +72,7 @@ let resolve_unknown t process transid =
 
 let execute t term process input =
   let started = Engine.now (Net.engine t.net) in
+  let restart_limit = (Net.config t.net).Hw_config.restart_limit in
   let rec attempt restarts_left =
     (* Back out anything a previous attempt (or a pre-takeover life of this
        terminal) left behind. *)
@@ -158,7 +159,7 @@ let execute t term process input =
         if restarts_left > 0 then begin
           (* Randomized pause before re-executing: simultaneous restarts of
              crossing transactions would otherwise re-deadlock forever. *)
-          let tried = Tmf.restart_limit t.tmf - restarts_left + 1 in
+          let tried = restart_limit - restarts_left + 1 in
           Fiber.sleep (Net.engine t.net)
             (Sim_time.milliseconds
                (20 + Rng.int t.backoff_rng (150 * tried)));
@@ -176,7 +177,7 @@ let execute t term process input =
         term.aborted <- term.aborted + 1;
         term.output <- Some ("ABORTED: " ^ reason)
   in
-  attempt (Tmf.restart_limit t.tmf)
+  attempt restart_limit
 
 let rec next_input term =
   match Queue.take_opt term.queue with

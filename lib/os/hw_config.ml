@@ -11,7 +11,6 @@ type t = {
   failure_detection : Sim_time.span;
   rpc_timeout : Sim_time.span;
   rpc_retries : int;
-  rpc_backoff_multiplier : float;
   net_retransmit : Sim_time.span;
   net_attempts : int;
   dp_checkpoint_coalescing : bool;
@@ -19,10 +18,14 @@ type t = {
   boxcar_marginal_cost : Sim_time.span;
   group_commit_window : Sim_time.span;
   disc_cache_blocks : int;
+  lock_timeout : Sim_time.span;
   tmp_read_only_votes : bool;
   tmp_presumed_abort : bool;
   tmp_single_node_fast_path : bool;
   tmp_commit_protocol : [ `Two_phase | `Paxos of int ];
+  parallel_prepare : bool;
+  transaction_time_limit : Sim_time.span;
+  restart_limit : int;
   rollforward_parallelism : [ `Sequential | `Chains of int ];
 }
 
@@ -46,7 +49,6 @@ let default =
     failure_detection = Sim_time.seconds 1;
     rpc_timeout = Sim_time.seconds 2;
     rpc_retries = 3;
-    rpc_backoff_multiplier = 1.0;
     net_retransmit = Sim_time.milliseconds 200;
     net_attempts = 5;
     dp_checkpoint_coalescing = true;
@@ -54,10 +56,14 @@ let default =
     boxcar_marginal_cost = Sim_time.microseconds 10;
     group_commit_window = Sim_time.microseconds 0;
     disc_cache_blocks = 0;
+    lock_timeout = Sim_time.seconds 2;
     tmp_read_only_votes = true;
     tmp_presumed_abort = true;
     tmp_single_node_fast_path = true;
     tmp_commit_protocol = `Two_phase;
+    parallel_prepare = true;
+    transaction_time_limit = Sim_time.seconds 60;
+    restart_limit = 3;
     rollforward_parallelism = `Sequential;
   }
 
@@ -98,10 +104,6 @@ let knob_docs =
     ( "rpc_retries",
       string_of_int d.rpc_retries,
       "automatic path retries after an RPC timeout" );
-    ( "rpc_backoff_multiplier",
-      Printf.sprintf "%g" d.rpc_backoff_multiplier,
-      "each RPC retry waits this factor longer than the last, with \
-       deterministic jitter; 1 keeps the fixed-interval schedule" );
     ( "net_retransmit",
       span_doc d.net_retransmit,
       "end-to-end protocol retransmission interval" );
@@ -123,6 +125,10 @@ let knob_docs =
     ( "disc_cache_blocks",
       string_of_int d.disc_cache_blocks,
       "volume controller block cache capacity (0 = no cache)" );
+    ( "lock_timeout",
+      span_doc d.lock_timeout,
+      "a lock request not granted within this interval fails with a lock \
+       timeout, which the TCP answers with a transaction restart" );
     ( "tmp_read_only_votes",
       string_of_bool d.tmp_read_only_votes,
       "participants that wrote no audit images vote read-only, release locks \
@@ -141,6 +147,18 @@ let knob_docs =
        only at the home node, so voted-yes participants block on its \
        failure) or paxos:N (Paxos Commit over N = 2f+1 acceptors; any \
        acceptor-majority learner can compute and deliver the verdict)" );
+    ( "parallel_prepare",
+      string_of_bool d.parallel_prepare,
+      "send phase-one requests to a node's children concurrently instead \
+       of one at a time" );
+    ( "transaction_time_limit",
+      span_doc d.transaction_time_limit,
+      "a transaction unresolved this long is aborted automatically, unless \
+       the node has already voted yes" );
+    ( "restart_limit",
+      string_of_int d.restart_limit,
+      "restarts the TCP allows a terminal's transaction before reporting \
+       it failed" );
     ( "rollforward_parallelism",
       rollforward_parallelism_doc d.rollforward_parallelism,
       "ROLLFORWARD replay mode: seq (one pass in audit order) or chains:N \

@@ -1,11 +1,12 @@
-(** Timing and sizing parameters of the simulated hardware.
+(** Hardware and protocol parameters of a simulated cluster: the one
+    boot-time configuration every service reads through [Net.config].
 
-    Defaults approximate the 1981 Tandem NonStop II generation in order of
-    magnitude. Absolute values are not load-bearing for any experiment — the
-    *ratios* are (interprocessor bus ≪ network link; disc access ≫ CPU op),
-    because those ratios drive the paper's design decisions: broadcast within
-    a node but participants-only across the network, and checkpoint instead
-    of write-ahead-log forcing. *)
+    Hardware defaults approximate the 1981 Tandem NonStop II generation in
+    order of magnitude. Absolute values are not load-bearing for any
+    experiment — the *ratios* are (interprocessor bus ≪ network link; disc
+    access ≫ CPU op), because those ratios drive the paper's design
+    decisions: broadcast within a node but participants-only across the
+    network, and checkpoint instead of write-ahead-log forcing. *)
 
 type t = {
   same_cpu_latency : Tandem_sim.Sim_time.span;
@@ -29,12 +30,6 @@ type t = {
   rpc_retries : int;
       (** Automatic path retries (re-resolving process names, so a retry
           reaches the backup of a process-pair after takeover). *)
-  rpc_backoff_multiplier : float;
-      (** Each retry's wait grows by this factor (exponential backoff), with
-          a deterministic jitter so retries from many requesters de-phase.
-          [1.0] (the default) reproduces the fixed-interval schedule:
-          timeout-spaced path retries, [net_retransmit]-spaced name
-          re-resolution. *)
   net_retransmit : Tandem_sim.Sim_time.span;
       (** End-to-end protocol retransmission interval. *)
   net_attempts : int;
@@ -60,6 +55,11 @@ type t = {
       (** Capacity of the volume-level (controller) block cache wired into
           the read path, with write-behind of dirty blocks on force. Zero
           (the default) disables the cache: every block I/O is physical. *)
+  lock_timeout : Tandem_sim.Sim_time.span;
+      (** A lock request times out after this interval (default 2 s); the
+          File System carries it on every DISCPROCESS request, and the
+          resulting lock-timeout error is transient, so the TCP restarts
+          the transaction. *)
   tmp_read_only_votes : bool;
       (** A child node whose DISCPROCESSes logged no audit images for a
           transid answers phase one with a read-only vote: it releases its
@@ -88,6 +88,19 @@ type t = {
           majority, and a surviving node can drive stuck instances to a
           verdict with a higher ballot after the home dies. Single-node
           transactions keep the fast path under either protocol. *)
+  parallel_prepare : bool;
+      (** Send phase-one requests to a node's children concurrently instead
+          of one at a time (the paper does not specify the order; the
+          dispositions are identical either way — see the equivalence
+          property test). Default [true]; serial remains as an ablation. *)
+  transaction_time_limit : Tandem_sim.Sim_time.span;
+      (** Automatic abort of a transaction that stays unresolved this long
+          (default 60 s), unless this node has already voted yes — then its
+          locks are held for the home node's disposition, per the
+          protocol. *)
+  restart_limit : int;
+      (** Transaction restarts the TCP allows one terminal input (default
+          3); the next restart reports the input failed. *)
   rollforward_parallelism : [ `Sequential | `Chains of int ];
       (** ROLLFORWARD replay mode. [`Sequential] (the default) replays every
           surviving audit record in one pass in trail order — the paper's
@@ -101,14 +114,6 @@ type t = {
 }
 
 val default : t
-
-val commit_protocol_doc : [ `Two_phase | `Paxos of int ] -> string
-(** ["2pc"] or ["paxos:N"] — the rendering used in knob docs, bench config
-    labels and scenario fingerprints. *)
-
-val rollforward_parallelism_doc : [ `Sequential | `Chains of int ] -> string
-(** ["seq"] or ["chains:N"] — the rendering used in knob docs and bench
-    config labels. *)
 
 val knob_docs : (string * string * string) list
 (** [(name, default, description)] for every configuration knob, in

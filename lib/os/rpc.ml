@@ -33,24 +33,6 @@ let call net ~self ~dst ?timeout payload =
   | reply_payload -> Ok reply_payload
   | exception Rpc_timeout -> Error `Timeout
 
-(* Exponential backoff with deterministic jitter. Retry [k] (1-based)
-   waits [base * multiplier^(k-1)], scaled by a jitter in [0.75, 1.25)
-   drawn from a splitmix stream seeded by the call's correlation id — a
-   pure function of simulation state, so reruns are bit-identical, yet
-   distinct requesters de-phase instead of retrying in lockstep. A
-   multiplier of 1 keeps today's fixed schedule exactly (no jitter draw,
-   no extra wait beyond the base interval). *)
-let backoff_wait ~base ~multiplier ~corr ~retry_index =
-  if multiplier <= 1.0 then base
-  else begin
-    let scaled =
-      float_of_int base *. (multiplier ** float_of_int (retry_index - 1))
-    in
-    let jitter_rng = Rng.create ~seed:((corr * 31) + retry_index) in
-    let jitter = 0.75 +. Rng.float jitter_rng 0.5 in
-    int_of_float (scaled *. jitter)
-  end
-
 let call_name net ~self ~node ~name ?timeout ?retries payload =
   let config = Net.config net in
   let retries =
@@ -59,19 +41,12 @@ let call_name net ~self ~node ~name ?timeout ?retries payload =
     | None -> config.Hw_config.rpc_retries
   in
   Metrics.incr (Metrics.family_counter (Net.rpc_calls_family net) name);
-  let multiplier = config.Hw_config.rpc_backoff_multiplier in
-  (* Only a backing-off call consumes a correlation id for its jitter seed:
-     the default schedule stays byte-identical to the pre-backoff code. *)
-  let backoff_corr = if multiplier > 1.0 then Net.fresh_corr net else 0 in
   let rec attempt remaining =
-    let retry_index = retries - remaining + 1 in
     match Node.lookup_name (Net.node net node) name with
     | None ->
         if remaining > 0 then begin
           (* The name may be re-registered by a takeover in progress. *)
-          Fiber.sleep (Net.engine net)
-            (backoff_wait ~base:config.Hw_config.net_retransmit ~multiplier
-               ~corr:backoff_corr ~retry_index);
+          Fiber.sleep (Net.engine net) config.Hw_config.net_retransmit;
           attempt (remaining - 1)
         end
         else Error `No_such_name
@@ -79,18 +54,8 @@ let call_name net ~self ~node ~name ?timeout ?retries payload =
         match call net ~self ~dst ?timeout payload with
         | Ok _ as ok -> ok
         | Error `Timeout when remaining > 0 ->
-            (* The timed-out attempt itself already waited one timeout; any
-               backoff beyond that interval is an extra sleep before the
-               retry departs. *)
-            let base =
-              match timeout with
-              | Some span -> span
-              | None -> config.Hw_config.rpc_timeout
-            in
-            let wait =
-              backoff_wait ~base ~multiplier ~corr:backoff_corr ~retry_index
-            in
-            if wait > base then Fiber.sleep (Net.engine net) (wait - base);
+            (* The timed-out attempt itself waited one timeout; the retry
+               departs at once. *)
             attempt (remaining - 1)
         | Error _ as err -> err)
   in

@@ -34,14 +34,3 @@ val call_name :
 
 val reply : Net.t -> self:Process.t -> to_:Message.t -> Message.payload -> unit
 (** Send the reply to a received request. *)
-
-val backoff_wait :
-  base:Tandem_sim.Sim_time.span ->
-  multiplier:float ->
-  corr:int ->
-  retry_index:int ->
-  Tandem_sim.Sim_time.span
-(** The wait before retry [retry_index] (1-based): [base * multiplier^(k-1)]
-    under a deterministic jitter in [0.75, 1.25) seeded by [corr]. A
-    multiplier of 1.0 returns [base] exactly — no jitter draw — preserving
-    the fixed pre-backoff schedule. Exposed for the retry-schedule tests. *)

@@ -33,8 +33,8 @@ let paxos_config count =
 (* Full mesh: Paxos Commit has every voted-yes participant replicate its
    vote to every acceptor, so unlike the 2PC star topology each node must
    reach each other node directly. *)
-let three_node_cluster ?tmp_config ~config ~with_tcp () =
-  let cluster = Cluster.create ~seed:11 ?tmp_config ~config () in
+let three_node_cluster ~config ~with_tcp () =
+  let cluster = Cluster.create ~seed:11 ~config () in
   ignore (Cluster.add_node cluster ~id:1 ~cpus:4);
   ignore (Cluster.add_node cluster ~id:2 ~cpus:4);
   ignore (Cluster.add_node cluster ~id:3 ~cpus:4);
@@ -297,11 +297,8 @@ let test_acceptor_revalidates_after_force () =
 (* ------------------------------------------------------------------ *)
 (* Paxos recovery: the home dies between commit point and phase two *)
 
-let short_limit =
-  {
-    Tmf.Tmp.default_config with
-    Tmf.Tmp.transaction_time_limit = Sim_time.seconds 2;
-  }
+let short_limit config =
+  { config with Hw_config.transaction_time_limit = Sim_time.seconds 2 }
 
 let pin_at_node2 cluster spec =
   let base = Indoubt.partition_base spec ~node:2 in
@@ -319,8 +316,8 @@ let data2_locked cluster =
 
 let test_paxos_decided_commits_without_home () =
   let cluster, spec, _ =
-    three_node_cluster ~config:(paxos_config 3) ~tmp_config:short_limit
-      ~with_tcp:false ()
+    three_node_cluster ~config:(short_limit (paxos_config 3)) ~with_tcp:false
+      ()
   in
   let base, pinned = pin_at_node2 cluster spec in
   check_bool "decision reached the acceptors" true
@@ -347,8 +344,8 @@ let test_paxos_decided_commits_without_home () =
 
 let test_paxos_undecided_aborts_by_recovery_ballot () =
   let cluster, spec, _ =
-    three_node_cluster ~config:(paxos_config 3) ~tmp_config:short_limit
-      ~with_tcp:false ()
+    three_node_cluster ~config:(short_limit (paxos_config 3)) ~with_tcp:false
+      ()
   in
   let base, pinned = pin_at_node2 cluster spec in
   (* No decision cast: the commit instance is free at every acceptor.

@@ -21,9 +21,9 @@ let bank_spec ?(accounts = 100) () =
     system_home = (1, "$DATA1");
   }
 
-let single_node_cluster ?(cpus = 4) ?(terminals = 4) ?(program = Workload.debit_credit_program)
-    ?(spec = bank_spec ()) () =
-  let cluster = Cluster.create ~seed:7 () in
+let single_node_cluster ?config ?(cpus = 4) ?(terminals = 4)
+    ?(program = Workload.debit_credit_program) ?(spec = bank_spec ()) () =
+  let cluster = Cluster.create ~seed:7 ?config () in
   ignore (Cluster.add_node cluster ~id:1 ~cpus);
   ignore (Cluster.add_volume cluster ~node:1 ~name:"$DATA1" ~primary_cpu:2 ~backup_cpu:3 ());
   Workload.install_bank cluster spec;
@@ -794,6 +794,69 @@ let test_explicit_restart_verb () =
     (Workload.account_balance cluster ~account:3)
 
 (* ------------------------------------------------------------------ *)
+(* The boot-time knobs reach the TCP and the DISCPROCESS *)
+
+(* A program that always restarts runs once plus [restart_limit] times,
+   then its input is reported failed. The TCP's restart counter counts every
+   RESTART-TRANSACTION raised, the final one included. *)
+let test_restart_limit_bounds_reexecution () =
+  List.iter
+    (fun restart_limit ->
+      let executions = ref 0 in
+      let program =
+        Screen_program.make ~name:"always-restarts" (fun verbs _ ->
+            verbs.Screen_program.begin_transaction ();
+            incr executions;
+            verbs.Screen_program.restart_transaction ~reason:"always";
+            "unreachable")
+      in
+      let config = { Hw_config.default with restart_limit } in
+      let cluster, tcp, _ = single_node_cluster ~config ~program () in
+      Tcp.submit tcp ~terminal:0 (dc_input ());
+      Cluster.run cluster;
+      let label what = Printf.sprintf "%s at restart_limit=%d" what restart_limit in
+      check_int (label "re-executions") restart_limit (!executions - 1);
+      check_int (label "restarts raised") (restart_limit + 1) (Tcp.restarts tcp);
+      check_int (label "failures") 1 (Tcp.failures tcp);
+      check_int (label "completions") 0 (Tcp.completed tcp))
+    [ 0; 2 ]
+
+(* A record lock held by a live transaction makes a second requester give
+   up after the configured interval (plus message costs), not the 2 s
+   default. *)
+let test_lock_timeout_bounds_wait () =
+  let lock_timeout = Sim_time.milliseconds 300 in
+  let config = { Hw_config.default with lock_timeout } in
+  let cluster, _, _ = single_node_cluster ~config () in
+  let tmf = Cluster.tmf cluster in
+  let files = Cluster.files cluster in
+  let key = Tandem_db.Key.of_int 3 in
+  let balance = Tandem_db.Record.encode [ ("balance", "1") ] in
+  Cluster.run_client cluster ~node:1 ~cpu:1 (fun process ->
+      let transid = Tmf.begin_transaction tmf ~node:1 ~cpu:1 in
+      (match File_client.update files ~self:process ~transid ~file:"ACCOUNT" key balance with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "holder update failed: %a" File_client.pp_error e);
+      Fiber.sleep (Cluster.engine cluster) (Sim_time.seconds 5);
+      ignore (Tmf.end_transaction tmf ~self:process transid));
+  let waited = ref None in
+  Cluster.run_client cluster ~node:1 ~cpu:0 (fun process ->
+      Fiber.sleep (Cluster.engine cluster) (Sim_time.milliseconds 100);
+      let transid = Tmf.begin_transaction tmf ~node:1 ~cpu:0 in
+      let started = Engine.now (Cluster.engine cluster) in
+      (match File_client.update files ~self:process ~transid ~file:"ACCOUNT" key balance with
+      | Error (File_client.Data_error Dp_protocol.Lock_timeout) -> ()
+      | Ok () -> Alcotest.fail "waiter got a lock that was held"
+      | Error e -> Alcotest.failf "expected a lock timeout: %a" File_client.pp_error e);
+      waited := Some (Engine.now (Cluster.engine cluster) - started);
+      ignore (Tmf.abort_transaction tmf ~self:process transid ~reason:"timed out"));
+  Cluster.run cluster;
+  let waited = Option.get !waited in
+  check_bool "waited at least the lock timeout" true (waited >= lock_timeout);
+  check_bool "gave up well before the 2 s default" true
+    (waited < Sim_time.seconds 1)
+
+(* ------------------------------------------------------------------ *)
 (* Fuzzy archives: "these copies can be created during normal transaction
    processing" — an archive taken mid-transaction must recover correctly
    whether that transaction later aborts or commits. *)
@@ -1296,6 +1359,10 @@ let () =
           Alcotest.test_case "node security control" `Quick test_node_security_control;
           Alcotest.test_case "explicit RESTART-TRANSACTION" `Quick
             test_explicit_restart_verb;
+          Alcotest.test_case "restart_limit bounds re-execution" `Quick
+            test_restart_limit_bounds_reexecution;
+          Alcotest.test_case "lock_timeout bounds the wait" `Quick
+            test_lock_timeout_bounds_wait;
         ] );
       ( "rollforward",
         [

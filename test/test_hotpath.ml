@@ -776,10 +776,10 @@ let test_key_of_int_matches_sprintf () =
 (* Parallel phase one = serial phase one, disposition for disposition *)
 
 let three_node_cluster ~parallel =
-  let tmp_config =
-    { Tmf.Tmp.default_config with parallel_prepare = parallel }
+  let config =
+    { Tandem_os.Hw_config.default with parallel_prepare = parallel }
   in
-  let cluster = Cluster.create ~seed:11 ~tmp_config () in
+  let cluster = Cluster.create ~seed:11 ~config () in
   ignore (Cluster.add_node cluster ~id:1 ~cpus:4);
   ignore (Cluster.add_node cluster ~id:2 ~cpus:4);
   ignore (Cluster.add_node cluster ~id:3 ~cpus:4);

@@ -103,62 +103,6 @@ let test_cross_node_rpc () =
   check_bool "network latency paid" true
     (Engine.now (Net.engine net) >= 4 * Hw_config.default.Hw_config.network_latency)
 
-(* The jittered exponential retry schedule is a pure function of the
-   call's correlation id — exactly reproducible, bounded jitter, and a
-   multiplier of 1.0 degenerating to the historical fixed interval. *)
-let test_rpc_backoff_schedule () =
-  let base = Sim_time.milliseconds 10 in
-  (* multiplier 1.0: the fixed schedule, bit-for-bit — no jitter at all. *)
-  for k = 1 to 5 do
-    check_int "multiplier 1.0 keeps the base interval" base
-      (Rpc.backoff_wait ~base ~multiplier:1.0 ~corr:17 ~retry_index:k)
-  done;
-  (* Determinism: the same correlation id replays the same waits. *)
-  for k = 1 to 5 do
-    check_int "same corr, same wait"
-      (Rpc.backoff_wait ~base ~multiplier:2.0 ~corr:42 ~retry_index:k)
-      (Rpc.backoff_wait ~base ~multiplier:2.0 ~corr:42 ~retry_index:k)
-  done;
-  (* Jitter bounds: every wait stays within [0.75, 1.25) of the unjittered
-     exponential value, so backoff can never collapse or explode. *)
-  List.iter
-    (fun corr ->
-      for k = 1 to 6 do
-        let wait =
-          Rpc.backoff_wait ~base ~multiplier:2.0 ~corr ~retry_index:k
-        in
-        let nominal = float_of_int base *. (2.0 ** float_of_int (k - 1)) in
-        check_bool "jitter lower bound" true
-          (float_of_int wait >= 0.75 *. nominal);
-        check_bool "jitter upper bound" true
-          (float_of_int wait < 1.25 *. nominal)
-      done)
-    [ 1; 2; 3; 100; 9999 ];
-  (* Growth: consecutive retries back off (the 2x step dwarfs the +-25%
-     jitter band, so each wait strictly exceeds its predecessor). *)
-  List.iter
-    (fun corr ->
-      for k = 2 to 6 do
-        let prev =
-          Rpc.backoff_wait ~base ~multiplier:2.0 ~corr ~retry_index:(k - 1)
-        in
-        let next =
-          Rpc.backoff_wait ~base ~multiplier:2.0 ~corr ~retry_index:k
-        in
-        check_bool "retries back off" true (next > prev)
-      done)
-    [ 1; 2; 3; 100; 9999 ];
-  (* De-phasing: distinct requesters must not retry in lockstep. Across a
-     spread of correlation ids the first-retry waits take many distinct
-     values. *)
-  let firsts =
-    List.sort_uniq compare
-      (List.init 32 (fun corr ->
-           Rpc.backoff_wait ~base ~multiplier:2.0 ~corr:(corr + 1)
-             ~retry_index:1))
-  in
-  check_bool "corr ids de-phase the schedule" true (List.length firsts > 16)
-
 let test_routing_reroutes_after_link_failure () =
   (* Triangle 1-2, 2-3, 1-3: direct 1-3 link fails, route goes via 2. *)
   let net = Net.create () in
@@ -573,7 +517,6 @@ let () =
           Alcotest.test_case "rpc round trip" `Quick test_rpc_round_trip;
           Alcotest.test_case "rpc timeout" `Quick test_rpc_timeout_on_dead_destination;
           Alcotest.test_case "cross-node rpc" `Quick test_cross_node_rpc;
-          Alcotest.test_case "backoff schedule" `Quick test_rpc_backoff_schedule;
         ] );
       ( "network",
         [

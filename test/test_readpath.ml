@@ -155,12 +155,10 @@ let test_crash_after_phase1_read_only_child () =
 (* Presumed-abort resolution after the home TMP loses its state *)
 
 let test_presumed_abort_resolution_after_restart () =
-  let cluster = Cluster.create ~seed:11
-      ~tmp_config:
-        {
-          Tmf.Tmp.default_config with
-          Tmf.Tmp.transaction_time_limit = Sim_time.seconds 2;
-        }
+  let cluster =
+    Cluster.create ~seed:11
+      ~config:
+        { Hw_config.default with transaction_time_limit = Sim_time.seconds 2 }
       ()
   in
   ignore (Cluster.add_node cluster ~id:1 ~cpus:4);

@@ -217,13 +217,13 @@ let test_census_counts_transitions () =
 
 let restart_cluster ~config =
   let cluster =
-    Cluster.create ~seed:11 ~config
-      ~tmp_config:
+    Cluster.create ~seed:11
+      ~config:
         {
-          Tmf.Tmp.default_config with
+          config with
           (* Long enough that no transaction timer fires during the test:
              every resolution below comes from ROLLFORWARD negotiation. *)
-          Tmf.Tmp.transaction_time_limit = Sim_time.seconds 60;
+          Hw_config.transaction_time_limit = Sim_time.seconds 60;
         }
       ()
   in
