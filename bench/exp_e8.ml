@@ -23,11 +23,8 @@ let intra_node ~cpus =
   let broadcasts =
     Metrics.read_counter (Cluster.metrics bank.cluster) "tmf.state_broadcast_msgs"
   in
-  let config = Net.config (Cluster.net bank.cluster) in
   let per_tx = float_of_int broadcasts /. float_of_int (max 1 committed) in
-  let bus_cost_us =
-    per_tx *. float_of_int config.Hw_config.bus_latency
-  in
+  let bus_cost_us = per_tx *. float_of_int Hw_config.bus_latency in
   (committed, per_tx, bus_cost_us)
 
 let run () =

@@ -542,6 +542,13 @@ let drive_client cluster ~node body =
   pump 2_000
 
 let run_indoubt protocol_name acceptors seed resolve force =
+  (* Acceptors are placed one per node, so a 2f+1 set must fit on the
+     three [indoubt_nodes]. *)
+  if acceptors <> 1 && acceptors <> 3 then begin
+    Printf.eprintf "tandem: --acceptors %d: expected 1 or 3 (2f+1 on 3 nodes)\n"
+      acceptors;
+    exit 2
+  end;
   let protocol =
     match protocol_name with
     | "2pc" -> `Two_phase
@@ -669,7 +676,8 @@ let indoubt_cmd =
   let acceptors =
     Arg.(
       value & opt int 3
-      & info [ "acceptors" ] ~doc:"Acceptor count under paxos (2f+1).")
+      & info [ "acceptors" ]
+          ~doc:"Acceptor count under paxos (2f+1 on the 3 nodes: 1 or 3).")
   in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed.") in
   let resolve =
@@ -916,9 +924,13 @@ let () =
     [
       `S "HARDWARE CONFIGURATION";
       `P
-        "Hardware and protocol knobs ($(b,Hw_config)) and their defaults. \
-         Set them in code when building a cluster; benchmarks ablate them \
-         one at a time.";
+        "Boot-time knobs of $(b,Hw_config) and their defaults: the disc \
+         access time plus the batching and protocol knobs that ablations, \
+         scenarios and commands set. Set them in code when building a \
+         cluster; benchmarks ablate them one at a time. The simulated \
+         machine's other costs (message latencies, CPU costs, failure \
+         detection, RPC and network retries) are fixed constants of the \
+         NonStop II model, not knobs.";
     ]
     @ List.map
         (fun (name, default, doc) ->

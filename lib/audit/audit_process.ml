@@ -12,7 +12,6 @@ type t = {
 }
 
 let service net trail ~name pair () process =
-  let config = Net.config net in
   let forces =
     lazy
       (Tandem_sim.Metrics.counter_with (Net.metrics net) "audit.forces"
@@ -22,8 +21,7 @@ let service net trail ~name pair () process =
     let message = Process_pair.receive pair process in
     (match message.Message.payload with
     | Audit_append { transid; images } ->
-        Cpu.consume (Process.cpu process)
-          (Net.config net).Hw_config.cpu_message_cost;
+        Cpu.consume (Process.cpu process) Hw_config.cpu_message_cost;
         (* The batch is checkpointed to the backup before it is considered
            received — this is what lets audit survive the primary's failure
            without having been forced to disc. *)
@@ -33,7 +31,7 @@ let service net trail ~name pair () process =
           images;
         Rpc.reply net ~self:process ~to_:message Audit_ok
     | Audit_force ->
-        Cpu.consume (Process.cpu process) config.Hw_config.cpu_message_cost;
+        Cpu.consume (Process.cpu process) Hw_config.cpu_message_cost;
         Tandem_sim.Metrics.incr (Lazy.force forces);
         (* Run the force in its own fiber: the 25 ms physical write must not
            stall the service loop, and concurrent forces batch into one
@@ -57,7 +55,6 @@ let spawn ~net ~node ~trail ~name ~primary_cpu ~backup_cpu =
       ~snapshot:(fun () -> [])
       ~service:(fun pair state process ->
         service net trail ~name pair state process)
-      ()
   in
   { process_name = name; audit_trail = trail; pair }
 

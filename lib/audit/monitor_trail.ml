@@ -2,10 +2,6 @@ open Tandem_disk
 
 type disposition = Committed | Aborted
 
-let pp_disposition formatter = function
-  | Committed -> Format.pp_print_string formatter "committed"
-  | Aborted -> Format.pp_print_string formatter "aborted"
-
 type t = {
   volume : Volume.t;
   daemon : Force_daemon.t;

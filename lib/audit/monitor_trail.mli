@@ -10,8 +10,6 @@ type t
 
 type disposition = Committed | Aborted
 
-val pp_disposition : Format.formatter -> disposition -> unit
-
 val create : ?force_window:Tandem_sim.Sim_time.span -> Tandem_disk.Volume.t -> t
 (** [force_window] (default 0) is the group-commit accumulation window of
     the trail's force daemon. *)

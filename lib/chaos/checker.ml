@@ -12,9 +12,6 @@ let verdict_to_string v =
            c.detail)
   |> String.concat "\n"
 
-let pp_verdict formatter v =
-  Format.pp_print_string formatter (verdict_to_string v)
-
 let finish metrics (checks : check list) =
   List.iter
     (fun (c : check) ->

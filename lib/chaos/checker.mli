@@ -20,8 +20,6 @@ type verdict = { checks : check list; passed : bool }
 val verdict_to_string : verdict -> string
 (** Byte-stable rendering: one ["PASS|FAIL name: detail"] line per check. *)
 
-val pp_verdict : Format.formatter -> verdict -> unit
-
 val bank :
   Tandem_encompass.Cluster.t ->
   spec:Tandem_encompass.Workload.bank_spec ->

@@ -53,7 +53,3 @@ let summary_line report =
           (fun (c : Checker.check) -> c.Checker.passed)
           report.verdict.Checker.checks))
     (List.length report.verdict.Checker.checks)
-
-let pp_report formatter report =
-  Format.fprintf formatter "%s@.schedule:@.%s@.%a@." (summary_line report)
-    report.schedule Checker.pp_verdict report.verdict

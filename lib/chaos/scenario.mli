@@ -45,6 +45,3 @@ val fingerprint : report -> string
 
 val summary_line : report -> string
 (** One [PASS/FAIL name seed=… faults=… …] line for matrix output. *)
-
-val pp_report : Format.formatter -> report -> unit
-(** Multi-line rendering: summary, schedule and per-invariant verdict. *)

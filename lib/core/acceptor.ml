@@ -37,18 +37,6 @@ let instance_compare a b =
   | Rm _, Commit_instance -> 1
   | Rm x, Rm y -> compare x y
 
-let pp_instance formatter = function
-  | Commit_instance -> Format.pp_print_string formatter "commit"
-  | Rm node -> Format.fprintf formatter "rm:%d" node
-
-let pp_value formatter = function
-  | Prepared -> Format.pp_print_string formatter "prepared"
-  | Aborted_vote -> Format.pp_print_string formatter "aborted"
-  | Manifest nodes ->
-      Format.fprintf formatter "manifest:[%s]"
-        (String.concat "," (List.map string_of_int nodes))
-  | Manifest_aborted -> Format.pp_print_string formatter "manifest-aborted"
-
 (* One Paxos register. [promised] is the highest ballot granted a phase-one
    promise or accepted a phase-two value; [accepted] is the latest accepted
    (ballot, value). Ballot 0 is pre-promised to the instance's natural
@@ -191,16 +179,15 @@ let handle t process message =
   | _ -> ()
 
 let service t pair process =
-  let config = Net.config t.net in
   let rec loop () =
     let message = Process_pair.receive pair process in
-    Cpu.consume (Process.cpu process) config.Hw_config.cpu_message_cost;
+    Cpu.consume (Process.cpu process) Hw_config.cpu_message_cost;
     handle t process message;
     loop ()
   in
   loop ()
 
-let spawn ~net ~state ~volume ~primary_cpu ~backup_cpu () =
+let spawn ~net ~state ~volume ~primary_cpu ~backup_cpu =
   let t =
     {
       net;
@@ -215,14 +202,4 @@ let spawn ~net ~state ~volume ~primary_cpu ~backup_cpu () =
        ~init:(fun () -> ())
        ~apply:(fun () () -> ())
        ~snapshot:(fun () -> [])
-       ~service:(fun pair _replica process -> service t pair process)
-       ());
-  t
-
-let accepted_count t =
-  Hashtbl.fold
-    (fun _ row acc ->
-      acc
-      + List.length
-          (List.filter (fun (_, entry) -> entry.accepted <> None) !row))
-    t.registers 0
+       ~service:(fun pair _replica process -> service t pair process))

@@ -57,22 +57,12 @@ type Message.payload +=
 
 val instance_compare : instance -> instance -> int
 
-val pp_instance : Format.formatter -> instance -> unit
-
-val pp_value : Format.formatter -> value -> unit
-
-type t
-
 val spawn :
   net:Net.t ->
   state:Tmf_state.node_state ->
   volume:Tandem_disk.Volume.t ->
   primary_cpu:Ids.cpu_id ->
   backup_cpu:Ids.cpu_id ->
-  unit ->
-  t
+  unit
 (** Install the acceptor process-pair on the node, forcing its promises and
     acceptances to [volume] (the node's system volume). *)
-
-val accepted_count : t -> int
-(** Accepted registers across every transid — a cheap stats probe. *)

@@ -53,12 +53,11 @@ let perform net state ~self transid =
       Ok !undone
 
 let service net state pair () process =
-  let config = Net.config net in
   let rec loop () =
     let message = Process_pair.receive pair process in
     (match message.Message.payload with
     | Backout_request transid_string -> (
-        Cpu.consume (Process.cpu process) config.Hw_config.cpu_message_cost;
+        Cpu.consume (Process.cpu process) Hw_config.cpu_message_cost;
         match Transid.of_string transid_string with
         | None ->
             Rpc.reply net ~self:process ~to_:message
@@ -85,8 +84,7 @@ let spawn ~net ~state ~primary_cpu ~backup_cpu =
        ~init:(fun () -> ())
        ~apply:(fun () () -> ())
        ~snapshot:(fun () -> [])
-       ~service:(fun pair s process -> service net state pair s process)
-       ())
+       ~service:(fun pair s process -> service net state pair s process))
 
 let request net ~self ~node transid =
   match

@@ -17,7 +17,6 @@ type t = {
   node_states : (Ids.node_id, Tmf_state.node_state) Hashtbl.t;
   tmps : (Ids.node_id, Tmp.t) Hashtbl.t;
   rollforwards : (Ids.node_id, Rollforward.t) Hashtbl.t;
-  acceptors : (Ids.node_id, Acceptor.t) Hashtbl.t;
   begins : Tandem_sim.Metrics.counter Lazy.t;
   begins_by_node : Tandem_sim.Metrics.counter_family;
 }
@@ -28,7 +27,6 @@ let create net =
     node_states = Hashtbl.create 8;
     tmps = Hashtbl.create 8;
     rollforwards = Hashtbl.create 8;
-    acceptors = Hashtbl.create 8;
     begins = lazy (Tandem_sim.Metrics.counter (Net.metrics net) "tmf.begins");
     begins_by_node =
       Tandem_sim.Metrics.counter_family (Net.metrics net)
@@ -52,11 +50,6 @@ let rollforward t node =
   | Some r -> r
   | None -> invalid_arg (Printf.sprintf "Tmf: node %d not installed" node)
 
-let acceptor t node =
-  match Hashtbl.find_opt t.acceptors node with
-  | Some a -> a
-  | None -> invalid_arg (Printf.sprintf "Tmf: node %d not installed" node)
-
 let install_node t node ~monitor_volume =
   let id = Node.id node in
   if Hashtbl.mem t.node_states id then
@@ -71,9 +64,8 @@ let install_node t node ~monitor_volume =
      knob it simply never receives a message. Which nodes form the quorum
      set for a given transaction is decided by the proposers
      ({!Paxos_commit.acceptor_nodes}), not here. *)
-  Hashtbl.replace t.acceptors id
-    (Acceptor.spawn ~net:t.net ~state ~volume:monitor_volume ~primary_cpu:0
-       ~backup_cpu:1 ());
+  Acceptor.spawn ~net:t.net ~state ~volume:monitor_volume ~primary_cpu:0
+    ~backup_cpu:1;
   Hashtbl.replace t.rollforwards id (Rollforward.create ~net:t.net ~state)
 
 let add_audit_trail t ~node ~name ~volume ?records_per_file () =

@@ -54,10 +54,6 @@ val tmp : t -> Tandem_os.Ids.node_id -> Tmp.t
 
 val rollforward : t -> Tandem_os.Ids.node_id -> Rollforward.t
 
-val acceptor : t -> Tandem_os.Ids.node_id -> Acceptor.t
-(** The node's Paxos Commit acceptor (installed on every node; idle under
-    the 2PC knob). *)
-
 (** {1 The transaction verbs} *)
 
 val begin_transaction :

@@ -201,8 +201,6 @@ let safe_deliver t dst payload =
   Queue.add (dst, payload) t.safe_queue;
   kick_retry t
 
-let pending_safe_deliveries t = Queue.length t.safe_queue
-
 (* ------------------------------------------------------------------ *)
 (* Local phase one: participants flush their audit, trails force. *)
 
@@ -1191,10 +1189,9 @@ let service t pair _replica process =
   t.primary <- Some process;
   t.retry_running <- false;
   kick_retry t;
-  let config = Net.config t.net in
   let rec loop () =
     let message = Process_pair.receive pair process in
-    Cpu.consume (Process.cpu process) config.Hw_config.cpu_message_cost;
+    Cpu.consume (Process.cpu process) Hw_config.cpu_message_cost;
     handle t process message;
     loop ()
   in
@@ -1234,8 +1231,7 @@ let spawn ~net ~state ~primary_cpu ~backup_cpu =
        ~init:(fun () -> ())
        ~apply:(fun () () -> ())
        ~snapshot:(fun () -> [])
-       ~service:(fun pair replica process -> service t pair replica process)
-       ());
+       ~service:(fun pair replica process -> service t pair replica process));
   t
 
 let start_watchdog t ~interval =

@@ -63,8 +63,6 @@ val safe_deliver : t -> Tandem_os.Ids.node_id -> Tandem_os.Message.payload -> un
     destination node and kick the retransmission fiber. Exposed for tests
     and benchmarks; the TMP itself queues phase-two messages here. *)
 
-val pending_safe_deliveries : t -> int
-
 val arm_transaction_timer : t -> Transid.t -> unit
 (** Start the transaction-time-limit clock for a transid known at this
     node. Armed automatically for remote begins; the facade arms it at

@@ -60,13 +60,12 @@ let apply t ~cpu transid new_state =
 
 let broadcast t transid new_state =
   let engine = Node.engine t.node in
-  let config = Node.config t.node in
   let up = Node.up_cpus t.node in
   t.messages <- t.messages + List.length up;
   Metrics.add (Lazy.force t.broadcast_msgs) (List.length up);
   List.iter
     (fun cpu ->
-      Engine.post_after engine config.Hw_config.bus_latency (fun () ->
+      Engine.post_after engine Hw_config.bus_latency (fun () ->
           if Cpu.is_up (Node.cpu t.node cpu) then
             apply t ~cpu transid new_state))
     up

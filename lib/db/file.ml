@@ -16,11 +16,6 @@ type change = {
   after : string option;
 }
 
-let pp_change formatter { file; key; before; after } =
-  let image = function None -> "-" | Some payload -> payload in
-  Format.fprintf formatter "%s[%a]: %s -> %s" file Key.pp key (image before)
-    (image after)
-
 let create store (definition : Schema.file_def) =
   let impl =
     match definition.Schema.organization with

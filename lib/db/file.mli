@@ -15,8 +15,6 @@ type change = {
   after : string option;  (** [None] for a delete. *)
 }
 
-val pp_change : Format.formatter -> change -> unit
-
 val create : Store.t -> Schema.file_def -> t
 (** Instantiate (one partition of) a file on a volume's store. *)
 

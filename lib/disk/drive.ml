@@ -6,11 +6,10 @@ type t = {
   access_time : Sim_time.span;
   mutable up : bool;
   mutable busy_until : Sim_time.t;
-  mutable ios : int;
 }
 
 let create engine ~name ~access_time =
-  { engine; name; access_time; up = true; busy_until = Sim_time.zero; ios = 0 }
+  { engine; name; access_time; up = true; busy_until = Sim_time.zero }
 
 let name t = t.name
 
@@ -27,9 +26,6 @@ let io t =
   let now = Engine.now t.engine in
   let start = max now t.busy_until in
   t.busy_until <- Sim_time.add start t.access_time;
-  t.ios <- t.ios + 1;
   Fiber.sleep t.engine (Sim_time.diff t.busy_until now)
 
 let busy_until t = t.busy_until
-
-let io_count t = t.ios

@@ -27,6 +27,3 @@ val io : t -> unit
 
 val busy_until : t -> Tandem_sim.Sim_time.t
 (** When the drive's queue drains (for choosing the less-busy mirror). *)
-
-val io_count : t -> int
-(** Physical accesses served since creation. *)

@@ -6,7 +6,6 @@ type t = {
   mutable wishes : unit Fiber.resume Queue.t; (* oldest first *)
   mutable kick : unit Fiber.resume option;
   mutable ios : int;
-  mutable served : int;
 }
 
 let create ?(window = 0) volume =
@@ -17,7 +16,6 @@ let create ?(window = 0) volume =
       wishes = Queue.create ();
       kick = None;
       ios = 0;
-      served = 0;
     }
   in
   let engine = Volume.engine volume in
@@ -40,7 +38,6 @@ let create ?(window = 0) volume =
              Volume.force_io t.volume;
              t.ios <- t.ios + 1;
              let size = Queue.length batch in
-             t.served <- t.served + size;
              Metrics.incr (Metrics.counter metrics "disk.force_batches");
              Metrics.observe
                (Metrics.sample metrics "disk.force_batch_size")
@@ -62,5 +59,3 @@ let force t =
       | None -> ())
 
 let physical_forces t = t.ios
-
-let batched_requests t = t.served

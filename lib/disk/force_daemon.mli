@@ -23,6 +23,3 @@ val force : t -> unit
 
 val physical_forces : t -> int
 (** Forces actually issued (≤ the number of {!force} calls). *)
-
-val batched_requests : t -> int
-(** Requests satisfied in total. *)

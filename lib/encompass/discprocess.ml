@@ -177,8 +177,7 @@ let check_access t ~requester payload =
 
 let execute_op t process ~requester ~pending (op : op_meta) payload =
   let generation = t.generation in
-  let config = Net.config t.net in
-  Cpu.consume (Process.cpu process) config.Hw_config.cpu_db_op_cost;
+  Cpu.consume (Process.cpu process) Hw_config.cpu_db_op_cost;
   if not (check_access t ~requester payload) then Dp_error Security_violation
   else
   match transaction_of t ~cpu:(Process.pid process).Ids.cpu op with
@@ -397,10 +396,9 @@ let handle t process message =
 
 let service t pair _replica process =
   t.pair <- Some pair;
-  let config = Net.config t.net in
   let rec loop () =
     let message = Process_pair.receive pair process in
-    Cpu.consume (Process.cpu process) config.Hw_config.cpu_message_cost;
+    Cpu.consume (Process.cpu process) Hw_config.cpu_message_cost;
     handle t process message;
     loop ()
   in
@@ -439,7 +437,6 @@ let spawn ~net ~tmf ~node ~volume ~name ~trail ~primary_cpu ~backup_cpu
       ~apply:(fun () () -> ())
       ~snapshot:(fun () -> [])
       ~service:(fun pair replica process -> service t pair replica process)
-      ()
   in
   t.pair <- Some pair;
   Tmf.register_participant tmf

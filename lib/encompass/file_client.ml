@@ -74,11 +74,11 @@ let call t ~self ~transid partition build_payload =
       | Ok reply -> Ok reply
       | Error e -> Error (Path_error e))
 
-let read t ~self ?transid ?lock ~file key =
+let read t ~self ?transid ~file key =
   match definition t file with
   | Error _ as e -> e
   | Ok def -> (
-      let lock = Option.value ~default:(transid <> None) lock in
+      let lock = transid <> None in
       let partition = Schema.partition_for def key in
       match
         call t ~self ~transid partition (fun op ->

@@ -33,12 +33,11 @@ val read :
   t ->
   self:Tandem_os.Process.t ->
   ?transid:Tmf.Transid.t ->
-  ?lock:bool ->
   file:string ->
   Tandem_db.Key.t ->
   (string option, error) result
-(** [lock] defaults to [true] when a transid is present — locks on existing
-    records are acquired at read time. *)
+(** A read under a transid locks the record — locks on existing records
+    are acquired at read time; a read without one takes no lock. *)
 
 val insert :
   t ->

@@ -25,18 +25,16 @@ type t = {
   name : string;
   handler : handler;
   mutable members : Process.t array;  (* slot-indexed: names are stable *)
-  mutable served : int;
 }
 
 let member_name t index = Printf.sprintf "%s-%d" t.name index
 
 let server_body t process =
-  let config = Net.config t.net in
   let rec loop () =
     let message = Process.receive process in
     (match message.Message.payload with
     | Server_request { transid; body } ->
-        Cpu.consume (Process.cpu process) config.Hw_config.cpu_server_cost;
+        Cpu.consume (Process.cpu process) Hw_config.cpu_server_cost;
         let ctx =
           {
             server_process = process;
@@ -45,7 +43,6 @@ let server_body t process =
           }
         in
         let result = t.handler ctx body in
-        t.served <- t.served + 1;
         Rpc.reply t.net ~self:process ~to_:message (Server_reply result)
     | _ -> ());
     loop ()
@@ -66,7 +63,7 @@ let spawn_slot t slot =
 
 let create_class ~net ~files ~node ~name ~handler ~initial () =
   let t =
-    { net; files; node; name; handler; members = [||]; served = 0 }
+    { net; files; node; name; handler; members = [||] }
   in
   t.members <-
     Array.init initial (fun slot ->
@@ -110,8 +107,6 @@ let set_members t target =
     in
     t.members <- Array.append t.members extra
   end
-
-let requests_served t = t.served
 
 let queued_requests t =
   Array.fold_left

@@ -66,8 +66,6 @@ val enable_autoscale :
 val queued_requests : t -> int
 (** Requests waiting in members' mailboxes right now. *)
 
-val requests_served : t -> int
-
 (** {1 Requester side} *)
 
 val send :

@@ -256,7 +256,6 @@ let spawn ~net ~tmf ~node ~name ~lookup_class ~primary_cpu ~backup_cpu
       ~apply:(fun () () -> ())
       ~snapshot:(fun () -> [])
       ~service:(fun pair replica process -> service t pair replica process)
-      ()
   in
   t.pair <- Some pair;
   t
@@ -287,11 +286,3 @@ let program_aborts t = sum t (fun term -> term.aborted)
 let failures t = sum t (fun term -> term.failed)
 
 let restarts t = sum t (fun term -> term.restarts)
-
-let busy_terminals t =
-  Array.fold_left
-    (fun acc term ->
-      if term.current_input <> None || not (Queue.is_empty term.queue) then
-        acc + 1
-      else acc)
-    0 t.terminals

@@ -44,6 +44,3 @@ val failures : t -> int
 
 val restarts : t -> int
 (** Total automatic restarts performed. *)
-
-val busy_terminals : t -> int
-(** Terminals currently executing or holding queued input. *)

@@ -1,18 +1,19 @@
 open Tandem_sim
 
+let same_cpu_latency = Sim_time.microseconds 100
+let bus_latency = Sim_time.microseconds 500
+let network_latency = Sim_time.milliseconds 10
+let cpu_message_cost = Sim_time.microseconds 500
+let cpu_db_op_cost = Sim_time.milliseconds 2
+let cpu_server_cost = Sim_time.milliseconds 3
+let failure_detection = Sim_time.seconds 1
+let rpc_timeout = Sim_time.seconds 2
+let rpc_retries = 3
+let net_retransmit = Sim_time.milliseconds 200
+let net_attempts = 5
+
 type t = {
-  same_cpu_latency : Sim_time.span;
-  bus_latency : Sim_time.span;
-  network_latency : Sim_time.span;
   disc_access : Sim_time.span;
-  cpu_message_cost : Sim_time.span;
-  cpu_db_op_cost : Sim_time.span;
-  cpu_server_cost : Sim_time.span;
-  failure_detection : Sim_time.span;
-  rpc_timeout : Sim_time.span;
-  rpc_retries : int;
-  net_retransmit : Sim_time.span;
-  net_attempts : int;
   dp_checkpoint_coalescing : bool;
   boxcar_window : Sim_time.span;
   boxcar_marginal_cost : Sim_time.span;
@@ -39,18 +40,7 @@ let rollforward_parallelism_doc = function
 
 let default =
   {
-    same_cpu_latency = Sim_time.microseconds 100;
-    bus_latency = Sim_time.microseconds 500;
-    network_latency = Sim_time.milliseconds 10;
     disc_access = Sim_time.milliseconds 25;
-    cpu_message_cost = Sim_time.microseconds 500;
-    cpu_db_op_cost = Sim_time.milliseconds 2;
-    cpu_server_cost = Sim_time.milliseconds 3;
-    failure_detection = Sim_time.seconds 1;
-    rpc_timeout = Sim_time.seconds 2;
-    rpc_retries = 3;
-    net_retransmit = Sim_time.milliseconds 200;
-    net_attempts = 5;
     dp_checkpoint_coalescing = true;
     boxcar_window = Sim_time.microseconds 100;
     boxcar_marginal_cost = Sim_time.microseconds 10;
@@ -76,40 +66,7 @@ let span_doc (us : Sim_time.span) =
 let knob_docs =
   let d = default in
   [
-    ( "same_cpu_latency",
-      span_doc d.same_cpu_latency,
-      "message latency between processes on one processor" );
-    ( "bus_latency",
-      span_doc d.bus_latency,
-      "one transfer over the interprocessor bus" );
-    ( "network_latency",
-      span_doc d.network_latency,
-      "one hop over a data-communications link between nodes" );
     ("disc_access", span_doc d.disc_access, "one physical disc access");
-    ( "cpu_message_cost",
-      span_doc d.cpu_message_cost,
-      "processor time to dispatch and handle one message" );
-    ( "cpu_db_op_cost",
-      span_doc d.cpu_db_op_cost,
-      "processor time for one DISCPROCESS data-base operation" );
-    ( "cpu_server_cost",
-      span_doc d.cpu_server_cost,
-      "processor time for one server request's application logic" );
-    ( "failure_detection",
-      span_doc d.failure_detection,
-      "time for the I'm-alive protocol to declare a processor down" );
-    ( "rpc_timeout",
-      span_doc d.rpc_timeout,
-      "requester-side timeout on a request/reply exchange" );
-    ( "rpc_retries",
-      string_of_int d.rpc_retries,
-      "automatic path retries after an RPC timeout" );
-    ( "net_retransmit",
-      span_doc d.net_retransmit,
-      "end-to-end protocol retransmission interval" );
-    ( "net_attempts",
-      string_of_int d.net_attempts,
-      "end-to-end protocol send attempts before giving up" );
     ( "dp_checkpoint_coalescing",
       string_of_bool d.dp_checkpoint_coalescing,
       "one DISCPROCESS checkpoint per client request instead of per image" );

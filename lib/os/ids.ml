@@ -7,16 +7,6 @@ type pid = { node : node_id; cpu : cpu_id; serial : int }
 let pp_pid formatter { node; cpu; serial } =
   Format.fprintf formatter "%d:%d.%d" node cpu serial
 
-let pid_to_string pid = Format.asprintf "%a" pp_pid pid
-
 let equal_pid a b = a.node = b.node && a.cpu = b.cpu && a.serial = b.serial
-
-let compare_pid a b =
-  match Int.compare a.node b.node with
-  | 0 -> (
-      match Int.compare a.cpu b.cpu with
-      | 0 -> Int.compare a.serial b.serial
-      | c -> c)
-  | c -> c
 
 let max_cpus_per_node = 16

@@ -18,11 +18,7 @@ type pid = { node : node_id; cpu : cpu_id; serial : int }
 val pp_pid : Format.formatter -> pid -> unit
 (** Renders as ["2:1.17"] (node:cpu.serial). *)
 
-val pid_to_string : pid -> string
-
 val equal_pid : pid -> pid -> bool
-
-val compare_pid : pid -> pid -> int
 
 val max_cpus_per_node : int
 (** 16, per the hardware architecture. *)

@@ -41,13 +41,13 @@ type t = {
   mutable next_corr : int;
 }
 
-let create ?(seed = 42) ?(config = Hw_config.default) ?(echo_trace = false) () =
+let create ?(seed = 42) ?(config = Hw_config.default) () =
   let engine = Engine.create ~seed () in
   let metrics = Metrics.create () in
   {
     engine;
     config;
-    trace = Trace.create ~echo:echo_trace engine;
+    trace = Trace.create engine;
     metrics;
     spans = Span.create engine;
     workload_rng = Rng.split (Engine.rng engine);
@@ -83,8 +83,7 @@ let invalidate_routes t = Hashtbl.reset t.route_cache
 let add_node t ~id ~cpus =
   if Hashtbl.mem t.node_table id then invalid_arg "Net.add_node: duplicate id";
   let node =
-    Node.create ~engine:t.engine ~trace:t.trace ~metrics:t.metrics
-      ~config:t.config ~id ~cpus
+    Node.create ~engine:t.engine ~trace:t.trace ~metrics:t.metrics ~id ~cpus
   in
   Hashtbl.replace t.node_table id node;
   invalidate_routes t;
@@ -97,11 +96,7 @@ let nodes t =
   |> List.sort (fun a b -> Int.compare (Node.id a) (Node.id b))
 
 let add_link ?latency t a b =
-  let latency =
-    match latency with
-    | Some l -> l
-    | None -> t.config.Hw_config.network_latency
-  in
+  let latency = Option.value latency ~default:Hw_config.network_latency in
   if a = b then invalid_arg "Net.add_link: self link";
   t.links <-
     { node_a = a; node_b = b; nominal_latency = latency; latency; up = true }
@@ -365,8 +360,8 @@ let send t (message : Message.t) =
       | None ->
           if remaining > 1 then begin
             Metrics.incr t.c_retransmits;
-            Engine.post_after t.engine t.config.Hw_config.net_retransmit
-              (fun () -> attempt (remaining - 1))
+            Engine.post_after t.engine Hw_config.net_retransmit (fun () ->
+                attempt (remaining - 1))
           end
           else begin
             Metrics.incr (Metrics.counter t.metrics "net.msgs_dropped_unroutable");
@@ -374,7 +369,7 @@ let send t (message : Message.t) =
               message
           end
     in
-    attempt t.config.Hw_config.net_attempts
+    attempt Hw_config.net_attempts
   end
 
 let fresh_corr t =

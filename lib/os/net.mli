@@ -11,8 +11,7 @@
 
 type t
 
-val create :
-  ?seed:int -> ?config:Hw_config.t -> ?echo_trace:bool -> unit -> t
+val create : ?seed:int -> ?config:Hw_config.t -> unit -> t
 (** A fresh network with its own simulation engine, trace and metrics. *)
 
 val engine : t -> Tandem_sim.Engine.t

@@ -5,7 +5,6 @@ type t = {
   engine : Engine.t;
   trace : Trace.t;
   metrics : Metrics.t;
-  config : Hw_config.t;
   cpus : Cpu.t array;
   mutable bus_x_up : bool;
   mutable bus_y_up : bool;
@@ -20,7 +19,7 @@ type t = {
   c_dropped_dead : Metrics.counter;
 }
 
-let create ~engine ~trace ~metrics ~config ~id ~cpus =
+let create ~engine ~trace ~metrics ~id ~cpus =
   if cpus < 2 || cpus > Ids.max_cpus_per_node then
     invalid_arg "Node.create: a node has 2 to 16 processors";
   {
@@ -28,7 +27,6 @@ let create ~engine ~trace ~metrics ~config ~id ~cpus =
     engine;
     trace;
     metrics;
-    config;
     cpus = Array.init cpus (fun i -> Cpu.create engine ~node:id ~id:i);
     bus_x_up = true;
     bus_y_up = true;
@@ -45,8 +43,6 @@ let create ~engine ~trace ~metrics ~config ~id ~cpus =
 let id t = t.id
 
 let engine t = t.engine
-
-let config t = t.config
 
 let trace t = t.trace
 
@@ -96,8 +92,8 @@ let deliver_local t (message : Message.t) =
   let src = message.Message.src and dst = message.Message.dst in
   let latency =
     if src.Ids.node = t.id && src.Ids.cpu = dst.Ids.cpu then
-      t.config.Hw_config.same_cpu_latency
-    else t.config.Hw_config.bus_latency
+      Hw_config.same_cpu_latency
+    else Hw_config.bus_latency
   in
   let crosses_bus = src.Ids.node <> t.id || src.Ids.cpu <> dst.Ids.cpu in
   if crosses_bus && buses_up t = 0 then begin
@@ -125,13 +121,12 @@ let fail_cpu t cpu_id =
         if (Process.pid process).Ids.cpu = cpu_id then Process.kill process)
       t.processes;
     let hooks = t.cpu_down_hooks in
-    Engine.post_after t.engine t.config.Hw_config.failure_detection
-      (fun () ->
-           (* The hooks run even if the processor was reloaded inside the
-              detection window: its processes were killed at the instant of
-              failure, so the I'm-alive protocol still finds the missed
-              heartbeats — a reload is not a transient stall. *)
-           List.iter (fun hook -> hook cpu_id) (List.rev hooks))
+    Engine.post_after t.engine Hw_config.failure_detection (fun () ->
+        (* The hooks run even if the processor was reloaded inside the
+           detection window: its processes were killed at the instant of
+           failure, so the I'm-alive protocol still finds the missed
+           heartbeats — a reload is not a transient stall. *)
+        List.iter (fun hook -> hook cpu_id) (List.rev hooks))
   end
 
 let restore_cpu t cpu_id =

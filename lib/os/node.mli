@@ -12,7 +12,6 @@ val create :
   engine:Tandem_sim.Engine.t ->
   trace:Tandem_sim.Trace.t ->
   metrics:Tandem_sim.Metrics.t ->
-  config:Hw_config.t ->
   id:Ids.node_id ->
   cpus:int ->
   t
@@ -21,8 +20,6 @@ val create :
 val id : t -> Ids.node_id
 
 val engine : t -> Tandem_sim.Engine.t
-
-val config : t -> Hw_config.t
 
 val trace : t -> Tandem_sim.Trace.t
 

@@ -10,7 +10,6 @@ type ('state, 'ckpt) t = {
   apply : 'state -> 'ckpt -> unit;
   snapshot : 'state -> 'ckpt list;
   service : ('state, 'ckpt) t -> 'state -> Process.t -> unit;
-  on_takeover : 'state -> unit;
   mutable primary : (Process.t * 'state) option;
   mutable backup : (Process.t * 'state) option;
   mutable takeover_count : int;
@@ -22,13 +21,12 @@ let is_checkpoint (message : Message.t) =
   | Checkpoint_apply _ -> true
   | _ -> false
 
-let backup_loop t process state =
-  let config = Node.config t.node in
+let backup_loop process state =
   let rec loop () =
     let message = Process.receive ~filter:is_checkpoint process in
     (match message.Message.payload with
     | Checkpoint_apply apply_it ->
-        Cpu.consume (Process.cpu process) config.Hw_config.cpu_message_cost;
+        Cpu.consume (Process.cpu process) Hw_config.cpu_message_cost;
         apply_it ()
     | _ -> assert false);
     loop ()
@@ -48,7 +46,7 @@ let spawn_backup t ~cpu =
   | None -> ());
   let process =
     Node.spawn t.node ~name:(t.pair_name ^ "-B") ~cpu (fun process ->
-        backup_loop t process state)
+        backup_loop process state)
   in
   t.backup <- Some (process, state);
   Metrics.incr (Metrics.counter (Net.metrics t.net) "os.pair_backup_created")
@@ -80,7 +78,6 @@ let handle_cpu_down t failed_cpu =
         Trace.emit (Net.trace t.net) "pair" "%s: takeover by cpu %d"
           t.pair_name (Process.pid backup_process).Ids.cpu;
         Metrics.incr (Metrics.counter (Net.metrics t.net) "os.pair_takeovers");
-        t.on_takeover backup_state;
         Process.spawn_fiber backup_process (fun () ->
             t.service t backup_state backup_process);
         (match
@@ -124,7 +121,7 @@ let handle_cpu_up t restored_cpu =
   | _ -> ()
 
 let create ~net ~node ~name ~primary_cpu ~backup_cpu ~init ~apply ~snapshot
-    ~service ?(on_takeover = fun _ -> ()) () =
+    ~service =
   if primary_cpu = backup_cpu then
     invalid_arg "Process_pair.create: primary and backup share a processor";
   let t =
@@ -136,7 +133,6 @@ let create ~net ~node ~name ~primary_cpu ~backup_cpu ~init ~apply ~snapshot
       apply;
       snapshot;
       service;
-      on_takeover;
       primary = None;
       backup = None;
       takeover_count = 0;
@@ -155,7 +151,6 @@ let create ~net ~node ~name ~primary_cpu ~backup_cpu ~init ~apply ~snapshot
   t
 
 let checkpoint t ckpt =
-  let config = Node.config t.node in
   Metrics.incr (Lazy.force t.checkpoints);
   match (t.primary, t.backup) with
   | Some (primary_process, _), Some (backup_process, backup_state)
@@ -166,17 +161,13 @@ let checkpoint t ckpt =
            ~dst:(Process.pid backup_process) payload);
       (* The primary waits for the checkpoint acknowledgement (one bus round
          trip) before acting on the checkpointed intention. *)
-      Fiber.sleep (Net.engine t.net) (2 * config.Hw_config.bus_latency)
+      Fiber.sleep (Net.engine t.net) (2 * Hw_config.bus_latency)
   | _ -> ()
 
 let receive _t process =
   Process.receive ~filter:(fun message -> not (is_checkpoint message)) process
 
 let name t = t.pair_name
-
-let primary_pid t = Option.map (fun (p, _) -> Process.pid p) t.primary
-
-let backup_pid t = Option.map (fun (p, _) -> Process.pid p) t.backup
 
 let is_up t =
   match t.primary with

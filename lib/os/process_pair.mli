@@ -27,8 +27,6 @@ val create :
   apply:('state -> 'ckpt -> unit) ->
   snapshot:('state -> 'ckpt list) ->
   service:(('state, 'ckpt) t -> 'state -> Process.t -> unit) ->
-  ?on_takeover:('state -> unit) ->
-  unit ->
   ('state, 'ckpt) t
 (** [init] builds an empty replica state; [apply] folds one checkpoint into a
     replica; [snapshot] dumps a state as the checkpoint sequence that
@@ -45,11 +43,6 @@ val receive : ('state, 'ckpt) t -> Process.t -> Message.t
 (** Receive the next non-checkpoint message in the service loop. *)
 
 val name : ('state, 'ckpt) t -> string
-
-val primary_pid : ('state, 'ckpt) t -> Ids.pid option
-(** [None] when the pair is completely down. *)
-
-val backup_pid : ('state, 'ckpt) t -> Ids.pid option
 
 val is_up : ('state, 'ckpt) t -> bool
 

@@ -9,11 +9,7 @@ let pp_error formatter = function
 exception Rpc_timeout
 
 let call net ~self ~dst ?timeout payload =
-  let timeout =
-    match timeout with
-    | Some span -> span
-    | None -> (Net.config net).Hw_config.rpc_timeout
-  in
+  let timeout = Option.value timeout ~default:Hw_config.rpc_timeout in
   let engine = Net.engine net in
   let corr = Net.fresh_corr net in
   let message = Message.request ~src:(Process.pid self) ~dst ~corr payload in
@@ -34,19 +30,14 @@ let call net ~self ~dst ?timeout payload =
   | exception Rpc_timeout -> Error `Timeout
 
 let call_name net ~self ~node ~name ?timeout ?retries payload =
-  let config = Net.config net in
-  let retries =
-    match retries with
-    | Some n -> n
-    | None -> config.Hw_config.rpc_retries
-  in
+  let retries = Option.value retries ~default:Hw_config.rpc_retries in
   Metrics.incr (Metrics.family_counter (Net.rpc_calls_family net) name);
   let rec attempt remaining =
     match Node.lookup_name (Net.node net node) name with
     | None ->
         if remaining > 0 then begin
           (* The name may be re-registered by a takeover in progress. *)
-          Fiber.sleep (Net.engine net) config.Hw_config.net_retransmit;
+          Fiber.sleep (Net.engine net) Hw_config.net_retransmit;
           attempt (remaining - 1)
         end
         else Error `No_such_name

@@ -46,6 +46,3 @@ val zipf : t -> n:int -> theta:float -> int
 
 val pick : t -> 'a array -> 'a
 (** Uniformly chosen array element. Requires a non-empty array. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)

@@ -3,17 +3,15 @@ type entry = { time : Sim_time.t; subsystem : string; message : string }
 type t = {
   engine : Engine.t;
   capacity : int;
-  echo : bool;
   mutable ring : entry list; (* newest first, trimmed to capacity *)
   mutable size : int;
   enabled_tags : (string, unit) Hashtbl.t;
 }
 
-let create ?(capacity = 4096) ?(echo = false) engine =
+let create ?(capacity = 4096) engine =
   {
     engine;
     capacity;
-    echo;
     ring = [];
     size = 0;
     enabled_tags = Hashtbl.create 16;
@@ -39,8 +37,7 @@ let record t subsystem message =
     let keep = t.capacity / 2 in
     t.ring <- List.filteri (fun i _ -> i < keep) t.ring;
     t.size <- keep
-  end;
-  if t.echo then Format.eprintf "%a@." pp_entry entry
+  end
 
 let emit t subsystem fmt =
   if enabled t subsystem then

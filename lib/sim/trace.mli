@@ -1,17 +1,16 @@
 (** In-simulation event tracing.
 
     Each engine run keeps a bounded ring of trace entries (simulated time,
-    subsystem tag, message). Tests assert on the ring; humans can echo it to
-    stderr. Tracing is cheap when disabled: the [emit] formatting thunk is
+    subsystem tag, message). Tests assert on the ring; the CLI prints it.
+    Tracing is cheap when disabled: the [emit] formatting thunk is
     only forced for enabled subsystems. *)
 
 type t
 
 type entry = { time : Sim_time.t; subsystem : string; message : string }
 
-val create : ?capacity:int -> ?echo:bool -> Engine.t -> t
-(** [create engine] is a trace ring of [capacity] entries (default 4096).
-    With [echo:true], entries are also printed to stderr as they happen. *)
+val create : ?capacity:int -> Engine.t -> t
+(** [create engine] is a trace ring of [capacity] entries (default 4096). *)
 
 val enable : t -> string -> unit
 (** Enable a subsystem tag. The pseudo-tag ["*"] enables everything. *)

@@ -101,7 +101,7 @@ let test_cross_node_rpc () =
   Alcotest.(check string) "echoed across two hops" "far" !answer;
   (* Two network hops each way, at least. *)
   check_bool "network latency paid" true
-    (Engine.now (Net.engine net) >= 4 * Hw_config.default.Hw_config.network_latency)
+    (Engine.now (Net.engine net) >= 4 * Hw_config.network_latency)
 
 let test_routing_reroutes_after_link_failure () =
   (* Triangle 1-2, 2-3, 1-3: direct 1-3 link fails, route goes via 2. *)
@@ -283,6 +283,52 @@ let test_both_buses_down_drops_cross_cpu_traffic () =
   Engine.run (Net.engine net);
   check_int "single bus suffices" 1 !received
 
+(* Each fixed hardware cost is paid exactly where it applies: a same-CPU,
+   a cross-CPU (bus) and a cross-node delivery, and the I'm-alive detection
+   delay before a processor's down hooks run. Boxcarring is off so the
+   cross-node delivery pays the link latency alone. *)
+let test_fixed_costs_wired () =
+  let net =
+    Net.create ~config:{ Hw_config.default with boxcar_window = 0 } ()
+  in
+  let node1 = Net.add_node net ~id:1 ~cpus:4 in
+  ignore (Net.add_node net ~id:2 ~cpus:4);
+  Net.add_link net 1 2;
+  let engine = Net.engine net in
+  let delivery_time ~node ~cpu =
+    let arrived = ref None in
+    let listener =
+      Node.spawn (Net.node net node) ~cpu (fun process ->
+          ignore (Process.receive process);
+          arrived := Some (Engine.now engine))
+    in
+    let sent = Engine.now engine in
+    ignore
+      (Node.spawn node1 ~cpu:0 (fun process ->
+           Net.send net
+             (Message.oneway ~src:(Process.pid process)
+                ~dst:(Process.pid listener) (Note 0))));
+    Engine.run engine;
+    match !arrived with
+    | Some at -> Sim_time.diff at sent
+    | None -> Alcotest.fail "message not delivered"
+  in
+  check_int "same cpu" Hw_config.same_cpu_latency
+    (delivery_time ~node:1 ~cpu:0);
+  check_int "cross cpu" Hw_config.bus_latency (delivery_time ~node:1 ~cpu:1);
+  check_int "cross node" Hw_config.network_latency
+    (delivery_time ~node:2 ~cpu:0);
+  let failed_at = Sim_time.add (Engine.now engine) (Sim_time.milliseconds 5) in
+  let detected = ref [] in
+  Node.on_cpu_down node1 (fun cpu ->
+      detected := (cpu, Engine.now engine) :: !detected);
+  ignore (Engine.schedule_at engine failed_at (fun () -> Node.fail_cpu node1 3));
+  Engine.run engine;
+  Alcotest.(check (list (pair int int)))
+    "down hooks fire after the detection interval"
+    [ (3, Sim_time.add failed_at Hw_config.failure_detection) ]
+    !detected
+
 let test_cpu_consume_serializes () =
   let net = make_net () in
   let node = Net.node net 1 in
@@ -388,7 +434,6 @@ let register_pair net node ~primary_cpu ~backup_cpu =
         loop ()
       in
       loop ())
-    ()
 
 let call_add ?(name = "$REG") net node from_cpu n =
   let result = ref None in
@@ -485,7 +530,6 @@ let test_pair_uncheckpointed_window_lost () =
           loop ()
         in
         loop ())
-      ()
   in
   ignore pair;
   (match call_add ~name:"$BAD" net node 2 5 with
@@ -538,6 +582,7 @@ let () =
           Alcotest.test_case "dual bus redundancy" `Quick
             test_both_buses_down_drops_cross_cpu_traffic;
           Alcotest.test_case "cpu fifo service" `Quick test_cpu_consume_serializes;
+          Alcotest.test_case "fixed costs wired" `Quick test_fixed_costs_wired;
         ] );
       ( "process_pair",
         [
