@@ -104,7 +104,7 @@ let recovery_batch ~quick =
             in
             Printf.sprintf "%s recovery=%.3fms chains=%d"
               (Exp_recovery.stats_repr m.Exp_recovery.stats)
-              (Exp_recovery.span_ms m.Exp_recovery.recovery)
+              m.Exp_recovery.recovery_ms
               m.Exp_recovery.chains)
           arms
         |> String.concat "\n");

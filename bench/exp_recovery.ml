@@ -3,13 +3,15 @@
    An eight-node bank runs a mixed debit-credit + transfer load; one
    account-partition node is killed mid-load at several points, giving
    audit trails of increasing length to replay. Each trail is recovered
-   twice from identically-seeded clusters — once with
-   `rollforward_parallelism=seq` (the stock four-pass replay) and once
-   with `chains:8` (dependency-partitioned redo on a fiber pool) — and
-   the recovery wall-clock (simulated) is compared. The parallel replay
-   wins by overlapping the mirrored-drive reads of independent chains
-   and by resolving transaction verdicts (network RPCs to the surviving
-   home node) concurrently instead of serially.
+   twice from identically-seeded clusters by the one ROLLFORWARD replay
+   engine — once with `rollforward_parallelism=seq` (each trail one chain
+   in audit order, on one worker, no read-ahead) and once with `chains:8`
+   (each trail's dependency chains on eight workers, with read-ahead) —
+   and the recovery time (simulated, as [recover] records it in
+   tmf.recovery_ms) is compared. The parallel replay wins by overlapping
+   the mirrored-drive reads of independent chains and by resolving
+   transaction verdicts (network RPCs to the surviving home node)
+   concurrently instead of serially.
 
    A full run rewrites BENCH_recovery.json; quick mode
    (TANDEM_BENCH_QUICK=1) runs two small points and leaves the file
@@ -84,40 +86,11 @@ let make_cluster ~parallelism ~accounts ~terminals ~inputs =
   in
   (cluster, tcps)
 
-(* Time the ROLLFORWARD itself: the client fiber stamps the engine clock
-   immediately before and after [recover], so the measurement excludes the
-   engine pump slices around it (Cluster.rollforward_node quantizes to its
-   1 s pump granularity). *)
-let timed_recover cluster ~node archive =
-  let engine = Cluster.engine cluster in
-  let result = ref None in
-  Cluster.run_client cluster ~node ~cpu:0 (fun process ->
-      let started = Engine.now engine in
-      let stats =
-        Tmf.Rollforward.recover
-          (Tmf.rollforward (Cluster.tmf cluster) node)
-          ~self:process archive
-      in
-      result := Some (stats, Sim_time.diff (Engine.now engine) started));
-  let rec pump remaining =
-    if !result = None && remaining > 0 then begin
-      Cluster.run_for cluster (Sim_time.seconds 1);
-      pump (remaining - 1)
-    end
-  in
-  pump 600;
-  match !result with
-  | Some r -> r
-  | None -> failwith "exp_recovery: recovery did not complete"
-
-let stats_repr (stats : Tmf.Rollforward.stats) =
-  Printf.sprintf "scanned=%d applied=%d undone=%d redone=%d discarded=%d"
-    stats.Tmf.Rollforward.images_scanned stats.images_applied
-    stats.images_undone stats.transactions_redone stats.transactions_discarded
+let stats_repr = Format.asprintf "%a" Tmf.Rollforward.pp_stats
 
 type measurement = {
   stats : Tmf.Rollforward.stats;
-  recovery : Sim_time.span;
+  recovery_ms : float;
   chains : int;
 }
 
@@ -132,13 +105,15 @@ let measure ~parallelism ~accounts ~terminals ~inputs ~crash_ms =
   Cluster.run ~until:(Sim_time.milliseconds crash_ms) cluster;
   Cluster.total_node_failure cluster ~node:crash_node;
   Cluster.run cluster;
-  let stats, recovery = timed_recover cluster ~node:crash_node archive in
-  let chains =
-    Metrics.read_counter (Cluster.metrics cluster) "tmf.recovery_chains"
+  let stats = Cluster.rollforward_node cluster ~node:crash_node archive in
+  let metrics = Cluster.metrics cluster in
+  (* [recover] stamps its own duration, so the figure excludes the engine
+     pump slices around it. *)
+  let recovery_ms =
+    Metrics.histogram_sum (Metrics.read_histogram metrics "tmf.recovery_ms")
   in
-  { stats; recovery; chains }
-
-let span_ms span = Sim_time.to_seconds_float span *. 1000.
+  let chains = Metrics.read_counter metrics "tmf.recovery_chains" in
+  { stats; recovery_ms; chains }
 
 type point = {
   label : string;
@@ -156,8 +131,8 @@ let point_of ~crash_ms seq par =
     trail_images = seq.stats.Tmf.Rollforward.images_scanned;
     transactions_redone = seq.stats.Tmf.Rollforward.transactions_redone;
     point_chains = par.chains;
-    seq_ms = span_ms seq.recovery;
-    par_ms = span_ms par.recovery;
+    seq_ms = seq.recovery_ms;
+    par_ms = par.recovery_ms;
     replay_equal = stats_repr seq.stats = stats_repr par.stats;
   }
 

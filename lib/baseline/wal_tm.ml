@@ -33,7 +33,6 @@ type t = {
   mutable last_control_point : control_point option;
   mutable halted_at : Sim_time.t;
   mutable outage_total : Sim_time.span;
-  mutable lost : int;
   mutable live_txs : tx list;
 }
 
@@ -58,7 +57,6 @@ let create ~engine ~metrics ~data_volume ~log_volume ?(cache_capacity = 256)
     last_control_point = None;
     halted_at = Sim_time.zero;
     outage_total = 0;
-    lost = 0;
     live_txs = [];
   }
 
@@ -276,7 +274,6 @@ let crash t =
     t.available <- false;
     t.epoch <- t.epoch + 1;
     t.halted_at <- Engine.now t.engine;
-    t.lost <- t.lost + List.length t.live_txs;
     Metrics.add (counter t "transactions_lost") (List.length t.live_txs);
     t.live_txs <- [];
     (* The unforced log tail is lost with main memory. *)
@@ -334,8 +331,4 @@ let restart t ~on_done =
 
 let unavailable_total t = t.outage_total
 
-let log_records t = t.next_lsn
-
 let forced_log_writes t = Metrics.read_counter t.metrics "baseline.forced_log_writes"
-
-let transactions_lost t = t.lost

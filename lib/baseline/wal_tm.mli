@@ -87,9 +87,4 @@ val restart : t -> on_done:(unit -> unit) -> unit
 val unavailable_total : t -> Tandem_sim.Sim_time.span
 (** Accumulated service outage (halt to end-of-restart). *)
 
-val log_records : t -> int
-
 val forced_log_writes : t -> int
-
-val transactions_lost : t -> int
-(** In-flight transactions destroyed by crashes. *)

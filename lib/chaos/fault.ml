@@ -64,34 +64,6 @@ let kind = function
   | Link_degrade _ -> "link_degrade"
   | Link_repair _ -> "link_repair"
 
-let all_kinds =
-  [
-    "cpu_crash";
-    "cpu_restore";
-    "node_crash";
-    "node_recover";
-    "drive_failure";
-    "drive_revive";
-    "controller_failure";
-    "controller_restore";
-    "bus_failure";
-    "bus_restore";
-    "link_failure";
-    "link_restore";
-    "partition";
-    "heal_partition";
-    "link_degrade";
-    "link_repair";
-  ]
-
-let is_repair = function
-  | Cpu_restore _ | Node_recover _ | Drive_revive _ | Controller_restore _
-  | Bus_restore _ | Link_restore _ | Heal_partition | Link_repair _ ->
-      true
-  | Cpu_crash _ | Node_crash _ | Drive_failure _ | Controller_failure _
-  | Bus_failure _ | Link_failure _ | Partition _ | Link_degrade _ ->
-      false
-
 let mirror_to_string = function `M0 -> "M0" | `M1 -> "M1"
 
 let controller_to_string = function `A -> "A" | `B -> "B"

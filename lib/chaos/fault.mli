@@ -85,12 +85,6 @@ val kind : t -> string
     the label under [chaos.faults_injected{kind=…}] and the key of the
     docs/FAULT_MODEL.md taxonomy table. *)
 
-val all_kinds : string list
-(** Every injectable kind slug, in taxonomy order. *)
-
-val is_repair : t -> bool
-(** Whether the fault is the repair half of a crash/repair pair. *)
-
 val to_string : t -> string
 (** Byte-stable one-line rendering; {!Schedule.to_string} concatenates these,
     and the determinism contract (same seed ⇒ identical schedule) is checked

@@ -40,8 +40,6 @@ val build_bank :
 val committed : bank -> int
 (** Transactions carried to completion across every TCP. *)
 
-val debit_credit_committed : bank -> int
-
 val restarts : bank -> int
 
 val failures : bank -> int

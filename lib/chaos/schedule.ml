@@ -40,8 +40,6 @@ let kind_counts t =
   Hashtbl.fold (fun kind n acc -> (kind, n) :: acc) table []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let last_ms t = List.fold_left (fun acc e -> max acc e.at_ms) 0 t.entries
-
 let to_string t =
   entries t
   |> List.map (fun (at_ms, fault) ->

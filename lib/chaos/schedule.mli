@@ -26,9 +26,6 @@ val count : t -> int
 val kind_counts : t -> (string * int) list
 (** Number of entries per {!Fault.kind}, sorted by kind slug. *)
 
-val last_ms : t -> int
-(** Instant of the latest entry; 0 when empty. *)
-
 val to_string : t -> string
 (** Byte-stable rendering: one ["%6dms %s"] line per entry in {!entries}
     order. Two schedules are the same exactly when their renderings are

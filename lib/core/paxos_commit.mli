@@ -36,8 +36,6 @@ val acceptor_nodes : Net.t -> int -> Ids.node_id list
     disjoint "majorities" could both succeed, and the set would have to be
     pinned per transaction instead. *)
 
-val quorum_of : Ids.node_id list -> int
-
 val cast_vote :
   Net.t ->
   self:Process.t ->

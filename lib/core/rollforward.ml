@@ -21,7 +21,9 @@ type target = {
 
 type archive = {
   volume_restorers : (string * (unit -> unit)) list;
-  trail_positions : (string * int) list; (* trail name -> next sequence *)
+  trail_positions : (string * int) list;
+      (* trail name -> first sequence not yet forced at archive time; the
+         replay starts there, so it covers the unforced tail *)
   open_transactions : String_set.t;
       (* unresolved at archive time: their pre-archive images are loser
          candidates *)
@@ -31,8 +33,10 @@ type archive = {
          buffer, or a trail's appended-but-unforced tail). The crash that
          makes this archive relevant destroys those images, so they must be
          carried by the archive itself and backed out unconditionally at
-         restore — their transactions cannot have committed (every commit
-         path forces its audit first). *)
+         restore — their transactions had not committed when the archive
+         was taken (every commit path forces its audit first). One that
+         commits later forces those images into its trail, at or after the
+         archive's position, and the replay redoes them. *)
 }
 
 type t = {
@@ -69,7 +73,8 @@ let take_archive t =
         t.targets;
     trail_positions =
       Hashtbl.fold
-        (fun name trail acc -> (name, Audit_trail.next_sequence trail) :: acc)
+        (fun name trail acc ->
+          (name, Audit_trail.forced_up_to trail + 1) :: acc)
         t.state.Tmf_state.trails [];
     open_transactions =
       Hashtbl.fold
@@ -102,20 +107,6 @@ let archive_trail_gap t archive =
 
 let own_node t = Node.id t.state.Tmf_state.node
 
-(* A single-node fast-path commit leaves no monitor-trail record: its
-   commit decision is the marker record forced into the transaction's own
-   audit trail. The marker was forced after every data image, so if it
-   survived the crash the transaction's whole history did. *)
-let has_commit_marker t transid_string =
-  Hashtbl.fold
-    (fun _ trail found ->
-      found
-      || List.exists
-           (fun record ->
-             Audit_record.is_commit_marker record.Audit_record.image)
-           (Audit_trail.records_for trail ~transid:transid_string))
-    t.state.Tmf_state.trails false
-
 (* Disposition of a transaction found in the trails: the local monitor
    trail if it knows; otherwise negotiate with the home node (2PC) or the
    acceptor set (Paxos Commit). *)
@@ -135,7 +126,7 @@ let rec disposition_of t ~self transid =
              transaction to abort. *)
           if
             Transid.home transid = own_node t
-            && has_commit_marker t (Transid.to_string transid)
+            && Tmf_state.commit_marker_survives t.state transid
           then `Known Monitor_trail.Committed
           else begin
             let acceptors = Paxos_commit.acceptor_nodes t.net count in
@@ -147,7 +138,7 @@ let rec disposition_of t ~self transid =
 
 and two_phase_disposition t ~self transid =
       if Transid.home transid = own_node t then
-        if has_commit_marker t (Transid.to_string transid) then
+        if Tmf_state.commit_marker_survives t.state transid then
           `Known Monitor_trail.Committed
         else
           (* Homed here, no commit record, no marker: it never committed —
@@ -165,18 +156,18 @@ and two_phase_disposition t ~self transid =
       end
 
 (* ------------------------------------------------------------------ *)
-(* Recovery — shared machinery for the sequential and chain-parallel
-   replay paths. *)
+(* Recovery *)
 
 let target_for t image =
   List.find_opt
     (fun target -> String.equal target.target_volume image.Audit_record.volume)
     t.targets
 
-(* Step 1 (both paths): mount the archived copies, then scrub the fuzz —
-   writes the dump caught whose undo images died with volatile memory
-   (unflushed disc-process buffers, unforced trail tails). Their
-   transactions cannot have committed, so they are losers unconditionally.
+(* Step 1: mount the archived copies, then scrub the fuzz — writes the
+   dump caught whose undo images died with volatile memory (unflushed
+   disc-process buffers, unforced trail tails). Their transactions had not
+   committed when the archive was taken, so they are backed out
+   unconditionally; one that committed later is redone by the replay.
    Returns how many images were backed out. *)
 let restore_archive t archive =
   List.iter (fun (_, restore) -> restore ()) archive.volume_restorers;
@@ -191,29 +182,17 @@ let restore_archive t archive =
     archive.loser_images;
   !undone
 
-let archive_trails t archive =
-  List.filter_map
-    (fun (name, position) ->
-      match Hashtbl.find_opt t.state.Tmf_state.trails name with
-      | None -> None
-      | Some trail -> Some (trail, position))
-    archive.trail_positions
-
 (* Pre-archive records of transactions open at archive time (their images
    are loser candidates for the undo pass), ascending by sequence within
    the trail. Read through the per-transid index — O(records of the open
-   transactions), not O(trail) — and capped at the forced high-water mark
-   like any post-crash read. *)
+   transactions), not O(trail). Every record below the archive's position
+   was already forced when the archive was taken. *)
 let pre_archive_open_records trail ~position open_transactions =
-  let forced = Audit_trail.forced_up_to trail in
   String_set.fold
     (fun transid acc ->
       List.fold_left
         (fun acc record ->
-          if
-            record.Audit_record.sequence < position
-            && record.Audit_record.sequence <= forced
-          then record :: acc
+          if record.Audit_record.sequence < position then record :: acc
           else acc)
         acc
         (Audit_trail.records_for trail ~transid))
@@ -258,109 +237,26 @@ let assemble_stats verdicts ~scanned ~applied ~undone =
         verdicts [];
   }
 
-(* The paper's algorithm: one sequential pass in audit order. The ablation
-   baseline — `Chains must produce the identical final state. *)
-let recover_sequential t ~self archive =
-  let undone = ref (restore_archive t archive) in
-  (* Step 2: scan the surviving (forced) audit — everything after the
-     archive point, plus the full history of transactions that were open
-     when the archive was taken. *)
-  let trails = archive_trails t archive in
-  let records =
-    List.concat_map
-      (fun (trail, position) -> Audit_trail.records_from trail ~sequence:position)
-      trails
-  in
-  let pre_archive_open =
-    List.concat_map
-      (fun (trail, position) ->
-        pre_archive_open_records trail ~position archive.open_transactions)
-      trails
-  in
-  (* Step 3: resolve each transaction once (lazily, at first undo-filter
-     use). *)
-  let verdicts :
-      (string, [ `Known of Monitor_trail.disposition | `In_doubt ]) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  (* Step 4: repeat history — reapply EVERY post-archive image in order
-     (winners and losers alike), so the data base reaches exactly the
-     pre-crash state... *)
-  let applied = ref 0 in
-  List.iter
-    (fun record ->
-      let image = record.Audit_record.image in
-      match target_for t image with
-      | Some target ->
-          target.redo image;
-          incr applied
-      | None -> ())
-    records;
-  (* Step 5: ...then back the losers out in reverse order: post-archive
-     images of transactions without a commit record, and the pre-archive
-     images of transactions that were open at archive time. In-doubt
-     transactions are conservatively backed out too — once the home node is
-     reachable again, a second recovery from the same archive reinstates
-     them if they committed. *)
-  let loser record =
-    is_loser (verdict_for t ~self verdicts record.Audit_record.transid)
-  in
-  let losers_newest_first =
-    List.rev (List.filter loser (pre_archive_open @ records))
-  in
-  List.iter
-    (fun record ->
-      let image = record.Audit_record.image in
-      match target_for t image with
-      | Some target ->
-          target.undo image;
-          incr undone
-      | None -> ())
-    losers_newest_first;
-  let scanned =
-    List.length records + List.length pre_archive_open
-    + List.length archive.loser_images
-  in
-  assemble_stats verdicts ~scanned ~applied:!applied ~undone:!undone
-
-(* A dependency chain: one connected component of the logged
-   inter-transaction edges, restricted to one trail. All surviving records
-   that touch a common (volume, file, key) are transitively connected by
-   the edges (consecutive writers of a key always got one), so distinct
-   chains touch disjoint keys and commute; within a chain the audit order
-   is preserved. Both lists are built newest-first. *)
+(* A replay chain: records that one worker applies in audit order. Both
+   lists are built newest-first. *)
 type chain = {
   mutable redo_rev : Audit_record.t list; (* post-archive records *)
   mutable undo_rev : Audit_record.t list; (* pre-archive-open @ post-archive *)
 }
 
-(* Dependency-parallel replay: partition each trail's redo workload into
-   chains and run the passes on a pool of [workers] fibers. Chains touch
-   disjoint keys, but B-tree and slotted-page mutations span several block
-   I/Os (each a suspension point), so image applications serialize per
-   (volume, file) behind a fiber mutex — the parallelism that remains is
-   exactly the physical kind: disc reads overlapped across volumes, files
-   and mirror halves, and disposition RPCs overlapped with each other. *)
-let recover_chains t ~self ~workers archive =
-  let undone = ref (restore_archive t archive) in
-  let trails = archive_trails t archive in
-  let per_trail =
-    List.map
-      (fun (trail, position) ->
-        let redo_records = Audit_trail.records_from trail ~sequence:position in
-        let pre_open =
-          pre_archive_open_records trail ~position archive.open_transactions
-        in
-        (trail, pre_open, redo_records))
-      trails
-  in
-  (* Union-find over the trail's logged edges. Unioning through a
-     transaction absent from the replay set (resolved pre-archive, or
-     purged) is deliberate: dependency is transitive through the key
-     history, so merging conservatively is always sound. *)
-  let chains = ref [] in
-  List.iter
-    (fun (trail, pre_open, redo_records) ->
+(* Partition one trail's replay set into chains, newest-created first.
+   Without [dependency] the whole trail is one chain. With it, a chain is
+   one connected component of the trail's logged inter-transaction edges:
+   all surviving records that touch a common (volume, file, key) are
+   transitively connected by the edges (consecutive writers of a key always
+   got one), so distinct chains touch disjoint keys and commute. Unioning
+   through a transaction absent from the replay set (resolved pre-archive,
+   or purged) is deliberate: dependency is transitive through the key
+   history, so merging conservatively is always sound. *)
+let trail_chains ~dependency trail ~pre_open ~redo_records =
+  let root =
+    if not dependency then fun _ -> ""
+    else begin
       let parent : (string, string) Hashtbl.t = Hashtbl.create 64 in
       let rec find transid =
         match Hashtbl.find_opt parent transid with
@@ -375,35 +271,79 @@ let recover_chains t ~self ~workers archive =
           let ra = find a and rb = find b in
           if not (String.equal ra rb) then Hashtbl.replace parent ra rb)
         (Audit_trail.dependency_edges trail);
-      let chain_of : (string, chain) Hashtbl.t = Hashtbl.create 64 in
-      let trail_chains = ref [] in
-      let chain_for transid =
-        let root = find transid in
-        match Hashtbl.find_opt chain_of root with
-        | Some chain -> chain
-        | None ->
-            let chain = { redo_rev = []; undo_rev = [] } in
-            Hashtbl.replace chain_of root chain;
-            trail_chains := chain :: !trail_chains;
-            chain
-      in
-      List.iter
-        (fun record ->
-          let chain = chain_for record.Audit_record.transid in
-          chain.undo_rev <- record :: chain.undo_rev)
-        pre_open;
-      List.iter
-        (fun record ->
-          let chain = chain_for record.Audit_record.transid in
-          chain.redo_rev <- record :: chain.redo_rev;
-          chain.undo_rev <- record :: chain.undo_rev)
-        redo_records;
-      chains := List.rev_append !trail_chains !chains)
-    per_trail;
-  let chains = List.rev !chains in
-  Metrics.add
-    (Metrics.counter (Net.metrics t.net) "tmf.recovery_chains")
-    (List.length chains);
+      find
+    end
+  in
+  let chain_of : (string, chain) Hashtbl.t = Hashtbl.create 64 in
+  let chains = ref [] in
+  let chain_for transid =
+    let root = root transid in
+    match Hashtbl.find_opt chain_of root with
+    | Some chain -> chain
+    | None ->
+        let chain = { redo_rev = []; undo_rev = [] } in
+        Hashtbl.replace chain_of root chain;
+        chains := chain :: !chains;
+        chain
+  in
+  List.iter
+    (fun record ->
+      let chain = chain_for record.Audit_record.transid in
+      chain.undo_rev <- record :: chain.undo_rev)
+    pre_open;
+  List.iter
+    (fun record ->
+      let chain = chain_for record.Audit_record.transid in
+      chain.redo_rev <- record :: chain.redo_rev;
+      chain.undo_rev <- record :: chain.undo_rev)
+    redo_records;
+  !chains
+
+(* The replay. [`Sequential] is the paper's algorithm: each trail is one
+   chain, replayed in audit order on one worker. [`Chains workers] is the
+   dependency-partitioned replay: each trail's dependency chains run on a
+   pool of [workers] fibers. Both must produce the identical final state.
+   Chains touch disjoint keys, but B-tree and slotted-page mutations span
+   several block I/Os (each a suspension point), so image applications
+   serialize per (volume, file) behind a fiber mutex — the parallelism that
+   remains is exactly the physical kind: disc reads overlapped across
+   volumes, files and mirror halves, and disposition RPCs overlapped with
+   each other. *)
+let replay t ~self archive =
+  let dependency, workers =
+    match (Net.config t.net).Hw_config.rollforward_parallelism with
+    | `Sequential -> (false, 1)
+    | `Chains workers -> (true, workers)
+  in
+  let undone = ref (restore_archive t archive) in
+  (* Step 2: scan the surviving (forced) audit — everything from each
+     trail's archive position on, plus the full history of transactions
+     that were open when the archive was taken. *)
+  let per_trail =
+    List.filter_map
+      (fun (name, position) ->
+        match Hashtbl.find_opt t.state.Tmf_state.trails name with
+        | None -> None
+        | Some trail ->
+            let redo_records =
+              Audit_trail.records_from trail ~sequence:position
+            in
+            let pre_open =
+              pre_archive_open_records trail ~position archive.open_transactions
+            in
+            Some (trail, pre_open, redo_records))
+      archive.trail_positions
+  in
+  let chains =
+    List.concat_map
+      (fun (trail, pre_open, redo_records) ->
+        trail_chains ~dependency trail ~pre_open ~redo_records)
+      per_trail
+  in
+  if dependency then
+    Metrics.add
+      (Metrics.counter (Net.metrics t.net) "tmf.recovery_chains")
+      (List.length chains);
   let file_locks : (string * string, Fiber_mutex.t) Hashtbl.t =
     Hashtbl.create 32
   in
@@ -417,14 +357,15 @@ let recover_chains t ~self ~workers archive =
         mutex
   in
   (* Chains hitting the same file must serialize their structural updates
-     (the per-file mutex above), so the disk overlap comes from read-ahead:
-     each worker splits its chain into small segments, prefetches a
-     segment's keys with read-only descents — suspending on the reads, so
-     other chains' prefetches run against the other mirror meanwhile —
-     then applies the warm segment under the mutex. The segment size keeps
-     [workers] in-flight windows comfortably inside the disc-process block
-     cache, so a prefetched leaf is still resident when its image is
-     applied even on trails much larger than the cache. *)
+     (the per-file mutex above), so with several workers the disk overlap
+     comes from read-ahead: each worker splits its chain into small
+     segments, prefetches a segment's keys with read-only descents —
+     suspending on the reads, so other chains' prefetches run against the
+     other mirror meanwhile — then applies the warm segment under the
+     mutex. The segment size keeps [workers] in-flight windows comfortably
+     inside the disc-process block cache, so a prefetched leaf is still
+     resident when its image is applied even on trails much larger than the
+     cache. One worker has nothing to overlap and reads nothing ahead. *)
   let read_ahead = 16 in
   let segmented records visit =
     let rec go = function
@@ -446,50 +387,53 @@ let recover_chains t ~self ~workers archive =
           List.iter visit segment;
           go rest
     in
-    go records
+    if workers > 1 then go records else List.iter visit records
   in
-  (* Step 4, per chain: repeat history in audit order within the chain. *)
+  let apply op count record =
+    let image = record.Audit_record.image in
+    match target_for t image with
+    | Some target ->
+        Fiber_mutex.with_lock (lock_for image) (fun () -> op target image);
+        incr count
+    | None -> ()
+  in
+  (* Step 4, per chain: repeat history — reapply every post-archive image
+     in audit order (winners and losers alike), so the data base reaches
+     exactly the pre-crash state... *)
   let applied = ref 0 in
   Fiber.parallel_iter ~name:"rollforward-redo" ~workers
     (fun chain ->
-      segmented (List.rev chain.redo_rev) (fun record ->
-          let image = record.Audit_record.image in
-          match target_for t image with
-          | Some target ->
-              Fiber_mutex.with_lock (lock_for image) (fun () ->
-                  target.redo image);
-              incr applied
-          | None -> ()))
+      segmented (List.rev chain.redo_rev)
+        (apply (fun target -> target.redo) applied))
     chains;
-  (* Step 3 (hoisted after redo, like the sequential lazy resolve): settle
-     every distinct transaction's verdict concurrently, so in-doubt
-     disposition queries — network RPCs with timeouts — overlap instead of
-     serializing the undo pass. *)
-  let verdicts :
-      (string, [ `Known of Monitor_trail.disposition | `In_doubt ]) Hashtbl.t =
-    Hashtbl.create 64
-  in
+  (* Step 3 (after redo): settle every distinct transaction's verdict once,
+     on the worker pool, so in-doubt disposition queries — network RPCs
+     with timeouts — overlap instead of serializing the undo pass. *)
+  let verdicts = Hashtbl.create 64 in
   let transids =
     let seen = Hashtbl.create 64 in
-    let out = ref [] in
-    List.iter
+    List.concat_map
       (fun (_, pre_open, redo_records) ->
-        List.iter
-          (fun record ->
-            let transid = record.Audit_record.transid in
-            if not (Hashtbl.mem seen transid) then begin
+        List.filter_map
+          (fun { Audit_record.transid; _ } ->
+            if Hashtbl.mem seen transid then None
+            else begin
               Hashtbl.replace seen transid ();
-              out := transid :: !out
+              Some transid
             end)
           (pre_open @ redo_records))
-      per_trail;
-    List.rev !out
+      per_trail
   in
   Fiber.parallel_iter ~name:"rollforward-verdict" ~workers
     (fun transid_string -> ignore (verdict_for t ~self verdicts transid_string))
     transids;
-  (* Step 5, per chain: back the chain's losers out newest-first. Loser
-     keys are disjoint across chains, so cross-chain interleaving cannot
+  (* Step 5, per chain: ...then back the chain's losers out newest-first:
+     post-archive images of transactions without a commit record, and the
+     pre-archive images of transactions open at archive time. In-doubt
+     transactions are conservatively backed out too — once the home node is
+     reachable again, a second recovery from the same archive reinstates
+     them if they committed. Loser keys are disjoint across chains, and a
+     volume writes to one trail only, so no interleaving of chains can
      reorder any key's undo history. *)
   Fiber.parallel_iter ~name:"rollforward-undo" ~workers
     (fun chain ->
@@ -499,14 +443,7 @@ let recover_chains t ~self ~workers archive =
             is_loser (verdict_for t ~self verdicts record.Audit_record.transid))
           chain.undo_rev
       in
-      segmented losers (fun record ->
-          let image = record.Audit_record.image in
-          match target_for t image with
-          | Some target ->
-              Fiber_mutex.with_lock (lock_for image) (fun () ->
-                  target.undo image);
-              incr undone
-          | None -> ()))
+      segmented losers (apply (fun target -> target.undo) undone))
     chains;
   let scanned =
     List.fold_left
@@ -521,11 +458,7 @@ let recover t ~self archive =
   let engine = Net.engine t.net in
   let metrics = Net.metrics t.net in
   let started = Engine.now engine in
-  let stats =
-    match (Net.config t.net).Hw_config.rollforward_parallelism with
-    | `Sequential -> recover_sequential t ~self archive
-    | `Chains workers -> recover_chains t ~self ~workers archive
-  in
+  let stats = replay t ~self archive in
   Metrics.observe_latency metrics "tmf.recovery_ms"
     (Sim_time.diff (Engine.now engine) started);
   Metrics.add

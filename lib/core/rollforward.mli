@@ -62,5 +62,8 @@ val archive_trail_gap : t -> archive -> int
 (** Forced audit records written since the archive (the redo workload). *)
 
 val recover : t -> self:Tandem_os.Process.t -> archive -> stats
-(** Restore the archive and reapply committed after-images. Runs in a fiber
-    (disposition queries may cross the network). *)
+(** Restore the archive and reapply committed after-images. The config's
+    [rollforward_parallelism] picks the chains (one per trail, or each
+    trail's dependency chains) and the workers that apply them. Records the
+    duration in [tmf.recovery_ms]. Runs in a fiber (disposition queries may
+    cross the network). *)

@@ -99,3 +99,15 @@ let trails_of state transid =
   participants_of state transid
   |> List.map (fun p -> p.Participant.trail)
   |> List.sort_uniq String.compare
+
+let commit_marker_survives state transid =
+  let transid_string = Transid.to_string transid in
+  Hashtbl.fold
+    (fun _ trail found ->
+      found
+      || List.exists
+           (fun record ->
+             Tandem_audit.Audit_record.is_commit_marker
+               record.Tandem_audit.Audit_record.image)
+           (Tandem_audit.Audit_trail.records_for trail ~transid:transid_string))
+    state.trails false

@@ -79,3 +79,11 @@ val participants_of : node_state -> Transid.t -> Participant.t list
 
 val trails_of : node_state -> Transid.t -> string list
 (** Distinct audit-process names covering those volumes. *)
+
+val commit_marker_survives : node_state -> Transid.t -> bool
+(** Did the transaction's fast-path commit marker reach oxide? A
+    single-node fast-path commit leaves no monitor-trail record: its commit
+    decision is the marker forced into its own audit trail, after every
+    data image. The trails' post-crash index holds exactly the records that
+    were durable when the node died, so a surviving marker means the
+    transaction's whole history did. *)

@@ -305,21 +305,6 @@ let monitor_disposition t transid =
   Monitor_trail.disposition_of t.node_state.Tmf_state.monitor
     ~transid:(Transid.to_string transid)
 
-(* Did a fast-path commit marker reach oxide? The trail's post-crash index
-   holds exactly the records that were durable when the node died, so this
-   answers "did the decision survive" for a commit whose only durable point
-   is the marker. *)
-let commit_marker_survives t transid =
-  let transid_string = Transid.to_string transid in
-  Hashtbl.fold
-    (fun _ trail found ->
-      found
-      || List.exists
-           (fun record ->
-             Audit_record.is_commit_marker record.Audit_record.image)
-           (Audit_trail.records_for trail ~transid:transid_string))
-    t.node_state.Tmf_state.trails false
-
 (* One-shot (not safe-delivered) phase-two message: under presumed abort
    the children need no acknowledgment round — a child that never receives
    the abort resolves itself by presumption from the home node's absence of
@@ -596,7 +581,7 @@ let run_fast_path_commit t ~self transid =
              before the crash means the commit is durable; absent means
              nothing of the transaction survived, and the client must be
              told to start over. *)
-          if commit_marker_survives t transid then begin
+          if Tmf_state.commit_marker_survives t.node_state transid then begin
             Metrics.incr (Lazy.force t.tmp_fast_path_commits);
             local_commit_phase2 t ~self transid;
             Committed_reply

@@ -114,20 +114,6 @@ val query_disposition :
 (** Consult a node's Monitor Audit Trail (the first step of the manual
     override procedure, and ROLLFORWARD's negotiation). *)
 
-val query_status :
-  Tandem_os.Net.t ->
-  self:Tandem_os.Process.t ->
-  node:Tandem_os.Ids.node_id ->
-  Transid.t ->
-  ( Tandem_audit.Monitor_trail.disposition option * bool,
-    [ `Unreachable ] )
-  result
-(** Like [query_disposition] but also reports whether the transid is still
-    live at the queried node. A voted-yes participant resolving in doubt
-    under presumed abort treats "no record and not live" as an abort; "no
-    record but live" means the coordinator is still working — keep
-    waiting. *)
-
 val force_disposition :
   t ->
   self:Tandem_os.Process.t ->

@@ -214,8 +214,6 @@ let restore_controller t which =
 
 let controllers_up_count t = controllers_up t
 
-let reviving t = t.reviving
-
 let mirrors_converged t = drives_up t = 2 && not t.reviving
 
 let reads t = t.reads

@@ -78,9 +78,6 @@ val drives_up : t -> int
 val controllers_up_count : t -> int
 (** Number of up controllers (0–2). *)
 
-val reviving : t -> bool
-(** Whether a REVIVE copy pass is currently in progress. *)
-
 val mirrors_converged : t -> bool
 (** Both drives up and no revive in progress: every block is present on both
     mirrors — the byte-convergence invariant the chaos checker asserts after

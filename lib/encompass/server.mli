@@ -47,9 +47,6 @@ val node_id : t -> Tandem_os.Ids.node_id
 
 val member_count : t -> int
 
-val set_members : t -> int -> unit
-(** Grow (spawn) or shrink (stop) the class to the given size. *)
-
 val enable_autoscale :
   t ->
   min_members:int ->

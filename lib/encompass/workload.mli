@@ -107,8 +107,6 @@ val balance_inquiry_input :
 
 val order_file : string
 
-val customer_index : string
-
 val install_orders :
   Cluster.t -> home:Tandem_os.Ids.node_id * string -> unit
 (** Define the ORDER file (key-sequenced, audited, indexed by customer) on

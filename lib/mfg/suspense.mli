@@ -19,9 +19,6 @@ val entry_payload :
   string
 (** Encode one deferred-update record. *)
 
-val decode_entry :
-  string -> (Tandem_os.Ids.node_id * string * Tandem_db.Key.t * string) option
-
 type t
 
 val start :

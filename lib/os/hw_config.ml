@@ -118,8 +118,8 @@ let knob_docs =
        it failed" );
     ( "rollforward_parallelism",
       rollforward_parallelism_doc d.rollforward_parallelism,
-      "ROLLFORWARD replay mode: seq (one pass in audit order) or chains:N \
-       (partition the redo log into dependency chains from the logged \
-       inter-transaction edges and replay independent chains on N fiber \
-       workers; dependent images stay ordered)" );
+      "ROLLFORWARD replay mode: seq (each audit trail one chain in audit \
+       order, on one worker) or chains:N (each trail's dependency chains \
+       from the logged inter-transaction edges, on N fiber workers; \
+       dependent images stay ordered)" );
   ]

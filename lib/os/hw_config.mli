@@ -124,15 +124,17 @@ type t = {
       (** Transaction restarts the TCP allows one terminal input (default
           3); the next restart reports the input failed. *)
   rollforward_parallelism : [ `Sequential | `Chains of int ];
-      (** ROLLFORWARD replay mode. [`Sequential] (the default) replays every
-          surviving audit record in one pass in trail order — the paper's
-          algorithm and the ablation baseline. [`Chains n] partitions the
-          redo workload per trail into dependency chains (connected
-          components of the inter-transaction edges the audit layer logs at
-          append time) and replays independent chains concurrently on [n]
-          fiber workers; records of dependent transactions keep their audit
-          order, so the final logical state is identical to sequential
-          replay. *)
+      (** How the one ROLLFORWARD replay engine partitions the surviving
+          audit into chains and how many workers apply them.
+          [`Sequential] (the default) makes each trail one chain in audit
+          order, on one worker with no read-ahead — the paper's algorithm
+          and the ablation baseline. [`Chains n] makes each trail's
+          dependency chains (connected components of the
+          inter-transaction edges the audit layer logs at append time) the
+          chains and replays them concurrently on [n] fiber workers, with
+          read-ahead when [n > 1]; records of dependent transactions keep
+          their audit order, so the final logical state is identical to
+          sequential replay. *)
 }
 
 val default : t

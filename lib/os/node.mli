@@ -65,8 +65,6 @@ val fail_bus : t -> [ `X | `Y ] -> unit
 
 val restore_bus : t -> [ `X | `Y ] -> unit
 
-val buses_up : t -> int
-
 val on_cpu_down : t -> (Ids.cpu_id -> unit) -> unit
 (** Register a hook run (after the detection interval) when a processor
     fails. Used by process-pairs for takeover. *)

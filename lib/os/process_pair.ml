@@ -175,5 +175,3 @@ let is_up t =
   | None -> false
 
 let takeovers t = t.takeover_count
-
-let primary_state t = Option.map snd t.primary

@@ -48,7 +48,3 @@ val is_up : ('state, 'ckpt) t -> bool
 
 val takeovers : ('state, 'ckpt) t -> int
 (** Number of backup-promotions so far. *)
-
-val primary_state : ('state, 'ckpt) t -> 'state option
-(** Current primary replica, for tests and for subsystems co-located with
-    the service (never for remote access — that is what messages are for). *)

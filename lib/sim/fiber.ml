@@ -87,12 +87,12 @@ let yield engine = sleep engine 0
 
 let parallel_iter ?(name = "worker") ~workers f items =
   match items with
-  | [] -> ()
-  | [ item ] -> f item
+  | [] | [ _ ] -> List.iter f items
+  | _ when workers <= 1 -> List.iter f items
   | _ ->
       let queue = Queue.create () in
       List.iter (fun item -> Queue.add item queue) items;
-      let pool = max 1 (min workers (Queue.length queue)) in
+      let pool = min workers (Queue.length queue) in
       let live = ref pool in
       let failure = ref None in
       let joiner = ref None in

@@ -64,7 +64,9 @@ val parallel_iter :
     in order and take items in queue order, so a given engine state always
     yields the same interleaving. If some [f] raises, the queue still
     drains, and the first exception (in completion order) is re-raised to
-    the caller at the join. *)
+    the caller at the join. At one worker, or for one item, no fiber is
+    spawned: the items run inline in the caller, in order, and an exception
+    propagates at once. *)
 
 val suspend_until :
   Engine.t ->

@@ -93,9 +93,6 @@ val abort_reasons : t -> (string * int) list
 
 val outcome_to_string : outcome -> string
 
-val pp_span : Format.formatter -> span -> unit
-(** One line: stamps, outcome, counts. *)
-
 val pp_summary : ?top:int -> Format.formatter -> t -> unit
 (** Totals, the slowest transactions and the backout-reason census. *)
 

@@ -171,6 +171,71 @@ let test_quick_matrix_green () =
           (Checker.verdict_to_string report.Scenario.verdict))
     Scenarios.all
 
+(* ------------------------------------------------------------------ *)
+(* Pinned fingerprints: a change meant to keep behaviour must leave every
+   quick-matrix run (all scenarios at seeds 42, 1981 and 7, as
+   [tandem chaos --quick] runs them) byte-identical. The table holds the MD5
+   of each fingerprint; on a mismatch the test prints the actual table, to
+   paste here only when the change is meant to move it. *)
+
+let pinned_fingerprints =
+  [
+    ("cpu-crash-restart", 42, "51807b0c4feae26efc62abe43780b4ce");
+    ("cpu-crash-restart", 1981, "73645d40586018c69010d9752b39b803");
+    ("cpu-crash-restart", 7, "01066723a1c72539e74e1c13cf5a32b2");
+    ("dp-takeover", 42, "165dc6421fbef460903ed6aa8ddd3c5b");
+    ("dp-takeover", 1981, "1cc2c395a40872353c7f70a067297f95");
+    ("dp-takeover", 7, "ba678bbbe6ddebca3dc8e196feb62af7");
+    ("tcp-takeover", 42, "eec2f2c9a3ad5f5c7afc377171138bd8");
+    ("tcp-takeover", 1981, "b936540311c7289ff347fb7f45f59fd4");
+    ("tcp-takeover", 7, "746ffdaef9ec2093bc731b555925d470");
+    ("mirror-failure-revive", 42, "00a06707fb81da143443ee01b5d151b5");
+    ("mirror-failure-revive", 1981, "07d8071ac1066aa8c8609e433cb12db9");
+    ("mirror-failure-revive", 7, "32a614fce44577cdaeb92135668bf7a6");
+    ("controller-bus-flap", 42, "f7289b25c2680b459521329763161e5f");
+    ("controller-bus-flap", 1981, "b6904d105a727eb3db60256a4fecb29f");
+    ("controller-bus-flap", 7, "fb4ee2e0ee1f49ebdb6bb093e7c2a91c");
+    ("partition-heal", 42, "d1114afd0b86ebf78ea0d868d98ed18d");
+    ("partition-heal", 1981, "3edd7f886eb557fa3ab62b0e93a44848");
+    ("partition-heal", 7, "a0073f1fff7543480e62ac5f8314cab1");
+    ("message-delay-loss", 42, "962bc7fd58459d69499901e41e8b23c9");
+    ("message-delay-loss", 1981, "73bd12bc4fb0419fb765e39ace3bff7c");
+    ("message-delay-loss", 7, "39765eaddf5447eb0eca254fd328d39f");
+    ("home-crash-phase2", 42, "b3d8c3cf50f7f1cfcc6644d954c347c6");
+    ("home-crash-phase2", 1981, "3b33b459a06f70ea86a3aea6fd416f0e");
+    ("home-crash-phase2", 7, "63b3c4e45609b3373e2fa4ba5ec6d6a9");
+    ("node-crash-rollforward", 42, "d4f66363d7beb8fdc36fcfb43cf947e9");
+    ("node-crash-rollforward", 1981, "2b14a7f98bd8fb4b7d0573ac7d3b5bcb");
+    ("node-crash-rollforward", 7, "01e798f926468a3cc97fbbf8baf8a6d8");
+    ("recovery-storm", 42, "ad5ab90991721b1e0fee79f54263e73c");
+    ("recovery-storm", 1981, "75ebb1b8335c58ef64f4de4bb1e050b6");
+    ("recovery-storm", 7, "b1d71c4ffcf4ab11781033ec06fe91fe");
+    ("mfg-partition-reconverge", 42, "8b21ed385f91cefa2342bd5ac3c301a7");
+    ("mfg-partition-reconverge", 1981, "8363e24909864023925bf8477033e6d6");
+    ("mfg-partition-reconverge", 7, "9654d75f818805813f8cc457bc04f821");
+  ]
+
+let test_fingerprints_pinned () =
+  let actual =
+    List.concat_map
+      (fun s ->
+        List.map
+          (fun seed ->
+            let report = Scenario.run s ~seed ~quick:true in
+            ( s.Scenario.name,
+              seed,
+              Digest.to_hex (Digest.string (Scenario.fingerprint report)) ))
+          [ 42; 1981; 7 ])
+      Scenarios.all
+  in
+  if actual <> pinned_fingerprints then
+    Alcotest.failf "quick-matrix fingerprints moved; actual table:\n%s"
+      (String.concat "\n"
+         (List.map
+            (fun (name, seed, hex) ->
+              Printf.sprintf "    (%S, %d, %S);" name seed hex)
+            actual))
+
 let () =
   Alcotest.run "tandem_chaos"
     [
@@ -196,5 +261,7 @@ let () =
         [
           Alcotest.test_case "quick matrix green" `Quick
             test_quick_matrix_green;
+          Alcotest.test_case "fingerprints pinned" `Quick
+            test_fingerprints_pinned;
         ] );
     ]

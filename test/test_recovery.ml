@@ -1,17 +1,22 @@
 (* ROLLFORWARD recovery tests.
 
-   The load-bearing property here is the equivalence pin for the
-   dependency-chained parallel replay: for ANY generated bank workload,
-   archive point and crash point, recovery under [`Chains n] must leave the
-   recovered node's volumes in a byte-identical logical state to recovery
-   under [`Sequential], with identical stats. Both nodes are crashed at the
-   same instant so no concurrent traffic races the comparison — only the
-   replay order differs between the two runs.
+   ROLLFORWARD is one replay engine whose two modes differ only in how the
+   surviving audit is partitioned and how many workers apply it:
+   [`Sequential] replays each trail as one chain in audit order on one
+   worker with no read-ahead; [`Chains n] replays each trail's dependency
+   chains on [n] workers with read-ahead. The load-bearing property here
+   pins the two against each other: for ANY generated bank workload,
+   archive point and crash point, both must leave the recovered node's
+   volumes in a byte-identical logical state, with identical stats. Both
+   nodes are crashed at the same instant so no concurrent traffic races
+   the comparison — only the replay order differs between the two runs.
 
    Alongside it: the single-node fast-path corner (commit markers must
    drive verdicts under parallel replay WITHOUT fusing every fast-path
-   commit into one chain), and unit tests of the audit trail's dependency
-   index across force, crash and purge. *)
+   commit into one chain), a node with two audit trails recovered under
+   both modes (one chain per trail, funds conserved, an archive taken
+   across a half-forced transfer), and unit tests of the audit trail's
+   dependency index across force, crash and purge. *)
 
 open Tandem_sim
 open Tandem_os
@@ -194,24 +199,88 @@ let test_chains_equiv_parallel_instances () =
     (pairwise pooled)
 
 (* ------------------------------------------------------------------ *)
-(* Single-node fast path: commit markers under parallel replay *)
+(* One-node transfer clusters *)
 
-(* A single-node cluster running ONLY transfers between disjoint account
-   pairs: every commit takes the single-node fast path (its verdict exists
-   only as a commit marker in the data trail), and no two transactions
-   share a key, so the dependency DAG has one chain per transfer. *)
-let marker_transfers =
-  [ (0, 1, 25); (10, 11, 40); (20, 21, 15); (30, 31, 30); (40, 41, 10) ]
+type recovered = {
+  cluster : Cluster.t;
+  digest : string;
+  stats : Tmf.Rollforward.stats;
+  unforced_at_archive : int;  (** Trail records not yet forced. *)
+  open_at_crash : int;  (** Unresolved transactions when the node died. *)
+}
 
-let recover_marker_cluster ~parallelism =
+(* One node holding [spec]'s volumes, the second writing its own trail
+   $AUDIT2, and running only [transfers] from one four-terminal TCP. The
+   node is archived at [archive_ms] and fails totally at [crash_ms] (or,
+   without it, once every transfer is done); every processor stops with it,
+   so nothing runs against the dead node before ROLLFORWARD. *)
+let recover_transfer_node ~seed ~spec ~archive_ms ?crash_ms ~parallelism
+    transfers =
   let config =
     { Hw_config.default with Hw_config.rollforward_parallelism = parallelism }
   in
-  let cluster = Cluster.create ~seed:7 ~config () in
+  let cluster = Cluster.create ~seed ~config () in
   ignore (Cluster.add_node cluster ~id:1 ~cpus:4);
-  ignore
-    (Cluster.add_volume cluster ~node:1 ~name:"$DATA1" ~primary_cpu:2
-       ~backup_cpu:3 ());
+  List.iteri
+    (fun i (_, volume) ->
+      let trail = if i = 0 then None else Some "$AUDIT2" in
+      Option.iter (fun name -> Cluster.add_audit_trail cluster ~node:1 ~name) trail;
+      ignore
+        (Cluster.add_volume cluster ~node:1 ~name:volume ~primary_cpu:(2 + i)
+           ~backup_cpu:(3 - i) ?trail ()))
+    spec.Workload.account_partitions;
+  Workload.install_bank cluster spec;
+  ignore (Workload.add_transfer_servers cluster ~node:1 ~count:2 ());
+  let tcp =
+    Cluster.add_tcp cluster ~node:1 ~name:"$TCP1" ~terminals:4
+      ~program:Workload.transfer_program ()
+  in
+  List.iteri
+    (fun i (from_account, to_account, amount) ->
+      Tcp.submit tcp ~terminal:(i mod 4)
+        (Workload.transfer_input_between ~from_account ~to_account ~amount))
+    transfers;
+  let state = Tmf.node_state (Cluster.tmf cluster) 1 in
+  Cluster.run ~until:(Sim_time.milliseconds archive_ms) cluster;
+  let archive = Cluster.take_archive cluster ~node:1 in
+  let unforced_at_archive =
+    Hashtbl.fold
+      (fun _ trail acc -> acc + List.length (Audit_trail.unforced_records trail))
+      state.Tmf.Tmf_state.trails 0
+  in
+  Cluster.run ?until:(Option.map Sim_time.milliseconds crash_ms) cluster;
+  let open_at_crash =
+    Hashtbl.fold
+      (fun _ info acc ->
+        if info.Tmf.Tmf_state.resolved = None then acc + 1 else acc)
+      state.Tmf.Tmf_state.registry 0
+  in
+  for cpu = 0 to 3 do
+    Cluster.fail_cpu cluster ~node:1 cpu
+  done;
+  Cluster.total_node_failure cluster ~node:1;
+  Harness.drain cluster;
+  Cluster.restore_cpu cluster ~node:1 0;
+  let stats = Cluster.rollforward_node cluster ~node:1 archive in
+  { cluster; digest = cluster_digest cluster; stats; unforced_at_archive;
+    open_at_crash }
+
+let check_same_recovery seq par =
+  Alcotest.(check string) "stats match" (stats_repr seq.stats)
+    (stats_repr par.stats);
+  Alcotest.(check string) "volume state matches" seq.digest par.digest
+
+(* ------------------------------------------------------------------ *)
+(* Single-node fast path: commit markers under parallel replay *)
+
+(* Transfers between disjoint account pairs: every commit takes the
+   single-node fast path (its verdict exists only as a commit marker in the
+   data trail), and no two transactions share a key, so the dependency DAG
+   has one chain per transfer. *)
+let marker_transfers =
+  [ (0, 1, 25); (10, 11, 40); (20, 21, 15); (30, 31, 30); (40, 41, 10) ]
+
+let test_fast_path_markers_parallel () =
   let spec =
     {
       Workload.accounts = 64;
@@ -222,50 +291,68 @@ let recover_marker_cluster ~parallelism =
       system_home = (1, "$DATA1");
     }
   in
-  Workload.install_bank cluster spec;
-  ignore (Workload.add_transfer_servers cluster ~node:1 ~count:2 ());
-  let tcp =
-    Cluster.add_tcp cluster ~node:1 ~name:"$TCP1" ~terminals:4
-      ~program:Workload.transfer_program ()
+  let recover parallelism =
+    recover_transfer_node ~seed:7 ~spec ~archive_ms:0 ~parallelism
+      marker_transfers
   in
-  let archive = ref None in
-  ignore
-    (Engine.schedule_at (Cluster.engine cluster) Sim_time.zero (fun () ->
-         archive := Some (Cluster.take_archive cluster ~node:1)));
-  List.iteri
-    (fun i (from_account, to_account, amount) ->
-      Tcp.submit tcp ~terminal:(i mod 4)
-        (Workload.transfer_input_between ~from_account ~to_account ~amount))
-    marker_transfers;
-  Cluster.run cluster;
-  quiesce_volumes cluster;
-  Cluster.total_node_failure cluster ~node:1;
-  let archive =
-    match !archive with
-    | Some archive -> archive
-    | None -> Alcotest.fail "archive event never fired"
-  in
-  let stats = Cluster.rollforward_node cluster ~node:1 archive in
-  (cluster, cluster_digest cluster, stats)
-
-let test_fast_path_markers_parallel () =
-  let _, digest_seq, stats_seq =
-    recover_marker_cluster ~parallelism:`Sequential
-  in
-  let cluster, digest_par, stats_par =
-    recover_marker_cluster ~parallelism:(`Chains 4)
-  in
+  let seq = recover `Sequential and par = recover (`Chains 4) in
   check_int "every fast-path transfer redone"
     (List.length marker_transfers)
-    stats_par.Tmf.Rollforward.transactions_redone;
-  Alcotest.(check string) "stats match" (stats_repr stats_seq)
-    (stats_repr stats_par);
-  Alcotest.(check string) "volume state matches" digest_seq digest_par;
+    par.stats.Tmf.Rollforward.transactions_redone;
+  check_same_recovery seq par;
   (* Markers share one sentinel key; were they dependency-tracked, every
      fast-path commit would chain together and this would read 1. *)
   check_int "disjoint transfers replay as disjoint chains"
     (List.length marker_transfers)
-    (Metrics.read_counter (Cluster.metrics cluster) "tmf.recovery_chains")
+    (Metrics.read_counter (Cluster.metrics par.cluster) "tmf.recovery_chains")
+
+(* ------------------------------------------------------------------ *)
+(* ROLLFORWARD on a node with two audit trails *)
+
+(* Accounts split across $DA (trail $AUDIT) and $DB (trail $AUDIT2), and
+   transfers that each debit one volume and credit the other, so every
+   transaction writes both trails. Sequential replay makes each trail one
+   chain and backs the losers out trail by trail rather than in one audit
+   order across the trails; a volume writes to one trail only, so each
+   volume keeps its own undo order, and the recovered state must match the
+   dependency-chain replay's. The archive is taken while a transfer is half
+   forced (its $AUDIT image on oxide, its $AUDIT2 images in the unforced
+   tail) and commits afterwards: unless the replay redoes that tail, the
+   node keeps the debit and loses the credit. *)
+let test_two_trail_rollforward () =
+  let spec =
+    {
+      Workload.accounts = 100;
+      tellers = 10;
+      branches = 5;
+      initial_balance = 1_000;
+      (* Accounts 0-49 on $DA, 50-99 on $DB. *)
+      account_partitions = [ (1, "$DA"); (1, "$DB") ];
+      system_home = (1, "$DA");
+    }
+  in
+  let transfers =
+    List.init 40 (fun i ->
+        let on_da = i * 7 mod 50 and on_db = 50 + (i * 11 mod 50) in
+        if i mod 2 = 0 then (on_da, on_db, 10 + i) else (on_db, on_da, 10 + i))
+  in
+  let recover parallelism =
+    recover_transfer_node ~seed:47 ~spec ~archive_ms:500 ~crash_ms:1000
+      ~parallelism transfers
+  in
+  let seq = recover `Sequential and par = recover (`Chains 4) in
+  Alcotest.(check bool) "an unforced tail at the archive" true
+    (seq.unforced_at_archive > 0);
+  Alcotest.(check bool) "transactions open at the crash" true
+    (seq.open_at_crash > 0);
+  Alcotest.(check bool) "losers backed out" true
+    (seq.stats.Tmf.Rollforward.images_undone > 0);
+  check_same_recovery seq par;
+  List.iter
+    (fun (mode, run) ->
+      check_int ("funds conserved under " ^ mode) 100_000
+        (Workload.total_balance run.cluster spec))
+    [ ("seq", seq); ("chains:4", par) ]
 
 (* ------------------------------------------------------------------ *)
 (* Dependency index unit tests *)
@@ -384,5 +471,7 @@ let () =
           test_fast_path_markers_parallel
         :: Alcotest.test_case "equivalence under parallel instances" `Quick
              test_chains_equiv_parallel_instances
+        :: Alcotest.test_case "two audit trails, both modes" `Quick
+             test_two_trail_rollforward
         :: qcheck [ prop_chains_equiv_sequential ] );
     ]
