@@ -1,6 +1,7 @@
-(* Shared machinery for the experiment harness: standard cluster builds,
-   closed-loop load generation, bucketed throughput sampling and table
-   printing. *)
+(* Shared machinery for the experiment harness: the TCPs of the standard
+   banks, closed-loop load generation, bucketed throughput sampling and
+   table printing. Every bank is booted by [Workload.build_bank]; the
+   builders here add only what an experiment drives it with. *)
 
 open Tandem_sim
 open Tandem_encompass
@@ -40,9 +41,9 @@ let f2 value = Printf.sprintf "%.2f" value
 (* ------------------------------------------------------------------ *)
 (* Machine-readable results
 
-   Each experiment snapshots metrics registries under a label; the harness
-   writes the accumulated set to BENCH_results.json (schema documented in
-   docs/OBSERVABILITY.md). *)
+   Each experiment snapshots metrics registries under a label; a full run
+   of the paper experiments writes the accumulated set to
+   BENCH_results.json (schema documented in docs/OBSERVABILITY.md). *)
 
 type recorded = { experiment : string; label : string; metrics : Json.t }
 
@@ -140,7 +141,7 @@ let pool_jobs () = !jobs
 let pool_map f items = Domain_pool.map ~jobs:!jobs f items
 
 (* ------------------------------------------------------------------ *)
-(* Standard banking cluster *)
+(* Standard banks *)
 
 type bank = {
   cluster : Cluster.t;
@@ -150,33 +151,19 @@ type bank = {
 }
 
 (* One node, [volumes] data volumes sharing the account file by key range,
-   [tcps] TCPs of [terminals] each, BANK and TRANSFER classes. *)
+   BANK and TRANSFER classes of [bank_servers] each, and [tcp_count] TCPs
+   of [terminals] each with their pairs rotating over the processors. *)
 let make_bank ?(seed = 42) ?(cpus = 4) ?(volumes = 1) ?(tcp_count = 1)
     ?(terminals = 8) ?(bank_servers = 2) ?(accounts = 500) ?config () =
-  let cluster = Cluster.create ~seed ?config () in
-  ignore (Cluster.add_node cluster ~id:1 ~cpus);
-  let volume_names = List.init volumes (fun i -> Printf.sprintf "$DATA%d" (i + 1)) in
-  List.iteri
-    (fun i name ->
-      ignore
-        (Cluster.add_volume cluster ~node:1 ~name
-           ~primary_cpu:((2 + i) mod cpus)
-           ~backup_cpu:((3 + i) mod cpus)
-           ()))
-    volume_names;
-  let spec =
-    {
-      Workload.accounts;
-      tellers = 10 * max 1 (cpus / 2);
-      branches = 5 * max 1 (cpus / 2);
-      initial_balance = 1_000;
-      account_partitions = List.map (fun name -> (1, name)) volume_names;
-      system_home = (1, List.hd volume_names);
-    }
+  let cluster, spec =
+    Workload.build_bank ~seed ?config ~cpus
+      ~volumes:(List.init volumes (fun _ -> 1))
+      ~accounts
+      ~tellers:(10 * max 1 (cpus / 2))
+      ~branches:(5 * max 1 (cpus / 2))
+      ~servers:[ `Bank bank_servers; `Transfer bank_servers ]
+      ()
   in
-  Workload.install_bank cluster spec;
-  ignore (Workload.add_bank_servers cluster ~node:1 ~count:bank_servers ());
-  ignore (Workload.add_transfer_servers cluster ~node:1 ~count:bank_servers ());
   let tcps =
     List.init tcp_count (fun i ->
         Cluster.add_tcp cluster ~node:1
@@ -206,57 +193,23 @@ let total_failures bank = List.fold_left (fun acc tcp -> acc + Tcp.failures tcp)
 
 let total_restarts bank = List.fold_left (fun acc tcp -> acc + Tcp.restarts tcp) 0 bank.tcps
 
-(* The three-node bank of the closed-loop ablations: 4 CPUs per node, node
-   1 linked to nodes 2 and 3 (and 2 to 3 with [link_2_3]), one data volume
-   per node holding a key-range third of the accounts, every server class
-   on node 1, and one TCP of [terminals] per node so that commit homes (and
-   each transaction's home TMP and monitor trail) spread across the
-   cluster. *)
-let three_node_bank ~seed ~config ?cache_capacity ?(link_2_3 = false)
-    ~accounts ~server_classes ~program ~terminals () =
-  let cluster = Cluster.create ~seed ~config () in
-  let nodes = [ 1; 2; 3 ] in
-  List.iter (fun id -> ignore (Cluster.add_node cluster ~id ~cpus:4)) nodes;
-  Cluster.link cluster 1 2;
-  Cluster.link cluster 1 3;
-  if link_2_3 then Cluster.link cluster 2 3;
-  let partitions =
-    List.map (fun node -> (node, Printf.sprintf "$DATA%d" node)) nodes
+(* The three-node bank of the closed-loop ablations: a third of the
+   accounts on each node, every server class on node 1, and one TCP of
+   [terminals] per node so that commit homes (and each transaction's home
+   TMP and monitor trail) spread across the cluster. *)
+let three_node_bank ~seed ~config ?cache_capacity ~accounts ~server_classes
+    ~program ~terminals () =
+  let cluster, spec =
+    Workload.build_bank ~seed ~config ~nodes:3 ?cache_capacity ~accounts
+      ~initial_balance:10_000 ~servers:server_classes ()
   in
-  List.iter
-    (fun (node, name) ->
-      ignore
-        (Cluster.add_volume cluster ~node ~name ~primary_cpu:2 ~backup_cpu:3
-           ?cache_capacity ()))
-    partitions;
-  let spec =
-    {
-      Workload.accounts;
-      tellers = 10;
-      branches = 5;
-      initial_balance = 10_000;
-      account_partitions = partitions;
-      system_home = (1, "$DATA1");
-    }
-  in
-  Workload.install_bank cluster spec;
-  List.iter
-    (fun server_class ->
-      ignore
-        (match server_class with
-        | `Bank count -> Workload.add_bank_servers cluster ~node:1 ~count ()
-        | `Transfer count ->
-            Workload.add_transfer_servers cluster ~node:1 ~count ()
-        | `Inquiry count ->
-            Workload.add_inquiry_servers cluster ~node:1 ~count ()))
-    server_classes;
   let tcps =
     List.map
       (fun node ->
         Cluster.add_tcp cluster ~node
           ~name:(Printf.sprintf "$TCP%d" node)
           ~terminals ~program ())
-      nodes
+      [ 1; 2; 3 ]
   in
   (cluster, spec, tcps)
 

@@ -62,7 +62,7 @@ let protocol_counters =
    domain in protocol order, keeping BENCH_results.json deterministic. *)
 let measure_failure_free ~config ~terminals ~per_terminal =
   let cluster, spec, tcps =
-    three_node_bank ~seed:11 ~config ~link_2_3:true ~accounts
+    three_node_bank ~seed:11 ~config ~accounts
       ~server_classes:[ `Bank 16 ] ~program:Workload.debit_credit_program
       ~terminals ()
   in

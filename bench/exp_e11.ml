@@ -15,24 +15,10 @@ open Tandem_encompass
 open Bench_util
 
 let build () =
-  let cluster = Cluster.create ~seed:79 () in
-  ignore (Cluster.add_node cluster ~id:1 ~cpus:4);
-  ignore (Cluster.add_node cluster ~id:2 ~cpus:4);
-  Cluster.link cluster 1 2;
-  ignore (Cluster.add_volume cluster ~node:1 ~name:"$D1" ~primary_cpu:2 ~backup_cpu:3 ());
-  ignore (Cluster.add_volume cluster ~node:2 ~name:"$D2" ~primary_cpu:2 ~backup_cpu:3 ());
-  let spec =
-    {
-      Workload.accounts = 100;
-      tellers = 10;
-      branches = 5;
-      initial_balance = 1_000;
-      account_partitions = [ (1, "$D1"); (2, "$D2") ];
-      system_home = (1, "$D1");
-    }
+  let cluster, spec =
+    Workload.build_bank ~seed:79 ~nodes:2 ~accounts:100
+      ~servers:[ `Transfer 2 ] ()
   in
-  Workload.install_bank cluster spec;
-  ignore (Workload.add_transfer_servers cluster ~node:1 ~count:2 ());
   let tcp =
     Cluster.add_tcp cluster ~node:1 ~name:"$TCP1" ~terminals:1
       ~program:Workload.transfer_program ()
@@ -62,7 +48,7 @@ let run_once ~cut_ms =
   record_registry ~label:(Printf.sprintf "cut=%dms" cut_ms) (Cluster.metrics cluster);
   let stuck_locks =
     Tandem_lock.Lock_table.locked_count
-      (Discprocess.lock_table (Cluster.discprocess cluster ~node:2 ~volume:"$D2"))
+      (Discprocess.lock_table (Cluster.discprocess cluster ~node:2 ~volume:"$DATA2"))
   in
   (classify cluster, stuck_locks)
 
@@ -113,7 +99,7 @@ let run () =
       (Engine.schedule_after engine (Sim_time.milliseconds cut_ms) (fun () ->
            Net.fail_link (Cluster.net cluster) 1 2));
     Cluster.run ~until:(Sim_time.seconds 30) cluster;
-    let dp2 = Cluster.discprocess cluster ~node:2 ~volume:"$D2" in
+    let dp2 = Cluster.discprocess cluster ~node:2 ~volume:"$DATA2" in
     let held = Tandem_lock.Lock_table.locked_count (Discprocess.lock_table dp2) in
     if held > 0 then Some (cluster, tcp, engine, dp2, held) else None
   in

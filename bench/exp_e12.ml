@@ -13,28 +13,15 @@ open Bench_util
 let offered = 24
 
 let measure ~restart_limit =
-  let cluster =
-    Cluster.create ~seed:83
+  let cluster, _spec =
+    Workload.build_bank ~seed:83
       ~config:
         { Tandem_os.Hw_config.default with
           restart_limit;
           lock_timeout = Sim_time.seconds 1 }
-      ()
+      ~accounts:4 ~tellers:2 ~branches:2 ~initial_balance:100_000
+      ~servers:[ `Transfer 4 ] ()
   in
-  ignore (Cluster.add_node cluster ~id:1 ~cpus:4);
-  ignore (Cluster.add_volume cluster ~node:1 ~name:"$DATA1" ~primary_cpu:2 ~backup_cpu:3 ());
-  let spec =
-    {
-      Workload.accounts = 4;
-      tellers = 2;
-      branches = 2;
-      initial_balance = 100_000;
-      account_partitions = [ (1, "$DATA1") ];
-      system_home = (1, "$DATA1");
-    }
-  in
-  Workload.install_bank cluster spec;
-  ignore (Workload.add_transfer_servers cluster ~node:1 ~count:4 ());
   let tcp =
     Cluster.add_tcp cluster ~node:1 ~name:"$TCP1" ~terminals:4
       ~program:Workload.transfer_program ()

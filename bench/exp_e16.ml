@@ -11,23 +11,10 @@ open Tandem_encompass
 open Bench_util
 
 let measure ~cache_capacity =
-  let cluster = Cluster.create ~seed:113 () in
-  ignore (Cluster.add_node cluster ~id:1 ~cpus:4);
-  ignore
-    (Cluster.add_volume cluster ~node:1 ~name:"$DATA1" ~primary_cpu:2
-       ~backup_cpu:3 ~cache_capacity ());
-  let spec =
-    {
-      Workload.accounts = 2_000;
-      tellers = 20;
-      branches = 10;
-      initial_balance = 1_000;
-      account_partitions = [ (1, "$DATA1") ];
-      system_home = (1, "$DATA1");
-    }
+  let cluster, spec =
+    Workload.build_bank ~seed:113 ~cache_capacity ~accounts:2_000 ~tellers:20
+      ~branches:10 ~servers:[ `Bank 4 ] ()
   in
-  Workload.install_bank cluster spec;
-  ignore (Workload.add_bank_servers cluster ~node:1 ~count:4 ());
   let tcp =
     Cluster.add_tcp cluster ~node:1 ~name:"$TCP1" ~terminals:8
       ~program:Workload.debit_credit_program ()

@@ -51,27 +51,10 @@ let run () =
   (* Network side: an 8-node network where transactions touch 2 nodes. The
      count of TMP state-change messages must track participants (2), not
      network size (8). *)
-  let cluster = Cluster.create ~seed:61 () in
-  for id = 1 to 8 do
-    ignore (Cluster.add_node cluster ~id ~cpus:2)
-  done;
-  for id = 1 to 7 do
-    Cluster.link cluster id (id + 1)
-  done;
-  ignore (Cluster.add_volume cluster ~node:1 ~name:"$D1" ());
-  ignore (Cluster.add_volume cluster ~node:2 ~name:"$D2" ());
-  let spec =
-    {
-      Workload.accounts = 100;
-      tellers = 10;
-      branches = 5;
-      initial_balance = 1_000;
-      account_partitions = [ (1, "$D1"); (2, "$D2") ];
-      system_home = (1, "$D1");
-    }
+  let cluster, _spec =
+    Workload.build_bank ~seed:61 ~nodes:8 ~cpus:2 ~volumes:[ 1; 2 ]
+      ~accounts:100 ~servers:[ `Transfer 2 ] ()
   in
-  Workload.install_bank cluster spec;
-  ignore (Workload.add_transfer_servers cluster ~node:1 ~count:2 ());
   let tcp =
     Cluster.add_tcp cluster ~node:1 ~name:"$TCP1" ~terminals:1
       ~program:Workload.transfer_program ()

@@ -12,27 +12,15 @@ open Tandem_encompass
 open Bench_util
 
 let measure ~timeout_ms =
-  let cluster =
-    Cluster.create ~seed:67
+  let cluster, spec =
+    Workload.build_bank ~seed:67
       ~config:
         { Tandem_os.Hw_config.default with
           lock_timeout = Sim_time.milliseconds timeout_ms }
-      ()
+      ~accounts:8 (* hot: lots of crossing transfers *)
+      ~tellers:4 ~branches:2 ~initial_balance:10_000
+      ~servers:[ `Transfer 4 ] ()
   in
-  ignore (Cluster.add_node cluster ~id:1 ~cpus:4);
-  ignore (Cluster.add_volume cluster ~node:1 ~name:"$DATA1" ~primary_cpu:2 ~backup_cpu:3 ());
-  let spec =
-    {
-      Workload.accounts = 8 (* hot: lots of crossing transfers *);
-      tellers = 4;
-      branches = 2;
-      initial_balance = 10_000;
-      account_partitions = [ (1, "$DATA1") ];
-      system_home = (1, "$DATA1");
-    }
-  in
-  Workload.install_bank cluster spec;
-  ignore (Workload.add_transfer_servers cluster ~node:1 ~count:4 ());
   let tcp =
     Cluster.add_tcp cluster ~node:1 ~name:"$TCP1" ~terminals:8
       ~program:Workload.transfer_program ()

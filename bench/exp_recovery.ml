@@ -31,60 +31,33 @@ let crash_node = 5 (* a pure account-partition node, not the system home *)
 
 let workers = 8
 
-let volume_name node = Printf.sprintf "$DATA%d" node
-
 let config_of parallelism =
   { Hw_config.default with Hw_config.rollforward_parallelism = parallelism }
 
+(* [accounts] is big enough per node that the replayed working set does
+   not fit the 256-block disc-process cache: the replay is then genuinely
+   I/O-bound, which is what the ablation prices. *)
 let make_cluster ~parallelism ~accounts ~terminals ~inputs =
-  let cluster = Cluster.create ~seed:1981 ~config:(config_of parallelism) () in
-  let node_ids = List.init nodes (fun i -> i + 1) in
-  List.iter
-    (fun id ->
-      ignore (Cluster.add_node cluster ~id ~cpus:4);
-      ignore
-        (Cluster.add_volume cluster ~node:id ~name:(volume_name id)
-           ~primary_cpu:2 ~backup_cpu:3 ()))
-    node_ids;
-  List.iter
-    (fun a ->
-      List.iter (fun b -> if a < b then Cluster.link cluster a b) node_ids)
-    node_ids;
-  let spec =
-    {
-      (* Big enough per-node partitions that the replayed working set
-         does not fit the 256-block disc-process cache: the replay is
-         then genuinely I/O-bound, which is what the ablation prices. *)
-      Workload.accounts;
-      tellers = 5 * nodes;
-      branches = 2 * nodes;
-      initial_balance = 1_000;
-      account_partitions = List.map (fun id -> (id, volume_name id)) node_ids;
-      system_home = (1, volume_name 1);
-    }
+  let cluster, spec =
+    Workload.build_bank ~seed:1981 ~config:(config_of parallelism) ~nodes
+      ~accounts ~tellers:(5 * nodes) ~branches:(2 * nodes)
+      ~servers:[ `Bank 4; `Transfer 4 ] ()
   in
-  Workload.install_bank cluster spec;
-  ignore (Workload.add_bank_servers cluster ~node:1 ~count:4 ());
-  ignore (Workload.add_transfer_servers cluster ~node:1 ~count:4 ());
   let input_rng = Rng.create ~seed:7919 in
-  let tcps =
-    List.map
-      (fun id ->
-        let tcp =
-          Cluster.add_tcp cluster ~node:id
-            ~name:(Printf.sprintf "$TCP%d" id)
-            ~primary_cpu:0 ~backup_cpu:1 ~terminals
-            ~program:Workload.transfer_program ()
-        in
-        for terminal = 0 to terminals - 1 do
-          for _ = 1 to inputs do
-            Tcp.submit tcp ~terminal (Workload.transfer_input input_rng spec ())
-          done
-        done;
-        tcp)
-      node_ids
-  in
-  (cluster, tcps)
+  for id = 1 to nodes do
+    let tcp =
+      Cluster.add_tcp cluster ~node:id
+        ~name:(Printf.sprintf "$TCP%d" id)
+        ~primary_cpu:0 ~backup_cpu:1 ~terminals
+        ~program:Workload.transfer_program ()
+    in
+    for terminal = 0 to terminals - 1 do
+      for _ = 1 to inputs do
+        Tcp.submit tcp ~terminal (Workload.transfer_input input_rng spec ())
+      done
+    done
+  done;
+  cluster
 
 let stats_repr = Format.asprintf "%a" Tmf.Rollforward.pp_stats
 
@@ -98,7 +71,7 @@ type measurement = {
    post-crash flail is drained to quiescence before recovery so both
    replay modes recover the identical frozen trail. *)
 let measure ~parallelism ~accounts ~terminals ~inputs ~crash_ms =
-  let cluster, _tcps = make_cluster ~parallelism ~accounts ~terminals ~inputs in
+  let cluster = make_cluster ~parallelism ~accounts ~terminals ~inputs in
   (* Warm-up traffic, then the archive the recovery will restore from. *)
   Cluster.run ~until:(Sim_time.milliseconds 100) cluster;
   let archive = Cluster.take_archive cluster ~node:crash_node in

@@ -25,20 +25,27 @@ type bank_opts = {
   skew : float;
 }
 
-(* Out-of-range values are refused up front with exit code 2, before they
-   reach a constructor that would raise. *)
+(* A bad option value is refused before anything is simulated: one
+   [tandem: ...] line on stderr, exit code 2, nothing on stdout. *)
+let refuse fmt =
+  Printf.ksprintf
+    (fun message ->
+      Printf.eprintf "tandem: %s\n" message;
+      exit 2)
+    fmt
+
+(* Out-of-range values are refused up front, before they reach a
+   constructor that would raise. *)
 let bank_opts_term ~terminals ~servers ~seconds =
   let int_opt name default doc =
     Arg.(value & opt int default & info [ name ] ~doc)
   in
   let make seed cpus volumes terminals servers seconds skew =
     let check name value lo hi =
-      if value < lo || value > hi then begin
-        Printf.eprintf "tandem: --%s %d: expected %s\n" name value
+      if value < lo || value > hi then
+        refuse "--%s %d: expected %s" name value
           (if hi = max_int then Printf.sprintf "at least %d" lo
-           else Printf.sprintf "%d-%d" lo hi);
-        exit 2
-      end
+           else Printf.sprintf "%d-%d" lo hi)
     in
     check "cpus" cpus 2 16;
     check "volumes" volumes 1 max_int;
@@ -62,33 +69,16 @@ let bank_opts_term ~terminals ~servers ~seconds =
    shared by the bank, stats and trace subcommands. *)
 let setup_bank ?(trace_tags = [])
     { seed; cpus; volumes; terminals; servers; seconds; skew } =
-  let cluster = Cluster.create ~seed () in
+  let cluster, spec =
+    Workload.build_bank ~seed ~cpus
+      ~volumes:(List.init volumes (fun _ -> 1))
+      ~accounts:(500 * volumes) ~tellers:20 ~branches:10
+      ~servers:[ `Bank servers ] ()
+  in
   List.iter
     (fun tag ->
       Tandem_sim.Trace.enable (Tandem_os.Net.trace (Cluster.net cluster)) tag)
     trace_tags;
-  ignore (Cluster.add_node cluster ~id:1 ~cpus);
-  let volume_names = List.init volumes (fun i -> Printf.sprintf "$DATA%d" (i + 1)) in
-  List.iteri
-    (fun i name ->
-      ignore
-        (Cluster.add_volume cluster ~node:1 ~name
-           ~primary_cpu:((2 + i) mod cpus)
-           ~backup_cpu:((3 + i) mod cpus)
-           ()))
-    volume_names;
-  let spec =
-    {
-      Workload.accounts = 500 * volumes;
-      tellers = 20;
-      branches = 10;
-      initial_balance = 1_000;
-      account_partitions = List.map (fun v -> (1, v)) volume_names;
-      system_home = (1, List.hd volume_names);
-    }
-  in
-  Workload.install_bank cluster spec;
-  ignore (Workload.add_bank_servers cluster ~node:1 ~count:servers ());
   let tcp =
     Cluster.add_tcp cluster ~node:1 ~name:"$TCP1" ~terminals
       ~program:Workload.debit_credit_program ()
@@ -281,9 +271,7 @@ let run_stats workload ({ seed; cpus; volumes; seconds; _ } as opts) top json
       Cluster.run ~until:(Sim_time.seconds seconds) cluster;
       Printf.printf "mfg: %ds simulated across four plants\n\n" seconds;
       print_stats ~top ~json cluster
-  | other ->
-      Printf.printf "unknown workload %S (try bank or mfg)\n" other;
-      exit 1
+  | other -> refuse "WORKLOAD %s: expected bank or mfg" other
 
 let stats_cmd =
   let workload =
@@ -426,21 +414,9 @@ let mfg_cmd =
 (* query: run a mini-ENFORM query against a freshly-loaded bank. *)
 
 let run_query seconds text =
-  let cluster = Cluster.create ~seed:7 () in
-  ignore (Cluster.add_node cluster ~id:1 ~cpus:4);
-  ignore (Cluster.add_volume cluster ~node:1 ~name:"$DATA1" ~primary_cpu:2 ~backup_cpu:3 ());
-  let spec =
-    {
-      Workload.accounts = 100;
-      tellers = 10;
-      branches = 5;
-      initial_balance = 1_000;
-      account_partitions = [ (1, "$DATA1") ];
-      system_home = (1, "$DATA1");
-    }
+  let cluster, spec =
+    Workload.build_bank ~seed:7 ~accounts:100 ~servers:[ `Bank 2 ] ()
   in
-  Workload.install_bank cluster spec;
-  ignore (Workload.add_bank_servers cluster ~node:1 ~count:2 ());
   let tcp =
     Cluster.add_tcp cluster ~node:1 ~name:"$TCP1" ~terminals:8
       ~program:Workload.debit_credit_program ()
@@ -544,18 +520,21 @@ let drive_client cluster ~node body =
 let run_indoubt protocol_name acceptors seed resolve force =
   (* Acceptors are placed one per node, so a 2f+1 set must fit on the
      three [indoubt_nodes]. *)
-  if acceptors <> 1 && acceptors <> 3 then begin
-    Printf.eprintf "tandem: --acceptors %d: expected 1 or 3 (2f+1 on 3 nodes)\n"
-      acceptors;
-    exit 2
-  end;
+  if acceptors <> 1 && acceptors <> 3 then
+    refuse "--acceptors %d: expected 1 or 3 (2f+1 on 3 nodes)" acceptors;
   let protocol =
     match protocol_name with
     | "2pc" -> `Two_phase
     | "paxos" -> `Paxos acceptors
-    | other ->
-        Printf.eprintf "unknown protocol %S (try 2pc or paxos)\n" other;
-        exit 2
+    | other -> refuse "--protocol %s: expected 2pc or paxos" other
+  in
+  let force =
+    Option.map
+      (function
+        | "commit" as verdict -> (verdict, Tandem_audit.Monitor_trail.Committed)
+        | "abort" as verdict -> (verdict, Tandem_audit.Monitor_trail.Aborted)
+        | other -> refuse "--force %s: expected commit or abort" other)
+      force
   in
   let config =
     {
@@ -637,15 +616,7 @@ let run_indoubt protocol_name acceptors seed resolve force =
   end;
   (match force with
   | None -> ()
-  | Some verdict ->
-      let disposition =
-        match verdict with
-        | "commit" -> Tandem_audit.Monitor_trail.Committed
-        | "abort" -> Tandem_audit.Monitor_trail.Aborted
-        | other ->
-            Printf.eprintf "unknown --force %S (try commit or abort)\n" other;
-            exit 2
-      in
+  | Some (verdict, disposition) ->
       Printf.printf "\nforcing %s on the remaining in-doubt transactions:\n"
         verdict;
       List.iter

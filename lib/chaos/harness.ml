@@ -9,41 +9,18 @@ type bank = {
   initial_total : int;
 }
 
-let volume_name node = Printf.sprintf "$DATA%d" node
-
 let build_bank ?(nodes = 1) ?(cpus = 4) ?transfers ?(inquiries = false)
     ?config ~seed ~quick () =
   let transfers = Option.value transfers ~default:(nodes > 1) in
-  let cluster = Cluster.create ~seed ?config () in
-  let node_ids = List.init nodes (fun i -> i + 1) in
-  List.iter
-    (fun id ->
-      ignore (Cluster.add_node cluster ~id ~cpus);
-      ignore
-        (Cluster.add_volume cluster ~node:id ~name:(volume_name id)
-           ~primary_cpu:(2 mod cpus) ~backup_cpu:(3 mod cpus) ()))
-    node_ids;
-  (* Full mesh, so a single link failure exercises re-routing on three or
-     more nodes and isolates exactly one node on two. *)
-  List.iter
-    (fun a ->
-      List.iter (fun b -> if a < b then Cluster.link cluster a b) node_ids)
-    node_ids;
+  (* The full mesh makes a single link failure exercise re-routing on
+     three or more nodes and isolate exactly one node on two. *)
   let accounts_per_node = if quick then 100 else 200 in
-  let spec =
-    {
-      Workload.accounts = accounts_per_node * nodes;
-      tellers = 10;
-      branches = 5;
-      initial_balance = 1_000;
-      account_partitions = List.map (fun id -> (id, volume_name id)) node_ids;
-      system_home = (1, volume_name 1);
-    }
+  let cluster, spec =
+    Workload.build_bank ~seed ?config ~nodes ~cpus
+      ~accounts:(accounts_per_node * nodes)
+      ~servers:[ `Bank 3; `Transfer 2; `Inquiry 2 ]
+      ()
   in
-  Workload.install_bank cluster spec;
-  ignore (Workload.add_bank_servers cluster ~node:1 ~count:3 ());
-  ignore (Workload.add_transfer_servers cluster ~node:1 ~count:2 ());
-  ignore (Workload.add_inquiry_servers cluster ~node:1 ~count:2 ());
   let terminals = if quick then 4 else 8 in
   let inputs = if quick then 6 else 20 in
   let input_rng = Rng.create ~seed:(seed + 7919) in
@@ -65,7 +42,7 @@ let build_bank ?(nodes = 1) ?(cpus = 4) ?transfers ?(inquiries = false)
         in
         load tcp (fun () -> Workload.debit_credit_input input_rng spec ());
         tcp)
-      node_ids
+      (Cluster.node_ids cluster)
   in
   let other_tcps =
     (if transfers then

@@ -29,12 +29,12 @@ val build_bank :
   quick:bool ->
   unit ->
   bank
-(** A standard banking cluster: [nodes] (default 1) fully-linked nodes, one
-    mirrored data volume per node holding that node's account partition,
-    BANK/TRANSFER/INQUIRY server classes on node 1, one debit-credit TCP
-    per node, and — when enabled — a transfer TCP ([transfers], default on
-    for multi-node clusters) and an inquiry TCP ([inquiries], default off)
-    on node 1. Every terminal's input queue is preloaded, so the run is
+(** The standard bank of {!Tandem_encompass.Workload.build_bank}: [nodes]
+    (default 1) fully-linked nodes, one mirrored data volume per node
+    holding that node's account partition, BANK/TRANSFER/INQUIRY server
+    classes on node 1. To it come one debit-credit TCP per node and — when
+    enabled — a transfer TCP ([transfers], default on for multi-node
+    clusters) and an inquiry TCP ([inquiries], default off) on node 1. Every terminal's input queue is preloaded, so the run is
     closed-loop; [quick] shrinks terminals and inputs for CI. *)
 
 val committed : bank -> int

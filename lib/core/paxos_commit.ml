@@ -31,34 +31,23 @@ let tmp_counter net name = Metrics.counter (Net.metrics net) ("tmp." ^ name)
 let fanout net ~self ~acceptors ~transid payload =
   let own = Cpu.node (Process.cpu self) in
   let results = ref [] in
-  let remaining = ref (List.length acceptors) in
-  let waker = ref None in
-  List.iter
+  Process.iter_concurrently self
     (fun acceptor ->
-      Process.spawn_fiber self (fun () ->
-          (if Net.reachable net own acceptor then begin
-             (* One message charged for the request now; the reply's only
-                when it actually arrives — a timed-out call put one message
-                on the wire, not a round trip. *)
-             Span.add_messages (Net.spans net) transid 1;
-             match
-               Rpc.call_name net ~self ~node:acceptor
-                 ~name:Acceptor.process_name ~retries:0 payload
-             with
-             | Ok reply ->
-                 Span.add_messages (Net.spans net) transid 1;
-                 results := (acceptor, reply) :: !results
-             | Error _ -> ()
-           end);
-          decr remaining;
-          if !remaining = 0 then
-            match !waker with
-            | Some resume ->
-                waker := None;
-                resume (Ok ())
-            | None -> ()))
+      if Net.reachable net own acceptor then begin
+        (* One message charged for the request now; the reply's only when
+           it actually arrives — a timed-out call put one message on the
+           wire, not a round trip. *)
+        Span.add_messages (Net.spans net) transid 1;
+        match
+          Rpc.call_name net ~self ~node:acceptor ~name:Acceptor.process_name
+            ~retries:0 payload
+        with
+        | Ok reply ->
+            Span.add_messages (Net.spans net) transid 1;
+            results := (acceptor, reply) :: !results
+        | Error _ -> ()
+      end)
     acceptors;
-  if !remaining > 0 then Fiber.suspend (fun resume -> waker := Some resume);
   List.rev !results
 
 (* ------------------------------------------------------------------ *)

@@ -146,7 +146,8 @@ let rec retry_loop t process =
     let entries = Array.of_seq (Queue.to_seq t.safe_queue) in
     Queue.clear t.safe_queue;
     let kept = Array.make (Array.length entries) false in
-    let deliver index (dst, payload) =
+    let deliver index =
+      let dst, payload = entries.(index) in
       (* A currently-unreachable destination keeps its entry without burning
          an RPC timeout (which would delay deliveries to reachable nodes). *)
       if not (Net.reachable t.net (own_node t) dst) then kept.(index) <- true
@@ -158,21 +159,8 @@ let rec retry_loop t process =
         | Ok Ack -> ()
         | Ok _ | Error _ -> kept.(index) <- true
     in
-    let remaining = ref (Array.length entries) in
-    let waker = ref None in
-    Array.iteri
-      (fun index entry ->
-        Process.spawn_fiber process (fun () ->
-            deliver index entry;
-            decr remaining;
-            if !remaining = 0 then
-              match !waker with
-              | Some resume ->
-                  waker := None;
-                  resume (Ok ())
-              | None -> ()))
-      entries;
-    if !remaining > 0 then Fiber.suspend (fun resume -> waker := Some resume);
+    Process.iter_concurrently process deliver
+      (List.init (Array.length entries) Fun.id);
     (* Requeue survivors (in their original relative order) ahead of entries
        queued during the pass — no fiber suspension between building and
        installing the new queue. *)
@@ -453,26 +441,14 @@ let prepare_children t ~self info =
       | [] -> Ok ()
       | children ->
           let failure = ref None in
-          let remaining = ref (List.length children) in
-          let waker = ref None in
-          List.iter
+          Process.iter_concurrently self
             (fun child ->
-              Process.spawn_fiber self (fun () ->
-                  (match prepare_one t ~self info child with
-                  | Ok `Prepared -> ()
-                  | Ok `Read_only -> read_only := child :: !read_only
-                  | Error message ->
-                      if !failure = None then failure := Some message);
-                  decr remaining;
-                  if !remaining = 0 then
-                    match !waker with
-                    | Some resume ->
-                        waker := None;
-                        resume (Ok ())
-                    | None -> ()))
+              match prepare_one t ~self info child with
+              | Ok `Prepared -> ()
+              | Ok `Read_only -> read_only := child :: !read_only
+              | Error message ->
+                  if !failure = None then failure := Some message)
             children;
-          if !remaining > 0 then
-            Fiber.suspend (fun resume -> waker := Some resume);
           (match !failure with Some message -> Error message | None -> Ok ())
     end
   in

@@ -186,6 +186,62 @@ let add_inquiry_servers cluster ~node ?(class_name = "INQUIRY") ~count () =
     inquiry_handler
 
 (* ------------------------------------------------------------------ *)
+(* The standard bank *)
+
+let build_bank ?seed ?config ?(nodes = 1) ?(cpus = 4) ?volumes
+    ?cache_capacity ?(tellers = 10) ?(branches = 5) ?(initial_balance = 1_000)
+    ~accounts ~servers () =
+  let cluster = Cluster.create ?seed ?config () in
+  let node_ids = List.init nodes (fun i -> i + 1) in
+  List.iter (fun id -> ignore (Cluster.add_node cluster ~id ~cpus)) node_ids;
+  List.iter
+    (fun a ->
+      List.iter (fun b -> if a < b then Cluster.link cluster a b) node_ids)
+    node_ids;
+  (* A volume's rank among the earlier volumes of its node staggers its
+     DISCPROCESS pair over the node's processors. *)
+  let ranks = Hashtbl.create 8 in
+  let partitions =
+    List.mapi
+      (fun i node ->
+        let rank = Option.value ~default:0 (Hashtbl.find_opt ranks node) in
+        Hashtbl.replace ranks node (rank + 1);
+        let name = Printf.sprintf "$DATA%d" (i + 1) in
+        ignore
+          (Cluster.add_volume cluster ~node ~name
+             ~primary_cpu:((2 + rank) mod cpus)
+             ~backup_cpu:((3 + rank) mod cpus)
+             ?cache_capacity ());
+        (node, name))
+      (Option.value volumes ~default:node_ids)
+  in
+  let system_home =
+    match partitions with
+    | home :: _ -> home
+    | [] -> invalid_arg "Workload.build_bank: no data volumes"
+  in
+  let spec =
+    {
+      accounts;
+      tellers;
+      branches;
+      initial_balance;
+      account_partitions = partitions;
+      system_home;
+    }
+  in
+  install_bank cluster spec;
+  List.iter
+    (fun server_class ->
+      ignore
+        (match server_class with
+        | `Bank count -> add_bank_servers cluster ~node:1 ~count ()
+        | `Transfer count -> add_transfer_servers cluster ~node:1 ~count ()
+        | `Inquiry count -> add_inquiry_servers cluster ~node:1 ~count ()))
+    servers;
+  (cluster, spec)
+
+(* ------------------------------------------------------------------ *)
 (* Order entry *)
 
 let order_file = "ORDER"

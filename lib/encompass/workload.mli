@@ -67,6 +67,36 @@ val add_inquiry_servers :
     balance and writes nothing: the transaction that exercises the
     read-only vote and zero-force commit paths. *)
 
+val build_bank :
+  ?seed:int ->
+  ?config:Tandem_os.Hw_config.t ->
+  ?nodes:int ->
+  ?cpus:int ->
+  ?volumes:Tandem_os.Ids.node_id list ->
+  ?cache_capacity:int ->
+  ?tellers:int ->
+  ?branches:int ->
+  ?initial_balance:int ->
+  accounts:int ->
+  servers:[ `Bank of int | `Transfer of int | `Inquiry of int ] list ->
+  unit ->
+  Cluster.t * bank_spec
+(** Boot the standard bank, Figure 2's configuration, and return the
+    cluster with the spec of its data:
+    - nodes [1..nodes] (default 1), each with [cpus] processors (default
+      4), every pair linked;
+    - one mirrored data volume per entry of [volumes], naming its node
+      (default one per node). Volume [i] (from 1) is ["$DATA<i>"]; the
+      [r]-th volume on a node (from 0) runs its DISCPROCESS pair on
+      processors [(2+r) mod cpus] and [(3+r) mod cpus], with a cache of
+      [cache_capacity] blocks (default {!Cluster.add_volume}'s);
+    - {!install_bank} over the volumes in order, the first being the
+      system home; [tellers] defaults to 10, [branches] to 5 and
+      [initial_balance] to 1000;
+    - the [servers] classes, in list order, all on node 1.
+
+    The caller adds its own TCPs and input queues. *)
+
 val debit_credit_program : Screen_program.t
 (** BEGIN; SEND to BANK; END. *)
 

@@ -44,6 +44,23 @@ let spawn_fiber t body =
 
 let start t body = spawn_fiber t (fun () -> body t)
 
+let iter_concurrently t f items =
+  let remaining = ref (List.length items) in
+  let waker = ref None in
+  List.iter
+    (fun item ->
+      spawn_fiber t (fun () ->
+          f item;
+          decr remaining;
+          if !remaining = 0 then
+            match !waker with
+            | Some resume ->
+                waker := None;
+                resume (Ok ())
+            | None -> ()))
+    items;
+  if !remaining > 0 then Fiber.suspend (fun resume -> waker := Some resume)
+
 let pid t = t.pid
 
 let name t = t.name

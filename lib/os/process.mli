@@ -23,6 +23,11 @@ val spawn_fiber : t -> (unit -> unit) -> unit
     logic). Finished fibers are dropped as later ones are spawned, so a
     process holds O(live) fibers however many it has run. *)
 
+val iter_concurrently : t -> ('a -> unit) -> 'a list -> unit
+(** [iter_concurrently t f items] runs [f] on every item, each in its own
+    fiber of [t] spawned in list order, and returns (inside one of [t]'s
+    fibers) when every one has finished. *)
+
 val pid : t -> Ids.pid
 
 val name : t -> string

@@ -137,33 +137,10 @@ let knob_variants =
   ]
 
 let three_node_cluster ~config =
-  let cluster = Cluster.create ~seed:11 ~config () in
-  ignore (Cluster.add_node cluster ~id:1 ~cpus:4);
-  ignore (Cluster.add_node cluster ~id:2 ~cpus:4);
-  ignore (Cluster.add_node cluster ~id:3 ~cpus:4);
-  Cluster.link cluster 1 2;
-  Cluster.link cluster 1 3;
-  ignore
-    (Cluster.add_volume cluster ~node:1 ~name:"$DATA1" ~primary_cpu:2
-       ~backup_cpu:3 ());
-  ignore
-    (Cluster.add_volume cluster ~node:2 ~name:"$DATA2" ~primary_cpu:2
-       ~backup_cpu:3 ());
-  ignore
-    (Cluster.add_volume cluster ~node:3 ~name:"$DATA3" ~primary_cpu:2
-       ~backup_cpu:3 ());
-  let spec =
-    {
-      Workload.accounts = 150;
-      tellers = 10;
-      branches = 5;
-      initial_balance = 1_000;
-      account_partitions = [ (1, "$DATA1"); (2, "$DATA2"); (3, "$DATA3") ];
-      system_home = (1, "$DATA1");
-    }
+  let cluster, _spec =
+    Workload.build_bank ~seed:11 ~config ~nodes:3 ~accounts:150
+      ~servers:[ `Transfer 2 ] ()
   in
-  Workload.install_bank cluster spec;
-  ignore (Workload.add_transfer_servers cluster ~node:1 ~count:2 ());
   let tcp =
     Cluster.add_tcp cluster ~node:1 ~name:"$TCP1" ~terminals:2
       ~program:Workload.transfer_program ()

@@ -30,37 +30,17 @@ let node_state cluster node = Tmf.node_state (Cluster.tmf cluster) node
 let paxos_config count =
   { Hw_config.default with Hw_config.tmp_commit_protocol = `Paxos count }
 
-(* Full mesh: Paxos Commit has every voted-yes participant replicate its
-   vote to every acceptor, so unlike the 2PC star topology each node must
-   reach each other node directly. *)
+(* Paxos Commit has every voted-yes participant replicate its vote to
+   every acceptor, so each node must reach each other node directly: the
+   standard bank's full mesh. *)
 let three_node_cluster ~config ~with_tcp () =
-  let cluster = Cluster.create ~seed:11 ~config () in
-  ignore (Cluster.add_node cluster ~id:1 ~cpus:4);
-  ignore (Cluster.add_node cluster ~id:2 ~cpus:4);
-  ignore (Cluster.add_node cluster ~id:3 ~cpus:4);
-  Cluster.link cluster 1 2;
-  Cluster.link cluster 1 3;
-  Cluster.link cluster 2 3;
-  List.iter
-    (fun (node, name) ->
-      ignore
-        (Cluster.add_volume cluster ~node ~name ~primary_cpu:2 ~backup_cpu:3 ()))
-    [ (1, "$DATA1"); (2, "$DATA2"); (3, "$DATA3") ];
-  let spec =
-    {
-      Workload.accounts = 150;
-      tellers = 10;
-      branches = 5;
-      initial_balance = 1_000;
-      account_partitions = [ (1, "$DATA1"); (2, "$DATA2"); (3, "$DATA3") ];
-      system_home = (1, "$DATA1");
-    }
+  let cluster, spec =
+    Workload.build_bank ~seed:11 ~config ~nodes:3 ~accounts:150
+      ~servers:(if with_tcp then [ `Transfer 2; `Inquiry 2 ] else [])
+      ()
   in
-  Workload.install_bank cluster spec;
   let tcp =
-    if with_tcp then begin
-      ignore (Workload.add_transfer_servers cluster ~node:1 ~count:2 ());
-      ignore (Workload.add_inquiry_servers cluster ~node:1 ~count:2 ());
+    if with_tcp then
       Some
         (Cluster.add_tcp cluster ~node:1 ~name:"$TCP1" ~terminals:2
            ~program:
@@ -73,7 +53,6 @@ let three_node_cluster ~config ~with_tcp () =
                   in
                   verbs.Screen_program.send ~server_class input))
            ())
-    end
     else None
   in
   (cluster, spec, tcp)

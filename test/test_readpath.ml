@@ -26,29 +26,11 @@ let node_state cluster node = Tmf.node_state (Cluster.tmf cluster) node
 (* Read-only transactions commit with zero forces anywhere *)
 
 let inquiry_cluster () =
-  let cluster = Cluster.create ~seed:11 () in
-  ignore (Cluster.add_node cluster ~id:1 ~cpus:4);
-  ignore (Cluster.add_node cluster ~id:2 ~cpus:4);
-  Cluster.link cluster 1 2;
-  ignore
-    (Cluster.add_volume cluster ~node:1 ~name:"$DATA1" ~primary_cpu:2
-       ~backup_cpu:3 ());
-  ignore
-    (Cluster.add_volume cluster ~node:2 ~name:"$DATA2" ~primary_cpu:2
-       ~backup_cpu:3 ());
-  let spec =
-    {
-      Workload.accounts = 100;
-      tellers = 10;
-      branches = 5;
-      initial_balance = 1_000;
-      (* Accounts 0-49 on node 1, 50-99 on node 2. *)
-      account_partitions = [ (1, "$DATA1"); (2, "$DATA2") ];
-      system_home = (1, "$DATA1");
-    }
+  (* Accounts 0-49 on node 1, 50-99 on node 2. *)
+  let cluster, spec =
+    Workload.build_bank ~seed:11 ~nodes:2 ~accounts:100
+      ~servers:[ `Inquiry 2 ] ()
   in
-  Workload.install_bank cluster spec;
-  ignore (Workload.add_inquiry_servers cluster ~node:1 ~count:2 ());
   let tcp =
     Cluster.add_tcp cluster ~node:1 ~name:"$TCP1" ~terminals:2
       ~program:Workload.balance_inquiry_program ()
@@ -155,32 +137,12 @@ let test_crash_after_phase1_read_only_child () =
 (* Presumed-abort resolution after the home TMP loses its state *)
 
 let test_presumed_abort_resolution_after_restart () =
-  let cluster =
-    Cluster.create ~seed:11
+  let cluster, _spec =
+    Workload.build_bank ~seed:11
       ~config:
         { Hw_config.default with transaction_time_limit = Sim_time.seconds 2 }
-      ()
+      ~nodes:2 ~accounts:100 ~servers:[] ()
   in
-  ignore (Cluster.add_node cluster ~id:1 ~cpus:4);
-  ignore (Cluster.add_node cluster ~id:2 ~cpus:4);
-  Cluster.link cluster 1 2;
-  ignore
-    (Cluster.add_volume cluster ~node:1 ~name:"$DATA1" ~primary_cpu:2
-       ~backup_cpu:3 ());
-  ignore
-    (Cluster.add_volume cluster ~node:2 ~name:"$DATA2" ~primary_cpu:2
-       ~backup_cpu:3 ());
-  let spec =
-    {
-      Workload.accounts = 100;
-      tellers = 10;
-      branches = 5;
-      initial_balance = 1_000;
-      account_partitions = [ (1, "$DATA1"); (2, "$DATA2") ];
-      system_home = (1, "$DATA1");
-    }
-  in
-  Workload.install_bank cluster spec;
   let tmf = Cluster.tmf cluster in
   let prepare_reply = ref None in
   Cluster.run_client cluster ~node:1 ~cpu:1 (fun process ->
@@ -257,30 +219,10 @@ let mix_program =
       verbs.Screen_program.send ~server_class input)
 
 let three_node_cluster ~config =
-  let cluster = Cluster.create ~seed:11 ~config () in
-  ignore (Cluster.add_node cluster ~id:1 ~cpus:4);
-  ignore (Cluster.add_node cluster ~id:2 ~cpus:4);
-  ignore (Cluster.add_node cluster ~id:3 ~cpus:4);
-  Cluster.link cluster 1 2;
-  Cluster.link cluster 1 3;
-  List.iter
-    (fun (node, name) ->
-      ignore
-        (Cluster.add_volume cluster ~node ~name ~primary_cpu:2 ~backup_cpu:3 ()))
-    [ (1, "$DATA1"); (2, "$DATA2"); (3, "$DATA3") ];
-  let spec =
-    {
-      Workload.accounts = 150;
-      tellers = 10;
-      branches = 5;
-      initial_balance = 1_000;
-      account_partitions = [ (1, "$DATA1"); (2, "$DATA2"); (3, "$DATA3") ];
-      system_home = (1, "$DATA1");
-    }
+  let cluster, _spec =
+    Workload.build_bank ~seed:11 ~config ~nodes:3 ~accounts:150
+      ~servers:[ `Transfer 2; `Inquiry 2 ] ()
   in
-  Workload.install_bank cluster spec;
-  ignore (Workload.add_transfer_servers cluster ~node:1 ~count:2 ());
-  ignore (Workload.add_inquiry_servers cluster ~node:1 ~count:2 ());
   let tcp =
     Cluster.add_tcp cluster ~node:1 ~name:"$TCP1" ~terminals:2
       ~program:mix_program ()

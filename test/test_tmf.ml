@@ -216,40 +216,15 @@ let test_census_counts_transitions () =
    protocols may only differ in WHEN the verdict becomes reachable. *)
 
 let restart_cluster ~config =
-  let cluster =
-    Cluster.create ~seed:11
-      ~config:
-        {
-          config with
-          (* Long enough that no transaction timer fires during the test:
-             every resolution below comes from ROLLFORWARD negotiation. *)
-          Hw_config.transaction_time_limit = Sim_time.seconds 60;
-        }
-      ()
-  in
-  ignore (Cluster.add_node cluster ~id:1 ~cpus:4);
-  ignore (Cluster.add_node cluster ~id:2 ~cpus:4);
-  ignore (Cluster.add_node cluster ~id:3 ~cpus:4);
-  Cluster.link cluster 1 2;
-  Cluster.link cluster 1 3;
-  Cluster.link cluster 2 3;
-  List.iter
-    (fun (node, name) ->
-      ignore
-        (Cluster.add_volume cluster ~node ~name ~primary_cpu:2 ~backup_cpu:3 ()))
-    [ (1, "$DATA1"); (2, "$DATA2"); (3, "$DATA3") ];
-  let spec =
-    {
-      Workload.accounts = 150;
-      tellers = 10;
-      branches = 5;
-      initial_balance = 1_000;
-      account_partitions = [ (1, "$DATA1"); (2, "$DATA2"); (3, "$DATA3") ];
-      system_home = (1, "$DATA1");
-    }
-  in
-  Workload.install_bank cluster spec;
-  (cluster, spec)
+  Workload.build_bank ~seed:11
+    ~config:
+      {
+        config with
+        (* Long enough that no transaction timer fires during the test:
+           every resolution below comes from ROLLFORWARD negotiation. *)
+        Hw_config.transaction_time_limit = Sim_time.seconds 60;
+      }
+    ~nodes:3 ~accounts:150 ~servers:[] ()
 
 (* Pin a committed-but-unannounced transfer at node 2, cut the home off,
    then lose node 2 completely twice — recovering from the SAME archive
