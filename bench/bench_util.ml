@@ -113,6 +113,20 @@ let write_json ?(note = "") ~what path json =
   | exception Sys_error message ->
       Printf.eprintf "cannot write %s: %s\n" path message
 
+(* Every claim a BENCH file carries is checked where it is computed, on the
+   typed rows, before the file is written: a failed [require] stops the
+   run with a non-zero exit. *)
+let require ok fmt =
+  Printf.ksprintf (fun message -> if not ok then failwith message) fmt
+
+(* The host a wall-clock BENCH file was measured on. *)
+let host_json () =
+  Json.Obj
+    [
+      ("cores", Json.Int (Domain.recommended_domain_count ()));
+      ("ocaml", Json.String Sys.ocaml_version);
+    ]
+
 (* Committed BENCH files are rewritten by full runs only. *)
 let write_bench ~what path json =
   if quick_mode () then

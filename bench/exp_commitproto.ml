@@ -210,11 +210,21 @@ let write_json ~terminals ff_rows crash_rows =
         else None)
       ff_rows
   in
+  (* The Paxos cost and benefit claims stay anchored to the stock 2PC. *)
+  require
+    (String.starts_with ~prefix:"baseline" baseline_commit)
+    "commitproto: baseline_commit lacks its baseline stamp";
+  require
+    (List.exists (fun (label, _, _, _) -> label = "2pc") ff_rows)
+    "commitproto: failure_free lacks the 2pc baseline row";
+  require
+    (List.mem_assoc "2pc" crash_rows)
+    "commitproto: home_crash lacks the 2pc baseline row";
   let overhead =
     match (msgs_of "2pc", msgs_of "paxos-3") with
     | Some msgs_2pc, Some msgs_paxos when msgs_2pc > 0 ->
-        Json.Float (float_of_int msgs_paxos /. float_of_int msgs_2pc)
-    | _ -> Json.Null
+        float_of_int msgs_paxos /. float_of_int msgs_2pc
+    | _ -> failwith "commitproto: no msgs_overhead_paxos_vs_2pc"
   in
   write_bench ~what:"commit-protocol ablation" "BENCH_commitproto.json"
     (Json.Obj
@@ -229,7 +239,7 @@ let write_json ~terminals ff_rows crash_rows =
          ("acceptors", Json.Int acceptor_count);
          ("failure_free", Json.List ff_entries);
          ("home_crash", Json.List crash_entries);
-         ("msgs_overhead_paxos_vs_2pc", overhead);
+         ("msgs_overhead_paxos_vs_2pc", Json.Float overhead);
        ])
 
 let run () =

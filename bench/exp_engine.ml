@@ -20,35 +20,14 @@
    - labeled counter bump: the Metrics labeled-counter increment the
      per-message/per-RPC instrumentation pays.
 
-   Fixed work per benchmark, wall-clock timed; a full run rewrites
-   BENCH_engine.json against the committed baseline numbers (measured at
-   [baseline_commit] with the seed engine: closure-compare heap, no event
-   pooling, no tombstone reaping, sprintf-per-increment labeled counters).
-   Quick mode shrinks the work and leaves the JSON untouched, but still
-   prints machine-readable ENGINE_SMOKE lines for the CI regression
-   guard. *)
+   Fixed work per benchmark, wall-clock timed. A full run rewrites
+   BENCH_engine.json with the measured rates, stamped with the host they
+   were measured on. A quick run shrinks the work, leaves the JSON
+   untouched and fails unless every workload reaches a third of its
+   committed rate. *)
 
 open Tandem_sim
 open Bench_util
-
-let baseline_commit =
-  "baseline 6815ef4: seed implementations (closure-cmp heap, unpooled \
-   events, no tombstone reaping, full-rotation mailbox dispatch, sprintf \
-   labeled counters)"
-
-(* Seed-implementation events/sec measured at 6815ef4 on the reference
-   container, same benchmark bodies (each row isolates the subsystem it
-   names: the mailbox row's baseline ran the seed Mailbox, the metrics
-   row's baseline bumped the same labeled counter through the seed
-   sprintf-per-increment path). *)
-let baselines =
-  [
-    ("engine/schedule-fire storm", 3_990_000.0);
-    ("engine/rpc-style cancel storm", 1_387_000.0);
-    ("engine/fiber sleep churn", 4_070_000.0);
-    ("engine/mailbox dispatch", 1_052_000.0);
-    ("metrics/labeled counter bump", 6_690_000.0);
-  ]
 
 let time_events f =
   let started = Unix.gettimeofday () in
@@ -170,32 +149,68 @@ let benchmarks ~quick =
       labeled_counter_bump ~budget:(scale 4_000_000) );
   ]
 
+let committed_path = "BENCH_engine.json"
+
+(* The committed events/sec of [committed_path], by benchmark name. *)
+let committed_rates () =
+  let fail why = failwith (Printf.sprintf "engine: %s: %s" committed_path why) in
+  let json =
+    match In_channel.with_open_bin committed_path In_channel.input_all with
+    | text -> (
+        match Json.of_string text with Ok json -> json | Error why -> fail why)
+    | exception Sys_error why -> failwith ("engine: " ^ why)
+  in
+  let field name to_value row = Option.bind (Json.member name row) to_value in
+  match field "benchmarks" Json.to_list json with
+  | None -> fail "no benchmarks list"
+  | Some rows ->
+      List.map
+        (fun row ->
+          match
+            ( field "name" Json.to_string_value row,
+              field "events_per_sec" Json.to_float row )
+          with
+          | Some name, Some rate -> (name, rate)
+          | _ -> fail "a benchmark lacks name or events_per_sec")
+        rows
+
+(* The floor is a third of the committed rate: slack for runner variance,
+   so the guard catches order-of-magnitude regressions (a reintroduced
+   closure-compare heap), not noise. *)
+let check_against_committed rows =
+  let committed = committed_rates () in
+  let names = List.sort String.compare in
+  require
+    (names (List.map fst committed)
+    = names (List.map (fun (name, _, _, _) -> name) rows))
+    "engine: measured benchmarks differ from the committed ones";
+  List.iter
+    (fun (name, _, _, rate) ->
+      let committed_rate = List.assoc name committed in
+      require
+        (rate >= committed_rate /. 3.0)
+        "engine: %s at %.0f events/sec, below a third of the committed %.0f"
+        name rate committed_rate)
+    rows
+
 let write_json rows =
   let entries =
     List.map
       (fun (name, events, elapsed, rate) ->
         Json.Obj
-          ([
-             ("name", Json.String name);
-             ("events", Json.Int events);
-             ("elapsed_s", Json.Float elapsed);
-             ("events_per_sec", Json.Float rate);
-           ]
-          @
-          match List.assoc_opt name baselines with
-          | None -> []
-          | Some baseline ->
-              [
-                ("baseline_events_per_sec", Json.Float baseline);
-                ("speedup", Json.Float (rate /. baseline));
-              ]))
+          [
+            ("name", Json.String name);
+            ("events", Json.Int events);
+            ("elapsed_s", Json.Float elapsed);
+            ("events_per_sec", Json.Float rate);
+          ])
       rows
   in
-  write_bench ~what:"engine results" "BENCH_engine.json"
+  write_bench ~what:"engine results" committed_path
     (Json.Obj
        [
          ("schema", Json.String "tandem-bench-engine/1");
-         ("baseline_commit", Json.String baseline_commit);
+         ("host", host_json ());
          ("benchmarks", Json.List entries);
        ])
 
@@ -215,7 +230,7 @@ let run () =
       (benchmarks ~quick)
   in
   print_table
-    ~columns:[ "benchmark"; "events"; "elapsed s"; "events/sec"; "vs baseline" ]
+    ~columns:[ "benchmark"; "events"; "elapsed s"; "events/sec" ]
     (List.map
        (fun (name, events, elapsed, rate) ->
          [
@@ -223,20 +238,14 @@ let run () =
            string_of_int events;
            Printf.sprintf "%.3f" elapsed;
            Printf.sprintf "%.2e" rate;
-           (match List.assoc_opt name baselines with
-           | Some baseline -> Printf.sprintf "%.2fx" (rate /. baseline)
-           | None -> "-");
          ])
        rows);
-  (* Machine-readable lines for the CI smoke guard (quick and full). *)
-  List.iter
-    (fun (name, _, _, rate) ->
-      Printf.printf "ENGINE_SMOKE name=%S events_per_sec=%.0f\n" name rate)
-    rows;
+  if quick then check_against_committed rows;
   write_json rows;
-  observed
-    "monomorphizing the event heap, fusing the run loop's peek/pop, pooling \
-     event records and reaping cancelled tombstones lift every engine shape; \
-     the cancel storm gains the most (the seed engine carried every \
-     cancelled timeout to the end of the run), and interned counter-family \
-     handles remove the sprintf+hash lookup from labeled increments"
+  let slowest =
+    List.fold_left
+      (fun (n, r) (name, _, _, rate) -> if rate < r then (name, rate) else (n, r))
+      ("", infinity) rows
+  in
+  observed "the slowest shape, %s, runs at %.2e events/sec on this host"
+    (fst slowest) (snd slowest)

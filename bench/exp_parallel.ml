@@ -13,19 +13,13 @@
    Every row carries a fingerprint-equality bit against the jobs=1 run of
    the same batch: the determinism contract (docs/FAULT_MODEL.md) is a
    cross-domain property, so more domains may only move wall-clock, never
-   a result byte. The host core count is recorded alongside — on a
-   single-core host the speedup column is honestly flat (domains
-   timeslice), and the CI guard keys the speedup requirement on it.
-
-   A full run rewrites BENCH_parallel.json; quick mode
-   (TANDEM_BENCH_QUICK=1) runs a shrunken sweep and leaves the file
-   alone. *)
+   a result byte, and a diverged row fails the run. The host core count is
+   printed alongside: with fewer cores than domains, the domains timeslice
+   and the speedup column stays flat or falls. Nothing is written to disc;
+   quick mode (TANDEM_BENCH_QUICK=1) runs a shrunken sweep. *)
 
 open Tandem_sim
 open Bench_util
-
-let baseline_commit =
-  "baseline 23f2b62: jobs=1 = the serial harness, byte-for-byte"
 
 let jobs_sweep = [ 1; 2; 4; 8 ]
 
@@ -129,37 +123,6 @@ let serial_wall rows =
   | Some r -> r.r_wall_s
   | None -> Float.nan
 
-let batch_json (batch, rows) =
-  let serial = serial_wall rows in
-  Json.Obj
-    [
-      ("batch", Json.String batch.b_name);
-      ("tasks", Json.Int batch.b_tasks);
-      ( "rows",
-        Json.List
-          (List.map
-             (fun r ->
-               Json.Obj
-                 [
-                   ("jobs", Json.Int r.r_jobs);
-                   ("wall_s", Json.Float r.r_wall_s);
-                   ("speedup", Json.Float (serial /. r.r_wall_s));
-                   ("fingerprint_equal", Json.Bool r.r_equal);
-                 ])
-             rows) );
-    ]
-
-let write_json ~host_cores results =
-  write_bench ~what:"harness speedup" "BENCH_parallel.json"
-    (Json.Obj
-       [
-         ("schema", Json.String "tandem-bench-parallel/1");
-         ("baseline_commit", Json.String baseline_commit);
-         ("host_cores", Json.Int host_cores);
-         ("jobs_sweep", Json.List (List.map (fun j -> Json.Int j) jobs_sweep));
-         ("batches", Json.List (List.map batch_json results));
-       ])
-
 let run () =
   let quick = quick_mode () in
   let host_cores = Domain.recommended_domain_count () in
@@ -203,9 +166,19 @@ let run () =
       results
   in
   if diverged then failwith "exp_parallel: fingerprints diverged across jobs";
-  write_json ~host_cores results;
+  let fastest rows =
+    List.fold_left
+      (fun best r -> if r.r_wall_s < best.r_wall_s then r else best)
+      (List.hd rows) rows
+  in
   observed
-    "the batches are embarrassingly parallel (no shared mutable state \
-     survives the audit), so throughput tracks the host's core count; \
-     every row's digest equals the serial run's — the determinism \
-     contract holds across domains"
+    "on %d cores the fastest --jobs level is %s; every row's digest equals \
+     the serial run's"
+    host_cores
+    (String.concat ", "
+       (List.map
+          (fun (batch, rows) ->
+            let r = fastest rows in
+            Printf.sprintf "%d for %s (%.2fx)" r.r_jobs batch.b_name
+              (serial_wall rows /. r.r_wall_s))
+          results))

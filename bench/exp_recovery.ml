@@ -147,6 +147,25 @@ let write_json points =
         ("replay_equal", Json.Bool p.replay_equal);
       ]
   in
+  (* The sequential baseline stays next to the chain-parallel numbers. *)
+  require
+    (String.starts_with ~prefix:"baseline" baseline_commit)
+    "recovery: baseline_commit lacks its baseline stamp";
+  require
+    (List.length points >= 2)
+    "recovery: %d < 2 trail-size points" (List.length points);
+  List.iter
+    (fun p -> require p.replay_equal "recovery: %s replayed differently" p.label)
+    points;
+  let largest =
+    List.fold_left
+      (fun a b -> if b.trail_images > a.trail_images then b else a)
+      (List.hd points) points
+  in
+  require
+    (largest.par_ms < largest.seq_ms)
+    "recovery: chains no faster than seq at the largest trail (%s)"
+    largest.label;
   write_bench ~what:"recovery ablation" "BENCH_recovery.json"
     (Json.Obj
        [

@@ -260,6 +260,32 @@ let json_of_point point =
     ]
 
 let write_json ~accounts ~node_curve ~terminal_curve =
+  (* The headline configuration: a million-account bank, a node curve of at
+     least 4 points reaching 8-16 nodes, a terminal curve reaching
+     thousands of terminals. Quick mode shrinks every dimension, so only
+     the per-point check binds there. *)
+  if not (quick_mode ()) then begin
+    require (accounts >= 1_000_000) "scaleout: %d < 1M accounts" accounts;
+    let nodes = List.map (fun p -> p.p_nodes) node_curve in
+    require
+      (List.length nodes >= 4)
+      "scaleout: node curve has %d < 4 points" (List.length nodes);
+    let peak = List.fold_left max 0 nodes in
+    require (8 <= peak && peak <= 16)
+      "scaleout: node curve peaks at %d nodes, want 8-16" peak;
+    let terminals =
+      List.fold_left (fun acc p -> max acc p.p_terminals) 0 terminal_curve
+    in
+    require (terminals >= 1000)
+      "scaleout: terminal curve peaks at %d < 1000 terminals" terminals
+  end;
+  List.iter
+    (fun p ->
+      require
+        (Float.is_finite p.p_tps && Float.is_finite p.p_p99_ms)
+        "scaleout: point at %d nodes, %d terminals lacks tx/sec or p99"
+        p.p_nodes p.p_terminals)
+    (node_curve @ terminal_curve);
   let scaling =
     match (node_curve, List.rev node_curve) with
     | first :: _, last :: _ when first.p_tps > 0.0 ->

@@ -75,16 +75,24 @@ let () =
     |> List.map String.lowercase_ascii
     |> List.filter (fun a -> a <> "--")
   in
+  (* An unknown id is refused before anything runs: the list of ids on
+     stderr, exit code 2. *)
+  let ids = List.map (fun (id, _, _) -> id) in
+  (match
+     List.filter (fun id -> not (List.mem id (ids experiments))) requested
+   with
+  | [] -> ()
+  | unknown ->
+      Printf.eprintf "unknown experiment %s; available:\n"
+        (String.concat " " unknown);
+      List.iter
+        (fun (id, title, _) -> Printf.eprintf "  %-11s %s\n" id title)
+        experiments;
+      exit 2);
   let selected =
     if requested = [] then experiments
-    else
-      List.filter (fun (id, _, _) -> List.mem id requested) experiments
+    else List.filter (fun (id, _, _) -> List.mem id requested) experiments
   in
-  if selected = [] then begin
-    Printf.printf "unknown experiment; available:\n";
-    List.iter (fun (id, title, _) -> Printf.printf "  %-6s %s\n" id title) experiments;
-    exit 1
-  end;
   Printf.printf
     "ENCOMPASS/TMF reproduction — experiment harness (simulated 1981 hardware)\n";
   List.iter
@@ -94,7 +102,6 @@ let () =
       Bench_util.set_experiment id;
       run ())
     selected;
-  let ids = List.map (fun (id, _, _) -> id) in
   if (not (Bench_util.quick_mode ())) && ids selected = ids paper_experiments
   then Bench_util.write_results "BENCH_results.json"
   else

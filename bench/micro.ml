@@ -85,7 +85,7 @@ let record_codec =
 (* ------------------------------------------------------------------ *)
 (* Hot-path scaling variants: the structures the TMF hot paths lean on, at
    sizes where list-backed implementations go quadratic. Their estimates
-   feed BENCH_hotpath.json (before/after the indexed-structure rewrite). *)
+   feed BENCH_hotpath.json. *)
 
 let make_trail ?records_per_file () =
   let engine = Engine.create () in
@@ -239,50 +239,29 @@ let print_estimates rows =
     rows
 
 (* ------------------------------------------------------------------ *)
-(* BENCH_hotpath.json: committed before/after evidence for the indexed
-   hot-path structures. [baseline_ns] was measured at commit bc1281a (the
-   list-backed implementations) on the same benchmark definitions; the
-   harness refreshes [current_ns] on every full (non-quick) micro run.
-   Schema documented in docs/PERFORMANCE.md. *)
-
-let hotpath_baseline_commit = "bc1281a (list-backed hot paths)"
-
-let hotpath_baselines =
-  [
-    ("hotpath/audit backout scan (10k-record trail)", 228_156.5);
-    ("hotpath/audit append (2k-record file fill)", 3_795_127.3);
-    ("hotpath/lock release_all (1k locks, 300k-lock table)", 4_291_351.9);
-    ("hotpath/tmp safe-delivery enqueue (1k entries)", 1_845_335.3);
-    ("hotpath/mailbox fifo (1k enqueue+drain)", 2_676_154.9);
-  ]
+(* BENCH_hotpath.json: the hot-path group's estimates, stamped with the
+   host they were measured on; every full (non-quick) micro run rewrites
+   it. Schema documented in docs/PERFORMANCE.md. *)
 
 let write_hotpath_json rows =
   let entries =
-    List.filter_map
+    List.map
       (fun (name, estimate) ->
-        match List.assoc_opt name hotpath_baselines with
-        | None -> None
-        | Some baseline ->
-            Some
-              (Tandem_sim.Json.Obj
-                 ([
-                    ("name", Tandem_sim.Json.String name);
-                    ("baseline_ns", Tandem_sim.Json.Float baseline);
-                  ]
-                 @ (match estimate with
-                   | None -> [ ("current_ns", Tandem_sim.Json.Null) ]
-                   | Some ns ->
-                       [
-                         ("current_ns", Tandem_sim.Json.Float ns);
-                         ("speedup", Tandem_sim.Json.Float (baseline /. ns));
-                       ]))))
+        Tandem_sim.Json.Obj
+          [
+            ("name", Tandem_sim.Json.String name);
+            ( "current_ns",
+              match estimate with
+              | Some ns -> Tandem_sim.Json.Float ns
+              | None -> Tandem_sim.Json.Null );
+          ])
       rows
   in
   Bench_util.write_bench ~what:"hot-path results" "BENCH_hotpath.json"
     (Tandem_sim.Json.Obj
        [
          ("schema", Tandem_sim.Json.String "tandem-bench-hotpath/1");
-         ("baseline_commit", Tandem_sim.Json.String hotpath_baseline_commit);
+         ("host", Bench_util.host_json ());
          ("benchmarks", Tandem_sim.Json.List entries);
        ])
 

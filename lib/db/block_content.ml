@@ -6,7 +6,6 @@ type t =
     }
   | Btree_internal of { separators : Key.t array; children : int array }
   | Relative_segment of { base_slot : int; slots : string option array }
-  | Entry_segment of { base_entry : int; entries : string array }
 
 let string_array_bytes a =
   Array.fold_left (fun acc s -> acc + String.length s + 2) 0 a
@@ -22,7 +21,6 @@ let size_bytes = function
           (fun acc slot ->
             acc + match slot with Some s -> String.length s + 2 | None -> 1)
           0 slots
-  | Entry_segment { entries; _ } -> 8 + string_array_bytes entries
 
 let describe = function
   | Btree_leaf { keys; _ } ->
@@ -32,6 +30,3 @@ let describe = function
   | Relative_segment { base_slot; slots } ->
       Printf.sprintf "relative segment @%d (%d slots)" base_slot
         (Array.length slots)
-  | Entry_segment { base_entry; entries } ->
-      Printf.sprintf "entry segment @%d (%d entries)" base_entry
-        (Array.length entries)

@@ -21,10 +21,6 @@ type t =
       base_slot : int;
       slots : string option array;
     }
-  | Entry_segment of {
-      base_entry : int;
-      entries : string array;
-    }
 
 val size_bytes : t -> int
 (** Approximate serialized size, for compression statistics and audit-volume

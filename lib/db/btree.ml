@@ -20,7 +20,7 @@ let read_node t block =
       Leaf { keys; payloads; next_leaf }
   | Block_content.Btree_internal { separators; children } ->
       Internal { separators; children }
-  | Block_content.Relative_segment _ | Block_content.Entry_segment _ ->
+  | Block_content.Relative_segment _ ->
       invalid_arg "Btree.read_node: foreign block"
 
 let leaf_content { keys; payloads; next_leaf } =

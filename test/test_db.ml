@@ -90,7 +90,7 @@ let test_store_alloc_read_write () =
 let test_store_crash_loses_unflushed () =
   let store = make_store () in
   let content tag =
-    Block_content.Entry_segment { base_entry = 0; entries = [| tag |] }
+    Block_content.Relative_segment { base_slot = 0; slots = [| Some tag |] }
   in
   let b = Store.alloc store (content "v1") in
   Store.overwrite_disk_image store;
@@ -98,16 +98,16 @@ let test_store_crash_loses_unflushed () =
   (* v2 was never flushed: a double failure reverts to v1. *)
   Store.crash store;
   (match Store.read store b with
-  | Block_content.Entry_segment { entries; _ } ->
-      check_string "reverted to flushed image" "v1" entries.(0)
+  | Block_content.Relative_segment { slots = [| Some v |]; _ } ->
+      check_string "reverted to flushed image" "v1" v
   | _ -> Alcotest.fail "wrong content");
   (* Now flush before crashing: v3 survives. *)
   Store.write store b (content "v3");
   Store.flush_all store;
   Store.crash store;
   match Store.read store b with
-  | Block_content.Entry_segment { entries; _ } ->
-      check_string "flushed image survives" "v3" entries.(0)
+  | Block_content.Relative_segment { slots = [| Some v |]; _ } ->
+      check_string "flushed image survives" "v3" v
   | _ -> Alcotest.fail "wrong content"
 
 let test_store_charging_counts_io () =
@@ -122,7 +122,7 @@ let test_store_charging_counts_io () =
   let store = Store.create volume ~cache_capacity:2 in
   Store.set_charging store false;
   let content tag =
-    Block_content.Entry_segment { base_entry = 0; entries = [| tag |] }
+    Block_content.Relative_segment { base_slot = 0; slots = [| Some tag |] }
   in
   let blocks = List.init 4 (fun i -> Store.alloc store (content (string_of_int i))) in
   Store.set_charging store true;
@@ -146,7 +146,7 @@ let test_dirty_eviction_writes_back () =
   let store = Store.create volume ~cache_capacity:1 in
   Store.set_charging store false;
   let content tag =
-    Block_content.Entry_segment { base_entry = 0; entries = [| tag |] }
+    Block_content.Relative_segment { base_slot = 0; slots = [| Some tag |] }
   in
   let b0 = Store.alloc store (content "a") in
   let b1 = Store.alloc store (content "b") in
@@ -163,8 +163,8 @@ let test_dirty_eviction_writes_back () =
   Store.set_charging store false;
   Store.crash store;
   match Store.read store b0 with
-  | Block_content.Entry_segment { entries; _ } ->
-      check_string "evicted dirty block was flushed" "a2" entries.(0)
+  | Block_content.Relative_segment { slots = [| Some v |]; _ } ->
+      check_string "evicted dirty block was flushed" "a2" v
   | _ -> Alcotest.fail "wrong content"
 
 (* ------------------------------------------------------------------ *)
@@ -396,18 +396,6 @@ let test_relative_file () =
   Alcotest.(check (option string)) "delete" (Some "zero")
     (Relative_file.delete_slot file 0);
   check_int "count after delete" 2 (Relative_file.record_count file)
-
-let test_entry_file () =
-  let file = Entry_file.create (make_store ()) ~name:"E" ~entries_per_segment:3 in
-  let numbers = List.map (fun i -> Entry_file.append file (Printf.sprintf "e%d" i)) [ 0; 1; 2; 3; 4 ] in
-  Alcotest.(check (list int)) "dense numbering" [ 0; 1; 2; 3; 4 ] numbers;
-  check_int "count" 5 (Entry_file.count file);
-  Alcotest.(check (option string)) "read 3" (Some "e3") (Entry_file.read_entry file 3);
-  Alcotest.(check (option string)) "read oob" None (Entry_file.read_entry file 9);
-  let seen = ref [] in
-  Entry_file.iter_from file 2 (fun i payload -> seen := (i, payload) :: !seen);
-  Alcotest.(check (list (pair int string)))
-    "iter_from" [ (2, "e2"); (3, "e3"); (4, "e4") ] (List.rev !seen)
 
 (* ------------------------------------------------------------------ *)
 (* Secondary indices through File *)
@@ -765,7 +753,6 @@ let () =
       ( "flat_files",
         [
           Alcotest.test_case "relative file" `Quick test_relative_file;
-          Alcotest.test_case "entry file" `Quick test_entry_file;
         ] );
       ( "file",
         [

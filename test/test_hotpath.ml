@@ -665,8 +665,8 @@ let store_op_print = function
            (List.map (fun (b, v) -> Printf.sprintf "%d=%d" b v) blocks))
 
 let block_of v =
-  Block_content.Entry_segment
-    { base_entry = v; entries = [| string_of_int v |] }
+  Block_content.Relative_segment
+    { base_slot = v; slots = [| Some (string_of_int v) |] }
 
 (* Runs [f], turning [Not_found] and [Invalid_argument] into errors. *)
 let store_outcome f =
