@@ -127,6 +127,13 @@ let host_json () =
       ("ocaml", Json.String Sys.ocaml_version);
     ]
 
+(* The one wall-clock timer of the harness: [f]'s result and the seconds
+   it took. *)
+let time f =
+  let started = Unix.gettimeofday () in
+  let result = f () in
+  (result, Unix.gettimeofday () -. started)
+
 (* Committed BENCH files are rewritten by full runs only. *)
 let write_bench ~what path json =
   if quick_mode () then

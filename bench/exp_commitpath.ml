@@ -27,7 +27,6 @@ let knobs_off =
     Hw_config.default with
     Hw_config.dp_checkpoint_coalescing = false;
     boxcar_window = 0;
-    boxcar_marginal_cost = 0;
     group_commit_window = 0;
     disc_cache_blocks = 0;
   }
@@ -38,11 +37,8 @@ let configs =
     ( "+coalescing",
       { knobs_off with Hw_config.dp_checkpoint_coalescing = true } );
     ( "+boxcar",
-      {
-        knobs_off with
-        Hw_config.boxcar_window = Sim_time.microseconds 100;
-        boxcar_marginal_cost = Sim_time.microseconds 10;
-      } );
+      { knobs_off with Hw_config.boxcar_window = Sim_time.microseconds 100 }
+    );
     ( "+group-commit",
       {
         knobs_off with
@@ -89,46 +85,6 @@ let measure ~label ~config ~terminals ~per_terminal =
       (transfer_schedule ~count:(List.length tcps * terminals * per_terminal))
   in
   record_registry ~label run.metrics;
-  (if Sys.getenv_opt "TANDEM_BENCH_DEBUG" <> None then begin
-     let seconds = Sim_time.to_seconds_float run.elapsed in
-     Printf.printf "  [%s] elapsed %.2fs — resource utilization:\n" label
-       seconds;
-     List.iter
-       (fun (node, name) ->
-         match
-           try Some (Cluster.volume cluster ~node ~volume:name)
-           with Invalid_argument _ -> None
-         with
-         | None -> ()
-         | Some v ->
-             let reads = Tandem_disk.Volume.reads v in
-             let writes = Tandem_disk.Volume.writes v in
-             (* Reads split across the two mirrors; writes occupy both. *)
-             let busy =
-               ((float_of_int reads /. 2.) +. float_of_int writes) *. 0.025
-             in
-             Printf.printf "    vol %d:%-9s r=%-5d w=%-5d util %4.0f%%\n" node
-               name reads writes
-               (100. *. busy /. seconds))
-       [ (1, "$SYSTEM"); (2, "$SYSTEM"); (3, "$SYSTEM");
-         (1, "$AUDITVOL"); (2, "$AUDITVOL"); (3, "$AUDITVOL");
-         (1, "$DATA1"); (2, "$DATA2"); (3, "$DATA3") ];
-     List.iter
-       (fun node_id ->
-         let node = Net.node (Cluster.net cluster) node_id in
-         let line =
-           List.map
-             (fun cpu_id ->
-               let cpu = Node.cpu node cpu_id in
-               Printf.sprintf "cpu%d %2.0f%%" cpu_id
-                 (100.
-                 *. Sim_time.to_seconds_float (Cpu.total_busy cpu)
-                 /. seconds))
-             (Node.up_cpus node)
-         in
-         Printf.printf "    node %d: %s\n" node_id (String.concat "  " line))
-       [ 1; 2; 3 ]
-   end);
   (label, run, mean_latency_ms run.metrics)
 
 let write_json ~terminals rows =

@@ -1,47 +1,39 @@
-(* ENGINE — wall-clock events/sec of the simulation engine itself.
+(* ENGINE — the wall-clock cost of the simulator itself, in one table.
 
    Every other experiment measures *simulated* seconds; this one measures
-   how fast the simulator chews through events of the shapes the bank
-   workloads generate, because at scale-out sizes (exp_scaleout: millions
-   of events per run) the engine hot path is the wall-clock bottleneck.
+   how fast the host runs the simulator's own code, because at scale-out
+   sizes (exp_scaleout: millions of events per run) that code is the
+   wall-clock bottleneck. Three groups:
 
-   Four engine workloads plus one metrics workload:
+   - engine/ and metrics/: event shapes the bank workloads generate — the
+     pure heap add/pop/dispatch cycle, the commit path's arm-and-cancel
+     timeouts, Fiber.sleep wake-ups, Mailbox dispatch to a 16-server class
+     and the labeled-counter bump of the per-RPC instrumentation. One op is
+     one engine event (one increment for the counter).
+   - hotpath/: the index-backed TMF structures at sizes where list-backed
+     implementations went quadratic (docs/PERFORMANCE.md).
+   - core/: single data-path operations — B-tree insert, lookup and scan,
+     lock acquire+release, audit append, record field decode — and one
+     whole simulated debit-credit transaction.
 
-   - schedule+fire storm: self-rescheduling timers, the pure heap
-     add/pop/dispatch cycle with no cancellations.
-   - rpc-style cancel storm: every unit of work arms a far-future timeout
-     and cancels it on completion — the commit path's dominant pattern
-     (each RPC that completes normally retires its timeout). The heap must
-     not drown in cancelled tombstones.
-   - fiber sleep churn: Fiber.sleep wake events through the effect-handler
-     suspend/resume machinery (every Cpu.consume is one of these).
-   - mailbox dispatch: a 16-server class parked on one Mailbox, each
-     message waking the oldest waiter, one engine event per message.
-   - labeled counter bump: the Metrics labeled-counter increment the
-     per-message/per-RPC instrumentation pays.
-
-   Fixed work per benchmark, wall-clock timed. A full run rewrites
-   BENCH_engine.json with the measured rates, stamped with the host they
-   were measured on. A quick run shrinks the work, leaves the JSON
-   untouched and fails unless every workload reaches a third of its
+   Each benchmark builds its fixture untimed, the heap is compacted, and
+   then one timer measures a fixed number of operations (a twentieth of it
+   in quick mode). A full run rewrites BENCH_engine.json with the measured
+   rates, stamped with the host they were measured on. A quick run leaves
+   the JSON untouched and fails unless every row reaches a third of its
    committed rate. *)
 
 open Tandem_sim
+open Tandem_db
 open Bench_util
 
-let time_events f =
-  let started = Unix.gettimeofday () in
-  let events = f () in
-  let elapsed = Unix.gettimeofday () -. started in
-  (events, elapsed)
-
 (* ------------------------------------------------------------------ *)
-(* Workloads. Each returns the number of events (or operations) driven. *)
+(* Engine workloads. Each runs to a budget and returns the events driven. *)
 
 (* 256 concurrent self-rescheduling timers racing to a shared budget: the
    heap stays ~256 deep, every iteration is one pop + one push + one
    dispatch. *)
-let schedule_fire_storm ~budget () =
+let schedule_fire_storm budget =
   let engine = Engine.create ~seed:11 () in
   let fired = ref 0 in
   let lanes = 256 in
@@ -60,7 +52,7 @@ let schedule_fire_storm ~budget () =
    far-future timeout it armed. The cancelled events sit an hour in the
    simulated future — a seed-style engine carries all of them to the end
    of the run. *)
-let cancel_storm ~budget () =
+let cancel_storm budget =
   let engine = Engine.create ~seed:13 () in
   let fired = ref 0 in
   let hour = Sim_time.minutes 60 in
@@ -82,7 +74,7 @@ let cancel_storm ~budget () =
 
 (* Suspend/resume through the effect machinery: what every Cpu.consume and
    protocol retry pause costs. *)
-let fiber_sleep_churn ~budget () =
+let fiber_sleep_churn budget =
   let engine = Engine.create ~seed:17 () in
   let fibers = 64 in
   let per_fiber = budget / fibers in
@@ -96,13 +88,14 @@ let fiber_sleep_churn ~budget () =
   Engine.run engine;
   fibers * per_fiber
 
+let pid serial = { Tandem_os.Ids.node = 1; cpu = 0; serial }
+
 (* Server-class dispatch through a Mailbox: 16 parked servers (the shape
    of every $BANK/$TRANSFER server class), each message waking the oldest
    waiter, plus one producer sleep event per message. *)
-let mailbox_dispatch ~budget () =
+let mailbox_dispatch budget =
   let engine = Engine.create ~seed:19 () in
   let mailbox = Tandem_os.Mailbox.create () in
-  let pid serial = { Tandem_os.Ids.node = 1; cpu = 0; serial } in
   let message =
     Tandem_os.Message.oneway ~src:(pid 1) ~dst:(pid 2) Tandem_os.Message.Ping
   in
@@ -126,7 +119,7 @@ let mailbox_dispatch ~budget () =
 
 (* The labeled-counter bump the per-RPC / per-message instrumentation
    pays, through the pre-resolved family handle. *)
-let labeled_counter_bump ~budget () =
+let labeled_counter_bump budget =
   let metrics = Metrics.create () in
   let calls = Metrics.counter_family metrics ~name:"rpc.calls" ~label:"name" in
   let names = [| "$TMP"; "BANK"; "TRANSFER"; "INQUIRY" |] in
@@ -136,22 +129,224 @@ let labeled_counter_bump ~budget () =
   budget
 
 (* ------------------------------------------------------------------ *)
+(* Fixtures of the hot-path and core rows. *)
 
-let benchmarks ~quick =
-  let scale n = if quick then n / 20 else n in
+(* [body i] for i = 1..n: one op per call. *)
+let each body n =
+  for i = 1 to n do
+    body i
+  done;
+  n
+
+let make_volume () =
+  Tandem_disk.Volume.create (Engine.create ()) ~metrics:(Metrics.create ())
+    ~name:"$B" ~access_time:(Sim_time.milliseconds 25)
+
+let make_store () =
+  let store = Store.create (make_volume ()) ~cache_capacity:1024 in
+  Store.set_charging store false;
+  store
+
+let make_tree keys =
+  let tree = Btree.create (make_store ()) ~name:"B" ~degree:16 in
+  for i = 0 to keys - 1 do
+    ignore (Btree.insert tree (Key.of_int i) "payload")
+  done;
+  tree
+
+let make_trail ?records_per_file () =
+  Tandem_audit.Audit_trail.create (make_volume ()) ~name:"$B" ?records_per_file
+    ()
+
+let make_locks () =
+  Tandem_lock.Lock_table.create (Engine.create ()) ~metrics:(Metrics.create ())
+    ~name:"$B"
+
+let record_lock file key = Tandem_lock.Lock_table.Record_lock { file; key }
+
+let trail_image key =
+  {
+    Tandem_audit.Audit_record.volume = "$B";
+    file = "F";
+    key;
+    before = Some "old";
+    after = Some "new";
+  }
+
+(* Backout's read pattern: all records of ONE transaction out of a
+   10k-record trail shared by 16 concurrent transactions. *)
+let backout_scan () =
+  let trail = make_trail () in
+  for i = 0 to 9_999 do
+    ignore
+      (Tandem_audit.Audit_trail.append trail
+         ~transid:(Printf.sprintf "1.0.%d" (i mod 16))
+         (trail_image (string_of_int i)))
+  done;
+  each (fun _ ->
+      ignore (Tandem_audit.Audit_trail.records_for trail ~transid:"1.0.7"))
+
+(* The cumulative append cost of filling one large audit file (trails
+   configured for few rollovers see multi-thousand-record files; a
+   per-append length scan makes the fill quadratic). *)
+let audit_append_fill () =
+  let image = trail_image "k" in
+  each (fun _ ->
+      let trail = make_trail ~records_per_file:2_000 () in
+      for _ = 0 to 1_999 do
+        ignore (Tandem_audit.Audit_trail.append trail ~transid:"1.0.1" image)
+      done)
+
+(* Phase two's unlock: release ONE transaction's 1k locks out of a table
+   holding 300k other-owner locks across 150 files (a busy volume's steady
+   state). Keys are precomputed so the timed cost is the table's, not
+   Printf's. *)
+let lock_release_scaling () =
+  let locks = make_locks () in
+  for file = 0 to 149 do
+    for k = 0 to 1_999 do
+      ignore
+        (Tandem_lock.Lock_table.try_acquire locks
+           ~owner:(Printf.sprintf "bg%d" (k mod 10))
+           (record_lock (Printf.sprintf "F%d" file) (string_of_int k)))
+    done
+  done;
+  let wanted =
+    Array.init 1_000 (fun k -> record_lock "F0" (Printf.sprintf "b%d" k))
+  in
+  each (fun _ ->
+      Array.iter
+        (fun resource ->
+          ignore
+            (Tandem_lock.Lock_table.try_acquire locks ~owner:"bench" resource))
+        wanted;
+      Tandem_lock.Lock_table.release_all locks ~owner:"bench")
+
+(* The TMP safe-delivery queue: enqueue 1k phase-two messages (the engine
+   never runs, so nothing is delivered — this is the pure enqueue path a
+   partition exercises). *)
+let safe_queue_fill () =
+  each (fun _ ->
+      let net = Tandem_os.Net.create () in
+      let node = Tandem_os.Net.add_node net ~id:1 ~cpus:2 in
+      let volume =
+        Tandem_disk.Volume.create (Tandem_os.Net.engine net)
+          ~metrics:(Tandem_os.Net.metrics net) ~name:"$M"
+          ~access_time:(Sim_time.milliseconds 25)
+      in
+      let state =
+        Tmf.Tmf_state.make_node_state ~node ~monitor_volume:volume ()
+      in
+      let tmp = Tmf.Tmp.spawn ~net ~state ~primary_cpu:0 ~backup_cpu:1 in
+      for i = 0 to 999 do
+        Tmf.Tmp.safe_deliver tmp 2 (Tmf.Tmp.Phase2_commit (string_of_int i))
+      done)
+
+(* Selective-receive mailbox: enqueue 1k then drain FIFO. *)
+let mailbox_fifo () =
+  each (fun _ ->
+      let mailbox = Tandem_os.Mailbox.create () in
+      for i = 0 to 999 do
+        Tandem_os.Mailbox.enqueue mailbox
+          (Tandem_os.Message.oneway ~src:(pid i) ~dst:(pid 0)
+             Tandem_os.Message.Ping)
+      done;
+      for _ = 0 to 999 do
+        ignore (Tandem_os.Mailbox.receive_opt mailbox)
+      done)
+
+let btree_insert () =
+  each (fun _ ->
+      let tree = Btree.create (make_store ()) ~name:"B" ~degree:16 in
+      for i = 0 to 999 do
+        ignore (Btree.insert tree (Key.of_int i) "payload")
+      done)
+
+let btree_lookup () =
+  let tree = make_tree 10_000 in
+  each (fun i -> ignore (Btree.find tree (Key.of_int (i * 37 mod 10_000))))
+
+let btree_scan () =
+  let tree = make_tree 10_000 in
+  let lo = Key.of_int 4_000 and hi = Key.of_int 4_099 in
+  each (fun _ -> ignore (Btree.range tree ~lo ~hi))
+
+let lock_cycle () =
+  let locks = make_locks () in
+  each (fun i ->
+      let owner = string_of_int (i land 7) in
+      ignore
+        (Tandem_lock.Lock_table.try_acquire locks ~owner
+           (record_lock "F" (string_of_int i)));
+      Tandem_lock.Lock_table.release_all locks ~owner)
+
+let audit_append () =
+  let trail = make_trail () in
+  let image = trail_image "k" in
+  each (fun _ ->
+      ignore (Tandem_audit.Audit_trail.append trail ~transid:"1.0.1" image))
+
+let record_decode () =
+  let payload =
+    Record.encode [ ("balance", "1000"); ("branch", "SF"); ("status", "open") ]
+  in
+  each (fun _ -> ignore (Record.field payload "branch"))
+
+(* Whole simulated transactions per wall-clock second: the cost of the
+   simulator itself, bank boot included. *)
+let committed_tx () =
+  each (fun _ ->
+      let bank = make_bank ~seed:7 ~terminals:1 ~accounts:50 () in
+      queue_debit_credit bank ~per_terminal:1;
+      Tandem_encompass.Cluster.run bank.cluster)
+
+(* ------------------------------------------------------------------ *)
+
+(* A row: [ops] operations at full size; [prepare] builds the fixture,
+   untimed, and returns the timed body, which runs a given number of
+   operations and returns how many it ran. *)
+type benchmark = { name : string; ops : int; prepare : unit -> int -> int }
+
+let benchmarks =
+  let row name ops prepare = { name; ops; prepare } in
+  let engine name ops run = row name ops (fun () -> run) in
   [
-    ( "engine/schedule-fire storm",
-      schedule_fire_storm ~budget:(scale 4_000_000) );
-    ("engine/rpc-style cancel storm", cancel_storm ~budget:(scale 1_000_000));
-    ("engine/fiber sleep churn", fiber_sleep_churn ~budget:(scale 2_000_000));
-    ("engine/mailbox dispatch", mailbox_dispatch ~budget:(scale 1_000_000));
-    ( "metrics/labeled counter bump",
-      labeled_counter_bump ~budget:(scale 4_000_000) );
+    engine "engine/schedule-fire storm" 4_000_000 schedule_fire_storm;
+    engine "engine/rpc-style cancel storm" 1_000_000 cancel_storm;
+    engine "engine/fiber sleep churn" 2_000_000 fiber_sleep_churn;
+    engine "engine/mailbox dispatch" 1_000_000 mailbox_dispatch;
+    engine "metrics/labeled counter bump" 4_000_000 labeled_counter_bump;
+    row "hotpath/audit backout scan (10k-record trail)" 200_000 backout_scan;
+    row "hotpath/audit append (2k-record file fill)" 1_000 audit_append_fill;
+    row "hotpath/lock release_all (1k locks, 300k-lock table)" 1_000
+      lock_release_scaling;
+    row "hotpath/tmp safe-delivery enqueue (1k entries)" 4_000 safe_queue_fill;
+    row "hotpath/mailbox fifo (1k enqueue+drain)" 10_000 mailbox_fifo;
+    row "core/btree insert (1k sequential)" 1_000 btree_insert;
+    row "core/btree point lookup (10k tree)" 1_000_000 btree_lookup;
+    row "core/btree 100-record range scan" 100_000 btree_scan;
+    row "core/lock acquire + release_all" 1_000_000 lock_cycle;
+    row "core/audit trail append" 1_000_000 audit_append;
+    row "core/record field decode" 1_000_000 record_decode;
+    row "core/one simulated debit-credit (full stack)" 2_000 committed_tx;
   ]
+
+type row = { r_name : string; r_ops : int; r_elapsed : float }
+
+let rate row = float_of_int row.r_ops /. row.r_elapsed
+
+(* Fixture untimed, then a compacted heap, then the fixed work under the
+   timer. The fixture dies with the row, so no row runs beside another's
+   live data. *)
+let measure ~quick { name; ops; prepare } =
+  let body = prepare () in
+  Gc.compact ();
+  let ran, elapsed = time (fun () -> body (if quick then ops / 20 else ops)) in
+  { r_name = name; r_ops = ran; r_elapsed = elapsed }
 
 let committed_path = "BENCH_engine.json"
 
-(* The committed events/sec of [committed_path], by benchmark name. *)
+(* The committed ops/sec of [committed_path], by benchmark name. *)
 let committed_rates () =
   let fail why = failwith (Printf.sprintf "engine: %s: %s" committed_path why) in
   let json =
@@ -168,84 +363,82 @@ let committed_rates () =
         (fun row ->
           match
             ( field "name" Json.to_string_value row,
-              field "events_per_sec" Json.to_float row )
+              field "ops_per_sec" Json.to_float row )
           with
           | Some name, Some rate -> (name, rate)
-          | _ -> fail "a benchmark lacks name or events_per_sec")
+          | _ -> fail "a benchmark lacks name or ops_per_sec")
         rows
 
 (* The floor is a third of the committed rate: slack for runner variance,
    so the guard catches order-of-magnitude regressions (a reintroduced
-   closure-compare heap), not noise. *)
+   closure-compare heap, a quadratic hot path), not noise. *)
 let check_against_committed rows =
   let committed = committed_rates () in
   let names = List.sort String.compare in
   require
-    (names (List.map fst committed)
-    = names (List.map (fun (name, _, _, _) -> name) rows))
+    (names (List.map fst committed) = names (List.map (fun r -> r.r_name) rows))
     "engine: measured benchmarks differ from the committed ones";
   List.iter
-    (fun (name, _, _, rate) ->
-      let committed_rate = List.assoc name committed in
+    (fun row ->
+      let committed_rate = List.assoc row.r_name committed in
       require
-        (rate >= committed_rate /. 3.0)
-        "engine: %s at %.0f events/sec, below a third of the committed %.0f"
-        name rate committed_rate)
+        (rate row >= committed_rate /. 3.0)
+        "engine: %s at %.0f ops/sec, below a third of the committed %.0f"
+        row.r_name (rate row) committed_rate)
     rows
 
 let write_json rows =
   let entries =
     List.map
-      (fun (name, events, elapsed, rate) ->
+      (fun row ->
         Json.Obj
           [
-            ("name", Json.String name);
-            ("events", Json.Int events);
-            ("elapsed_s", Json.Float elapsed);
-            ("events_per_sec", Json.Float rate);
+            ("name", Json.String row.r_name);
+            ("ops", Json.Int row.r_ops);
+            ("elapsed_s", Json.Float row.r_elapsed);
+            ("ops_per_sec", Json.Float (rate row));
           ])
       rows
   in
   write_bench ~what:"engine results" committed_path
     (Json.Obj
        [
-         ("schema", Json.String "tandem-bench-engine/1");
+         ("schema", Json.String "tandem-bench-engine/2");
          ("host", host_json ());
          ("benchmarks", Json.List entries);
        ])
 
 let run () =
-  heading "ENGINE — simulation-engine events/sec (wall-clock)";
+  heading "ENGINE — wall-clock cost of the simulator's own code";
   claim
     "driving millions of simulated users makes the simulator's own event \
-     hot path the bottleneck: heap dispatch, timer cancellation and \
-     per-event instrumentation must run at memory speed";
+     hot path the bottleneck: heap dispatch, timer cancellation, the \
+     indexed TMF structures and per-event instrumentation must run at \
+     memory speed";
   let quick = quick_mode () in
-  let rows =
-    List.map
-      (fun (name, body) ->
-        let events, elapsed = time_events body in
-        let rate = float_of_int events /. elapsed in
-        (name, events, elapsed, rate))
-      (benchmarks ~quick)
-  in
+  let rows = List.map (measure ~quick) benchmarks in
   print_table
-    ~columns:[ "benchmark"; "events"; "elapsed s"; "events/sec" ]
+    ~columns:[ "benchmark"; "ops"; "elapsed s"; "ops/sec"; "ns/op" ]
     (List.map
-       (fun (name, events, elapsed, rate) ->
+       (fun row ->
          [
-           name;
-           string_of_int events;
-           Printf.sprintf "%.3f" elapsed;
-           Printf.sprintf "%.2e" rate;
+           row.r_name;
+           string_of_int row.r_ops;
+           Printf.sprintf "%.3f" row.r_elapsed;
+           Printf.sprintf "%.2e" (rate row);
+           Printf.sprintf "%.0f" (1e9 /. rate row);
          ])
        rows);
   if quick then check_against_committed rows;
   write_json rows;
-  let slowest =
+  let slowest_event =
     List.fold_left
-      (fun (n, r) (name, _, _, rate) -> if rate < r then (name, rate) else (n, r))
-      ("", infinity) rows
+      (fun slowest row ->
+        if String.starts_with ~prefix:"engine/" row.r_name
+           && rate row < rate slowest
+        then row
+        else slowest)
+      (List.hd rows) rows
   in
-  observed "the slowest shape, %s, runs at %.2e events/sec on this host"
-    (fst slowest) (snd slowest)
+  observed "the slowest event shape, %s, runs at %.2e events/sec on this host"
+    slowest_event.r_name (rate slowest_event)

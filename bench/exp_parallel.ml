@@ -23,11 +23,6 @@ open Bench_util
 
 let jobs_sweep = [ 1; 2; 4; 8 ]
 
-let time f =
-  let started = Unix.gettimeofday () in
-  let result = f () in
-  (Unix.gettimeofday () -. started, result)
-
 (* A batch digests every task's observable result into one string; equal
    digests across job counts certify that parallelism changed nothing but
    wall-clock. *)
@@ -110,7 +105,7 @@ let run_rows batch =
   let baseline = ref "" in
   List.map
     (fun jobs ->
-      let wall_s, digest = time (fun () -> batch.b_run ~jobs) in
+      let digest, wall_s = time (fun () -> batch.b_run ~jobs) in
       if jobs = 1 then baseline := digest;
       (* Level the heap between sweeps so a later jobs level never pays
          the earlier levels' garbage. *)

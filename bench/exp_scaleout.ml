@@ -333,39 +333,24 @@ let run () =
      per node; the terminal sweep reuses that point instead of re-running
      it. *)
   let terminal_points = if quick then [ 16 ] else [ 16; 32; 128; 256 ] in
-  let debug = Sys.getenv_opt "TANDEM_BENCH_DEBUG" <> None in
   (* Each point is a sealed cluster, so the sweep fans out on the domain
-     pool (--jobs / TANDEM_JOBS; serial by default). Workers stay silent —
-     per-point timings are printed from here afterwards, in point order. *)
-  let sweep label points =
-    let timed =
-      pool_map
-        (fun (nodes, terminals_per_node) ->
-          let started = Unix.gettimeofday () in
-          let point =
-            measure ~accounts ~nodes ~terminals_per_node ~per_terminal
-          in
-          (* Each point builds a fresh million-row cluster; return the heap
-             to the OS before this domain takes the next one. *)
-          Gc.compact ();
-          (point, Unix.gettimeofday () -. started))
-        points
-    in
-    List.map
-      (fun (point, wall_s) ->
-        if debug then
-          Printf.printf
-            "  [%s] nodes=%d terminals=%d: %d tx in %.1f sim-s (%.1f wall-s)\n%!"
-            label point.p_nodes point.p_terminals point.p_committed
-            (Sim_time.to_seconds_float point.p_elapsed)
-            wall_s;
+     pool (--jobs / TANDEM_JOBS; serial by default). *)
+  let sweep points =
+    pool_map
+      (fun (nodes, terminals_per_node) ->
+        let point =
+          measure ~accounts ~nodes ~terminals_per_node ~per_terminal
+        in
+        (* Each point builds a fresh million-row cluster; return the heap
+           to the OS before this domain takes the next one. *)
+        Gc.compact ();
         point)
-      timed
+      points
   in
   Printf.printf "\nnode curve: %d accounts, %d terminals/node, %d tx/terminal\n"
     accounts node_curve_terminals per_terminal;
   let node_curve =
-    sweep "nodes"
+    sweep
       (List.map (fun nodes -> (nodes, node_curve_terminals)) node_points)
   in
   print_table ~columns:curve_columns (List.map point_row node_curve);
@@ -373,7 +358,7 @@ let run () =
     accounts;
   let terminal_curve =
     let measured =
-      sweep "terminals"
+      sweep
         (List.map
            (fun terminals -> (terminal_nodes, terminals))
            terminal_points)

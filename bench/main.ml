@@ -1,6 +1,6 @@
 (* The benchmark harness: one experiment per figure and per evaluated claim
-   of the paper (see DESIGN.md's per-experiment index), plus Bechamel
-   micro-benchmarks.
+   of the paper (see DESIGN.md's per-experiment index), plus the wall-clock
+   benchmarks of the simulator itself.
 
      dune exec bench/main.exe            -- run everything
      dune exec bench/main.exe -- f1 e5   -- run selected experiments *)
@@ -26,7 +26,6 @@ let paper_experiments =
     ("c1", "data and index compression (front-coding)", Exp_c1.run);
     ("e15", "lock contention vs access skew (ablation)", Exp_e15.run);
     ("e16", "cache capacity vs physical reads (ablation)", Exp_e16.run);
-    ("e17", "serial vs concurrent phase-one prepares (ablation)", Exp_e17.run);
   ]
 
 let experiments =
@@ -36,10 +35,9 @@ let experiments =
       ("readpath", "read-heavy 2PC protocol optimizations (ablation)", Exp_readpath.run);
       ("commitproto", "Paxos Commit vs 2PC: cost and crash window (ablation)", Exp_commitproto.run);
       ("recovery", "dependency-parallel ROLLFORWARD vs sequential replay (ablation)", Exp_recovery.run);
-      ("engine", "simulation-engine events/sec (wall-clock)", Exp_engine.run);
+      ("engine", "simulator wall-clock: engine, hot paths, core data paths", Exp_engine.run);
       ("scaleout", "million-account bank scale-out curves", Exp_scaleout.run);
       ("parallel", "domain-pool harness speedup vs --jobs (wall-clock)", Exp_parallel.run);
-      ("micro", "Bechamel micro-benchmarks", Micro.run);
     ]
 
 (* Strip --jobs N (or --jobs=N) out of the argument list and apply it; the

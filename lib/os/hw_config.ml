@@ -11,12 +11,12 @@ let rpc_timeout = Sim_time.seconds 2
 let rpc_retries = 3
 let net_retransmit = Sim_time.milliseconds 200
 let net_attempts = 5
+let boxcar_marginal_cost = Sim_time.microseconds 10
 
 type t = {
   disc_access : Sim_time.span;
   dp_checkpoint_coalescing : bool;
   boxcar_window : Sim_time.span;
-  boxcar_marginal_cost : Sim_time.span;
   group_commit_window : Sim_time.span;
   disc_cache_blocks : int;
   lock_timeout : Sim_time.span;
@@ -43,7 +43,6 @@ let default =
     disc_access = Sim_time.milliseconds 25;
     dp_checkpoint_coalescing = true;
     boxcar_window = Sim_time.microseconds 100;
-    boxcar_marginal_cost = Sim_time.microseconds 10;
     group_commit_window = Sim_time.microseconds 0;
     disc_cache_blocks = 0;
     lock_timeout = Sim_time.seconds 2;
@@ -73,9 +72,6 @@ let knob_docs =
     ( "boxcar_window",
       span_doc d.boxcar_window,
       "same-destination network messages within this window share a delivery" );
-    ( "boxcar_marginal_cost",
-      span_doc d.boxcar_marginal_cost,
-      "extra latency per additional message riding in a boxcar" );
     ( "group_commit_window",
       span_doc d.group_commit_window,
       "force daemons linger this long so concurrent forces share one write" );

@@ -51,6 +51,11 @@ val net_retransmit : Tandem_sim.Sim_time.span
 val net_attempts : int
 (** End-to-end protocol send attempts before giving up: 5. *)
 
+val boxcar_marginal_cost : Tandem_sim.Sim_time.span
+(** Extra delivery latency paid by each additional message riding in a
+    boxcar after the first — the per-message cost that remains after the
+    link latency is amortized (10 µs). *)
+
 (** {1 Boot-time configuration} *)
 
 type t = {
@@ -65,10 +70,6 @@ type t = {
       (** Outbound network messages to the same destination node departing
           within this window share one scheduled delivery ("boxcarring").
           Zero disables batching: every message departs immediately. *)
-  boxcar_marginal_cost : Tandem_sim.Sim_time.span;
-      (** Extra delivery latency paid by each additional message riding in a
-          boxcar after the first — the per-message cost that remains after
-          the link latency is amortized. *)
   group_commit_window : Tandem_sim.Sim_time.span;
       (** Force daemons wait this long after the first force wish arrives so
           that concurrent phase-one forces on a volume share one physical

@@ -298,7 +298,7 @@ let depart_boxcar t lane =
     Metrics.observe
       (Metrics.sample t.metrics "net.boxcar_occupancy")
       (float_of_int occupancy);
-    let marginal = t.config.Hw_config.boxcar_marginal_cost in
+    let marginal = Hw_config.boxcar_marginal_cost in
     let arrival =
       Sim_time.add (Engine.now t.engine)
         (lane.latency + ((occupancy - 1) * marginal))

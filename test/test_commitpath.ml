@@ -2,7 +2,7 @@
 
    Batching amortizes fixed costs — it must never change what the system
    does. One property pins per-(src,dst) FIFO delivery order under network
-   boxcarring for random send schedules and window/marginal settings; the
+   boxcarring for random send schedules and window settings; the
    equivalence tests run the same seeded three-node transfer workload with
    every batching knob off, each knob on alone, and all knobs on, and
    require transaction dispositions, forced audit-trail contents and final
@@ -24,17 +24,17 @@ let prop_boxcar_fifo =
   QCheck.Test.make
     ~name:"boxcarring preserves per-(src,dst) FIFO delivery order" ~count:100
     QCheck.(
-      triple (int_bound 3) (int_bound 2)
+      pair (int_bound 3)
         (list_of_size Gen.(1 -- 40) (pair (int_bound 2) (int_bound 500))))
-    (fun (window_scale, marginal_scale, sends) ->
-      (* Windows 0/50/100/150 µs crossed with marginal costs 0/5/10 µs;
-         each send picks a destination node and a start offset, so sends
-         land inside, astride and between boxcar windows. *)
+    (fun (window_scale, sends) ->
+      (* Windows 0/50/100/150 µs, each rider paying the fixed
+         [Hw_config.boxcar_marginal_cost]; each send picks a destination
+         node and a start offset, so sends land inside, astride and between
+         boxcar windows. *)
       let config =
         {
           Hw_config.default with
           Hw_config.boxcar_window = Sim_time.microseconds (50 * window_scale);
-          boxcar_marginal_cost = Sim_time.microseconds (5 * marginal_scale);
         }
       in
       let net = Net.create ~config () in
@@ -110,7 +110,6 @@ let knobs_off =
     Hw_config.default with
     Hw_config.dp_checkpoint_coalescing = false;
     boxcar_window = 0;
-    boxcar_marginal_cost = 0;
     group_commit_window = 0;
     disc_cache_blocks = 0;
   }
@@ -119,11 +118,8 @@ let knob_variants =
   [
     ("coalescing", { knobs_off with Hw_config.dp_checkpoint_coalescing = true });
     ( "boxcar",
-      {
-        knobs_off with
-        Hw_config.boxcar_window = Sim_time.microseconds 100;
-        boxcar_marginal_cost = Sim_time.microseconds 10;
-      } );
+      { knobs_off with Hw_config.boxcar_window = Sim_time.microseconds 100 }
+    );
     ( "group-commit",
       { knobs_off with Hw_config.group_commit_window = Sim_time.microseconds 200 }
     );
