@@ -12,9 +12,9 @@
      one engine event (one increment for the counter).
    - hotpath/: the index-backed TMF structures at sizes where list-backed
      implementations went quadratic (docs/PERFORMANCE.md).
-   - core/: single data-path operations — B-tree insert, lookup and scan,
-     lock acquire+release, audit append, record field decode — and one
-     whole simulated debit-credit transaction.
+   - core/: single data-path operations — B-tree insert, bulk load,
+     lookup and scan, lock acquire+release, audit append, record field
+     decode — and one whole simulated debit-credit transaction.
 
    Each benchmark builds its fixture untimed, the heap is compacted, and
    then one timer measures a fixed number of operations (a twentieth of it
@@ -262,6 +262,16 @@ let btree_insert () =
         ignore (Btree.insert tree (Key.of_int i) "payload")
       done)
 
+(* The same 1k rows through the ascending loader: the same blocks, built
+   without a descent or a leaf copy per row. *)
+let btree_bulk_load () =
+  each (fun _ ->
+      let tree = Btree.create (make_store ()) ~name:"B" ~degree:16 in
+      Btree.bulk_load tree (fun add ->
+          for i = 0 to 999 do
+            add (Key.of_int i) "payload"
+          done))
+
 let btree_lookup () =
   let tree = make_tree 10_000 in
   each (fun i -> ignore (Btree.find tree (Key.of_int (i * 37 mod 10_000))))
@@ -323,6 +333,7 @@ let benchmarks =
     row "hotpath/tmp safe-delivery enqueue (1k entries)" 4_000 safe_queue_fill;
     row "hotpath/mailbox fifo (1k enqueue+drain)" 10_000 mailbox_fifo;
     row "core/btree insert (1k sequential)" 1_000 btree_insert;
+    row "core/btree bulk load (1k sequential)" 10_000 btree_bulk_load;
     row "core/btree point lookup (10k tree)" 1_000_000 btree_lookup;
     row "core/btree 100-record range scan" 100_000 btree_scan;
     row "core/lock acquire + release_all" 1_000_000 lock_cycle;

@@ -88,16 +88,7 @@ let require_file t file =
   | None -> invalid_arg ("Wal_tm: no such file " ^ file)
 
 let load_file t ~file records =
-  let f = require_file t file in
-  Store.set_charging t.store false;
-  List.iter
-    (fun (key, payload) ->
-      match File.insert f key payload with
-      | Ok _ -> ()
-      | Error _ -> invalid_arg "Wal_tm.load_file: bad record")
-    records;
-  Store.overwrite_disk_image t.store;
-  Store.set_charging t.store true;
+  File.load [ (Key.min_key, require_file t file) ] records;
   take_control_point t
 
 let control_point t =

@@ -29,6 +29,8 @@ val add_file : t -> Tandem_db.Schema.file_def -> unit
 (** Single-system: every partition lands on the one data volume. *)
 
 val load_file : t -> file:string -> (Tandem_db.Key.t * string) list -> unit
+(** Bulk-load set-up rows ({!Tandem_db.File.load}), then take a control
+    point. *)
 
 val is_available : t -> bool
 

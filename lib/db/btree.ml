@@ -403,3 +403,159 @@ let snapshot t =
   fun () ->
     t.root <- root;
     t.record_count <- record_count
+
+(* ------------------------------------------------------------------ *)
+(* Ascending bulk load *)
+
+(* One level of the rightmost root-to-leaf path, in buffers one slot larger
+   than a full block, so an append can overflow the level before it splits
+   exactly as [insert] splits it. A leaf level uses [keys], [payloads] and
+   [next_leaf]; an internal level keeps its separators in [keys] and uses
+   [children]. *)
+type path_level = {
+  is_leaf : bool;
+  mutable block : int;
+  keys : Key.t array;
+  payloads : string array;
+  children : int array;
+  mutable used : int;  (* keys (separators) held *)
+  next_leaf : int option;
+}
+
+(* What the next key must exceed: the keys already in the tree, then the
+   previous row. *)
+type bound = Any | At_least of Key.t | Above of Key.t
+
+(* Content of a freshly allocated block until it leaves the path or the
+   load ends, whichever writes its final content first. *)
+let placeholder = leaf_content { keys = [||]; payloads = [||]; next_leaf = None }
+
+let level_of_node t block node =
+  let slots = max_keys t + 1 in
+  let keys = Array.make slots Key.min_key in
+  match node with
+  | Leaf leaf ->
+      let used = Array.length leaf.keys in
+      let payloads = Array.make slots "" in
+      Array.blit leaf.keys 0 keys 0 used;
+      Array.blit leaf.payloads 0 payloads 0 used;
+      { is_leaf = true; block; keys; payloads; children = [||]; used;
+        next_leaf = leaf.next_leaf }
+  | Internal node ->
+      let used = Array.length node.separators in
+      let children = Array.make (slots + 1) 0 in
+      Array.blit node.separators 0 keys 0 used;
+      Array.blit node.children 0 children 0 (used + 1);
+      { is_leaf = false; block; keys; payloads = [||]; children; used;
+        next_leaf = None }
+
+(* The level's content; [next_leaf] overrides a leaf's sibling link. *)
+let level_content ?next_leaf level ~count =
+  let keys = Array.sub level.keys 0 count in
+  if level.is_leaf then
+    leaf_content
+      {
+        keys;
+        payloads = Array.sub level.payloads 0 count;
+        next_leaf =
+          (if Option.is_some next_leaf then next_leaf else level.next_leaf);
+      }
+  else
+    internal_content
+      { separators = keys; children = Array.sub level.children 0 (count + 1) }
+
+(* The overfull level splits as [split_leaf] / [split_internal] split it:
+   the right half gets a fresh block, the left half keeps the level's block
+   and leaves the path with its final content, and the level becomes the
+   right half. Returns the separator to push up and the right block. *)
+let split_level t level =
+  let half = level.used / 2 in
+  let up_sep = level.keys.(half) in
+  (* A leaf's right half keeps the separator it pushes up; an internal
+     block's does not. *)
+  let right_first = if level.is_leaf then half else half + 1 in
+  let right_count = level.used - right_first in
+  let right_block = Store.alloc t.store placeholder in
+  Store.write t.store level.block
+    (level_content level ~count:half ~next_leaf:right_block);
+  Array.blit level.keys right_first level.keys 0 right_count;
+  if level.is_leaf then
+    Array.blit level.payloads right_first level.payloads 0 right_count
+  else Array.blit level.children right_first level.children 0 (right_count + 1);
+  level.used <- right_count;
+  level.block <- right_block;
+  (up_sep, right_block)
+
+let bulk_load t feed =
+  let rec rightmost block levels =
+    let node = read_node t block in
+    let levels = level_of_node t block node :: levels in
+    match node with
+    | Leaf _ -> Array.of_list levels
+    | Internal { children; _ } ->
+        rightmost children.(Array.length children - 1) levels
+  in
+  (* Leaf first, root last. *)
+  let path = ref (rightmost t.root []) in
+  let bound =
+    let leaf = !path.(0) in
+    ref
+      (if leaf.used > 0 then Above leaf.keys.(leaf.used - 1)
+       else if Array.length !path = 1 then Any
+       else
+         (* Deletes emptied the rightmost leaf: a key equal to its parent's
+            last separator still routes into it. *)
+         let parent = !path.(1) in
+         At_least parent.keys.(parent.used - 1))
+  in
+  (* Push a split of level [i - 1] into level [i], growing a new root on
+     top as [insert] does. *)
+  let rec carry i sep right_block =
+    if i = Array.length !path then begin
+      let root = Store.alloc t.store placeholder in
+      let level =
+        level_of_node t root
+          (Internal { separators = [| sep |]; children = [| t.root; right_block |] })
+      in
+      t.root <- root;
+      path := Array.append !path [| level |]
+    end
+    else begin
+      let level = !path.(i) in
+      level.keys.(level.used) <- sep;
+      level.children.(level.used + 1) <- right_block;
+      level.used <- level.used + 1;
+      if level.used > max_keys t then
+        let up_sep, new_right = split_level t level in
+        carry (i + 1) up_sep new_right
+    end
+  in
+  let add key payload =
+    let admitted =
+      match !bound with
+      | Any -> true
+      | At_least floor -> Key.compare key floor >= 0
+      | Above last -> Key.compare key last > 0
+    in
+    if not admitted then
+      invalid_arg
+        (Format.asprintf "Btree.bulk_load %s: key %a does not ascend" t.tree_name
+           Key.pp key);
+    bound := Above key;
+    let leaf = !path.(0) in
+    leaf.keys.(leaf.used) <- key;
+    leaf.payloads.(leaf.used) <- payload;
+    leaf.used <- leaf.used + 1;
+    t.record_count <- t.record_count + 1;
+    if leaf.used > max_keys t then
+      let sep, right_block = split_level t leaf in
+      carry 1 sep right_block
+  in
+  (* Whatever stops the feed, the path's blocks get their content. *)
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter
+        (fun level ->
+          Store.write t.store level.block (level_content level ~count:level.used))
+        !path)
+    (fun () -> feed add)

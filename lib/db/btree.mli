@@ -27,6 +27,19 @@ val height : t -> int
 
 val insert : t -> Key.t -> string -> (unit, [ `Duplicate ]) result
 
+val bulk_load : t -> ((Key.t -> string -> unit) -> unit) -> unit
+(** [bulk_load t feed] appends every record [feed] passes to its argument,
+    in order. The tree ends exactly as {!insert} of the same records would
+    leave it — the same splits, the same {!Store.alloc} calls in the same
+    order, the same block contents, root and count — but the rightmost
+    root-to-leaf path lives in buffers: it is read once, each block is
+    written once when it leaves the path, and the path itself is written
+    when [feed] returns. O(records + blocks).
+
+    Each key must exceed every key already in the tree and the key before
+    it; otherwise raises [Invalid_argument] naming the tree, and the
+    records before it stay loaded. *)
+
 val find : t -> Key.t -> string option
 
 val update : t -> Key.t -> string -> (string, [ `Not_found ]) result

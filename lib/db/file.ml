@@ -4,6 +4,7 @@ type organization_impl =
   | Entry of { slots : Relative_file.t; mutable next_entry : int }
 
 type t = {
+  store : Store.t;
   definition : Schema.file_def;
   impl : organization_impl;
   indices : Secondary_index.t list;
@@ -43,7 +44,7 @@ let create store (definition : Schema.file_def) =
           ~degree:definition.Schema.degree)
       definition.Schema.indices
   in
-  { definition; impl; indices }
+  { store; definition; impl; indices }
 
 let def t = t.definition
 
@@ -97,6 +98,63 @@ let insert t key payload =
               ignore (Relative_file.write_slot file slot payload);
               Ok (change t key None (Some payload))))
   | Entry _ -> Error `Bad_key
+
+let load partitions rows =
+  let name =
+    match partitions with
+    | (_, f) :: _ -> file_name f
+    | [] -> invalid_arg "File.load: no partitions"
+  in
+  let refuse why = invalid_arg (Printf.sprintf "File.load %s: %s" name why) in
+  let trees =
+    List.map
+      (fun (low_key, f) ->
+        match f.impl with
+        | Key_seq tree when f.indices = [] -> (low_key, f.store, tree)
+        | Key_seq _ -> refuse "secondary indices need per-row inserts"
+        | Rel _ | Entry _ -> refuse "not a key-sequenced file")
+      partitions
+  in
+  let rec ascending = function
+    | (a, _) :: ((b, _) :: _ as rest) -> Key.compare a b < 0 && ascending rest
+    | [] | [ _ ] -> true
+  in
+  if not (ascending rows) then refuse "keys must strictly ascend";
+  let touched = ref [] in
+  (* The cursor only moves forward: each partition takes the run of rows
+     below the next partition's low key. *)
+  let rec fill trees rows =
+    match (trees, rows) with
+    | _ :: ((low_key, _, _) :: _ as later), (key, _) :: _
+      when Key.compare low_key key <= 0 ->
+        fill later rows
+    | (_, store, tree) :: later, _ :: _ ->
+        let below =
+          match later with
+          | (low_key, _, _) :: _ -> fun key -> Key.compare key low_key < 0
+          | [] -> fun _ -> true
+        in
+        Store.set_charging store false;
+        touched := store :: !touched;
+        let rest = ref [] in
+        Btree.bulk_load tree (fun add ->
+            let rec feed = function
+              | (key, payload) :: tail when below key ->
+                  add key payload;
+                  feed tail
+              | tail -> rest := tail
+            in
+            feed rows);
+        fill later !rest
+    | _, [] | [], _ -> ()
+  in
+  (* A refused load must not leave its volumes uncharged. *)
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun store -> Store.set_charging store true) !touched)
+    (fun () ->
+      fill trees rows;
+      List.iter Store.overwrite_disk_image !touched)
 
 let append t payload =
   match t.impl with

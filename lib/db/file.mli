@@ -28,6 +28,20 @@ val insert : t -> Key.t -> string -> (change, [ `Duplicate | `Bad_key ]) result
 (** For relative files the key must be a decimal slot number; for
     entry-sequenced files use {!append}. *)
 
+val load : (Key.t * t) list -> (Key.t * string) list -> unit
+(** [load partitions rows] bulk-loads set-up data into a key-sequenced file
+    without secondary indices. [partitions] pairs each partition with its
+    low key, ascending as in {!Schema.file_def}; a row goes to the last
+    partition whose low key is not above it. Each touched partition's
+    store runs with charging off, is loaded by one {!Btree.bulk_load}, and
+    has its disc image copied once; charging is back on when [load]
+    returns or raises. The blocks are those per-row {!insert}s would build.
+
+    Raises [Invalid_argument] naming the file, before loading anything,
+    when the rows do not strictly ascend or the file is indexed or not
+    key-sequenced; {!Btree.bulk_load} refuses a row not above the keys
+    already in its partition. *)
+
 val append : t -> string -> (Key.t * change, [ `Wrong_organization ]) result
 (** Entry-sequenced insert: the file assigns the next entry number. *)
 

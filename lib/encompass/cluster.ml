@@ -109,44 +109,18 @@ let load_file t ~file records =
   match Schema.find t.dict file with
   | None -> invalid_arg ("Cluster.load_file: undefined file " ^ file)
   | Some def ->
-      (* One slot per partition, filled on its first row: the store and the
-         file partition are resolved once, charging goes off once, and the
-         disc image is copied once per touched partition. *)
-      let touched = Array.make (List.length def.Schema.partitions) None in
-      let partition_file index =
-        match touched.(index) with
-        | Some (_, f) -> f
-        | None -> (
-            let partition = List.nth def.Schema.partitions index in
-            let dp =
-              discprocess t ~node:partition.Schema.node
-                ~volume:partition.Schema.volume
-            in
-            match Discprocess.file dp file with
-            | None -> invalid_arg "Cluster.load_file: partition missing"
-            | Some f ->
-                let store = Discprocess.store dp in
-                Store.set_charging store false;
-                touched.(index) <- Some (store, f);
-                f)
-      in
-      let each_store action =
-        Array.iter (Option.iter (fun (store, _) -> action store)) touched
-      in
-      (* A rejected row must not leave its volumes uncharged. *)
-      Fun.protect
-        ~finally:(fun () -> each_store (fun store -> Store.set_charging store true))
-        (fun () ->
-          List.iter
-            (fun (key, payload) ->
-              let f = partition_file (Schema.partition_index def key) in
-              match File.insert f key payload with
-              | Ok _ -> ()
-              | Error `Duplicate ->
-                  invalid_arg "Cluster.load_file: duplicate key"
-              | Error `Bad_key -> invalid_arg "Cluster.load_file: bad key")
-            records;
-          each_store Store.overwrite_disk_image)
+      File.load
+        (List.map
+           (fun partition ->
+             let dp =
+               discprocess t ~node:partition.Schema.node
+                 ~volume:partition.Schema.volume
+             in
+             match Discprocess.file dp file with
+             | Some f -> (partition.Schema.low_key, f)
+             | None -> invalid_arg "Cluster.load_file: partition missing")
+           def.Schema.partitions)
+        records
 
 let add_server_class t ~node ~name ~count handler =
   if Hashtbl.mem t.server_classes name then

@@ -62,14 +62,17 @@ val add_file : t -> Tandem_db.Schema.file_def -> unit
 
 val load_file : t -> file:string -> (Tandem_db.Key.t * string) list -> unit
 (** Bulk-load initial records without charging simulated I/O, then flush the
-    loaded image to "disc" so it survives crashes.
+    loaded image to "disc" so it survives crashes ({!Tandem_db.File.load}).
 
-    Cost: O(rows × tree height), plus one disc-image copy of each partition
-    the rows reach; partitions no row reaches are left alone, cache
-    included. Charging is switched back on for every touched volume even
-    when a row is rejected — a duplicate or bad key, or a partition whose
-    volume lacks the file raises [Invalid_argument] — so a failed load never
-    leaves later I/O free. *)
+    The rows must strictly ascend and the file must be key-sequenced with
+    no secondary index; otherwise [Invalid_argument] names the file and
+    nothing is loaded. Cost: O(rows + blocks), one write per block, plus
+    one disc-image copy of each partition the rows reach; the blocks are
+    those per-row inserts would build. Partitions no row reaches are left
+    alone, cache included. Charging is switched back on for every touched
+    volume even when the load fails, so a failed load never leaves later
+    I/O free. A partition whose volume lacks the file raises
+    [Invalid_argument]. *)
 
 val add_server_class :
   t ->

@@ -369,6 +369,52 @@ let prop_btree_range_matches_model =
       in
       Btree.range tree ~lo ~hi = expected)
 
+(* The ascending loader must build exactly what per-row inserts build: the
+   same blocks and contents, root, count and next free block, whether the
+   tree starts empty or holds a prefix whose last rows may be deleted. *)
+let prop_bulk_load_matches_insert =
+  QCheck.Test.make ~name:"btree bulk load equals per-row insert" ~count:60
+    QCheck.(
+      quad (oneofl [ 2; 3; 4; 8; 32 ]) (int_bound 60) (int_bound 60)
+        (int_bound 3_000))
+    (fun (degree, prefix, deleted, size) ->
+      let build load =
+        let store = make_store () in
+        let tree = Btree.create store ~name:"T" ~degree in
+        let row i = (Key.of_int i, string_of_int i) in
+        for i = 0 to prefix - 1 do
+          let key, payload = row i in
+          expect_ok (Btree.insert tree key payload)
+        done;
+        for i = max 0 (prefix - deleted) to prefix - 1 do
+          ignore (Btree.delete tree (Key.of_int i))
+        done;
+        load tree (List.init size (fun j -> row (prefix + j)));
+        (store, tree)
+      in
+      let per_row_store, per_row =
+        build (fun tree rows ->
+            List.iter
+              (fun (key, payload) -> expect_ok (Btree.insert tree key payload))
+              rows)
+      in
+      let loaded_store, loaded =
+        build (fun tree rows ->
+            Btree.bulk_load tree (fun add ->
+                List.iter (fun (key, payload) -> add key payload) rows))
+      in
+      (match Btree.check_invariants loaded with
+      | Ok () -> ()
+      | Error m -> QCheck.Test.fail_reportf "invariant: %s" m);
+      let next_block store =
+        Store.alloc store
+          (Block_content.Btree_leaf { keys = [||]; payloads = [||]; next_leaf = None })
+      in
+      Store.snapshot loaded_store = Store.snapshot per_row_store
+      && Btree.count loaded = Btree.count per_row
+      && Btree.height loaded = Btree.height per_row
+      && next_block loaded_store = next_block per_row_store)
+
 (* ------------------------------------------------------------------ *)
 (* Relative and entry-sequenced files *)
 
@@ -749,7 +795,12 @@ let () =
           Alcotest.test_case "range and order" `Quick test_btree_range_and_order;
           Alcotest.test_case "delete then scan" `Quick test_btree_delete_then_scan;
         ]
-        @ qcheck [ prop_btree_matches_model; prop_btree_range_matches_model ] );
+        @ qcheck
+            [
+              prop_btree_matches_model;
+              prop_bulk_load_matches_insert;
+              prop_btree_range_matches_model;
+            ] );
       ( "flat_files",
         [
           Alcotest.test_case "relative file" `Quick test_relative_file;

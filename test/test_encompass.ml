@@ -1167,24 +1167,28 @@ let minor_words_of f =
 let test_load_file_is_linear () =
   let payload = Record.encode [ ("balance", "1000") ] in
   let rows = List.init bulk_rows (fun i -> (Key.of_int i, payload)) in
-  (* Reference: the same inserts with charging off, then exactly one disc
-     image per store — the least any bulk load can do. *)
+  (* Reference: the same rows inserted one at a time with charging off,
+     then one disc image per store. The ascending loader builds the same
+     blocks without re-reading the path or copying a leaf per row, so it
+     must stay well under a quarter of that. *)
   let twin = bulk_cluster () in
   let def = Option.get (Schema.find (Cluster.dictionary twin) "BULK") in
-  let targets = Array.of_list (bulk_targets twin) in
+  let targets_per_row = Array.of_list (bulk_targets twin) in
   let reference =
     minor_words_of (fun () ->
-        Array.iter (fun (store, _) -> Store.set_charging store false) targets;
+        Array.iter
+          (fun (store, _) -> Store.set_charging store false)
+          targets_per_row;
         List.iter
           (fun (key, payload) ->
-            let _, f = targets.(Schema.partition_index def key) in
+            let _, f = targets_per_row.(Schema.partition_index def key) in
             ignore (File.insert f key payload))
           rows;
         Array.iter
           (fun (store, _) ->
             Store.overwrite_disk_image store;
             Store.set_charging store true)
-          targets)
+          targets_per_row)
   in
   let cluster = bulk_cluster () in
   let targets = bulk_targets cluster in
@@ -1195,7 +1199,7 @@ let test_load_file_is_linear () =
   let loaded =
     minor_words_of (fun () -> Cluster.load_file cluster ~file:"BULK" rows)
   in
-  if loaded > 1.5 *. reference then
+  if loaded > 0.25 *. reference then
     Alcotest.failf "load_file allocated %.0f words, %.2fx the %.0f-word reference"
       loaded (loaded /. reference) reference;
   check_int "the unreached partition keeps its cache" untouched_dirty
@@ -1203,6 +1207,10 @@ let test_load_file_is_linear () =
   List.iteri
     (fun i (store, f) ->
       if i < bulk_partitions then begin
+        check_bool
+          (Printf.sprintf "partition %d holds the per-row blocks" i)
+          true
+          (Store.snapshot store = Store.snapshot (fst targets_per_row.(i)));
         Store.crash store;
         (* Count from the flushed image without charging simulated reads. *)
         Store.set_charging store false;
@@ -1219,34 +1227,62 @@ let test_failed_load_restores_charging () =
   let cluster = Cluster.create ~seed:6 () in
   ignore (Cluster.add_node cluster ~id:1 ~cpus:4);
   ignore (Cluster.add_volume cluster ~node:1 ~name:"$DATA1" ~primary_cpu:2 ~backup_cpu:3 ());
-  let define name =
+  let define ?(organization = Schema.Key_sequenced) ?indices name =
     Cluster.add_file cluster
-      (Schema.define ~name ~organization:Schema.Key_sequenced
+      (Schema.define ~name ~organization ?indices ~degree:2
          ~partitions:[ { Schema.low_key = Key.min_key; node = 1; volume = "$DATA1" } ]
          ())
   in
   define "GOOD";
   define "BAD";
+  define "LATE";
+  define "IDX" ~indices:[ { Schema.index_name = "IDX-BY-N"; on_field = "n" } ];
+  define "ENTRY" ~organization:Schema.Entry_sequenced;
   let row i = (Key.of_int i, Record.encode [ ("n", string_of_int i) ]) in
   Cluster.load_file cluster ~file:"GOOD" (List.init 100 row);
-  Alcotest.check_raises "duplicate key rejected"
-    (Invalid_argument "Cluster.load_file: duplicate key") (fun () ->
-      Cluster.load_file cluster ~file:"BAD" [ row 1; row 2; row 1 ]);
-  (* GOOD's blocks left the cache when its load finished, so this read is
-     cold and must pay a physical read on the shared volume. *)
+  Cluster.load_file cluster ~file:"LATE" [ row 5 ];
+  (* GOOD's blocks left the cache when its load finished, and each check
+     reads a key from a leaf (at most three keys) no earlier check read, so
+     every read is cold and must pay a physical read on the shared volume. *)
   let volume = Cluster.volume cluster ~node:1 ~volume:"$DATA1" in
-  let reads_before = Tandem_disk.Volume.reads volume in
-  let result = ref None in
-  Cluster.run_client cluster ~node:1 ~cpu:0 (fun process ->
-      result :=
-        Some (File_client.read (Cluster.files cluster) ~self:process ~file:"GOOD"
-                (Key.of_int 50)));
-  Cluster.run cluster;
-  (match !result with
-  | Some (Ok (Some _)) -> ()
-  | _ -> Alcotest.fail "the loaded row must be readable");
-  check_bool "the cold read is charged" true
-    (Tandem_disk.Volume.reads volume > reads_before)
+  let check_charged label key =
+    let reads_before = Tandem_disk.Volume.reads volume in
+    let result = ref None in
+    Cluster.run_client cluster ~node:1 ~cpu:0 (fun process ->
+        result :=
+          Some (File_client.read (Cluster.files cluster) ~self:process ~file:"GOOD"
+                  (Key.of_int key)));
+    Cluster.run cluster;
+    (match !result with
+    | Some (Ok (Some _)) -> ()
+    | _ -> Alcotest.failf "%s: the loaded row must be readable" label);
+    check_bool (label ^ ": the cold read is charged") true
+      (Tandem_disk.Volume.reads volume > reads_before)
+  in
+  let refused label ~file rows message ~then_read =
+    Alcotest.check_raises label (Invalid_argument message) (fun () ->
+        Cluster.load_file cluster ~file rows);
+    check_charged label then_read
+  in
+  let out_of_order = "File.load BAD: keys must strictly ascend" in
+  refused "duplicate key" ~file:"BAD" [ row 1; row 2; row 2 ] out_of_order
+    ~then_read:10;
+  refused "out-of-order key" ~file:"BAD" [ row 1; row 2; row 1 ] out_of_order
+    ~then_read:30;
+  refused "indexed file" ~file:"IDX" [ row 1 ]
+    "File.load IDX: secondary indices need per-row inserts" ~then_read:50;
+  refused "entry-sequenced file" ~file:"ENTRY" [ row 1 ]
+    "File.load ENTRY: not a key-sequenced file" ~then_read:70;
+  (* Refused by the B-tree, after charging went off. *)
+  refused "key below the loaded ones" ~file:"LATE" [ row 3 ]
+    "Btree.bulk_load LATE: key \"000000000003\" does not ascend" ~then_read:90;
+  let count file =
+    File.count
+      (Option.get
+         (Discprocess.file (Cluster.discprocess cluster ~node:1 ~volume:"$DATA1") file))
+  in
+  check_int "a refused load loads no row" 0 (count "BAD");
+  check_int "the loaded file keeps its row" 1 (count "LATE")
 
 (* ------------------------------------------------------------------ *)
 (* Determinism *)
