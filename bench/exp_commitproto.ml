@@ -83,41 +83,19 @@ let crash_ms = 120
 let repair_ms = 2_500
 let drain_deadline_ms = 20_000
 
-(* A quiet three-node bank (preloaded terminal queues never served — the
-   run stops before the TCPs wake) carrying exactly the two pinned
-   transactions: one undecided, one whose commit decision is durable but
-   whose phase two never left the dead home. The participant's time limit
-   is short, so its in-doubt resolution fires well inside the outage. *)
+(* The in-doubt wreck (Indoubt.build_wreck): a quiet three-node bank
+   carrying exactly the two pinned transactions, one undecided, one whose
+   commit decision is durable but whose phase two never left the home,
+   which then dies at [crash_ms]. *)
 let measure_home_crash protocol =
   let open Tandem_chaos in
-  let config =
-    { (config_of protocol) with transaction_time_limit = Sim_time.seconds 1 }
+  let wreck =
+    Indoubt.build_wreck ~transfers:false ~seed:42 ~quick:true protocol
   in
-  let bank =
-    Harness.build_bank ~nodes:3 ~transfers:false ~config ~seed:42 ~quick:true ()
-  in
-  let cluster = bank.Harness.cluster in
-  let home = 3 and participant = 2 in
-  Cluster.run ~until:(Sim_time.milliseconds 60) cluster;
-  let base = Indoubt.partition_base bank.Harness.spec ~node:participant in
-  let tx_blocked =
-    Indoubt.pin_transfer cluster ~home ~participant ~from_account:base
-      ~to_account:(base + 1) ~amount:50
-  in
-  let tx_decided =
-    Indoubt.pin_transfer cluster ~home ~participant ~from_account:(base + 2)
-      ~to_account:(base + 3) ~amount:50
-  in
-  let decided =
-    match protocol with
-    | `Two_phase -> Indoubt.decide_2pc cluster ~home tx_decided
-    | `Paxos _ ->
-        Indoubt.decide_paxos cluster ~home
-          ~participants:[ participant; home ] ~acceptor_count tx_decided
-  in
-  if tx_blocked.Indoubt.transid = None || tx_decided.Indoubt.transid = None
-     || not decided
-  then failwith "commitproto: failed to pin the crash-window transactions";
+  let cluster = wreck.Indoubt.bank.Harness.cluster in
+  let home = wreck.Indoubt.home and participant = wreck.Indoubt.participant in
+  if not wreck.Indoubt.pinned_ok then
+    failwith "commitproto: failed to pin the crash-window transactions";
   let injector = Injector.create cluster in
   let engine = Cluster.engine cluster in
   Cluster.run ~until:(Sim_time.milliseconds crash_ms) cluster;
@@ -154,11 +132,12 @@ let measure_home_crash protocol =
     Metrics.histogram_max
       (Metrics.read_histogram (Cluster.metrics cluster) "tmp.indoubt_us")
   in
+  let disposition pinned =
+    Indoubt.disposition_name
+      (Indoubt.disposition cluster ~node:participant pinned)
+  in
   let dispositions =
-    ( Indoubt.disposition_name
-        (Indoubt.disposition cluster ~node:participant tx_blocked),
-      Indoubt.disposition_name
-        (Indoubt.disposition cluster ~node:participant tx_decided) )
+    (disposition wreck.Indoubt.undecided, disposition wreck.Indoubt.decided)
   in
   (locks_released_ms, released_before_repair, indoubt_max_us, dispositions)
 

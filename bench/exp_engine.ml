@@ -224,8 +224,11 @@ let lock_release_scaling () =
 
 (* The TMP safe-delivery queue: enqueue 1k phase-two messages (the engine
    never runs, so nothing is delivered — this is the pure enqueue path a
-   partition exercises). *)
+   partition exercises). The transids are made untimed. *)
 let safe_queue_fill () =
+  let transids =
+    Array.init 1_000 (fun seq -> Tmf.Transid.make ~home:1 ~cpu:0 ~seq)
+  in
   each (fun _ ->
       let net = Tandem_os.Net.create () in
       let node = Tandem_os.Net.add_node net ~id:1 ~cpus:2 in
@@ -238,9 +241,10 @@ let safe_queue_fill () =
         Tmf.Tmf_state.make_node_state ~node ~monitor_volume:volume ()
       in
       let tmp = Tmf.Tmp.spawn ~net ~state ~primary_cpu:0 ~backup_cpu:1 in
-      for i = 0 to 999 do
-        Tmf.Tmp.safe_deliver tmp 2 (Tmf.Tmp.Phase2_commit (string_of_int i))
-      done)
+      Array.iter
+        (fun transid ->
+          Tmf.Tmp.safe_deliver tmp 2 (Tmf.Tmp.Phase2_commit transid))
+        transids)
 
 (* Selective-receive mailbox: enqueue 1k then drain FIFO. *)
 let mailbox_fifo () =

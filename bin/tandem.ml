@@ -234,6 +234,40 @@ let print_stats ~top ~json cluster =
           Printf.eprintf "cannot write stats: %s\n" message;
           exit 1)
 
+(* Build the four-plant manufacturing data base, start its monitors, and
+   queue its background traffic — shared by the mfg and stats subcommands.
+   Every 700 ms until [seconds], a random plant submits either (30%) a
+   global item-description update, when the item's master plant is
+   reachable from it, or a local stock movement. *)
+let start_mfg ~seed ~seconds =
+  let t = Tandem_mfg.Mfg_app.build ~seed () in
+  let cluster = Tandem_mfg.Mfg_app.cluster t in
+  let net = Cluster.net cluster in
+  let engine = Cluster.engine cluster in
+  Tandem_mfg.Mfg_app.start_monitors t ();
+  let rng = Rng.create ~seed:(seed + 1) in
+  let rec traffic () =
+    if Engine.now engine < Sim_time.seconds seconds then begin
+      let plant = 1 + Rng.int rng 4 in
+      if Rng.bernoulli rng ~p:0.3 then begin
+        let item = Rng.int rng (Tandem_mfg.Mfg_app.item_count t) in
+        if
+          Tandem_os.Net.reachable net plant
+            (Tandem_mfg.Mfg_app.master_of t ~item)
+        then
+          Tandem_mfg.Mfg_app.submit_global_update t ~via:plant ~item
+            ~description:(Printf.sprintf "rev-%d" (Rng.int rng 100_000))
+      end
+      else
+        Tandem_mfg.Mfg_app.submit_stock_update t ~node:plant
+          ~item:(Rng.int rng (Tandem_mfg.Mfg_app.item_count t))
+          ~quantity:(Rng.int_in_range rng ~lo:(-5) ~hi:5);
+      ignore (Engine.schedule_after engine (Sim_time.milliseconds 700) traffic)
+    end
+  in
+  traffic ();
+  t
+
 let run_stats workload ({ seed; cpus; volumes; seconds; _ } as opts) top json
     =
   match workload with
@@ -248,26 +282,7 @@ let run_stats workload ({ seed; cpus; volumes; seconds; _ } as opts) top json
         (Tcp.restarts tcp) (Tcp.failures tcp);
       print_stats ~top ~json cluster
   | "mfg" ->
-      let t = Tandem_mfg.Mfg_app.build ~seed () in
-      let cluster = Tandem_mfg.Mfg_app.cluster t in
-      Tandem_mfg.Mfg_app.start_monitors t ();
-      let rng = Rng.create ~seed:(seed + 1) in
-      let engine = Cluster.engine cluster in
-      let rec traffic () =
-        if Engine.now engine < Sim_time.seconds seconds then begin
-          let plant = 1 + Rng.int rng 4 in
-          if Rng.bernoulli rng ~p:0.3 then
-            Tandem_mfg.Mfg_app.submit_global_update t ~via:plant
-              ~item:(Rng.int rng (Tandem_mfg.Mfg_app.item_count t))
-              ~description:(Printf.sprintf "rev-%d" (Rng.int rng 100_000))
-          else
-            Tandem_mfg.Mfg_app.submit_stock_update t ~node:plant
-              ~item:(Rng.int rng (Tandem_mfg.Mfg_app.item_count t))
-              ~quantity:(Rng.int_in_range rng ~lo:(-5) ~hi:5);
-          ignore (Engine.schedule_after engine (Sim_time.milliseconds 700) traffic)
-        end
-      in
-      traffic ();
+      let cluster = Tandem_mfg.Mfg_app.cluster (start_mfg ~seed ~seconds) in
       Cluster.run ~until:(Sim_time.seconds seconds) cluster;
       Printf.printf "mfg: %ds simulated across four plants\n\n" seconds;
       print_stats ~top ~json cluster
@@ -347,33 +362,10 @@ let trace_cmd =
 (* mfg: the four-plant manufacturing data base with a partition window. *)
 
 let run_mfg seed seconds partition_at heal_at =
-  let t = Tandem_mfg.Mfg_app.build ~seed () in
+  let t = start_mfg ~seed ~seconds in
   let cluster = Tandem_mfg.Mfg_app.cluster t in
   let net = Cluster.net cluster in
-  Tandem_mfg.Mfg_app.start_monitors t ();
-  let rng = Rng.create ~seed:(seed + 1) in
   let engine = Cluster.engine cluster in
-  (* Background traffic: local stock movements and global updates. *)
-  let rec traffic () =
-    if Engine.now engine < Sim_time.seconds seconds then begin
-      let plant = 1 + Rng.int rng 4 in
-      if Rng.bernoulli rng ~p:0.3 then begin
-        let item = Rng.int rng (Tandem_mfg.Mfg_app.item_count t) in
-        if
-          Tandem_os.Net.reachable net plant
-            (Tandem_mfg.Mfg_app.master_of t ~item)
-        then
-          Tandem_mfg.Mfg_app.submit_global_update t ~via:plant ~item
-            ~description:(Printf.sprintf "rev-%d" (Rng.int rng 100_000))
-      end
-      else
-        Tandem_mfg.Mfg_app.submit_stock_update t ~node:plant
-          ~item:(Rng.int rng (Tandem_mfg.Mfg_app.item_count t))
-          ~quantity:(Rng.int_in_range rng ~lo:(-5) ~hi:5);
-      ignore (Engine.schedule_after engine (Sim_time.milliseconds 700) traffic)
-    end
-  in
-  traffic ();
   (match partition_at with
   | Some at ->
       ignore
@@ -504,19 +496,6 @@ let print_indoubt_table cluster =
     indoubt_nodes;
   if not !any then Printf.printf "  (none)\n"
 
-(* Drive a client fiber to completion: [run_client] only spawns it. *)
-let drive_client cluster ~node body =
-  let finished = ref false in
-  Cluster.run_client cluster ~node ~cpu:1 (fun self ->
-      Fun.protect ~finally:(fun () -> finished := true) (fun () -> body self));
-  let rec pump budget =
-    if (not !finished) && budget > 0 then begin
-      Cluster.run_for cluster (Sim_time.milliseconds 1);
-      pump (budget - 1)
-    end
-  in
-  pump 2_000
-
 let run_indoubt protocol_name acceptors seed resolve force =
   (* Acceptors are placed one per node, so a 2f+1 set must fit on the
      three [indoubt_nodes]. *)
@@ -536,43 +515,15 @@ let run_indoubt protocol_name acceptors seed resolve force =
         | other -> refuse "--force %s: expected commit or abort" other)
       force
   in
-  let config =
-    {
-      Tandem_os.Hw_config.default with
-      tmp_commit_protocol = protocol;
-      transaction_time_limit = Sim_time.seconds 1;
-    }
-  in
   let open Tandem_chaos in
-  let bank =
-    Harness.build_bank ~nodes:3 ~transfers:false ~config ~seed ~quick:true ()
+  let wreck =
+    Indoubt.build_wreck ~transfers:false ~seed ~quick:true protocol
   in
-  let cluster = bank.Harness.cluster in
-  (* Quiet cluster: leave the preloaded terminal queues unserved by
-     stopping at 60 ms, before any TCP transaction can interleave with the
-     pinned ones. *)
-  Cluster.run ~until:(Sim_time.milliseconds 60) cluster;
-  let home = 3 and participant = 2 in
-  let base = Indoubt.partition_base bank.Harness.spec ~node:participant in
-  let tx_blocked =
-    Indoubt.pin_transfer cluster ~home ~participant ~from_account:base
-      ~to_account:(base + 1) ~amount:50
-  in
-  let tx_decided =
-    Indoubt.pin_transfer cluster ~home ~participant ~from_account:(base + 2)
-      ~to_account:(base + 3) ~amount:50
-  in
-  let decided =
-    match protocol with
-    | `Two_phase -> Indoubt.decide_2pc cluster ~home tx_decided
-    | `Paxos _ ->
-        Indoubt.decide_paxos cluster ~home
-          ~participants:[ participant; home ] ~acceptor_count:acceptors
-          tx_decided
-  in
-  if tx_blocked.Indoubt.transid = None || tx_decided.Indoubt.transid = None
-     || not decided
-  then begin
+  let cluster = wreck.Indoubt.bank.Harness.cluster in
+  let home = wreck.Indoubt.home and participant = wreck.Indoubt.participant in
+  let tx_blocked = wreck.Indoubt.undecided
+  and tx_decided = wreck.Indoubt.decided in
+  if not wreck.Indoubt.pinned_ok then begin
     Printf.eprintf "failed to pin the demonstration transactions\n";
     exit 1
   end;
@@ -585,12 +536,8 @@ let run_indoubt protocol_name acceptors seed resolve force =
      dead):\n  %-12s home never decided\n  %-12s decision durable, phase \
      two never sent\n\n"
     protocol_name participant home
-    (match tx_blocked.Indoubt.transid with
-    | Some t -> Tmf.Transid.to_string t
-    | None -> "-")
-    (match tx_decided.Indoubt.transid with
-    | Some t -> Tmf.Transid.to_string t
-    | None -> "-");
+    (Tmf.Transid.to_string (Option.get tx_blocked.Indoubt.transid))
+    (Tmf.Transid.to_string (Option.get tx_decided.Indoubt.transid));
   Printf.printf "in-doubt transactions (locks held):\n";
   print_indoubt_table cluster;
   let survivors () =
@@ -606,7 +553,7 @@ let run_indoubt protocol_name acceptors seed resolve force =
     Printf.printf "\nresolving at the survivors (home still dead):\n";
     List.iter
       (fun (node, transid) ->
-        drive_client cluster ~node (fun self ->
+        Indoubt.drive_client ~bound_ms:2_000 cluster ~node (fun self ->
             Tmf.Tmp.resolve_in_doubt
               (Tmf.tmp (Cluster.tmf cluster) node)
               ~self transid))
@@ -623,7 +570,7 @@ let run_indoubt protocol_name acceptors seed resolve force =
         (fun (node, transid) ->
           Printf.printf "  node %d %s: operator override\n" node
             (Tmf.Transid.to_string transid);
-          drive_client cluster ~node (fun self ->
+          Indoubt.drive_client ~bound_ms:2_000 cluster ~node (fun self ->
               Tmf.Tmp.force_disposition
                 (Tmf.tmp (Cluster.tmf cluster) node)
                 ~self transid disposition))

@@ -32,20 +32,17 @@ let partition_base spec ~node =
    pin is fully in place — locks held, vote cast — before the scenario's
    fault instant arrives. The bound only guards against a wedged fiber;
    completion is what ends the loop. *)
-let drive_to_completion cluster finished =
+let drive_client ?(bound_ms = 1_000) cluster ~node body =
+  let finished = ref false in
+  Cluster.run_client cluster ~node ~cpu:1 (fun self ->
+      Fun.protect ~finally:(fun () -> finished := true) (fun () -> body self));
   let rec pump budget =
     if (not !finished) && budget > 0 then begin
       Cluster.run_for cluster (Tandem_sim.Sim_time.milliseconds 1);
       pump (budget - 1)
     end
   in
-  pump 1_000
-
-let spawn_and_drive cluster ~node ~cpu body =
-  let finished = ref false in
-  Cluster.run_client cluster ~node ~cpu (fun self ->
-      Fun.protect ~finally:(fun () -> finished := true) (fun () -> body self));
-  drive_to_completion cluster finished
+  pump bound_ms
 
 let adjust_balance files ~self ~transid ~account delta =
   let key = Tandem_db.Key.of_int account in
@@ -78,7 +75,7 @@ let pin_transfer cluster ~home ~participant ~from_account ~to_account ~amount
   let tmf = Cluster.tmf cluster in
   let files = Cluster.files cluster in
   let pinned = ref None in
-  spawn_and_drive cluster ~node:home ~cpu:1 (fun self ->
+  drive_client cluster ~node:home (fun self ->
       let transid = Tmf.begin_transaction tmf ~node:home ~cpu:1 in
       if
         adjust_balance files ~self ~transid ~account:from_account (-amount)
@@ -86,8 +83,7 @@ let pin_transfer cluster ~home ~participant ~from_account ~to_account ~amount
       then
         match
           Rpc.call_name (Cluster.net cluster) ~self ~node:participant
-            ~name:"$TMP"
-            (Tmf.Tmp.Prepare (Tmf.Transid.to_string transid))
+            ~name:"$TMP" (Tmf.Tmp.Prepare transid)
         with
         | Ok Tmf.Tmp.Prepared_reply -> pinned := Some transid
         | Ok _ | Error _ -> ());
@@ -101,7 +97,7 @@ let decide_2pc cluster ~home pinned =
   | None -> false
   | Some transid ->
       let decided = ref false in
-      spawn_and_drive cluster ~node:home ~cpu:1 (fun _self ->
+      drive_client cluster ~node:home (fun _self ->
           Tandem_audit.Monitor_trail.record
             (Tmf.node_state (Cluster.tmf cluster) home).Tmf.Tmf_state.monitor
             ~transid:(Tmf.Transid.to_string transid)
@@ -117,7 +113,7 @@ let decide_paxos cluster ~home ~participants ~acceptor_count pinned =
   | None -> false
   | Some transid ->
       let decided = ref false in
-      spawn_and_drive cluster ~node:home ~cpu:1 (fun self ->
+      drive_client cluster ~node:home (fun self ->
           let net = Cluster.net cluster in
           let acceptors = Tmf.Paxos_commit.acceptor_nodes net acceptor_count in
           match
@@ -127,6 +123,54 @@ let decide_paxos cluster ~home ~participants ~acceptor_count pinned =
           | Ok () -> decided := true
           | Error _ -> ());
       !decided
+
+(* ------------------------------------------------------------------ *)
+(* The wreck: a quiet three-node bank (its preloaded terminal queues are
+   left unserved by stopping at 60 ms, before any TCP transaction can
+   interleave with the pinned ones) carrying two transfers homed at node 3
+   with their writes and votes at node 2 — one the home never decided, one
+   whose decision is durable. The one-second time limit puts the
+   participant's in-doubt resolution well inside any outage. *)
+
+type wreck = {
+  bank : Harness.bank;
+  home : Ids.node_id;
+  participant : Ids.node_id;
+  undecided : pinned;
+  decided : pinned;
+  pinned_ok : bool;
+}
+
+let build_wreck ?transfers ~seed ~quick protocol =
+  let home = 3 and participant = 2 in
+  let config =
+    {
+      Hw_config.default with
+      tmp_commit_protocol = protocol;
+      transaction_time_limit = Tandem_sim.Sim_time.seconds 1;
+    }
+  in
+  let bank = Harness.build_bank ~nodes:3 ?transfers ~config ~seed ~quick () in
+  let cluster = bank.Harness.cluster in
+  Cluster.run ~until:(Tandem_sim.Sim_time.milliseconds 60) cluster;
+  let base = partition_base bank.Harness.spec ~node:participant in
+  let pin offset =
+    pin_transfer cluster ~home ~participant ~from_account:(base + offset)
+      ~to_account:(base + offset + 1) ~amount:50
+  in
+  let undecided = pin 0 in
+  let decided = pin 2 in
+  let durable =
+    match protocol with
+    | `Two_phase -> decide_2pc cluster ~home decided
+    | `Paxos acceptor_count ->
+        decide_paxos cluster ~home ~participants:[ participant; home ]
+          ~acceptor_count decided
+  in
+  let pinned_ok =
+    undecided.transid <> None && decided.transid <> None && durable
+  in
+  { bank; home; participant; undecided; decided; pinned_ok }
 
 (* ------------------------------------------------------------------ *)
 (* Probes (uncharged reads, like the checker's). *)

@@ -192,52 +192,26 @@ let message_delay_loss =
 
 let home_crash_phase2 =
   let name = "home-crash-phase2" in
-  let home = 3 and participant = 2 in
   let acceptor_count = 3 in
   let run_protocol ~seed ~quick protocol =
-    (* A short transaction time limit puts the participant's in-doubt
-       resolution attempts well inside the outage window. *)
-    let config =
-      {
-        Tandem_os.Hw_config.default with
-        tmp_commit_protocol = protocol;
-        transaction_time_limit = Sim_time.seconds 1;
-      }
-    in
-    let bank = Harness.build_bank ~nodes:3 ~config ~seed ~quick () in
-    let cluster = bank.Harness.cluster in
-    let injector = Injector.create cluster in
     (* Fixed instants (not drawn) so both protocol runs face the identical
-       schedule: pin at 60 ms, crash at 120 ms — inside the busy window,
+       schedule: pinned at 60 ms, crash at 120 ms — inside the busy window,
        before the home's own 1 s transaction timer could fire — sample just
        before the 2.5 s repair, two timer periods into the outage. *)
-    let run_until ms =
-      Cluster.run ~until:(Sim_time.milliseconds ms) cluster
-    in
-    run_until 60;
-    let base = Indoubt.partition_base bank.Harness.spec ~node:participant in
-    let tx_blocked =
-      Indoubt.pin_transfer cluster ~home ~participant ~from_account:base
-        ~to_account:(base + 1) ~amount:50
-    in
-    let tx_decided =
-      Indoubt.pin_transfer cluster ~home ~participant
-        ~from_account:(base + 2) ~to_account:(base + 3) ~amount:50
-    in
-    let decided =
-      match protocol with
-      | `Two_phase -> Indoubt.decide_2pc cluster ~home tx_decided
-      | `Paxos _ ->
-          Indoubt.decide_paxos cluster ~home
-            ~participants:[ participant; home ] ~acceptor_count tx_decided
-    in
+    let wreck = Indoubt.build_wreck ~seed ~quick protocol in
+    let bank = wreck.Indoubt.bank in
+    let cluster = bank.Harness.cluster in
+    let home = wreck.Indoubt.home and participant = wreck.Indoubt.participant in
+    let tx_blocked = wreck.Indoubt.undecided
+    and tx_decided = wreck.Indoubt.decided in
+    let injector = Injector.create cluster in
     let schedule =
       Schedule.empty
       |+ (120, Fault.Partition { group_a = [ 1; 2 ]; group_b = [ home ] })
       |+ (120, Fault.Node_crash { node = home })
     in
     Harness.run_schedule cluster injector schedule;
-    run_until 2_400;
+    Cluster.run ~until:(Sim_time.milliseconds 2_400) cluster;
     let mid =
       ( Indoubt.in_doubt_count cluster ~node:participant,
         Indoubt.disposition cluster ~node:participant tx_blocked,
@@ -254,12 +228,7 @@ let home_crash_phase2 =
       ( Indoubt.disposition cluster ~node:participant tx_blocked,
         Indoubt.disposition cluster ~node:participant tx_decided )
     in
-    let pinned_ok =
-      tx_blocked.Indoubt.transid <> None
-      && tx_decided.Indoubt.transid <> None
-      && decided
-    in
-    (bank, Schedule.merge schedule repair, pinned_ok, mid, final)
+    (bank, Schedule.merge schedule repair, wreck.Indoubt.pinned_ok, mid, final)
   in
   let run ~seed ~quick =
     let bank2pc, schedule, ok_2pc, mid_2pc, final_2pc =

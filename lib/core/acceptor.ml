@@ -12,21 +12,21 @@ type value =
   | Manifest_aborted
 
 type Message.payload +=
-  | Pax_p1a of { transid : string; instance : instance; ballot : int }
+  | Pax_p1a of { transid : Transid.t; instance : instance; ballot : int }
   | Pax_p1b of { promised : int; accepted : (int * value) option }
   | Pax_p2a of {
-      transid : string;
+      transid : Transid.t;
       instance : instance;
       ballot : int;
       value : value;
     }
   | Pax_p2b
   | Pax_decide of {
-      transid : string;
+      transid : Transid.t;
       home : Ids.node_id;
       participants : Ids.node_id list;
     }
-  | Pax_read of string
+  | Pax_read of Transid.t
   | Pax_state of (instance * int * value) list
   | Pax_nack of { promised : int }
 
@@ -55,12 +55,13 @@ type t = {
 let counter t name = Metrics.counter (Net.metrics t.net) ("acceptor." ^ name)
 
 let entry_for t transid instance =
+  let key = Transid.to_string transid in
   let row =
-    match Hashtbl.find_opt t.registers transid with
+    match Hashtbl.find_opt t.registers key with
     | Some row -> row
     | None ->
         let row = ref [] in
-        Hashtbl.replace t.registers transid row;
+        Hashtbl.replace t.registers key row;
         row
   in
   match List.assoc_opt instance !row with
@@ -164,7 +165,7 @@ let handle t process message =
       (* Reads promise nothing, so they cost no force. *)
       Metrics.incr (counter t "reads");
       let state =
-        match Hashtbl.find_opt t.registers transid with
+        match Hashtbl.find_opt t.registers (Transid.to_string transid) with
         | None -> []
         | Some row ->
             List.filter_map

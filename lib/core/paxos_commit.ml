@@ -30,6 +30,7 @@ let tmp_counter net name = Metrics.counter (Net.metrics net) ("tmp." ^ name)
 
 let fanout net ~self ~acceptors ~transid payload =
   let own = Cpu.node (Process.cpu self) in
+  let transid = Transid.to_string transid in
   let results = ref [] in
   Process.iter_concurrently self
     (fun acceptor ->
@@ -57,12 +58,11 @@ let fanout net ~self ~acceptors ~transid payload =
 let cast_vote net ~self ~acceptors transid =
   Metrics.incr (tmp_counter net "paxos_votes");
   let own = Cpu.node (Process.cpu self) in
-  let transid_string = Transid.to_string transid in
   let replies =
-    fanout net ~self ~acceptors ~transid:transid_string
+    fanout net ~self ~acceptors ~transid
       (Acceptor.Pax_p2a
          {
-           transid = transid_string;
+           transid;
            instance = Acceptor.Rm own;
            ballot = 0;
            value = Acceptor.Prepared;
@@ -77,10 +77,9 @@ let cast_vote net ~self ~acceptors transid =
 
 let cast_decision net ~self ~acceptors ~home ~participants transid =
   Metrics.incr (tmp_counter net "paxos_decides");
-  let transid_string = Transid.to_string transid in
   let replies =
-    fanout net ~self ~acceptors ~transid:transid_string
-      (Acceptor.Pax_decide { transid = transid_string; home; participants })
+    fanout net ~self ~acceptors ~transid
+      (Acceptor.Pax_decide { transid; home; participants })
   in
   let acks =
     List.length
@@ -122,15 +121,13 @@ let chosen_value ~quorum states instance =
 
 let learn net ~self ~acceptors transid =
   Metrics.incr (tmp_counter net "paxos_learns");
-  let transid_string = Transid.to_string transid in
   let states =
     List.filter_map
       (fun (node, reply) ->
         match reply with
         | Acceptor.Pax_state entries -> Some (node, entries)
         | _ -> None)
-      (fanout net ~self ~acceptors ~transid:transid_string
-         (Acceptor.Pax_read transid_string))
+      (fanout net ~self ~acceptors ~transid (Acceptor.Pax_read transid))
   in
   let quorum = quorum_of acceptors in
   match chosen_value ~quorum states Acceptor.Commit_instance with
@@ -171,15 +168,14 @@ let ballot_stride net =
 let decree net ~self ~acceptors ~transid ~instance ~default =
   let own = Cpu.node (Process.cpu self) in
   let stride = ballot_stride net in
-  let transid_string = Transid.to_string transid in
   let quorum = quorum_of acceptors in
   let rec round n =
     if n > max_rounds then Error `Contended
     else begin
       let ballot = (n * stride) + own in
       let replies =
-        fanout net ~self ~acceptors ~transid:transid_string
-          (Acceptor.Pax_p1a { transid = transid_string; instance; ballot })
+        fanout net ~self ~acceptors ~transid
+          (Acceptor.Pax_p1a { transid; instance; ballot })
       in
       let granted =
         List.filter_map
@@ -208,9 +204,8 @@ let decree net ~self ~acceptors ~transid ~instance ~default =
           List.length
             (List.filter
                (fun (_, reply) -> reply = Acceptor.Pax_p2b)
-               (fanout net ~self ~acceptors ~transid:transid_string
-                  (Acceptor.Pax_p2a
-                     { transid = transid_string; instance; ballot; value })))
+               (fanout net ~self ~acceptors ~transid
+                  (Acceptor.Pax_p2a { transid; instance; ballot; value })))
         in
         if accepts >= quorum then Ok value else round (n + 1)
       end

@@ -3,14 +3,14 @@ open Tandem_os
 open Tandem_audit
 
 type Message.payload +=
-  | Client_end of string
-  | Client_abort of { transid : string; reason : string }
-  | Remote_begin of string
-  | Prepare of string
-  | Phase2_commit of string
-  | Phase2_abort of string
-  | Query_disposition of string
-  | Query_status of string
+  | Client_end of Transid.t
+  | Client_abort of { transid : Transid.t; reason : string }
+  | Remote_begin of Transid.t
+  | Prepare of Transid.t
+  | Phase2_commit of Transid.t
+  | Phase2_abort of Transid.t
+  | Query_disposition of Transid.t
+  | Query_status of Transid.t
   | Ack
   | Committed_reply
   | Aborted_reply of string
@@ -274,13 +274,15 @@ let record_disposition ?(forced = true) t disposition transid =
 (* ------------------------------------------------------------------ *)
 (* Abort execution (the Aborting -> Aborted path, local side). *)
 
+let monitor_disposition t transid =
+  Monitor_trail.disposition_of t.node_state.Tmf_state.monitor
+    ~transid:(Transid.to_string transid)
+
 let already_resolved t transid =
   (* A retried phase-two delivery can arrive after the transid has left the
      registry; the monitor trail is the durable record of that. *)
   Tmf_state.find_tx t.node_state transid = None
-  && Monitor_trail.disposition_of t.node_state.Tmf_state.monitor
-       ~transid:(Transid.to_string transid)
-     <> None
+  && monitor_disposition t transid <> None
 
 let cancel_auto_abort info =
   match info.Tmf_state.auto_abort with
@@ -288,10 +290,6 @@ let cancel_auto_abort info =
       Engine.cancel handle;
       info.Tmf_state.auto_abort <- None
   | None -> ()
-
-let monitor_disposition t transid =
-  Monitor_trail.disposition_of t.node_state.Tmf_state.monitor
-    ~transid:(Transid.to_string transid)
 
 (* One-shot (not safe-delivered) phase-two message: under presumed abort
    the children need no acknowledgment round — a child that never receives
@@ -352,9 +350,8 @@ let rec local_abort t ~self transid reason =
         (fun child ->
           Span.incr_phase2_msgs (spans t) (Transid.to_string transid);
           if presumed then
-            oneshot_phase2 t ~self child
-              (Phase2_abort (Transid.to_string transid))
-          else safe_deliver t child (Phase2_abort (Transid.to_string transid)))
+            oneshot_phase2 t ~self child (Phase2_abort transid)
+          else safe_deliver t child (Phase2_abort transid))
         info.Tmf_state.children;
       finish_span t transid (Span.Aborted reason);
       Tmf_state.forget_tx t.node_state transid
@@ -381,7 +378,7 @@ and local_commit_phase2 t ~self transid =
       List.iter
         (fun child ->
           Span.incr_phase2_msgs (spans t) (Transid.to_string transid);
-          safe_deliver t child (Phase2_commit (Transid.to_string transid)))
+          safe_deliver t child (Phase2_commit transid))
         info.Tmf_state.children;
       finish_span t transid Span.Committed;
       Tmf_state.forget_tx t.node_state transid
@@ -397,7 +394,7 @@ let prepare_one t ~self info child =
   match
     Rpc.call_name t.net ~self ~node:child ~name:"$TMP"
       ~timeout:prepare_timeout ~retries:1
-      (Prepare (Transid.to_string info.Tmf_state.transid))
+      (Prepare info.Tmf_state.transid)
   with
   | Ok Prepared_reply -> Ok `Prepared
   | Ok Readonly_reply -> Ok `Read_only
@@ -693,10 +690,7 @@ let on_prepare t ~self transid =
   | None -> (
       (* Either remote-begin never arrived, or we already resolved and
          forgot. Answer from the monitor trail if the latter. *)
-      match
-        Monitor_trail.disposition_of t.node_state.Tmf_state.monitor
-          ~transid:(Transid.to_string transid)
-      with
+      match monitor_disposition t transid with
       | Some Monitor_trail.Committed -> Prepared_reply
       | Some Monitor_trail.Aborted -> Refused_reply "already aborted here"
       | None ->
@@ -795,10 +789,7 @@ let on_prepare t ~self transid =
    abort — the home either never decided or already presumed-aborted and
    lost the unforced record; either way it can never commit now. *)
 let query_status net ~self ~node transid =
-  match
-    Rpc.call_name net ~self ~node ~name:"$TMP"
-      (Query_status (Transid.to_string transid))
-  with
+  match Rpc.call_name net ~self ~node ~name:"$TMP" (Query_status transid) with
   | Ok (Status_reply { disposition; live }) -> Ok (disposition, live)
   | Ok _ | Error _ -> Error `Unreachable
 
@@ -972,177 +963,142 @@ and arm_transaction_timer t transid =
 
 let handle t process message =
   match message.Message.payload with
-  | Client_end transid_string ->
+  | Client_end transid ->
       Process.spawn_fiber process (fun () ->
           let reply =
-            match Transid.of_string transid_string with
-            | Some transid
-              when Transid.home transid = own_node t
-                   && Tmf_state.find_tx t.node_state transid = None
-                   && monitor_disposition t transid = None ->
-                (* Unknown at its own home with no durable record: every
-                   live transaction is registered here at BEGIN, so the
-                   entry died with the node's memory. Re-creating a shell
-                   and committing it would look read-only (no volumes, no
-                   children) and confirm a transaction whose surviving
-                   participants are later presumed-aborted. *)
-                Aborted_reply "unknown at home: presumed abort"
-            | Some transid when Transid.home transid = own_node t ->
-                with_tx_lock t transid (fun () -> run_commit t ~self:process transid)
-            | Some _ -> Refused_reply "not the home node"
-            | None -> Refused_reply "malformed transid"
-          in
-          Rpc.reply t.net ~self:process ~to_:message reply)
-  | Client_abort { transid = transid_string; reason } ->
-      Process.spawn_fiber process (fun () ->
-          let reply =
-            match Transid.of_string transid_string with
-            | None -> Refused_reply "malformed transid"
-            | Some transid ->
-                with_tx_lock t transid (fun () ->
-                    let disposition =
-                      Monitor_trail.disposition_of
-                        t.node_state.Tmf_state.monitor
-                        ~transid:(Transid.to_string transid)
-                    in
-                    match (disposition, Tmf_state.find_tx t.node_state transid)
-                    with
-                    | Some Monitor_trail.Committed, _ ->
-                        Refused_reply "committed"
-                    | Some Monitor_trail.Aborted, _ -> Aborted_reply reason
-                    | None, None ->
-                        (* Forgotten (or never begun here): presumed abort
-                           already answers, and re-registering the transid
-                           would leak an entry nothing ever resolves. *)
-                        Aborted_reply reason
-                    | None, Some { Tmf_state.resolved = Some d; _ } -> (
-                        match d with
-                        | Monitor_trail.Committed -> Refused_reply "committed"
-                        | Monitor_trail.Aborted -> Aborted_reply reason)
-                    | None, Some ({ Tmf_state.resolved = None; _ } as info) ->
-                        if
-                          info.Tmf_state.voted_yes
-                          && Transid.home transid <> own_node t
-                        then Refused_reply "already voted yes"
-                        else begin
-                          info.Tmf_state.locally_aborted <- true;
-                          Metrics.incr (Lazy.force t.tmf_unilateral_aborts);
-                          local_abort t ~self:process transid reason;
-                          Aborted_reply reason
-                        end)
-          in
-          Rpc.reply t.net ~self:process ~to_:message reply)
-  | Remote_begin transid_string -> (
-      match Transid.of_string transid_string with
-      | None ->
-          Rpc.reply t.net ~self:process ~to_:message
-            (Refused_reply "malformed transid")
-      | Some transid ->
-          let known = Tmf_state.find_tx t.node_state transid <> None in
-          let reply =
-            if known || Transid.home transid = own_node t then Known_reply
-            else begin
-              ignore (Tmf_state.ensure_tx t.node_state transid);
-              Metrics.incr (Lazy.force t.tmf_remote_begins);
-              arm_transaction_timer t transid;
-              broadcast t transid Tx_state.Active;
-              Registered_reply
-            end
-          in
-          Rpc.reply t.net ~self:process ~to_:message reply)
-  | Prepare transid_string ->
-      Process.spawn_fiber process (fun () ->
-          let reply =
-            match Transid.of_string transid_string with
-            | Some transid
-              when t.node_state.Tmf_state.generation > 0
-                   && Tmf_state.find_tx t.node_state transid = None
-                   && Monitor_trail.disposition_of
-                        t.node_state.Tmf_state.monitor
-                        ~transid:transid_string
-                      = None ->
-                (* Checked before [with_tx_lock], whose [ensure_tx] would
-                   re-create a shell entry that then looks like a registered
-                   read-only participant. After a total node failure an
-                   unknown transid may be a participant whose registration
-                   (and writes) died with the node's memory — voting
-                   read-only would let the parent commit work this node
-                   already lost. *)
-                Refused_reply "unknown after node failure"
-            | Some transid ->
-                with_tx_lock t transid (fun () ->
-                    on_prepare t ~self:process transid)
-            | None -> Refused_reply "malformed transid"
-          in
-          Rpc.reply t.net ~self:process ~to_:message reply)
-  | Phase2_commit transid_string ->
-      Process.spawn_fiber process (fun () ->
-          (match Transid.of_string transid_string with
-          | Some transid ->
+            if Transid.home transid <> own_node t then
+              Refused_reply "not the home node"
+            else if
+              Tmf_state.find_tx t.node_state transid = None
+              && monitor_disposition t transid = None
+            then
+              (* Unknown at its own home with no durable record: every
+                 live transaction is registered here at BEGIN, so the
+                 entry died with the node's memory. Re-creating a shell
+                 and committing it would look read-only (no volumes, no
+                 children) and confirm a transaction whose surviving
+                 participants are later presumed-aborted. *)
+              Aborted_reply "unknown at home: presumed abort"
+            else
               with_tx_lock t transid (fun () ->
-                  local_commit_phase2 t ~self:process transid)
-          | None -> ());
+                  run_commit t ~self:process transid)
+          in
+          Rpc.reply t.net ~self:process ~to_:message reply)
+  | Client_abort { transid; reason } ->
+      Process.spawn_fiber process (fun () ->
+          let reply =
+            with_tx_lock t transid (fun () ->
+                match
+                  ( monitor_disposition t transid,
+                    Tmf_state.find_tx t.node_state transid )
+                with
+                | Some Monitor_trail.Committed, _ -> Refused_reply "committed"
+                | Some Monitor_trail.Aborted, _ -> Aborted_reply reason
+                | None, None ->
+                    (* Forgotten (or never begun here): presumed abort
+                       already answers, and re-registering the transid
+                       would leak an entry nothing ever resolves. *)
+                    Aborted_reply reason
+                | None, Some { Tmf_state.resolved = Some d; _ } -> (
+                    match d with
+                    | Monitor_trail.Committed -> Refused_reply "committed"
+                    | Monitor_trail.Aborted -> Aborted_reply reason)
+                | None, Some ({ Tmf_state.resolved = None; _ } as info) ->
+                    if
+                      info.Tmf_state.voted_yes
+                      && Transid.home transid <> own_node t
+                    then Refused_reply "already voted yes"
+                    else begin
+                      info.Tmf_state.locally_aborted <- true;
+                      Metrics.incr (Lazy.force t.tmf_unilateral_aborts);
+                      local_abort t ~self:process transid reason;
+                      Aborted_reply reason
+                    end)
+          in
+          Rpc.reply t.net ~self:process ~to_:message reply)
+  | Remote_begin transid ->
+      let known = Tmf_state.find_tx t.node_state transid <> None in
+      let reply =
+        if known || Transid.home transid = own_node t then Known_reply
+        else begin
+          ignore (Tmf_state.ensure_tx t.node_state transid);
+          Metrics.incr (Lazy.force t.tmf_remote_begins);
+          arm_transaction_timer t transid;
+          broadcast t transid Tx_state.Active;
+          Registered_reply
+        end
+      in
+      Rpc.reply t.net ~self:process ~to_:message reply
+  | Prepare transid ->
+      Process.spawn_fiber process (fun () ->
+          let reply =
+            if
+              t.node_state.Tmf_state.generation > 0
+              && Tmf_state.find_tx t.node_state transid = None
+              && monitor_disposition t transid = None
+            then
+              (* Checked before [with_tx_lock], whose [ensure_tx] would
+                 re-create a shell entry that then looks like a registered
+                 read-only participant. After a total node failure an
+                 unknown transid may be a participant whose registration
+                 (and writes) died with the node's memory — voting
+                 read-only would let the parent commit work this node
+                 already lost. *)
+              Refused_reply "unknown after node failure"
+            else
+              with_tx_lock t transid (fun () ->
+                  on_prepare t ~self:process transid)
+          in
+          Rpc.reply t.net ~self:process ~to_:message reply)
+  | Phase2_commit transid ->
+      Process.spawn_fiber process (fun () ->
+          with_tx_lock t transid (fun () ->
+              local_commit_phase2 t ~self:process transid);
           match message.Message.kind with
           | Message.Request -> Rpc.reply t.net ~self:process ~to_:message Ack
           | Message.Reply | Message.Oneway -> ())
-  | Phase2_abort transid_string ->
+  | Phase2_abort transid ->
       Process.spawn_fiber process (fun () ->
-          (match Transid.of_string transid_string with
-          | Some transid ->
-              with_tx_lock t transid (fun () ->
-                  local_abort t ~self:process transid "aborted by home node")
-          | None -> ());
+          with_tx_lock t transid (fun () ->
+              local_abort t ~self:process transid "aborted by home node");
           (* A one-shot (presumed abort) delivery expects no Ack. *)
           match message.Message.kind with
           | Message.Request -> Rpc.reply t.net ~self:process ~to_:message Ack
           | Message.Reply | Message.Oneway -> ())
-  | Query_disposition transid_string ->
+  | Query_disposition transid ->
       Process.spawn_fiber process (fun () ->
-          let recorded () =
-            Monitor_trail.disposition_of t.node_state.Tmf_state.monitor
-              ~transid:transid_string
-          in
           let disposition =
-            match recorded () with
+            match monitor_disposition t transid with
             | Some d -> Some d
-            | None -> (
-                match Transid.of_string transid_string with
-                | Some transid
-                  when Transid.home transid = own_node t
-                       && Tmf_state.find_tx t.node_state transid <> None ->
-                    (* A recovering participant is asking about a
-                       transaction still live at this home: its prepared
-                       state (locks, volatile undo) died with its node, so
-                       a commit this coordinator might still reach could
-                       never be honored there. Serialize against any
-                       in-flight END (the tx lock), then make the answer
-                       true forever: either a disposition now exists, or
-                       abort before replying so the backout the asker is
-                       about to do stays correct. *)
-                    with_tx_lock t transid (fun () ->
-                        match recorded () with
-                        | Some d -> Some d
-                        | None ->
-                            local_abort t ~self:process transid
-                              "participant lost prepared state";
-                            Some Monitor_trail.Aborted)
-                | Some _ | None -> None)
+            | None
+              when Transid.home transid = own_node t
+                   && Tmf_state.find_tx t.node_state transid <> None ->
+                (* A recovering participant is asking about a
+                   transaction still live at this home: its prepared
+                   state (locks, volatile undo) died with its node, so
+                   a commit this coordinator might still reach could
+                   never be honored there. Serialize against any
+                   in-flight END (the tx lock), then make the answer
+                   true forever: either a disposition now exists, or
+                   abort before replying so the backout the asker is
+                   about to do stays correct. *)
+                with_tx_lock t transid (fun () ->
+                    match monitor_disposition t transid with
+                    | Some d -> Some d
+                    | None ->
+                        local_abort t ~self:process transid
+                          "participant lost prepared state";
+                        Some Monitor_trail.Aborted)
+            | None -> None
           in
           Rpc.reply t.net ~self:process ~to_:message
             (Disposition_reply disposition))
-  | Query_status transid_string ->
-      let live =
-        match Transid.of_string transid_string with
-        | Some transid -> Tmf_state.find_tx t.node_state transid <> None
-        | None -> false
-      in
+  | Query_status transid ->
       Rpc.reply t.net ~self:process ~to_:message
         (Status_reply
            {
-             disposition =
-               Monitor_trail.disposition_of t.node_state.Tmf_state.monitor
-                 ~transid:transid_string;
-             live;
+             disposition = monitor_disposition t transid;
+             live = Tmf_state.find_tx t.node_state transid <> None;
            })
   | _ -> ()
 
@@ -1235,8 +1191,7 @@ let end_transaction net ~self ~home transid =
        the same transaction. On timeout the outcome is in doubt — query the
        disposition rather than resend. *)
     Rpc.call_name net ~self ~node:home ~name:"$TMP"
-      ~timeout:(Sim_time.seconds 15) ~retries:0
-      (Client_end (Transid.to_string transid))
+      ~timeout:(Sim_time.seconds 15) ~retries:0 (Client_end transid)
   with
   | Ok Committed_reply -> Ok ()
   | Ok (Aborted_reply reason) -> Error (`Aborted reason)
@@ -1245,8 +1200,7 @@ let end_transaction net ~self ~home transid =
 
 let abort_transaction net ~self ~node ~reason transid =
   match
-    Rpc.call_name net ~self ~node ~name:"$TMP"
-      (Client_abort { transid = Transid.to_string transid; reason })
+    Rpc.call_name net ~self ~node ~name:"$TMP" (Client_abort { transid; reason })
   with
   | Ok (Aborted_reply _) -> Ok ()
   | Ok (Refused_reply _) -> Error `Too_late
@@ -1254,8 +1208,7 @@ let abort_transaction net ~self ~node ~reason transid =
 
 let remote_begin net ~self ~to_node transid =
   match
-    Rpc.call_name net ~self ~node:to_node ~name:"$TMP"
-      (Remote_begin (Transid.to_string transid))
+    Rpc.call_name net ~self ~node:to_node ~name:"$TMP" (Remote_begin transid)
   with
   | Ok Registered_reply -> Ok `Registered
   | Ok Known_reply -> Ok `Known
@@ -1263,8 +1216,7 @@ let remote_begin net ~self ~to_node transid =
 
 let query_disposition net ~self ~node transid =
   match
-    Rpc.call_name net ~self ~node ~name:"$TMP"
-      (Query_disposition (Transid.to_string transid))
+    Rpc.call_name net ~self ~node ~name:"$TMP" (Query_disposition transid)
   with
   | Ok (Disposition_reply d) -> Ok d
   | Ok _ | Error _ -> Error `Unreachable

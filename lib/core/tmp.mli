@@ -22,14 +22,14 @@ type t
 
 (** The TMP-to-TMP wire protocol (exposed for tests and benchmarks). *)
 type Tandem_os.Message.payload +=
-  | Client_end of string
-  | Client_abort of { transid : string; reason : string }
-  | Remote_begin of string
-  | Prepare of string
-  | Phase2_commit of string
-  | Phase2_abort of string
-  | Query_disposition of string
-  | Query_status of string
+  | Client_end of Transid.t
+  | Client_abort of { transid : Transid.t; reason : string }
+  | Remote_begin of Transid.t
+  | Prepare of Transid.t
+  | Phase2_commit of Transid.t
+  | Phase2_abort of Transid.t
+  | Query_disposition of Transid.t
+  | Query_status of Transid.t
   | Ack
   | Committed_reply
   | Aborted_reply of string

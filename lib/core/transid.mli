@@ -22,10 +22,11 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 
 val to_string : t -> string
-(** Rendered as ["node.cpu.seq"]; this string form is what the audit and
-    lock layers carry, and what every transaction table is keyed by. The
-    string is rendered once, by {!make} or {!of_string}: this is O(1),
-    allocates nothing, and returns the same physical string every time. *)
+(** Rendered as ["node.cpu.seq"]. Messages carry the transid itself; this
+    string form is for the audit and lock layers, which know nothing of
+    TMF, and for the keys of every transaction table. The string is
+    rendered once, by {!make} or {!of_string}: this is O(1), allocates
+    nothing, and returns the same physical string every time. *)
 
 val of_string : string -> t option
 (** Parses ["node.cpu.seq"]. Canonical decimal input (as {!to_string}

@@ -63,15 +63,10 @@ let checkpoint_cost t =
 let transaction_of t ~cpu (op : op_meta) =
   match op.transid with
   | None -> Ok None
-  | Some transid_string -> (
-      match Tmf.Transid.of_string transid_string with
-      | None -> Error (Bad_request "malformed transid")
-      | Some transid -> (
-          match
-            Tmf.state_of t.tmf ~node:(node_id t) ~cpu transid
-          with
-          | Some Tmf.Tx_state.Active -> Ok (Some transid)
-          | Some _ | None -> Error Tx_rejected))
+  | Some transid -> (
+      match Tmf.state_of t.tmf ~node:(node_id t) ~cpu transid with
+      | Some Tmf.Tx_state.Active -> Ok op.transid
+      | Some _ | None -> Error Tx_rejected)
 
 (* A holder that is no longer registered with TMF is a ghost: its phase-two
    release was lost (for example, in flight to a primary that died). The
@@ -147,19 +142,6 @@ let buffer_audit t transaction ~pending (file : File.t) change =
         else checkpoint_cost t
       end
 
-let mutation_guard t transaction ~cpu op ~file_name ~key body =
-  match file t file_name with
-  | None -> Dp_error (Bad_request ("no such file " ^ file_name))
-  | Some file -> (
-      match
-        acquire_record t transaction ~cpu ~timeout:op.lock_timeout ~file_name
-          ~key
-      with
-      | Error e -> Dp_error e
-      | Ok () -> (
-          try Tandem_sim.Fiber_mutex.with_lock t.data_mutex (fun () -> body file)
-          with Tandem_disk.Volume.Unavailable _ -> Dp_error Volume_down))
-
 (* Security control by network node: the requester's node (from the message
    envelope) must be allowed by the file definition. *)
 let check_access t ~requester payload =
@@ -175,120 +157,99 @@ let check_access t ~requester payload =
       allowed file
   | _ -> true
 
+(* The record lock a data request takes: none, the record it names (queued
+   before the data mutex), or the entry an append assigns (once written). *)
+type lock = No_lock | Lock_key of string | Lock_assigned
+
+(* What a data access did: answered outright, or wrote a record (its key and
+   the change to audit). *)
+type access = Answer of Message.payload | Wrote of string * File.change
+
 let execute_op t process ~requester ~pending (op : op_meta) payload =
   let generation = t.generation in
+  let cpu = (Process.pid process).Ids.cpu in
   Cpu.consume (Process.cpu process) Hw_config.cpu_db_op_cost;
   if not (check_access t ~requester payload) then Dp_error Security_violation
   else
-  match transaction_of t ~cpu:(Process.pid process).Ids.cpu op with
+  match transaction_of t ~cpu op with
   | Error e -> Dp_error e
   | Ok transaction -> (
+      let acquire ~file_name ~key =
+        acquire_record t transaction ~cpu ~timeout:op.lock_timeout ~file_name
+          ~key
+      in
+      (* Every file access passes here: the file lookup, the record lock, the
+         data mutex, and then either the audit image of a write or — when
+         the node's volatile state died while the write was in flight — its
+         revert. Such a mutation landed in a post-crash world on behalf of a
+         transaction that no longer exists, and nothing would ever back it
+         out: undo it in place (the before-image is in hand) and reject. *)
+      let guard ~file_name ?(lock = No_lock) access =
+        match file t file_name with
+        | None -> Dp_error (Bad_request ("no such file " ^ file_name))
+        | Some file -> (
+            let locked =
+              match lock with
+              | Lock_key key -> acquire ~file_name ~key
+              | No_lock | Lock_assigned -> Ok ()
+            in
+            match locked with
+            | Error e -> Dp_error e
+            | Ok () -> (
+                try
+                  Tandem_sim.Fiber_mutex.with_lock t.data_mutex @@ fun () ->
+                  match access file with
+                  | Answer reply -> reply
+                  | Wrote (_, change) when t.generation <> generation ->
+                      File.apply_undo file change;
+                      Dp_error Tx_rejected
+                  | Wrote (key, change) ->
+                      (* An appended entry is locked for the transaction, as
+                         an inserted record would be. *)
+                      if lock = Lock_assigned then
+                        ignore (acquire ~file_name ~key : (unit, error) result);
+                      buffer_audit t transaction ~pending file change;
+                      Dp_done { key }
+                with Tandem_disk.Volume.Unavailable _ -> Dp_error Volume_down))
+      in
+      let write ~file_name key change =
+        guard ~file_name ~lock:(Lock_key key) (fun file ->
+            match change file with
+            | Ok change -> Wrote (key, change)
+            | Error `Duplicate -> Answer (Dp_error Duplicate)
+            | Error `Not_found -> Answer (Dp_error Not_found)
+            | Error `Bad_key -> Answer (Dp_error (Bad_request "bad key")))
+      in
       match payload with
-      | Dp_read { file = file_name; key; lock; _ } -> (
-          match file t file_name with
-          | None -> Dp_error (Bad_request ("no such file " ^ file_name))
-          | Some file -> (
-              let locked =
-                if lock then
-                  acquire_record t transaction
-                    ~cpu:(Process.pid process).Ids.cpu
-                    ~timeout:op.lock_timeout ~file_name ~key
-                else Ok ()
-              in
-              match locked with
-              | Error e -> Dp_error e
-              | Ok () -> (
-                  try
-                    Tandem_sim.Fiber_mutex.with_lock t.data_mutex (fun () ->
-                        Dp_value (File.read file key))
-                  with Tandem_disk.Volume.Unavailable _ -> Dp_error Volume_down)))
+      | Dp_read { file = file_name; key; lock; _ } ->
+          guard ~file_name
+            ~lock:(if lock then Lock_key key else No_lock)
+            (fun file -> Answer (Dp_value (File.read file key)))
       | Dp_insert { file = file_name; key; payload; _ } ->
-          mutation_guard t transaction ~cpu:(Process.pid process).Ids.cpu op
-            ~file_name ~key (fun file ->
-              match File.insert file key payload with
-              | Ok change when t.generation <> generation ->
-                  (* The node's volatile state died while this write was in
-                     flight: the mutation just landed in a post-crash world
-                     on behalf of a transaction that no longer exists, and
-                     nothing would ever back it out. Revert in place (the
-                     before-image is in hand) and reject. *)
-                  File.apply_undo file change;
-                  Dp_error Tx_rejected
-              | Ok change ->
-                  buffer_audit t transaction ~pending file change;
-                  Dp_done { key }
-              | Error `Duplicate -> Dp_error Duplicate
-              | Error `Bad_key -> Dp_error (Bad_request "bad key"))
+          write ~file_name key (fun file -> File.insert file key payload)
       | Dp_update { file = file_name; key; payload; _ } ->
-          mutation_guard t transaction ~cpu:(Process.pid process).Ids.cpu op
-            ~file_name ~key (fun file ->
-              match File.update file key payload with
-              | Ok change when t.generation <> generation ->
-                  File.apply_undo file change;
-                  Dp_error Tx_rejected
-              | Ok change ->
-                  buffer_audit t transaction ~pending file change;
-                  Dp_done { key }
-              | Error `Not_found -> Dp_error Not_found
-              | Error `Bad_key -> Dp_error (Bad_request "bad key"))
+          write ~file_name key (fun file -> File.update file key payload)
       | Dp_delete { file = file_name; key; _ } ->
-          mutation_guard t transaction ~cpu:(Process.pid process).Ids.cpu op
-            ~file_name ~key (fun file ->
-              match File.delete file key with
-              | Ok change when t.generation <> generation ->
-                  File.apply_undo file change;
-                  Dp_error Tx_rejected
-              | Ok change ->
-                  buffer_audit t transaction ~pending file change;
-                  Dp_done { key }
-              | Error `Not_found -> Dp_error Not_found
-              | Error `Bad_key -> Dp_error (Bad_request "bad key"))
-      | Dp_append { file = file_name; payload; _ } -> (
-          match file t file_name with
-          | None -> Dp_error (Bad_request ("no such file " ^ file_name))
-          | Some file -> (
-              try
-                Tandem_sim.Fiber_mutex.with_lock t.data_mutex @@ fun () ->
-                match File.append file payload with
-                | Ok (_, change) when t.generation <> generation ->
-                    File.apply_undo file change;
-                    Dp_error Tx_rejected
-                | Ok (key, change) ->
-                    (* The freshly assigned entry is locked for the
-                       transaction, as an inserted record would be. *)
-                    (match
-                       acquire_record t transaction
-                         ~cpu:(Process.pid process).Ids.cpu
-                         ~timeout:op.lock_timeout ~file_name ~key
-                     with
-                    | Ok () -> ()
-                    | Error _ -> ());
-                    buffer_audit t transaction ~pending file change;
-                    Dp_done { key }
-                | Error `Wrong_organization ->
-                    Dp_error (Bad_request "not entry-sequenced")
-              with Tandem_disk.Volume.Unavailable _ -> Dp_error Volume_down))
-      | Dp_next { file = file_name; after; inclusive; _ } -> (
-          match file t file_name with
-          | None -> Dp_error (Bad_request ("no such file " ^ file_name))
-          | Some file -> (
-              try
-                Tandem_sim.Fiber_mutex.with_lock t.data_mutex (fun () ->
-                    match (inclusive, File.read file after) with
-                    | true, Some payload -> Dp_pair (Some (after, payload))
-                    | true, None | false, _ ->
-                        Dp_pair (File.next_after file after))
-              with Tandem_disk.Volume.Unavailable _ -> Dp_error Volume_down))
-      | Dp_lookup_index { file = file_name; index; alternate; _ } -> (
-          match file t file_name with
-          | None -> Dp_error (Bad_request ("no such file " ^ file_name))
-          | Some file -> (
-              try
-                Tandem_sim.Fiber_mutex.with_lock t.data_mutex (fun () ->
-                    Dp_keys (File.lookup_index file ~index alternate))
-              with
-              | Tandem_disk.Volume.Unavailable _ -> Dp_error Volume_down
-              | Invalid_argument m -> Dp_error (Bad_request m)))
+          write ~file_name key (fun file -> File.delete file key)
+      | Dp_append { file = file_name; payload; _ } ->
+          guard ~file_name ~lock:Lock_assigned (fun file ->
+              match File.append file payload with
+              | Ok (key, change) -> Wrote (key, change)
+              | Error `Wrong_organization ->
+                  Answer (Dp_error (Bad_request "not entry-sequenced")))
+      | Dp_next { file = file_name; after; inclusive; _ } ->
+          guard ~file_name (fun file ->
+              Answer
+                (match (inclusive, File.read file after) with
+                | true, Some payload -> Dp_pair (Some (after, payload))
+                | true, None | false, _ ->
+                    Dp_pair (File.next_after file after)))
+      | Dp_lookup_index { file = file_name; index; alternate; _ } ->
+          guard ~file_name (fun file ->
+              Answer
+                (match File.lookup_index file ~index alternate with
+                | keys -> Dp_keys keys
+                | exception Invalid_argument m -> Dp_error (Bad_request m)))
       | Dp_lock_file { file = file_name; _ } -> (
           match transaction with
           | None -> Dp_error (Bad_request "file lock outside transaction")
@@ -320,7 +281,8 @@ let execute t process ~requester (op : op_meta) payload =
 (* ------------------------------------------------------------------ *)
 (* TMF-side requests (flush, release, undo) *)
 
-let flush_audit t process transid_string =
+let flush_audit t process transid =
+  let transid_string = Tmf.Transid.to_string transid in
   match Hashtbl.find_opt t.audit_buffers transid_string with
   | None | Some [] -> Dp_flushed 0
   | Some images_newest_first -> (
@@ -335,7 +297,8 @@ let flush_audit t process transid_string =
       | Error e ->
           Dp_error (Bad_request (Format.asprintf "audit flush: %a" Rpc.pp_error e)))
 
-let release t transid_string =
+let release t transid =
+  let transid_string = Tmf.Transid.to_string transid in
   Tandem_lock.Lock_table.release_all t.locks ~owner:transid_string;
   Hashtbl.remove t.audit_buffers transid_string;
   Dp_ok
@@ -386,10 +349,10 @@ let handle t process message =
               in
               Hashtbl.replace t.reply_cache op.op_id reply;
               respond reply)
-  | Dp_flush_audit transid_string ->
+  | Dp_flush_audit transid ->
       Process.spawn_fiber process (fun () ->
-          respond (flush_audit t process transid_string))
-  | Dp_release transid_string -> respond (release t transid_string)
+          respond (flush_audit t process transid))
+  | Dp_release transid -> respond (release t transid)
   | Dp_undo image ->
       Process.spawn_fiber process (fun () -> respond (undo t image))
   | _ -> ()
@@ -448,7 +411,7 @@ let spawn ~net ~tmf ~node ~volume ~name ~trail ~primary_cpu ~backup_cpu
         (fun ~self transid ->
           match
             Rpc.call_name net ~self ~node:(Node.id node) ~name
-              (Dp_flush_audit (Tmf.Transid.to_string transid))
+              (Dp_flush_audit transid)
           with
           | Ok (Dp_flushed images) -> Ok images
           | Ok Dp_ok -> Ok 0
@@ -461,7 +424,7 @@ let spawn ~net ~tmf ~node ~volume ~name ~trail ~primary_cpu ~backup_cpu
              name-addressed retry rides out pair takeovers. *)
           ignore
             (Rpc.call_name net ~self ~node:(Node.id node) ~name
-               (Dp_release (Tmf.Transid.to_string transid))));
+               (Dp_release transid)));
       apply_undo =
         (fun ~self image ->
           match

@@ -58,7 +58,7 @@ let call t ~self ~transid partition build_payload =
       let op =
         {
           op_id = Net.fresh_corr t.net;
-          transid = Option.map Tmf.Transid.to_string transid;
+          transid;
           lock_timeout = (Net.config t.net).Hw_config.lock_timeout;
         }
       in

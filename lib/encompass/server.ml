@@ -11,7 +11,7 @@ type server_error = Transient of string | Rejected of string
 type handler = ctx -> string -> (string, server_error) result
 
 type Message.payload +=
-  | Server_request of { transid : string option; body : string }
+  | Server_request of { transid : Tmf.Transid.t option; body : string }
   | Server_reply of (string, server_error) result
 
 let map_file_error error =
@@ -35,13 +35,7 @@ let server_body t process =
     (match message.Message.payload with
     | Server_request { transid; body } ->
         Cpu.consume (Process.cpu process) Hw_config.cpu_server_cost;
-        let ctx =
-          {
-            server_process = process;
-            files = t.files;
-            transid = Option.bind transid Tmf.Transid.of_string;
-          }
-        in
+        let ctx = { server_process = process; files = t.files; transid } in
         let result = t.handler ctx body in
         Rpc.reply t.net ~self:process ~to_:message (Server_reply result)
     | _ -> ());
@@ -167,10 +161,7 @@ let send net ~self ~tmf ?transid ~node ~class_name ~members body =
     | Error _ as e -> e
     | Ok () -> (
         let member = Net.fresh_corr net mod members in
-        let payload =
-          Server_request
-            { transid = Option.map Tmf.Transid.to_string transid; body }
-        in
+        let payload = Server_request { transid; body } in
         match
           (* No transparent retry: a server request is not idempotent, so a
              lost reply must surface as a transient failure and be cured by

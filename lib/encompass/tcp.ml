@@ -7,7 +7,7 @@ type terminal = {
   queue : string Queue.t; (* inputs not yet started, oldest first *)
   mutable waiter : unit Fiber.resume option;
   mutable current_input : string option; (* checkpointed screen data *)
-  mutable current_transid : string option;
+  mutable current_transid : Tmf.Transid.t option;
   mutable output : string option;
   mutable completed : int;
   mutable aborted : int;
@@ -37,8 +37,8 @@ let observe_latency t started =
   Metrics.observe (metrics_sample t "encompass.tx_latency_ms")
     (float_of_int elapsed /. 1e3)
 
-let abort_quietly t process transid_string reason =
-  match Option.bind transid_string Tmf.Transid.of_string with
+let abort_quietly t process transid reason =
+  match transid with
   | None -> `Not_in_transaction
   | Some transid -> (
       match Tmf.abort_transaction t.tmf ~self:process ~reason transid with
@@ -100,7 +100,7 @@ let execute t term process input =
                 ~cpu:(Process.pid process).Ids.cpu
             in
             transaction := Some transid;
-            term.current_transid <- Some (Tmf.Transid.to_string transid);
+            term.current_transid <- Some transid;
             checkpoint t);
         end_transaction =
           (fun () ->
@@ -153,8 +153,8 @@ let execute t term process input =
         term.restarts <- term.restarts + 1;
         Metrics.incr (Metrics.counter (Net.metrics t.net) "encompass.restarts");
         (match term.current_transid with
-        | Some transid_string ->
-            Span.incr_restarts (Net.spans t.net) transid_string
+        | Some transid ->
+            Span.incr_restarts (Net.spans t.net) (Tmf.Transid.to_string transid)
         | None -> ());
         if restarts_left > 0 then begin
           (* Randomized pause before re-executing: simultaneous restarts of

@@ -186,8 +186,7 @@ let test_protocol_equivalence () =
    order. *)
 let send_concurrently cluster ~node ~to_node payloads =
   let replies = Array.make (List.length payloads) None in
-  let finished = ref false in
-  Cluster.run_client cluster ~node ~cpu:1 (fun self ->
+  Indoubt.drive_client cluster ~node (fun self ->
       let remaining = ref (List.length payloads) in
       let waker = ref None in
       List.iteri
@@ -207,21 +206,16 @@ let send_concurrently cluster ~node ~to_node payloads =
                     resume (Ok ())
                 | None -> ()))
         payloads;
-      if !remaining > 0 then Fiber.suspend (fun resume -> waker := Some resume);
-      finished := true);
-  let rec pump budget =
-    if (not !finished) && budget > 0 then begin
-      Cluster.run_for cluster (Sim_time.milliseconds 1);
-      pump (budget - 1)
-    end
-  in
-  pump 1_000;
+      if !remaining > 0 then Fiber.suspend (fun resume -> waker := Some resume));
   Array.to_list replies
 
 let test_acceptor_revalidates_after_force () =
   let cluster, _spec, _ =
     three_node_cluster ~config:(paxos_config 3) ~with_tcp:false ()
   in
+  (* Two transids no transaction of this cluster ever takes. *)
+  let race_a = Tmf.Transid.make ~home:1 ~cpu:0 ~seq:1_000_001 in
+  let race_b = Tmf.Transid.make ~home:1 ~cpu:0 ~seq:1_000_002 in
   (* Higher-ballot phase one first, home's ballot-0 decide inside its force
      window: the decide's pre-force "not superseded" check is stale and the
      decide must be nacked, leaving the register free for the leader. *)
@@ -229,10 +223,10 @@ let test_acceptor_revalidates_after_force () =
     send_concurrently cluster ~node:1 ~to_node:2
       [
         Tmf.Acceptor.Pax_p1a
-          { transid = "race-b"; instance = Tmf.Acceptor.Commit_instance;
+          { transid = race_b; instance = Tmf.Acceptor.Commit_instance;
             ballot = 7 };
         Tmf.Acceptor.Pax_decide
-          { transid = "race-b"; home = 1; participants = [ 2 ] };
+          { transid = race_b; home = 1; participants = [ 2 ] };
       ]
   in
   (match replies with
@@ -246,7 +240,7 @@ let test_acceptor_revalidates_after_force () =
   check_bool "nacked decide installed nothing" true
     (match
        send_concurrently cluster ~node:1 ~to_node:2
-         [ Tmf.Acceptor.Pax_read "race-b" ]
+         [ Tmf.Acceptor.Pax_read race_b ]
      with
     | [ Some (Tmf.Acceptor.Pax_state []) ] -> true
     | _ -> false);
@@ -257,9 +251,9 @@ let test_acceptor_revalidates_after_force () =
     send_concurrently cluster ~node:1 ~to_node:2
       [
         Tmf.Acceptor.Pax_decide
-          { transid = "race-a"; home = 1; participants = [ 2 ] };
+          { transid = race_a; home = 1; participants = [ 2 ] };
         Tmf.Acceptor.Pax_p1a
-          { transid = "race-a"; instance = Tmf.Acceptor.Commit_instance;
+          { transid = race_a; instance = Tmf.Acceptor.Commit_instance;
             ballot = 7 };
       ]
   in

@@ -473,7 +473,7 @@ let test_reply_cache_replays_duplicate_op () =
       let op =
         {
           Dp_protocol.op_id = 424_242;
-          transid = Some (Tmf.Transid.to_string transid);
+          transid = Some transid;
           lock_timeout = Sim_time.seconds 1;
         }
       in
@@ -513,6 +513,84 @@ let test_reply_cache_replays_duplicate_op () =
           (fun r ->
             not (Tandem_audit.Audit_record.is_commit_marker r.Tandem_audit.Audit_record.image))
           (Tandem_audit.Audit_trail.records_for trail ~transid:!transid_string)))
+
+(* ------------------------------------------------------------------ *)
+(* Post-crash write revert: a write whose node fails totally while it waits
+   on the disc lands in the post-crash image; the DISCPROCESS must undo it
+   and reject the request, since no backout will ever come for it. *)
+
+let write_across_total_failure request =
+  let cluster, _, spec = single_node_cluster () in
+  let tmf = Cluster.tmf cluster in
+  let dp = Cluster.discprocess cluster ~node:1 ~volume:"$DATA1" in
+  let store = Discprocess.store dp in
+  (* One history entry, so an append has a block to read; then everything
+     on the disc and a cold cache, so the write's block reads go there. *)
+  Store.set_charging store false;
+  ignore (File.append (Option.get (Discprocess.file dp Workload.history_file)) "");
+  Store.set_charging store true;
+  Store.overwrite_disk_image store;
+  let misses = Store.cache_misses store in
+  let reply = ref None in
+  Cluster.run_client cluster ~node:1 ~cpu:1 (fun process ->
+      let transid = Tmf.begin_transaction tmf ~node:1 ~cpu:1 in
+      Tmf.note_local_participant tmf ~node:1 ~volume:"$DATA1" transid;
+      let op =
+        {
+          Dp_protocol.op_id = 515_151;
+          transid = Some transid;
+          lock_timeout = Sim_time.seconds 1;
+        }
+      in
+      match
+        Rpc.call_name (Cluster.net cluster) ~self:process ~node:1
+          ~name:"$DATA1" (request op)
+      with
+      | Ok answer -> reply := Some answer
+      | Error e -> Alcotest.failf "rpc failed: %a" Rpc.pp_error e);
+  (* Step until the write waits on its first disc read, then fail the node
+     under it. *)
+  let rec until_reading budget =
+    if Store.cache_misses store = misses && budget > 0 then begin
+      Cluster.run_for cluster (Sim_time.microseconds 100);
+      until_reading (budget - 1)
+    end
+  in
+  until_reading 1_000;
+  check_bool "write waits on the disc" true
+    (Store.cache_misses store > misses && !reply = None);
+  Cluster.total_node_failure cluster ~node:1;
+  Cluster.run cluster;
+  check_bool "write rejected" true
+    (!reply = Some (Dp_protocol.Dp_error Dp_protocol.Tx_rejected));
+  (cluster, spec)
+
+let test_update_across_total_failure_reverted () =
+  let cluster, _ =
+    write_across_total_failure (fun op ->
+        Dp_protocol.Dp_update
+          {
+            op;
+            file = "ACCOUNT";
+            key = Tandem_db.Key.of_int 3;
+            payload = Tandem_db.Record.encode [ ("balance", "7777") ];
+          })
+  in
+  Alcotest.(check (option int)) "pre-failure balance" (Some 1_000)
+    (Workload.account_balance cluster ~account:3)
+
+let test_append_across_total_failure_reverted () =
+  let cluster, spec =
+    write_across_total_failure (fun op ->
+        Dp_protocol.Dp_append
+          {
+            op;
+            file = Workload.history_file;
+            payload = Tandem_db.Record.encode [ ("delta", "7777") ];
+          })
+  in
+  check_int "only the seeded history entry" 1
+    (Workload.history_count cluster spec)
 
 (* ------------------------------------------------------------------ *)
 (* Abandoned transactions are auto-aborted at the time limit *)
@@ -1393,6 +1471,10 @@ let () =
             test_restart_limit_bounds_reexecution;
           Alcotest.test_case "lock_timeout bounds the wait" `Quick
             test_lock_timeout_bounds_wait;
+          Alcotest.test_case "update across total failure reverted" `Quick
+            test_update_across_total_failure_reverted;
+          Alcotest.test_case "append across total failure reverted" `Quick
+            test_append_across_total_failure_reverted;
         ] );
       ( "rollforward",
         [

@@ -106,7 +106,7 @@ let test_crash_after_phase1_read_only_child () =
       (* Drive phase one at the child directly, as the home TMP would. *)
       match
         Rpc.call_name (Cluster.net cluster) ~self:process ~node:2 ~name:"$TMP"
-          (Tmf.Tmp.Prepare (Tmf.Transid.to_string transid))
+          (Tmf.Tmp.Prepare transid)
       with
       | Ok reply -> prepare_reply := Some reply
       | Error e -> Alcotest.failf "prepare failed: %a" Rpc.pp_error e);
@@ -158,7 +158,7 @@ let test_presumed_abort_resolution_after_restart () =
       | Error e -> Alcotest.failf "update failed: %a" File_client.pp_error e);
       match
         Rpc.call_name (Cluster.net cluster) ~self:process ~node:2 ~name:"$TMP"
-          (Tmf.Tmp.Prepare (Tmf.Transid.to_string transid))
+          (Tmf.Tmp.Prepare transid)
       with
       | Ok reply -> prepare_reply := Some reply
       | Error e -> Alcotest.failf "prepare failed: %a" Rpc.pp_error e);
