@@ -14,16 +14,6 @@ type audit_file = {
   records : Audit_record.t Vec.t; (* ascending *)
 }
 
-(* Dependency logging: one history entry per data write, ascending by
-   sequence; the top of a key's stack is that key's last writer. An edge is
-   recorded when a write lands on a key whose last writer is a different
-   transaction; [edge_seq] is the dependent (newer) record's sequence, so
-   the edge Vec ascends with the trail and crash/purge maintenance is the
-   same truncate/drop-front shape as the record files. *)
-type dep_entry = { dep_seq : int; dep_tx : string }
-
-type dep_edge = { edge_seq : int; from_tx : string; to_tx : string }
-
 type t = {
   volume : Volume.t;
   daemon : Force_daemon.t;
@@ -32,10 +22,6 @@ type t = {
   mutable files : audit_file list; (* newest first *)
   tx_index : (string, Audit_record.t Vec.t) Hashtbl.t;
       (* transid -> its records, ascending — the backout path *)
-  dep_last : (string * string * string, dep_entry Vec.t) Hashtbl.t;
-      (* (volume, file, key) -> writer history, ascending — the
-         dependency-logging hook ROLLFORWARD's chain partitioning reads *)
-  dep_edges : dep_edge Vec.t; (* ascending by edge_seq *)
   mutable next_seq : int;
   mutable forced_hwm : int; (* highest sequence on disc *)
   mutable crash_epoch : int;
@@ -57,8 +43,6 @@ let create volume ~name ?(records_per_file = 512) ?(force_window = 0) () =
     records_per_file;
     files = [ fresh_file 0 ];
     tx_index = Hashtbl.create 64;
-    dep_last = Hashtbl.create 256;
-    dep_edges = Vec.create ();
     next_seq = 0;
     forced_hwm = -1;
     crash_epoch = 0;
@@ -80,32 +64,6 @@ let index_for t transid =
       Hashtbl.replace t.tx_index transid vec;
       vec
 
-(* Commit markers are excluded from dependency tracking: every fast-path
-   commit writes the same ($TMF, $COMMIT, "") sentinel, so tracking it
-   would chain every fast-path transaction into one component and erase the
-   parallelism the index exists to expose. Markers carry no data image —
-   they order against nothing. *)
-let track_dependency t ~transid ~sequence image =
-  if not (Audit_record.is_commit_marker image) then begin
-    let key =
-      (image.Audit_record.volume, image.Audit_record.file, image.Audit_record.key)
-    in
-    let history =
-      match Hashtbl.find_opt t.dep_last key with
-      | Some history -> history
-      | None ->
-          let history = Vec.create () in
-          Hashtbl.replace t.dep_last key history;
-          history
-    in
-    (match Vec.last history with
-    | Some previous when not (String.equal previous.dep_tx transid) ->
-        Vec.push t.dep_edges
-          { edge_seq = sequence; from_tx = previous.dep_tx; to_tx = transid }
-    | Some _ | None -> ());
-    Vec.push history { dep_seq = sequence; dep_tx = transid }
-  end
-
 let append t ~transid image =
   let sequence = t.next_seq in
   t.next_seq <- t.next_seq + 1;
@@ -114,7 +72,6 @@ let append t ~transid image =
   if Vec.is_empty file.records then file.first_seq <- sequence;
   Vec.push file.records record;
   Vec.push (index_for t transid) record;
-  track_dependency t ~transid ~sequence image;
   t.bytes <- t.bytes + Audit_record.size_bytes record;
   if Vec.length file.records >= t.records_per_file then
     t.files <- fresh_file (file.file_number + 1) :: t.files;
@@ -211,32 +168,6 @@ let crash t =
         Vec.truncate file.records keep
       end)
     t.files;
-  (* The dependency index loses the same volatile tail: writer-history
-     entries are pushed in sequence order, so the dead ones are each
-     stack's newest suffix, and the edge Vec's dead suffix is everything
-     above the high-water mark. *)
-  let emptied = ref [] in
-  Hashtbl.iter
-    (fun key history ->
-      let rec trim () =
-        match Vec.last history with
-        | Some entry when entry.dep_seq > t.forced_hwm ->
-            ignore (Vec.pop history);
-            trim ()
-        | Some _ | None -> ()
-      in
-      trim ();
-      if Vec.is_empty history then emptied := key :: !emptied)
-    t.dep_last;
-  List.iter (Hashtbl.remove t.dep_last) !emptied;
-  let rec trim_edges () =
-    match Vec.last t.dep_edges with
-    | Some edge when edge.edge_seq > t.forced_hwm ->
-        ignore (Vec.pop t.dep_edges);
-        trim_edges ()
-    | Some _ | None -> ()
-  in
-  trim_edges ();
   t.next_seq <- t.forced_hwm + 1;
   t.crash_epoch <- t.crash_epoch + 1
 
@@ -274,48 +205,36 @@ let purge_files_before t ~sequence =
           Vec.drop_front vec count;
           if Vec.is_empty vec then Hashtbl.remove t.tx_index transid)
     purged_per_tx;
-  (* Dependency entries below the oldest surviving record describe purged
-     history; drop each stack's (and the edge Vec's) dead prefix. An edge
-     whose [from_tx] has itself been purged may survive if its dependent
-     record did — harmless: chain partitioning just merges through the
-     absent endpoint (conservative, never wrong). *)
-  let floor =
-    List.fold_left
-      (fun acc file ->
-        if Vec.is_empty file.records then acc else min acc file.first_seq)
-      t.next_seq t.files
-  in
-  let dead_prefix length get bound =
-    let rec count i = if i < length && get i < bound then count (i + 1) else i in
-    count 0
-  in
-  let emptied = ref [] in
-  Hashtbl.iter
-    (fun key history ->
-      let drop =
-        dead_prefix (Vec.length history)
-          (fun i -> (Vec.get history i).dep_seq)
-          floor
-      in
-      Vec.drop_front history drop;
-      if Vec.is_empty history then emptied := key :: !emptied)
-    t.dep_last;
-  List.iter (Hashtbl.remove t.dep_last) !emptied;
-  Vec.drop_front t.dep_edges
-    (dead_prefix (Vec.length t.dep_edges)
-       (fun i -> (Vec.get t.dep_edges i).edge_seq)
-       floor);
   List.length purge
 
 let total_bytes t = t.bytes
 
-let dependency_edges t =
-  let edges = ref [] in
-  Vec.iter
-    (fun edge ->
-      if edge.edge_seq <= t.forced_hwm then
-        edges := (edge.from_tx, edge.to_tx) :: !edges)
-    t.dep_edges;
-  List.rev !edges
 
-let dependency_edge_count t = Vec.length t.dep_edges
+(* Commit markers are skipped: every fast-path commit writes the same
+   ($TMF, $COMMIT, "") sentinel, so an edge through it would chain every
+   fast-path transaction into one component and erase the parallelism the
+   edges exist to expose. Markers carry no data image — they order against
+   nothing. *)
+let dependency_edges t =
+  let last_writer : (string * string * string, string) Hashtbl.t =
+    Hashtbl.create 256
+  in
+  let edges = ref [] in
+  List.iter
+    (fun file ->
+      Vec.iter
+        (fun { Audit_record.sequence; transid; image } ->
+          if
+            sequence <= t.forced_hwm
+            && not (Audit_record.is_commit_marker image)
+          then begin
+            let key = Audit_record.(image.volume, image.file, image.key) in
+            (match Hashtbl.find_opt last_writer key with
+            | Some previous when not (String.equal previous transid) ->
+                edges := (previous, transid) :: !edges
+            | Some _ | None -> ());
+            Hashtbl.replace last_writer key transid
+          end)
+        file.records)
+    (List.rev t.files);
+  List.rev !edges

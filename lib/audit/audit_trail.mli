@@ -72,18 +72,14 @@ val total_bytes : t -> int
 
 val dependency_edges : t -> (string * string) list
 (** Forced inter-transaction dependency edges [(from, to)], ascending by
-    the dependent record's sequence. An edge is logged at [append] time
-    whenever a transaction writes a (volume, file, key) last written by a
-    *different* transaction, so every pair of surviving records touching
-    the same key is transitively connected — ROLLFORWARD's chain
-    partitioning unions over these edges and may replay distinct components
-    concurrently. Commit markers log no edges (their shared sentinel key
-    would chain every fast-path commit together). The index survives
-    {!crash} (the volatile tail's entries die with it) and
-    {!purge_files_before} (prefix entries below the oldest surviving record
-    are dropped; an edge may conservatively outlive its purged [from]
-    endpoint). *)
-
-val dependency_edge_count : t -> int
-(** Number of logged edges, buffered tail included — the index-maintenance
-    observability hook. *)
+    the dependent record's sequence: one edge wherever a transaction writes
+    a (volume, file, key) whose previous surviving writer is a *different*
+    transaction, so every pair of surviving records touching the same key
+    is transitively connected — ROLLFORWARD's chain partitioning unions over
+    these edges and may replay distinct components concurrently. Commit
+    markers give no edges (their shared sentinel key would chain every
+    fast-path commit together). Derived on demand in one pass over the
+    forced records, oldest file first: [append] keeps no per-key state, and
+    a caller pays O(forced trail). Only surviving records count, so after
+    {!purge_files_before} an edge from a purged writer is not reported (the
+    next surviving writers of its key stay connected). *)

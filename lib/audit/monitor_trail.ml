@@ -48,15 +48,16 @@ let record_unforced t ~transid disposition =
   t.history <- (transid, disposition) :: t.history
 
 let crash t =
-  let lost = Hashtbl.fold (fun transid () acc -> transid :: acc) t.unforced [] in
-  List.iter
-    (fun transid ->
-      Hashtbl.remove t.table transid;
-      t.history <-
-        List.filter (fun (recorded, _) -> recorded <> transid) t.history)
-    lost;
+  let lost = Hashtbl.length t.unforced in
+  if lost > 0 then begin
+    Hashtbl.iter (fun transid () -> Hashtbl.remove t.table transid) t.unforced;
+    t.history <-
+      List.filter
+        (fun (transid, _) -> not (Hashtbl.mem t.unforced transid))
+        t.history
+  end;
   Hashtbl.reset t.unforced;
-  List.length lost
+  lost
 
 let disposition_of t ~transid = Hashtbl.find_opt t.table transid
 

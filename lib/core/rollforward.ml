@@ -246,13 +246,14 @@ type chain = {
 
 (* Partition one trail's replay set into chains, newest-created first.
    Without [dependency] the whole trail is one chain. With it, a chain is
-   one connected component of the trail's logged inter-transaction edges:
-   all surviving records that touch a common (volume, file, key) are
-   transitively connected by the edges (consecutive writers of a key always
-   got one), so distinct chains touch disjoint keys and commute. Unioning
-   through a transaction absent from the replay set (resolved pre-archive,
-   or purged) is deliberate: dependency is transitive through the key
-   history, so merging conservatively is always sound. *)
+   one connected component of the inter-transaction edges derived from the
+   trail's forced records: all surviving records that touch a common
+   (volume, file, key) are transitively connected by the edges (consecutive
+   surviving writers of a key always get one), so distinct chains touch
+   disjoint keys and commute. Unioning through a transaction absent from
+   the replay set (resolved pre-archive) is deliberate: dependency is
+   transitive through the key history, so merging conservatively is always
+   sound. *)
 let trail_chains ~dependency trail ~pre_open ~redo_records =
   let root =
     if not dependency then fun _ -> ""

@@ -180,6 +180,33 @@ let test_monitor_trail () =
           Monitor_trail.record monitor ~transid:"1.0.1" Monitor_trail.Aborted));
       Engine.run engine)
 
+let test_monitor_crash_keeps_forced_history () =
+  let engine, volume = make_volume () in
+  let monitor = Monitor_trail.create volume in
+  ignore
+    (Fiber.spawn (fun () ->
+         Monitor_trail.record monitor ~transid:"1.0.1" Monitor_trail.Committed;
+         Monitor_trail.record monitor ~transid:"1.0.2" Monitor_trail.Aborted;
+         Monitor_trail.record monitor ~transid:"1.0.3" Monitor_trail.Committed));
+  Engine.run engine;
+  Monitor_trail.record_unforced monitor ~transid:"1.0.4" Monitor_trail.Committed;
+  Monitor_trail.record_unforced monitor ~transid:"1.0.5" Monitor_trail.Aborted;
+  Monitor_trail.record_unforced monitor ~transid:"1.0.6" Monitor_trail.Committed;
+  check_int "three unforced dispositions lost" 3 (Monitor_trail.crash monitor);
+  Alcotest.(check (list (pair string bool)))
+    "entries are the forced history, in order"
+    [ ("1.0.1", true); ("1.0.2", false); ("1.0.3", true) ]
+    (List.map
+       (fun (transid, d) -> (transid, d = Monitor_trail.Committed))
+       (Monitor_trail.entries monitor));
+  check_int "forced commits counted" 2
+    (Monitor_trail.count monitor Monitor_trail.Committed);
+  check_int "forced aborts counted" 1
+    (Monitor_trail.count monitor Monitor_trail.Aborted);
+  check_bool "a lost disposition is unknown" true
+    (Monitor_trail.disposition_of monitor ~transid:"1.0.5" = None);
+  check_int "nothing left to lose" 0 (Monitor_trail.crash monitor)
+
 let test_audit_process_round_trip () =
   let net = Tandem_os.Net.create () in
   let node = Tandem_os.Net.add_node net ~id:1 ~cpus:4 in
@@ -267,7 +294,12 @@ let () =
           Alcotest.test_case "daemon survives killed requester" `Quick
             test_force_daemon_killed_requester;
         ] );
-      ("monitor_trail", [ Alcotest.test_case "dispositions" `Quick test_monitor_trail ]);
+      ( "monitor_trail",
+        [
+          Alcotest.test_case "dispositions" `Quick test_monitor_trail;
+          Alcotest.test_case "crash keeps the forced history" `Quick
+            test_monitor_crash_keeps_forced_history;
+        ] );
       ( "audit_process",
         [
           Alcotest.test_case "round trip" `Quick test_audit_process_round_trip;
