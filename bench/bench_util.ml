@@ -42,8 +42,9 @@ let f2 value = Printf.sprintf "%.2f" value
 (* Machine-readable results
 
    Each experiment snapshots metrics registries under a label; a full run
-   of the paper experiments writes the accumulated set to
-   BENCH_results.json (schema documented in docs/OBSERVABILITY.md). *)
+   of the paper experiments writes one digest per experiment to the
+   committed BENCH_results.json and every registry to BENCH_registries.json
+   (both schemas documented in docs/OBSERVABILITY.md). *)
 
 type recorded = { experiment : string; label : string; metrics : Json.t }
 
@@ -77,25 +78,17 @@ let record_spans ?(label = "") spans =
       metrics = Json.Obj [ ("spans", Span.summary_json spans) ];
     }
 
-let results_json () =
+let entry_json { experiment; label; metrics } =
   Json.Obj
     [
-      ("schema", Json.String "tandem-bench-results/1");
-      ( "experiments",
-        Json.List
-          (List.rev_map
-             (fun { experiment; label; metrics } ->
-               Json.Obj
-                 [
-                   ("experiment", Json.String experiment);
-                   ("label", Json.String label);
-                   ("metrics", metrics);
-                 ])
-             !recorded_results) );
+      ("experiment", Json.String experiment);
+      ("label", Json.String label);
+      ("metrics", metrics);
     ]
 
-(* Quick mode (TANDEM_BENCH_QUICK=1): every experiment shrinks to a smoke
-   run that walks the same code path; its estimates are meaningless. *)
+(* Quick mode (TANDEM_BENCH_QUICK=1): the wall-clock experiments (engine,
+   parallel) shrink to a smoke run that walks the same code path; its
+   estimates are meaningless. *)
 let quick_mode () =
   match Sys.getenv_opt "TANDEM_BENCH_QUICK" with
   | Some ("1" | "true" | "yes") -> true
@@ -134,15 +127,38 @@ let time f =
   let result = f () in
   (result, Unix.gettimeofday () -. started)
 
-(* Committed BENCH files are rewritten by full runs only. *)
-let write_bench ~what path json =
-  if quick_mode () then
-    Printf.printf "quick mode: estimates meaningless, %s left untouched\n" path
-  else write_json ~what path json
-
-let write_results path =
-  write_json ~what:"results" path (results_json ())
-    ~note:(Printf.sprintf " (%d registries)" (List.length !recorded_results))
+(* [experiments]' registries: every one, in record order, to
+   [registries_path]; and to [digests_path] one MD5 per experiment over the
+   compact JSON text of its own entries, in record order, so any byte that
+   changes in the full file changes its experiment's digest. *)
+let write_results ~experiments ~digests_path ~registries_path =
+  let recorded = List.rev !recorded_results in
+  write_json ~what:"registries" registries_path
+    ~note:(Printf.sprintf " (%d registries)" (List.length recorded))
+    (Json.Obj
+       [
+         ("schema", Json.String "tandem-bench-results/1");
+         ("experiments", Json.List (List.map entry_json recorded));
+       ]);
+  let digest experiment =
+    let own = List.filter (fun r -> r.experiment = experiment) recorded in
+    Json.Obj
+      [
+        ("experiment", Json.String experiment);
+        ("registries", Json.Int (List.length own));
+        ( "md5",
+          Json.String
+            (Digest.to_hex
+               (Digest.string
+                  (Json.to_string (Json.List (List.map entry_json own))))) );
+      ]
+  in
+  write_json ~what:"registry digests" digests_path
+    (Json.Obj
+       [
+         ("schema", Json.String "tandem-bench-digests/1");
+         ("experiments", Json.List (List.map digest experiments));
+       ])
 
 (* ------------------------------------------------------------------ *)
 (* Domain-parallel point fan-out

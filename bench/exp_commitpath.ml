@@ -10,7 +10,7 @@
    attributable to the knob under test, and the before/after numbers come
    from one build: the all-off column is the seed's commit path with every
    batching knob disabled (concurrent phase-two delivery, introduced
-   alongside the knobs, applies to all columns). A full run rewrites
+   alongside the knobs, applies to all columns). A run rewrites
    BENCH_commitpath.json. *)
 
 open Tandem_sim
@@ -84,7 +84,6 @@ let measure ~label ~config ~terminals ~per_terminal =
     run_closed_loop cluster tcps ~terminals
       (transfer_schedule ~count:(List.length tcps * terminals * per_terminal))
   in
-  record_registry ~label run.metrics;
   (label, run, mean_latency_ms run.metrics)
 
 let write_json ~terminals rows =
@@ -113,7 +112,7 @@ let write_json ~terminals rows =
     | Some off, Some on when off > 0.0 -> Json.Float (on /. off)
     | _ -> Json.Null
   in
-  write_bench ~what:"throughput ablation" "BENCH_commitpath.json"
+  Bench_util.write_json ~what:"throughput ablation" "BENCH_commitpath.json"
     (Json.Obj
        [
          ("schema", Json.String "tandem-bench-commitpath/1");
@@ -129,10 +128,9 @@ let run () =
     "the commit path is dominated by per-operation fixed costs — checkpoint \
      round trips, per-message network latency, the phase-one force — that \
      batching amortizes across concurrent transactions";
-  let quick = quick_mode () in
   (* Per-TCP terminal count: three TCPs, one per node. *)
-  let terminals = if quick then 2 else 32 in
-  let per_terminal = if quick then 1 else 5 in
+  let terminals = 32 in
+  let per_terminal = 5 in
   let rows =
     List.map
       (fun (label, config) -> measure ~label ~config ~terminals ~per_terminal)

@@ -14,8 +14,8 @@
    ballot at the acceptors and the locks drain mid-outage. This half
    measures time-locks-held directly.
 
-   A full run rewrites BENCH_commitproto.json; quick mode
-   (TANDEM_BENCH_QUICK=1) runs tiny samples and leaves the file alone. *)
+   A run rewrites BENCH_commitproto.json in the cwd; `dune runtest` reruns
+   it and diffs the result against the committed copy. *)
 
 open Tandem_sim
 open Tandem_os
@@ -57,10 +57,7 @@ let protocol_counters =
     "audit.forces";
   ]
 
-(* Returns the cluster registry instead of recording it: the arms run on
-   the domain pool, and the caller records the registries from the main
-   domain in protocol order, keeping BENCH_results.json deterministic. *)
-let measure_failure_free ~config ~terminals ~per_terminal =
+let measure_failure_free ~label ~config ~terminals ~per_terminal =
   let cluster, spec, tcps =
     three_node_bank ~seed:11 ~config ~accounts
       ~server_classes:[ `Bank 16 ] ~program:Workload.debit_credit_program
@@ -74,7 +71,7 @@ let measure_failure_free ~config ~terminals ~per_terminal =
     List.map (fun name -> (name, Metrics.sum_counters run.metrics name))
       protocol_counters
   in
-  (run, mean_latency_ms run.metrics, counters)
+  (label, run, mean_latency_ms run.metrics, counters)
 
 (* ------------------------------------------------------------------ *)
 (* Time-locks-held under a home-node crash. *)
@@ -205,7 +202,7 @@ let write_json ~terminals ff_rows crash_rows =
         float_of_int msgs_paxos /. float_of_int msgs_2pc
     | _ -> failwith "commitproto: no msgs_overhead_paxos_vs_2pc"
   in
-  write_bench ~what:"commit-protocol ablation" "BENCH_commitproto.json"
+  Bench_util.write_json ~what:"commit-protocol ablation" "BENCH_commitproto.json"
     (Json.Obj
        [
          ("schema", Json.String "tandem-bench-commitproto/1");
@@ -228,23 +225,16 @@ let run () =
      failure-free commit and in exchange deletes the 2PC blocking window: \
      a voted-yes participant learns the verdict from the acceptor \
      majority, not the (dead) home node";
-  let quick = quick_mode () in
-  let terminals = if quick then 2 else 8 in
-  let per_terminal = if quick then 1 else 20 in
+  let terminals = 8 in
+  let per_terminal = 20 in
   (* Both protocol arms replay the same schedule on independent clusters:
-     fan them out on the domain pool, then record registries in protocol
-     order from this domain. *)
+     fan them out on the domain pool. *)
   let ff_rows =
-    List.map2
-      (fun (label, _) (run, latency, counters) ->
-        record_registry ~label run.metrics;
-        (label, run, latency, counters))
+    pool_map
+      (fun (label, protocol) ->
+        measure_failure_free ~label ~config:(config_of protocol) ~terminals
+          ~per_terminal)
       protocols
-      (pool_map
-         (fun (_, protocol) ->
-           measure_failure_free ~config:(config_of protocol) ~terminals
-             ~per_terminal)
-         protocols)
   in
   print_table
     ~columns:

@@ -415,7 +415,7 @@ let write_json rows =
           ])
       rows
   in
-  write_bench ~what:"engine results" committed_path
+  Bench_util.write_json ~what:"engine results" committed_path
     (Json.Obj
        [
          ("schema", Json.String "tandem-bench-engine/2");
@@ -444,8 +444,7 @@ let run () =
            Printf.sprintf "%.0f" (1e9 /. rate row);
          ])
        rows);
-  if quick then check_against_committed rows;
-  write_json rows;
+  if quick then check_against_committed rows else write_json rows;
   let slowest_event =
     List.fold_left
       (fun slowest row ->

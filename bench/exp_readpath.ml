@@ -14,7 +14,7 @@
    committed transactions/second differences are attributable to the knob
    under test: the all-off column is the baseline protocol that forces a
    monitor record and a trail force for every commit and runs full phase-two
-   fan-out. A full run rewrites BENCH_readpath.json. *)
+   fan-out. A run rewrites BENCH_readpath.json. *)
 
 open Tandem_sim
 open Tandem_os
@@ -104,7 +104,6 @@ let measure ~label ~config ~terminals ~per_terminal =
     run_closed_loop cluster tcps ~terminals
       (mixed_schedule ~count:(List.length tcps * terminals * per_terminal))
   in
-  record_registry ~label run.metrics;
   let counters =
     List.map (fun name -> (name, Metrics.sum_counters run.metrics name))
       protocol_counters
@@ -142,7 +141,7 @@ let write_json ~terminals rows =
     | Some off, Some on when off > 0.0 -> on /. off
     | _ -> failwith "readpath: no speedup_all_on_vs_all_off"
   in
-  write_bench ~what:"read-path ablation" "BENCH_readpath.json"
+  Bench_util.write_json ~what:"read-path ablation" "BENCH_readpath.json"
     (Json.Obj
        [
          ("schema", Json.String "tandem-bench-readpath/1");
@@ -160,9 +159,8 @@ let run () =
      forced monitor record, the (empty) trail force, phase-two fan-out — \
      that read-only votes, presumed abort and the single-node fast path \
      remove for the transactions that do not need them";
-  let quick = quick_mode () in
-  let terminals = if quick then 2 else 8 in
-  let per_terminal = if quick then 1 else 20 in
+  let terminals = 8 in
+  let per_terminal = 20 in
   let rows =
     List.map
       (fun (label, config) -> measure ~label ~config ~terminals ~per_terminal)

@@ -13,9 +13,8 @@
    transaction verdicts (network RPCs to the surviving home node)
    concurrently instead of serially.
 
-   A full run rewrites BENCH_recovery.json; quick mode
-   (TANDEM_BENCH_QUICK=1) runs two small points and leaves the file
-   alone. *)
+   A run rewrites BENCH_recovery.json in the cwd; `dune runtest` reruns it
+   and diffs the result against the committed copy. *)
 
 open Tandem_sim
 open Tandem_encompass
@@ -166,7 +165,7 @@ let write_json points =
     (largest.par_ms < largest.seq_ms)
     "recovery: chains no faster than seq at the largest trail (%s)"
     largest.label;
-  write_bench ~what:"recovery ablation" "BENCH_recovery.json"
+  Bench_util.write_json ~what:"recovery ablation" "BENCH_recovery.json"
     (Json.Obj
        [
          ("schema", Json.String "tandem-bench-recovery/1");
@@ -182,18 +181,14 @@ let write_json points =
        ])
 
 let run () =
-  let quick = quick_mode () in
   heading "RECOVERY — dependency-parallel ROLLFORWARD vs sequential replay";
   claim
     "partitioning the post-archive redo log into dependency chains and \
      replaying independent chains on concurrent fibers shortens the \
      recovery window that gates continuous operation";
-  let points =
-    if quick then [ (4, 300); (8, 500) ]
-    else [ (8, 400); (16, 800); (32, 1600); (64, 3200) ]
-  in
-  let accounts = (if quick then 2_000 else 8_000) * nodes in
-  let terminals = if quick then 2 else 4 in
+  let points = [ (8, 400); (16, 800); (32, 1600); (64, 3200) ] in
+  let accounts = 8_000 * nodes in
+  let terminals = 4 in
   let rows = run_points ~accounts ~terminals points in
   print_table
     ~columns:

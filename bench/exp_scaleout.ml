@@ -25,9 +25,9 @@
    independently of the cluster, so every configuration replays the same
    offered schedule shape.
 
-   A full run rewrites BENCH_scaleout.json; quick mode shrinks every
-   dimension (and leaves the JSON untouched) but walks the same code
-   path. *)
+   A run rewrites BENCH_scaleout.json in the cwd; `dune runtest` reruns it
+   at --jobs 2 and diffs the result against the committed copy, written
+   at --jobs 1. *)
 
 open Tandem_sim
 open Tandem_os
@@ -262,23 +262,20 @@ let json_of_point point =
 let write_json ~accounts ~node_curve ~terminal_curve =
   (* The headline configuration: a million-account bank, a node curve of at
      least 4 points reaching 8-16 nodes, a terminal curve reaching
-     thousands of terminals. Quick mode shrinks every dimension, so only
-     the per-point check binds there. *)
-  if not (quick_mode ()) then begin
-    require (accounts >= 1_000_000) "scaleout: %d < 1M accounts" accounts;
-    let nodes = List.map (fun p -> p.p_nodes) node_curve in
-    require
-      (List.length nodes >= 4)
-      "scaleout: node curve has %d < 4 points" (List.length nodes);
-    let peak = List.fold_left max 0 nodes in
-    require (8 <= peak && peak <= 16)
-      "scaleout: node curve peaks at %d nodes, want 8-16" peak;
-    let terminals =
-      List.fold_left (fun acc p -> max acc p.p_terminals) 0 terminal_curve
-    in
-    require (terminals >= 1000)
-      "scaleout: terminal curve peaks at %d < 1000 terminals" terminals
-  end;
+     thousands of terminals. *)
+  require (accounts >= 1_000_000) "scaleout: %d < 1M accounts" accounts;
+  let nodes = List.map (fun p -> p.p_nodes) node_curve in
+  require
+    (List.length nodes >= 4)
+    "scaleout: node curve has %d < 4 points" (List.length nodes);
+  let peak = List.fold_left max 0 nodes in
+  require (8 <= peak && peak <= 16)
+    "scaleout: node curve peaks at %d nodes, want 8-16" peak;
+  let terminals =
+    List.fold_left (fun acc p -> max acc p.p_terminals) 0 terminal_curve
+  in
+  require (terminals >= 1000)
+    "scaleout: terminal curve peaks at %d < 1000 terminals" terminals;
   List.iter
     (fun p ->
       require
@@ -315,7 +312,7 @@ let write_json ~accounts ~node_curve ~terminal_curve =
        ]
       @ scaling)
   in
-  write_bench ~what:"scale-out curves" "BENCH_scaleout.json" json
+  Bench_util.write_json ~what:"scale-out curves" "BENCH_scaleout.json" json
 
 let run () =
   heading "SCALEOUT — million-account bank, tx/sec and p99 vs nodes/terminals";
@@ -323,16 +320,15 @@ let run () =
     "requestors and servers decouple terminal handling from data access, so \
      adding processor/disc modules grows throughput near-linearly while the \
      transaction mechanism's overhead stays flat";
-  let quick = quick_mode () in
-  let accounts = if quick then 50_000 else 1_000_000 in
-  let node_points = if quick then [ 2; 4 ] else [ 2; 4; 8; 12; 16 ] in
-  let node_curve_terminals = if quick then 8 else 64 in
-  let per_terminal = if quick then 2 else 4 in
-  let terminal_nodes = if quick then 4 else 8 in
+  let accounts = 1_000_000 in
+  let node_points = [ 2; 4; 8; 12; 16 ] in
+  let node_curve_terminals = 64 in
+  let per_terminal = 4 in
+  let terminal_nodes = 8 in
   (* The node curve already measures terminal_nodes at node_curve_terminals
      per node; the terminal sweep reuses that point instead of re-running
      it. *)
-  let terminal_points = if quick then [ 16 ] else [ 16; 32; 128; 256 ] in
+  let terminal_points = [ 16; 32; 128; 256 ] in
   (* Each point is a sealed cluster, so the sweep fans out on the domain
      pool (--jobs / TANDEM_JOBS; serial by default). *)
   let sweep points =

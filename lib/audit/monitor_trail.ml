@@ -25,6 +25,9 @@ let record t ~transid disposition =
   if Hashtbl.mem t.table transid || Hashtbl.mem t.staged transid then
     invalid_arg ("Monitor_trail.record: duplicate disposition for " ^ transid);
   Hashtbl.replace t.staged transid ();
+  (* The write carries every disposition recorded before it was asked for;
+     one recorded while it is in flight waits for the next force. *)
+  let covered = List.of_seq (Hashtbl.to_seq_keys t.unforced) in
   (* The transaction commits at the instant its record is on oxide; the
      group-commit daemon batches concurrent completion records into one
      physical write. A recorder killed mid-force (its processor failed)
@@ -36,7 +39,7 @@ let record t ~transid disposition =
       Hashtbl.remove t.staged transid;
       raise e);
   Hashtbl.remove t.staged transid;
-  Hashtbl.remove t.unforced transid;
+  List.iter (Hashtbl.remove t.unforced) covered;
   Hashtbl.replace t.table transid disposition;
   t.history <- (transid, disposition) :: t.history
 

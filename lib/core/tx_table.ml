@@ -73,13 +73,6 @@ let broadcast t transid new_state =
 let state_on t ~cpu transid =
   Hashtbl.find_opt t.tables.(cpu) (Transid.to_string transid)
 
-let live_transactions t ~cpu =
-  Hashtbl.fold
-    (fun key _ acc ->
-      match Transid.of_string key with Some id -> id :: acc | None -> acc)
-    t.tables.(cpu) []
-  |> List.sort Transid.compare
-
 let broadcasts_sent t = t.messages
 
 let transition_census t =

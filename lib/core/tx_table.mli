@@ -30,8 +30,6 @@ val state_on :
 (** The state as processor [cpu] currently sees it ([None] before the
     Active broadcast arrives or after the transid left the system). *)
 
-val live_transactions : t -> cpu:Tandem_os.Ids.cpu_id -> Transid.t list
-
 val broadcasts_sent : t -> int
 (** Total per-processor messages consumed by broadcasts (E8's measure). *)
 

@@ -167,10 +167,10 @@ let heal_partition t =
 
 (* Dijkstra over up links, weighted by latency; ties by hop count. The
    adjacency table is built once per computation (the link list is only
-   walked once, not once per visited node) and the frontier is the shared
-   binary heap with lazy deletion, so a computation is O(E log E) instead
-   of the old O(V·E) neighbour scans under an O(V²) [Hashtbl.fold]
-   frontier. *)
+   walked once, not once per visited node). The frontier is an
+   association list of reached, unsettled nodes, scanned for its minimum:
+   it never holds more than the node count, and [route] caches every
+   result until a link changes. *)
 let compute_route t src dst =
   if src = dst then Some (0, 0)
   else begin
@@ -191,45 +191,38 @@ let compute_route t src dst =
           add_edge link.node_b link.node_a link.latency
         end)
       t.links;
-    let dist : (Ids.node_id, Sim_time.span * int) Hashtbl.t =
-      Hashtbl.create 16
-    in
-    let frontier =
-      Heap.create ~cmp:(fun (d1, h1, _) (d2, h2, _) ->
-          if d1 <> d2 then Int.compare d1 d2 else Int.compare h1 h2)
-    in
-    Hashtbl.replace dist src (0, 0);
-    Heap.add frontier (0, 0, src);
-    let visited = Hashtbl.create 16 in
-    let rec next_unvisited () =
-      match Heap.pop frontier with
-      | None -> None
-      | Some (d, hops, n) ->
-          if Hashtbl.mem visited n then next_unvisited ()
+    (* Each entry is a node and its best (latency, hops) so far. *)
+    let frontier = ref [ (src, (0, 0)) ] in
+    let settled = Hashtbl.create 16 in
+    let rec next_settled () =
+      match !frontier with
+      | [] -> None
+      | first :: rest ->
+          let n, (d, hops) =
+            List.fold_left
+              (fun (_, best as closest) (_, cost as entry) ->
+                if compare cost best < 0 then entry else closest)
+              first rest
+          in
+          frontier := List.remove_assoc n !frontier;
+          Hashtbl.replace settled n ();
+          if n = dst then Some (hops, d)
           else begin
-            Hashtbl.replace visited n ();
-            if n = dst then Some (hops, d)
-            else begin
-              List.iter
-                (fun (m, latency) ->
-                  if not (Hashtbl.mem visited m) then begin
-                    let candidate = (d + latency, hops + 1) in
-                    match Hashtbl.find_opt dist m with
-                    | Some (existing_d, existing_h)
-                      when existing_d < d + latency
-                           || (existing_d = d + latency
-                              && existing_h <= hops + 1) ->
-                        ()
-                    | Some _ | None ->
-                        Hashtbl.replace dist m candidate;
-                        Heap.add frontier (d + latency, hops + 1, m)
-                  end)
-                (Option.value ~default:[] (Hashtbl.find_opt adjacency n));
-              next_unvisited ()
-            end
+            List.iter
+              (fun (m, latency) ->
+                if not (Hashtbl.mem settled m) then begin
+                  let candidate = (d + latency, hops + 1) in
+                  match List.assoc_opt m !frontier with
+                  | Some best when compare best candidate <= 0 -> ()
+                  | Some _ | None ->
+                      frontier :=
+                        (m, candidate) :: List.remove_assoc m !frontier
+                end)
+              (Option.value ~default:[] (Hashtbl.find_opt adjacency n));
+            next_settled ()
           end
     in
-    next_unvisited ()
+    next_settled ()
   end
 
 let route t src dst =

@@ -396,79 +396,3 @@ let to_json t =
     (List.map
        (fun name -> (name, metric_to_json (Hashtbl.find t.table name)))
        (names t))
-
-let floats_of_json json =
-  match Json.to_list json with
-  | None -> Error "expected an array of numbers"
-  | Some items ->
-      let rec convert acc = function
-        | [] -> Ok (List.rev acc)
-        | item :: rest -> (
-            match Json.to_float item with
-            | Some f -> convert (f :: acc) rest
-            | None -> Error "expected a number")
-      in
-      convert [] items
-
-let metric_of_json json =
-  let field key = Json.member key json in
-  match Option.bind (field "type") Json.to_string_value with
-  | Some "counter" -> (
-      match Option.bind (field "value") Json.to_int with
-      | Some value -> Ok (Counter { count = value })
-      | None -> Error "counter: missing integer value")
-  | Some "gauge" -> (
-      match Option.bind (field "value") Json.to_int with
-      | Some value -> Ok (Gauge (ref value))
-      | None -> Error "gauge: missing integer value")
-  | Some "sample" -> (
-      match Option.map floats_of_json (field "values") with
-      | Some (Ok values) ->
-          let s = { values = [||]; used = 0; sorted = true } in
-          List.iter (observe s) values;
-          Ok (Sample s)
-      | Some (Error _) | None -> Error "sample: missing values array")
-  | Some "histogram" -> (
-      match
-        ( Option.map floats_of_json (field "bounds"),
-          Option.bind (field "buckets") Json.to_list,
-          Option.bind (field "count") Json.to_int,
-          Option.bind (field "sum") Json.to_float,
-          Option.bind (field "min") Json.to_float,
-          Option.bind (field "max") Json.to_float )
-      with
-      | Some (Ok bounds), Some buckets, Some count, Some sum, Some min_v, Some max_v
-        when List.length buckets = List.length bounds + 1 ->
-          let h = make_histogram (Array.of_list bounds) in
-          List.iteri
-            (fun i bucket ->
-              match Json.to_int bucket with
-              | Some n -> h.buckets.(i) <- n
-              | None -> ())
-            buckets;
-          h.h_count <- count;
-          h.h_sum <- sum;
-          if count > 0 then begin
-            h.h_min <- min_v;
-            h.h_max <- max_v
-          end;
-          Ok (Histogram h)
-      | _ -> Error "histogram: malformed fields")
-  | Some other -> Error ("unknown metric type " ^ other)
-  | None -> Error "metric without a type field"
-
-let of_json json =
-  match Json.to_obj json with
-  | None -> Error "Metrics.of_json: expected an object"
-  | Some fields ->
-      let t = create () in
-      let rec build = function
-        | [] -> Ok t
-        | (name, value) :: rest -> (
-            match metric_of_json value with
-            | Ok metric ->
-                Hashtbl.replace t.table name metric;
-                build rest
-            | Error message -> Error (name ^ ": " ^ message))
-      in
-      build fields

@@ -207,6 +207,26 @@ let test_monitor_crash_keeps_forced_history () =
     (Monitor_trail.disposition_of monitor ~transid:"1.0.5" = None);
   check_int "nothing left to lose" 0 (Monitor_trail.crash monitor)
 
+let test_monitor_force_carries_unforced () =
+  let engine, volume = make_volume () in
+  let monitor = Monitor_trail.create volume in
+  Monitor_trail.record_unforced monitor ~transid:"1.0.1" Monitor_trail.Committed;
+  ignore
+    (Fiber.spawn (fun () ->
+         Monitor_trail.record monitor ~transid:"1.0.2" Monitor_trail.Aborted));
+  (* Recorded while that force is on its way to the disc. *)
+  ignore
+    (Engine.schedule_after engine (Sim_time.microseconds 1) (fun () ->
+         Monitor_trail.record_unforced monitor ~transid:"1.0.3"
+           Monitor_trail.Committed));
+  Engine.run engine;
+  check_int "only the in-flight record is lost" 1 (Monitor_trail.crash monitor);
+  check_bool "the earlier record survives" true
+    (Monitor_trail.disposition_of monitor ~transid:"1.0.1"
+    = Some Monitor_trail.Committed);
+  check_bool "the in-flight record is gone" true
+    (Monitor_trail.disposition_of monitor ~transid:"1.0.3" = None)
+
 let test_audit_process_round_trip () =
   let net = Tandem_os.Net.create () in
   let node = Tandem_os.Net.add_node net ~id:1 ~cpus:4 in
@@ -299,6 +319,8 @@ let () =
           Alcotest.test_case "dispositions" `Quick test_monitor_trail;
           Alcotest.test_case "crash keeps the forced history" `Quick
             test_monitor_crash_keeps_forced_history;
+          Alcotest.test_case "a force carries earlier records" `Quick
+            test_monitor_force_carries_unforced;
         ] );
       ( "audit_process",
         [

@@ -175,40 +175,26 @@ let test_labeled_counter_aggregation () =
     + Metrics.counter_value (Metrics.counter m "tx{node=1}"))
 
 (* ------------------------------------------------------------------ *)
-(* Registry JSON round-trip *)
+(* Registry JSON text *)
 
-let test_metrics_json_roundtrip () =
+(* The bench digests in BENCH_results.json hash this text: a change to
+   the export's layout shows here before it shows as seventeen changed
+   digests. *)
+let test_metrics_json_text () =
   let m = Metrics.create () in
   Metrics.add (Metrics.counter m "commits") 17;
-  Metrics.add (Metrics.counter_with m "commits_by_node" ~labels:[ ("node", "1") ]) 9;
-  Metrics.set_gauge m "backlog" 4;
-  let s = Metrics.sample m "latency_ms" in
-  List.iter (Metrics.observe s) [ 1.5; 2.5; 40.0 ];
-  let h = Metrics.histogram m "latency_ms.hist" in
-  List.iter (Metrics.observe_histogram h) [ 1.5; 2.5; 40.0; 5000.0 ];
-  let j = Metrics.to_json m in
-  let m' =
-    match Metrics.of_json j with
-    | Ok m' -> m'
-    | Error e -> Alcotest.failf "of_json: %s" e
-  in
-  check_bool "to_json . of_json is the identity on images" true
-    (Metrics.to_json m' = j);
-  (* The decoded registry answers queries like the original. *)
-  check_int "counter survives" 17 (Metrics.read_counter m' "commits");
-  check_int "labeled counter survives" 9
-    (Metrics.read_counter m' "commits_by_node{node=1}");
-  check_int "gauge survives" 4 (Metrics.read_gauge m' "backlog");
-  check_int "sample size survives" 3
-    (Metrics.sample_count (Metrics.read_sample m' "latency_ms"));
-  let h' = Metrics.read_histogram m' "latency_ms.hist" in
-  check_int "histogram count survives" 4 (Metrics.histogram_count h');
-  Alcotest.(check (float 1e-9)) "histogram max survives" 5000.0
-    (Metrics.histogram_max h');
-  check_bool "quantiles agree after round-trip" true
-    (Metrics.histogram_quantile h 0.9 = Metrics.histogram_quantile h' 0.9);
-  (* And the serialized text itself parses back to the same tree. *)
-  check_bool "textual round-trip" true (roundtrip ~pretty:true j = j)
+  List.iter (Metrics.observe (Metrics.sample m "latency_ms")) [ 2.5; 1.5 ];
+  List.iter
+    (Metrics.observe_histogram
+       (Metrics.histogram ~bounds:[| 1.0; 10.0 |] m "latency_ms.hist"))
+    [ 0.5; 2.5; 40.0 ];
+  Alcotest.(check string)
+    "exact text"
+    ({|{"commits":{"type":"counter","value":17},|}
+    ^ {|"latency_ms":{"type":"sample","values":[2.5,1.5]},|}
+    ^ {|"latency_ms.hist":{"type":"histogram","bounds":[1.0,10.0],|}
+    ^ {|"buckets":[1,1,1],"count":3,"sum":43.0,"min":0.5,"max":40.0}}|})
+    (Json.to_string (Metrics.to_json m))
 
 (* ------------------------------------------------------------------ *)
 (* Span registry bookkeeping *)
@@ -415,7 +401,7 @@ let () =
           Alcotest.test_case "aggregation" `Quick test_labeled_counter_aggregation;
         ] );
       ( "json export",
-        [ Alcotest.test_case "registry round-trip" `Quick test_metrics_json_roundtrip ] );
+        [ Alcotest.test_case "registry text pinned" `Quick test_metrics_json_text ] );
       ( "spans",
         [
           Alcotest.test_case "lifecycle" `Quick test_span_lifecycle;

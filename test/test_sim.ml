@@ -6,36 +6,6 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
 (* ------------------------------------------------------------------ *)
-(* Heap *)
-
-let test_heap_ordering () =
-  let heap = Heap.create ~cmp:Int.compare in
-  List.iter (Heap.add heap) [ 5; 1; 4; 1; 3; 9; 0 ];
-  let rec drain acc =
-    match Heap.pop heap with None -> List.rev acc | Some x -> drain (x :: acc)
-  in
-  Alcotest.(check (list int)) "sorted drain" [ 0; 1; 1; 3; 4; 5; 9 ] (drain [])
-
-let test_heap_empty () =
-  let heap = Heap.create ~cmp:Int.compare in
-  check_bool "empty" true (Heap.is_empty heap);
-  Alcotest.(check (option int)) "pop empty" None (Heap.pop heap);
-  Alcotest.(check (option int)) "peek empty" None (Heap.peek heap)
-
-let prop_heap_sorts =
-  QCheck.Test.make ~name:"heap drains any list sorted" ~count:200
-    QCheck.(list int)
-    (fun xs ->
-      let heap = Heap.create ~cmp:Int.compare in
-      List.iter (Heap.add heap) xs;
-      let rec drain acc =
-        match Heap.pop heap with
-        | None -> List.rev acc
-        | Some x -> drain (x :: acc)
-      in
-      drain [] = List.sort Int.compare xs)
-
-(* ------------------------------------------------------------------ *)
 (* Sim_time *)
 
 let test_time_units () =
@@ -702,12 +672,6 @@ let () =
   let qcheck = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "tandem_sim"
     [
-      ( "heap",
-        [
-          Alcotest.test_case "ordering" `Quick test_heap_ordering;
-          Alcotest.test_case "empty" `Quick test_heap_empty;
-        ]
-        @ qcheck [ prop_heap_sorts ] );
       ("sim_time", [ Alcotest.test_case "units" `Quick test_time_units ]);
       ( "rng",
         [
