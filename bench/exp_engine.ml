@@ -173,9 +173,8 @@ let trail_image key =
     after = Some "new";
   }
 
-(* Backout's read pattern: all records of ONE transaction out of a
-   10k-record trail shared by 16 concurrent transactions. *)
-let backout_scan () =
+(* A 10k-record trail shared by 16 concurrent transactions. *)
+let shared_trail () =
   let trail = make_trail () in
   for i = 0 to 9_999 do
     ignore
@@ -183,6 +182,20 @@ let backout_scan () =
          ~transid:(Printf.sprintf "1.0.%d" (i mod 16))
          (trail_image (string_of_int i)))
   done;
+  trail
+
+(* Backout's read pattern: all records of ONE live transaction, read from
+   the index as appended. *)
+let backout_scan () =
+  let trail = shared_trail () in
+  each (fun _ ->
+      ignore (Tandem_audit.Audit_trail.records_for trail ~transid:"1.0.7"))
+
+(* Recovery's read pattern: the same transaction once settled, its 625
+   records decoded along its back-link chain. *)
+let settled_scan () =
+  let trail = shared_trail () in
+  Tandem_audit.Audit_trail.settle trail ~transid:"1.0.7";
   each (fun _ ->
       ignore (Tandem_audit.Audit_trail.records_for trail ~transid:"1.0.7"))
 
@@ -331,6 +344,8 @@ let benchmarks =
     engine "engine/mailbox dispatch" 1_000_000 mailbox_dispatch;
     engine "metrics/labeled counter bump" 4_000_000 labeled_counter_bump;
     row "hotpath/audit backout scan (10k-record trail)" 200_000 backout_scan;
+    row "hotpath/audit settled records_for (10k-record trail)" 5_000
+      settled_scan;
     row "hotpath/audit append (2k-record file fill)" 1_000 audit_append_fill;
     row "hotpath/lock release_all (1k locks, 300k-lock table)" 1_000
       lock_release_scaling;

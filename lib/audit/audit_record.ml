@@ -43,13 +43,6 @@ let undo_change image =
 
 let redo_change = undo_change
 
-let image_size image =
-  let side = function Some s -> String.length s | None -> 0 in
-  String.length image.file + String.length image.key + side image.before
-  + side image.after + 16
-
-let size_bytes t = image_size t.image + String.length t.transid + 8
-
 let pp formatter t =
   let side = function Some _ -> "*" | None -> "-" in
   Format.fprintf formatter "#%d %s %s[%S] %s->%s" t.sequence t.transid

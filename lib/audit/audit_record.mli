@@ -34,6 +34,4 @@ val undo_change : image -> Tandem_db.File.change
 
 val redo_change : image -> Tandem_db.File.change
 
-val size_bytes : t -> int
-
 val pp : Format.formatter -> t -> unit

@@ -7,11 +7,19 @@
     buffered survives single-module failures because the appending
     AUDITPROCESS is a process-pair.
 
+    Each audit file is kept as the bytes a disc file would hold: one
+    append-only buffer of length-prefixed fields, an offset per record, and
+    sequence numbers implicit in the record's position. {!Audit_record.t}
+    values are built only when a caller reads records, with one exception:
+    a transaction that has not been {!settle}d keeps its records as appended,
+    so backout of a live transaction decodes nothing.
+
     The trail is indexed for the TMF hot paths (complexity contracts in
-    docs/PERFORMANCE.md): [append] is O(1) amortized, [records_for] /
-    [record_count_for] are O(records of that transaction) via a per-transid
-    index, and [records_from] is a per-file suffix slice. The indexes stay
-    consistent through [crash] and [purge_files_before]. *)
+    docs/PERFORMANCE.md): [append] is O(1) amortized, [records_for] is
+    O(records of that transaction) by a per-transaction back-link chain
+    through the encoded records, [record_count_for] is O(1), and
+    [records_from] is a per-file suffix slice. The index stays consistent
+    through [crash] and [purge_files_before]. *)
 
 type t
 
@@ -43,7 +51,14 @@ val next_sequence : t -> int
 val records_for : t -> transid:string -> Audit_record.t list
 (** All records of one transaction, ascending — buffered tail included
     (transaction backout runs against the live trail). O(records of this
-    transaction), not O(trail). *)
+    transaction), not O(trail): an unsettled transaction's records come
+    straight from the index, a settled one's are decoded along its chain. *)
+
+val settle : t -> transid:string -> unit
+(** The transaction is finished: drop its records' decoded copies, keeping
+    only their encoding. Later reads decode. This only frees memory — every
+    result is the same whether or not it was called, and records appended
+    for the transaction afterwards are kept encoded only. *)
 
 val record_count_for : t -> transid:string -> int
 (** [List.length (records_for t ~transid)] in O(1) — the observability
@@ -67,8 +82,6 @@ val file_count : t -> int
 val purge_files_before : t -> sequence:int -> int
 (** Drop whole audit files entirely below the sequence number (they have
     been archived); returns how many files were purged. *)
-
-val total_bytes : t -> int
 
 val dependency_edges : t -> (string * string) list
 (** Forced inter-transaction dependency edges [(from, to)], ascending by

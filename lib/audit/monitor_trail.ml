@@ -2,11 +2,14 @@ open Tandem_disk
 
 type disposition = Committed | Aborted
 
+(* [table] maps a transid to [order lsl 1 lor bit]: [order] counts records
+   in the order they became visible, so [entries] sorts by it, and [bit] is
+   the disposition. *)
 type t = {
   volume : Volume.t;
   daemon : Force_daemon.t;
-  table : (string, disposition) Hashtbl.t;
-  mutable history : (string * disposition) list; (* newest first *)
+  table : (string, int) Hashtbl.t;
+  mutable next_order : int;
   staged : (string, unit) Hashtbl.t; (* being forced right now *)
   unforced : (string, unit) Hashtbl.t; (* recorded but not yet on oxide *)
 }
@@ -16,10 +19,18 @@ let create ?(force_window = 0) volume =
     volume;
     daemon = Force_daemon.create ~window:force_window volume;
     table = Hashtbl.create 64;
-    history = [];
+    next_order = 0;
     staged = Hashtbl.create 8;
     unforced = Hashtbl.create 8;
   }
+
+let bit = function Committed -> 0 | Aborted -> 1
+
+let disposition_of_value value = if value land 1 = 0 then Committed else Aborted
+
+let add t transid disposition =
+  Hashtbl.replace t.table transid ((t.next_order lsl 1) lor bit disposition);
+  t.next_order <- t.next_order + 1
 
 let record t ~transid disposition =
   if Hashtbl.mem t.table transid || Hashtbl.mem t.staged transid then
@@ -40,33 +51,29 @@ let record t ~transid disposition =
       raise e);
   Hashtbl.remove t.staged transid;
   List.iter (Hashtbl.remove t.unforced) covered;
-  Hashtbl.replace t.table transid disposition;
-  t.history <- (transid, disposition) :: t.history
+  add t transid disposition
 
 let record_unforced t ~transid disposition =
   if Hashtbl.mem t.table transid || Hashtbl.mem t.staged transid then
     invalid_arg ("Monitor_trail.record: duplicate disposition for " ^ transid);
   Hashtbl.replace t.unforced transid ();
-  Hashtbl.replace t.table transid disposition;
-  t.history <- (transid, disposition) :: t.history
+  add t transid disposition
 
 let crash t =
   let lost = Hashtbl.length t.unforced in
-  if lost > 0 then begin
-    Hashtbl.iter (fun transid () -> Hashtbl.remove t.table transid) t.unforced;
-    t.history <-
-      List.filter
-        (fun (transid, _) -> not (Hashtbl.mem t.unforced transid))
-        t.history
-  end;
+  Hashtbl.iter (fun transid () -> Hashtbl.remove t.table transid) t.unforced;
   Hashtbl.reset t.unforced;
   lost
 
-let disposition_of t ~transid = Hashtbl.find_opt t.table transid
+let disposition_of t ~transid =
+  Option.map disposition_of_value (Hashtbl.find_opt t.table transid)
 
 let count t disposition =
   Hashtbl.fold
-    (fun _ d acc -> if d = disposition then acc + 1 else acc)
+    (fun _ value acc -> if value land 1 = bit disposition then acc + 1 else acc)
     t.table 0
 
-let entries t = List.rev t.history
+let entries t =
+  Hashtbl.fold (fun transid value acc -> (value, transid) :: acc) t.table []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  |> List.map (fun (value, transid) -> (transid, disposition_of_value value))

@@ -4,7 +4,11 @@
     A transaction commits at the instant its commit record is written here;
     the record is force-written, so a disposition once recorded survives any
     failure of the node. The manual-override procedure for a partitioned
-    participant starts by consulting this trail on the home node. *)
+    participant starts by consulting this trail on the home node.
+
+    The trail keeps one table entry per transaction: its disposition and
+    the order in which it was recorded, from which {!entries} rebuilds the
+    history. *)
 
 type t
 
@@ -30,11 +34,12 @@ val record_unforced : t -> transid:string -> disposition -> unit
 val crash : t -> int
 (** Simulate losing the node's memory: every disposition recorded with
     [record_unforced] since the last forced write disappears; forced records
-    survive. Returns the number of records lost. *)
+    survive. Returns the number of records lost; O(lost). *)
 
 val disposition_of : t -> transid:string -> disposition option
 
 val count : t -> disposition -> int
 
 val entries : t -> (string * disposition) list
-(** Completion history, oldest first. *)
+(** Completion history, oldest first: sorted by recording order, so
+    O(entries · log entries). *)

@@ -66,7 +66,11 @@ let ensure_tx state transid =
       info
 
 let forget_tx state transid =
-  Hashtbl.remove state.registry (Transid.to_string transid)
+  let key = Transid.to_string transid in
+  Hashtbl.remove state.registry key;
+  Hashtbl.iter
+    (fun _ trail -> Tandem_audit.Audit_trail.settle trail ~transid:key)
+    state.trails
 
 (* Participant/child registration never creates the entry: a live
    transaction is already registered (at BEGIN on its home node, by

@@ -69,6 +69,9 @@ val ensure_tx : node_state -> Transid.t -> tx_info
     here) if absent. *)
 
 val forget_tx : node_state -> Transid.t -> unit
+(** Drop the registry entry and {!Tandem_audit.Audit_trail.settle} the
+    transaction on each of the node's trails: its audit records stay, kept
+    only in encoded form. *)
 
 val add_local_volume : node_state -> Transid.t -> string -> unit
 
