@@ -2,6 +2,8 @@ open Tandem_os
 open Tandem_db
 open Dp_protocol
 
+type reply_slots = (Ids.pid, int * Message.payload) Hashtbl.t
+
 type t = {
   net : Net.t;
   tmf : Tmf.t;
@@ -13,17 +15,15 @@ type t = {
   files : (string, File.t) Hashtbl.t;
   locks : Tandem_lock.Lock_table.t;
   audit_buffers : (string, Tandem_audit.Audit_record.image list) Hashtbl.t;
+      (* transid -> images, newest first *)
   mutable generation : int;
       (* bumped by total failure: a write that completes across a bump was
          issued by a transaction that died with the node's memory *)
-      (* transid -> images, newest first *)
-  (* Two-generation reply cache: lookups hit both generations; on overflow
-     the old generation is dropped and the new one rotated, so an entry
-     lives through at least one full generation — far longer than any path
-     retry. A wholesale reset could drop a reply exactly between a failure
-     and its retry, re-executing a non-idempotent operation. *)
-  mutable reply_cache : (int, Message.payload) Hashtbl.t;
-  mutable reply_cache_old : (int, Message.payload) Hashtbl.t;
+  reply_slots : reply_slots;
+      (* requester -> op_id and reply of its newest completed data request.
+         Op ids rise (one counter per network) and a requester retries with
+         the same op_id and awaits each reply before its next request, so one
+         slot per requester turns every path retry into a replay. *)
   data_mutex : Tandem_sim.Fiber_mutex.t;
       (* Serializes structured-file operations: one multi-block data access
          at a time, as in the real single-threaded DISCPROCESS. Lock-manager
@@ -50,6 +50,8 @@ let add_file t def =
   let file = File.create t.dp_store def in
   Hashtbl.replace t.files file_name file;
   file
+
+let reply_slots t = t.reply_slots
 
 let audit_buffer_depth t =
   Hashtbl.fold (fun _ images acc -> acc + List.length images) t.audit_buffers 0
@@ -328,26 +330,23 @@ let handle t process message =
   | Dp_delete { op; _ } | Dp_append { op; _ } | Dp_next { op; _ }
   | Dp_lookup_index { op; _ } | Dp_lock_file { op; _ } ->
       (* Each data request runs in its own fiber: a request waiting for a
-         lock must not stall the volume. The reply cache replays answers to
-         path-retried operations instead of executing them twice. *)
+         lock must not stall the volume. A path retry of the requester's
+         newest operation replays its saved reply; a retry older than that
+         belongs to an operation the requester gave up on, and is refused. *)
       Process.spawn_fiber process (fun () ->
-          let cached =
-            match Hashtbl.find_opt t.reply_cache op.op_id with
-            | Some _ as hit -> hit
-            | None -> Hashtbl.find_opt t.reply_cache_old op.op_id
-          in
-          match cached with
-          | Some reply -> respond reply
-          | None ->
-              if Hashtbl.length t.reply_cache > 16_384 then begin
-                t.reply_cache_old <- t.reply_cache;
-                t.reply_cache <- Hashtbl.create 1024
-              end;
+          let requester = message.Message.src in
+          match Hashtbl.find_opt t.reply_slots requester with
+          | Some (saved, reply) when saved = op.op_id -> respond reply
+          | Some (saved, _) when saved > op.op_id ->
+              respond (Dp_error (Bad_request "stale retry"))
+          | _ ->
               let reply =
-                execute t process ~requester:message.Message.src op
-                  message.Message.payload
+                execute t process ~requester op message.Message.payload
               in
-              Hashtbl.replace t.reply_cache op.op_id reply;
+              (match Hashtbl.find_opt t.reply_slots requester with
+              | Some (saved, _) when saved > op.op_id ->
+                  () (* a late completion never displaces a newer reply *)
+              | _ -> Hashtbl.replace t.reply_slots requester (op.op_id, reply));
               respond reply)
   | Dp_flush_audit transid ->
       Process.spawn_fiber process (fun () ->
@@ -384,8 +383,7 @@ let spawn ~net ~tmf ~node ~volume ~name ~trail ~primary_cpu ~backup_cpu
           ~metrics:(Net.metrics net) ~name;
       audit_buffers = Hashtbl.create 32;
       generation = 0;
-      reply_cache = Hashtbl.create 1024;
-      reply_cache_old = Hashtbl.create 1024;
+      reply_slots = Hashtbl.create 8;
       data_mutex = Tandem_sim.Fiber_mutex.create ();
       pair = None;
       coalesced_checkpoints =
@@ -481,6 +479,5 @@ let simulate_total_failure t =
   t.generation <- t.generation + 1;
   Store.crash t.dp_store;
   Hashtbl.reset t.audit_buffers;
-  Hashtbl.reset t.reply_cache;
-  Hashtbl.reset t.reply_cache_old;
+  Hashtbl.reset t.reply_slots;
   Tandem_lock.Lock_table.reset t.locks

@@ -48,6 +48,13 @@ val is_up : t -> bool
 val audit_buffer_depth : t -> int
 (** Images generated but not yet shipped to the audit trail. *)
 
+type reply_slots
+
+val reply_slots : t -> reply_slots
+(** Duplicate detection: the op_id and reply of each requester's newest
+    completed data request, so a path retry replays instead of executing
+    twice. Exposed so tests can bound what it retains. *)
+
 val rollforward_target : t -> Tmf.Rollforward.target
 (** Snapshot/restore/redo hooks over this volume's store for ROLLFORWARD. *)
 

@@ -1,11 +1,14 @@
 (** The DISCPROCESS request/reply protocol.
 
     Every data-base access travels as one of these messages. [op_id] is a
-    network-unique number for the *logical* operation: a requester retrying
-    after a path failure reuses it, and the DISCPROCESS's reply cache turns
-    the retry into a replay of the original answer instead of a second
-    execution. [transid] is the current process transid the File System
-    appended ([None] for non-transactional access to unaudited files). *)
+    network-unique, rising number for the *logical* operation: a requester
+    retrying after a path failure reuses it. The DISCPROCESS keeps one reply
+    slot per requester, the op_id and reply of its newest completed data
+    request: a retry with that op_id replays the saved reply instead of
+    executing twice, and an older op_id is refused unexecuted, since a
+    requester awaits each reply before sending its next request. [transid]
+    is the current process transid the File System appended ([None] for
+    non-transactional access to unaudited files). *)
 
 type op_meta = {
   op_id : int;

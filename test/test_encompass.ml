@@ -457,62 +457,196 @@ let test_file_lock_excludes_other_transactions () =
     (Workload.account_balance cluster ~account:3)
 
 (* ------------------------------------------------------------------ *)
-(* Exactly-once: the DISCPROCESS reply cache replays retried operations *)
+(* Exactly-once: the DISCPROCESS keeps one reply slot per requester, which
+   replays a retried operation instead of executing it twice. These tests send
+   raw DISCPROCESS messages, with op ids of their own choosing, as a File
+   System path retry would resend them. *)
 
-let test_reply_cache_replays_duplicate_op () =
+(* Sending raw DISCPROCESS messages bypasses the File System, so do its
+   participant bookkeeping by hand. *)
+let begin_raw tmf =
+  let transid = Tmf.begin_transaction tmf ~node:1 ~cpu:1 in
+  Tmf.note_local_participant tmf ~node:1 ~volume:"$DATA1" transid;
+  transid
+
+let raw_update ~op_id transid ~account ~balance =
+  Dp_protocol.Dp_update
+    {
+      op =
+        {
+          Dp_protocol.op_id;
+          transid = Some transid;
+          lock_timeout = Sim_time.seconds 5;
+        };
+      file = "ACCOUNT";
+      key = Tandem_db.Key.of_int account;
+      payload = Tandem_db.Record.encode [ ("balance", string_of_int balance) ];
+    }
+
+let send_raw cluster process ?timeout ?retries payload =
+  Rpc.call_name (Cluster.net cluster) ~self:process ~node:1 ~name:"$DATA1"
+    ?timeout ?retries payload
+
+let send_ok cluster process payload =
+  match send_raw cluster process payload with
+  | Ok reply -> reply
+  | Error e -> Alcotest.failf "rpc failed: %a" Rpc.pp_error e
+
+(* The data images a transaction left in $AUDIT: the fast-path commit marker
+   shares the transid but is not an operation. *)
+let data_images cluster transid =
+  let state = Tmf.node_state (Cluster.tmf cluster) 1 in
+  let trail = Hashtbl.find state.Tmf.Tmf_state.trails "$AUDIT" in
+  List.length
+    (List.filter
+       (fun r ->
+         not
+           (Tandem_audit.Audit_record.is_commit_marker
+              r.Tandem_audit.Audit_record.image))
+       (Tandem_audit.Audit_trail.records_for trail
+          ~transid:(Tmf.Transid.to_string transid)))
+
+let check_done what = function
+  | Dp_protocol.Dp_done _ -> ()
+  | _ -> Alcotest.failf "%s: expected Dp_done" what
+
+let test_reply_slot_replays_duplicate_op () =
   let cluster, _, _ = single_node_cluster () in
   let tmf = Cluster.tmf cluster in
-  let results = ref [] in
-  let transid_string = ref "" in
+  let transid = ref None in
   Cluster.run_client cluster ~node:1 ~cpu:1 (fun process ->
-      let transid = Tmf.begin_transaction tmf ~node:1 ~cpu:1 in
-      transid_string := Tmf.Transid.to_string transid;
-      (* Sending raw DISCPROCESS messages bypasses the File System, so do
-         its participant bookkeeping by hand. *)
-      Tmf.note_local_participant tmf ~node:1 ~volume:"$DATA1" transid;
-      let op =
-        {
-          Dp_protocol.op_id = 424_242;
-          transid = Some transid;
-          lock_timeout = Sim_time.seconds 1;
-        }
-      in
-      let payload =
-        Dp_protocol.Dp_update
-          {
-            op;
-            file = "ACCOUNT";
-            key = Tandem_db.Key.of_int 3;
-            payload = Tandem_db.Record.encode [ ("balance", "7777") ];
-          }
-      in
+      let tx = begin_raw tmf in
+      transid := Some tx;
+      let payload = raw_update ~op_id:424_242 tx ~account:3 ~balance:7777 in
       (* The same logical operation sent twice, as a path retry would. *)
-      for _ = 1 to 2 do
-        match Rpc.call_name (Cluster.net cluster) ~self:process ~node:1 ~name:"$DATA1" payload with
-        | Ok reply -> results := reply :: !results
-        | Error e -> Alcotest.failf "rpc failed: %a" Rpc.pp_error e
-      done;
-      ignore (Tmf.end_transaction tmf ~self:process transid));
+      check_done "first" (send_ok cluster process payload);
+      check_done "replay" (send_ok cluster process payload);
+      ignore (Tmf.end_transaction tmf ~self:process tx));
   Cluster.run cluster;
-  (match !results with
-  | [ Dp_protocol.Dp_done _; Dp_protocol.Dp_done _ ] -> ()
-  | _ -> Alcotest.fail "expected two successful (replayed) replies");
-  (* Applied exactly once: the update is absolute, so this only proves no
-     error occurred; the audit trail proves single execution. *)
+  let transid = Option.get !transid in
   let state = Tmf.node_state tmf 1 in
-  (match Tandem_audit.Monitor_trail.disposition_of state.Tmf.Tmf_state.monitor
-           ~transid:!transid_string with
+  (match
+     Tandem_audit.Monitor_trail.disposition_of state.Tmf.Tmf_state.monitor
+       ~transid:(Tmf.Transid.to_string transid)
+   with
   | Some Tandem_audit.Monitor_trail.Committed -> ()
   | _ -> Alcotest.fail "transaction did not commit");
-  let trail = Hashtbl.find state.Tmf.Tmf_state.trails "$AUDIT" in
-  (* Count data images only: the fast-path commit marker shares the
-     transid but is not a replayed operation. *)
-  check_int "one audit image only" 1
-    (List.length
-       (List.filter
-          (fun r ->
-            not (Tandem_audit.Audit_record.is_commit_marker r.Tandem_audit.Audit_record.image))
-          (Tandem_audit.Audit_trail.records_for trail ~transid:!transid_string)))
+  (* The update is absolute, so only the audit trail proves single
+     execution. *)
+  check_int "one audit image only" 1 (data_images cluster transid)
+
+(* An operation the requester gave up on (its path timed out while it waited
+   on a lock) completes after the requester's next one: the newer reply stays
+   in the slot, so a retry of the newer operation still replays. *)
+let test_late_completion_keeps_newer_reply () =
+  let cluster, _, _ = single_node_cluster () in
+  let tmf = Cluster.tmf cluster in
+  let engine = Cluster.engine cluster in
+  let newer = ref None in
+  let gave_up = ref false in
+  (* The holder keeps account 5 locked for a second. *)
+  Cluster.run_client cluster ~node:1 ~cpu:1 (fun process ->
+      let tx = begin_raw tmf in
+      check_done "holder"
+        (send_ok cluster process
+           (raw_update ~op_id:100_000 tx ~account:5 ~balance:1));
+      Fiber.sleep engine (Sim_time.seconds 1);
+      ignore (Tmf.end_transaction tmf ~self:process tx));
+  Cluster.run_client cluster ~node:1 ~cpu:1 (fun process ->
+      Fiber.sleep engine (Sim_time.milliseconds 10);
+      let older = begin_raw tmf in
+      (match
+         send_raw cluster process ~timeout:(Sim_time.milliseconds 100)
+           ~retries:0
+           (raw_update ~op_id:100_001 older ~account:5 ~balance:2)
+       with
+      | Error `Timeout -> gave_up := true
+      | Ok _ | Error _ -> ());
+      let tx = begin_raw tmf in
+      newer := Some tx;
+      let payload = raw_update ~op_id:100_002 tx ~account:6 ~balance:3 in
+      check_done "newer" (send_ok cluster process payload);
+      (* The holder commits at 1 s; the older update then gets its lock and
+         completes. *)
+      Fiber.sleep engine (Sim_time.seconds 3);
+      check_done "replay of the newer" (send_ok cluster process payload);
+      ignore (Tmf.end_transaction tmf ~self:process tx);
+      ignore (Tmf.end_transaction tmf ~self:process older));
+  Cluster.run cluster;
+  check_bool "the older request timed out" true !gave_up;
+  Alcotest.(check (option int)) "the older update completed late" (Some 2)
+    (Workload.account_balance cluster ~account:5);
+  check_int "newer operation executed once" 1
+    (data_images cluster (Option.get !newer))
+
+(* A retry older than the requester's newest completed operation belongs to
+   an operation it gave up on: it is refused, not executed. *)
+let test_stale_duplicate_not_executed () =
+  let cluster, _, _ = single_node_cluster () in
+  let tmf = Cluster.tmf cluster in
+  let stale_reply = ref None in
+  Cluster.run_client cluster ~node:1 ~cpu:1 (fun process ->
+      let tx = begin_raw tmf in
+      let first = raw_update ~op_id:200_001 tx ~account:7 ~balance:1111 in
+      check_done "first" (send_ok cluster process first);
+      check_done "second"
+        (send_ok cluster process
+           (raw_update ~op_id:200_002 tx ~account:7 ~balance:2222));
+      stale_reply := Some (send_ok cluster process first);
+      ignore (Tmf.end_transaction tmf ~self:process tx));
+  Cluster.run cluster;
+  check_bool "stale duplicate refused" true
+    (match !stale_reply with
+    | Some (Dp_protocol.Dp_error (Dp_protocol.Bad_request _)) -> true
+    | _ -> false);
+  Alcotest.(check (option int)) "the newer update stands" (Some 2222)
+    (Workload.account_balance cluster ~account:7)
+
+(* Two requesters interleave on one volume: each one's retry replays its own
+   reply, whatever the other sent in between. *)
+let test_interleaved_requesters_replay () =
+  let cluster, _, _ = single_node_cluster () in
+  let tmf = Cluster.tmf cluster in
+  let engine = Cluster.engine cluster in
+  let transids = ref [] in
+  let requester ~start ~op_id ~account =
+    Cluster.run_client cluster ~node:1 ~cpu:1 (fun process ->
+        Fiber.sleep engine (Sim_time.milliseconds start);
+        let tx = begin_raw tmf in
+        transids := tx :: !transids;
+        let payload = raw_update ~op_id tx ~account ~balance:4444 in
+        check_done "first" (send_ok cluster process payload);
+        (* The other requester's operation completes before this retry. *)
+        Fiber.sleep engine (Sim_time.milliseconds 50);
+        check_done "replay" (send_ok cluster process payload);
+        ignore (Tmf.end_transaction tmf ~self:process tx))
+  in
+  requester ~start:0 ~op_id:300_001 ~account:8;
+  requester ~start:20 ~op_id:300_002 ~account:9;
+  Cluster.run cluster;
+  check_int "two transactions" 2 (List.length !transids);
+  List.iter
+    (fun tx -> check_int "executed once" 1 (data_images cluster tx))
+    !transids
+
+(* A total failure drops the slots with the rest of the volume's volatile
+   state, so a duplicate after it executes afresh. *)
+let test_total_failure_resets_reply_slots () =
+  let cluster, _, _ = single_node_cluster () in
+  let tmf = Cluster.tmf cluster in
+  let dp = Cluster.discprocess cluster ~node:1 ~volume:"$DATA1" in
+  let depths = ref [] in
+  Cluster.run_client cluster ~node:1 ~cpu:1 (fun process ->
+      let tx = begin_raw tmf in
+      let payload = raw_update ~op_id:400_001 tx ~account:10 ~balance:5555 in
+      check_done "first" (send_ok cluster process payload);
+      Discprocess.simulate_total_failure dp;
+      let after_failure = Discprocess.audit_buffer_depth dp in
+      check_done "duplicate" (send_ok cluster process payload);
+      depths := [ after_failure; Discprocess.audit_buffer_depth dp ];
+      ignore (Tmf.abort_transaction tmf ~self:process ~reason:"test" tx));
+  Cluster.run cluster;
+  Alcotest.(check (list int)) "buffer dropped, then refilled" [ 0; 1 ] !depths
 
 (* ------------------------------------------------------------------ *)
 (* Post-crash write revert: a write whose node fails totally while it waits
@@ -1453,8 +1587,16 @@ let () =
         [
           Alcotest.test_case "file lock excludes others" `Quick
             test_file_lock_excludes_other_transactions;
-          Alcotest.test_case "reply cache replays" `Quick
-            test_reply_cache_replays_duplicate_op;
+          Alcotest.test_case "reply slot replays" `Quick
+            test_reply_slot_replays_duplicate_op;
+          Alcotest.test_case "late completion keeps newer reply" `Quick
+            test_late_completion_keeps_newer_reply;
+          Alcotest.test_case "stale duplicate not executed" `Quick
+            test_stale_duplicate_not_executed;
+          Alcotest.test_case "interleaved requesters replay" `Quick
+            test_interleaved_requesters_replay;
+          Alcotest.test_case "total failure resets reply slots" `Quick
+            test_total_failure_resets_reply_slots;
           Alcotest.test_case "abandoned tx auto-aborts" `Quick
             test_abandoned_transaction_auto_aborts;
           Alcotest.test_case "stale lock reaped" `Quick test_stale_lock_reaped_by_waiter;

@@ -386,6 +386,39 @@ let test_monitor_retention_per_entry () =
     Alcotest.failf "monitor trail retains %.2f words per entry (bound %.0f)"
       per_entry bound
 
+(* The same guard for a DISCPROCESS's duplicate detection: it keeps one
+   saved reply per requester, however many requests they send. *)
+let test_reply_slots_retention () =
+  let cluster, _spec =
+    Workload.build_bank ~seed:3 ~accounts:100 ~servers:[] ()
+  in
+  let dp = Cluster.discprocess cluster ~node:1 ~volume:"$DATA1" in
+  let requesters = 4 and requests = 5_000 in
+  let answered = ref 0 in
+  for r = 1 to requesters do
+    Cluster.run_client cluster ~node:1 ~cpu:(r - 1) (fun process ->
+        for i = 1 to requests do
+          match
+            File_client.read (Cluster.files cluster) ~self:process
+              ~file:Workload.account_file
+              (Tandem_db.Key.of_int ((r * i) mod 100))
+          with
+          | Ok (Some _) -> incr answered
+          | Ok None | Error _ -> ()
+        done)
+  done;
+  Cluster.run cluster;
+  Alcotest.(check int) "every read answered" (requesters * requests) !answered;
+  let words = Obj.reachable_words (Obj.repr (Discprocess.reply_slots dp)) in
+  (* Measured on OCaml 5.1.1: 98 words for the four slots and their table.
+     Keeping the last 16,384 replies by operation id instead holds about
+     198k words here. *)
+  let bound = 400 in
+  if words > bound then
+    Alcotest.failf "duplicate detection retains %d words for %d requests \
+                    (bound %d)"
+      words (requesters * requests) bound
+
 (* ------------------------------------------------------------------ *)
 (* Lock table vs naive model (non-blocking paths) *)
 
@@ -1067,6 +1100,8 @@ let () =
               test_trail_retention_per_record;
             Alcotest.test_case "monitor trail keeps one table" `Quick
               test_monitor_retention_per_entry;
+            Alcotest.test_case "reply slots keep one reply per requester"
+              `Quick test_reply_slots_retention;
           ] );
       ( "lock index",
         qcheck [ prop_lock_table_matches_model ] );
