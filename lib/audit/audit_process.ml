@@ -8,41 +8,35 @@ type Message.payload +=
 type t = {
   process_name : string;
   audit_trail : Audit_trail.t;
-  pair : (unit, unit) Process_pair.t;
+  pair : Process_pair.t;
 }
 
-let service net trail ~name pair () process =
+let service net trail ~name pair process =
   let forces =
     lazy
       (Tandem_sim.Metrics.counter_with (Net.metrics net) "audit.forces"
          ~labels:[ ("trail", name) ])
   in
-  let rec loop () =
-    let message = Process_pair.receive pair process in
-    (match message.Message.payload with
-    | Audit_append { transid; images } ->
-        Cpu.consume (Process.cpu process) Hw_config.cpu_message_cost;
-        (* The batch is checkpointed to the backup before it is considered
-           received — this is what lets audit survive the primary's failure
-           without having been forced to disc. *)
-        Process_pair.checkpoint pair ();
-        List.iter
-          (fun image -> ignore (Audit_trail.append trail ~transid image))
-          images;
-        Rpc.reply net ~self:process ~to_:message Audit_ok
-    | Audit_force ->
-        Cpu.consume (Process.cpu process) Hw_config.cpu_message_cost;
-        Tandem_sim.Metrics.incr (Lazy.force forces);
-        (* Run the force in its own fiber: the 25 ms physical write must not
-           stall the service loop, and concurrent forces batch into one
-           physical write at the group-commit daemon. *)
-        Process.spawn_fiber process (fun () ->
-            Audit_trail.force trail;
-            Rpc.reply net ~self:process ~to_:message Audit_ok)
-    | _ -> ());
-    loop ()
-  in
-  loop ()
+  Process_pair.serve pair process (fun message ->
+      match message.Message.payload with
+      | Audit_append { transid; images } ->
+          (* The batch is checkpointed to the backup before it is considered
+             received — this is what lets audit survive the primary's failure
+             without having been forced to disc. *)
+          Process_pair.checkpoint pair;
+          List.iter
+            (fun image -> ignore (Audit_trail.append trail ~transid image))
+            images;
+          Rpc.reply net ~self:process ~to_:message Audit_ok
+      | Audit_force ->
+          Tandem_sim.Metrics.incr (Lazy.force forces);
+          (* Run the force in its own fiber: the 25 ms physical write must not
+             stall the service loop, and concurrent forces batch into one
+             physical write at the group-commit daemon. *)
+          Process.spawn_fiber process (fun () ->
+              Audit_trail.force trail;
+              Rpc.reply net ~self:process ~to_:message Audit_ok)
+      | _ -> ())
 
 let spawn ~net ~node ~trail ~name ~primary_cpu ~backup_cpu =
   (* The trail object is shared between primary and backup: it survives any
@@ -50,11 +44,7 @@ let spawn ~net ~node ~trail ~name ~primary_cpu ~backup_cpu =
      cost of keeping the backup current. *)
   let pair =
     Process_pair.create ~net ~node ~name ~primary_cpu ~backup_cpu
-      ~init:(fun () -> ())
-      ~apply:(fun () () -> ())
-      ~snapshot:(fun () -> [])
-      ~service:(fun pair state process ->
-        service net trail ~name pair state process)
+      ~service:(service net trail ~name)
   in
   { process_name = name; audit_trail = trail; pair }
 

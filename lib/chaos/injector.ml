@@ -4,10 +4,9 @@ open Tandem_encompass
 type t = {
   cluster : Cluster.t;
   archives : (Tandem_os.Ids.node_id, Tmf.Rollforward.archive) Hashtbl.t;
-  mutable injected : int;
 }
 
-let create cluster = { cluster; archives = Hashtbl.create 4; injected = 0 }
+let create cluster = { cluster; archives = Hashtbl.create 4 }
 
 let metrics t = Cluster.metrics t.cluster
 
@@ -16,7 +15,6 @@ let net t = Cluster.net t.cluster
 let volume t ~node ~name = Cluster.volume t.cluster ~node ~volume:name
 
 let count t fault =
-  t.injected <- t.injected + 1;
   Metrics.incr (Metrics.counter (metrics t) "chaos.faults_injected");
   Metrics.incr
     (Metrics.counter_with (metrics t) "chaos.faults_injected"
@@ -63,5 +61,3 @@ let apply t fault =
   | Fault.Link_degrade { a; b; factor } ->
       Tandem_os.Net.degrade_link (net t) a b ~factor
   | Fault.Link_repair { a; b } -> Tandem_os.Net.repair_link_latency (net t) a b
-
-let faults_injected t = t.injected

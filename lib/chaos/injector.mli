@@ -21,6 +21,3 @@ val apply : t -> Fault.t -> unit
     [Drive_revive] of a drive that is already up, and [Cpu_restore] of a
     processor that is already up, are no-ops — a schedule stays applicable
     even when an earlier repair already covered it. *)
-
-val faults_injected : t -> int
-(** Number of faults applied through this injector. *)

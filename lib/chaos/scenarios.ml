@@ -303,7 +303,7 @@ let home_crash_phase2 =
         };
       metrics =
         (* Two clusters, one report: fold both registries into a fresh one,
-           2pc first — the order makes the (gauge) merge deterministic. *)
+           2pc first — the order fixes the order of each sample's observations. *)
         (let merged = Metrics.create () in
          Metrics.merge ~into:merged (Cluster.metrics bank2pc.Harness.cluster);
          Metrics.merge ~into:merged (Cluster.metrics bankpx.Harness.cluster);

@@ -179,14 +179,7 @@ let handle t process message =
       Rpc.reply t.net ~self:process ~to_:message (Pax_state state)
   | _ -> ()
 
-let service t pair process =
-  let rec loop () =
-    let message = Process_pair.receive pair process in
-    Cpu.consume (Process.cpu process) Hw_config.cpu_message_cost;
-    handle t process message;
-    loop ()
-  in
-  loop ()
+let service t pair process = Process_pair.serve pair process (handle t process)
 
 let spawn ~net ~state ~volume ~primary_cpu ~backup_cpu =
   let t =
@@ -200,7 +193,4 @@ let spawn ~net ~state ~volume ~primary_cpu ~backup_cpu =
   ignore
     (Process_pair.create ~net ~node:state.Tmf_state.node ~name:process_name
        ~primary_cpu ~backup_cpu
-       ~init:(fun () -> ())
-       ~apply:(fun () () -> ())
-       ~snapshot:(fun () -> [])
-       ~service:(fun pair _replica process -> service t pair process))
+       ~service:(service t))

@@ -52,34 +52,26 @@ let perform net state ~self transid =
       Span.add_images_undone (Net.spans net) transid_string images;
       Ok !undone
 
-let service net state pair () process =
-  let rec loop () =
-    let message = Process_pair.receive pair process in
-    (match message.Message.payload with
-    | Backout_request transid ->
-        Cpu.consume (Process.cpu process) Hw_config.cpu_message_cost;
-        (* Run each backout in its own fiber so long undo streams do not
-           serialize unrelated aborts. *)
-        Process.spawn_fiber process (fun () ->
-            let reply =
-              match perform net state ~self:process transid with
-              | Ok n -> Backout_done n
-              | Error m -> Backout_failed m
-            in
-            Rpc.reply net ~self:process ~to_:message reply)
-    | _ -> ());
-    loop ()
-  in
-  loop ()
+let service net state pair process =
+  Process_pair.serve pair process (fun message ->
+      match message.Message.payload with
+      | Backout_request transid ->
+          (* Run each backout in its own fiber so long undo streams do not
+             serialize unrelated aborts. *)
+          Process.spawn_fiber process (fun () ->
+              let reply =
+                match perform net state ~self:process transid with
+                | Ok n -> Backout_done n
+                | Error m -> Backout_failed m
+              in
+              Rpc.reply net ~self:process ~to_:message reply)
+      | _ -> ())
 
 let spawn ~net ~state ~primary_cpu ~backup_cpu =
   ignore
     (Process_pair.create ~net ~node:state.Tmf_state.node
        ~name:state.Tmf_state.backout_name ~primary_cpu ~backup_cpu
-       ~init:(fun () -> ())
-       ~apply:(fun () () -> ())
-       ~snapshot:(fun () -> [])
-       ~service:(fun pair s process -> service net state pair s process))
+       ~service:(service net state))
 
 let request net ~self ~node transid =
   match

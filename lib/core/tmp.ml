@@ -1102,17 +1102,11 @@ let handle t process message =
            })
   | _ -> ()
 
-let service t pair _replica process =
+let service t pair process =
   t.primary <- Some process;
   t.retry_running <- false;
   kick_retry t;
-  let rec loop () =
-    let message = Process_pair.receive pair process in
-    Cpu.consume (Process.cpu process) Hw_config.cpu_message_cost;
-    handle t process message;
-    loop ()
-  in
-  loop ()
+  Process_pair.serve pair process (handle t process)
 
 let spawn ~net ~state ~primary_cpu ~backup_cpu =
   let metrics = Net.metrics net in
@@ -1145,10 +1139,7 @@ let spawn ~net ~state ~primary_cpu ~backup_cpu =
   ignore
     (Process_pair.create ~net ~node:state.Tmf_state.node
        ~name:state.Tmf_state.tmp_name ~primary_cpu ~backup_cpu
-       ~init:(fun () -> ())
-       ~apply:(fun () () -> ())
-       ~snapshot:(fun () -> [])
-       ~service:(fun pair replica process -> service t pair replica process));
+       ~service:(service t));
   t
 
 let start_watchdog t ~interval =

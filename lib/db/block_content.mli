@@ -22,8 +22,4 @@ type t =
       slots : string option array;
     }
 
-val size_bytes : t -> int
-(** Approximate serialized size, for compression statistics and audit-volume
-    accounting. *)
-
 val describe : t -> string

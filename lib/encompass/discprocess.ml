@@ -28,7 +28,7 @@ type t = {
       (* Serializes structured-file operations: one multi-block data access
          at a time, as in the real single-threaded DISCPROCESS. Lock-manager
          waits happen before taking it. *)
-  mutable pair : (unit, unit) Process_pair.t option;
+  mutable pair : Process_pair.t option;
   coalesced_checkpoints : Tandem_sim.Metrics.counter Lazy.t;
   checkpoint_batch_size : Tandem_sim.Metrics.sample Lazy.t;
 }
@@ -60,7 +60,7 @@ let audit_buffer_depth t =
 (* Request execution *)
 
 let checkpoint_cost t =
-  match t.pair with Some pair -> Process_pair.checkpoint pair () | None -> ()
+  match t.pair with Some pair -> Process_pair.checkpoint pair | None -> ()
 
 let transaction_of t ~cpu (op : op_meta) =
   match op.transid with
@@ -356,15 +356,9 @@ let handle t process message =
       Process.spawn_fiber process (fun () -> respond (undo t image))
   | _ -> ()
 
-let service t pair _replica process =
+let service t pair process =
   t.pair <- Some pair;
-  let rec loop () =
-    let message = Process_pair.receive pair process in
-    Cpu.consume (Process.cpu process) Hw_config.cpu_message_cost;
-    handle t process message;
-    loop ()
-  in
-  loop ()
+  Process_pair.serve pair process (handle t process)
 
 let spawn ~net ~tmf ~node ~volume ~name ~trail ~primary_cpu ~backup_cpu
     ?(cache_capacity = 256) () =
@@ -394,10 +388,7 @@ let spawn ~net ~tmf ~node ~volume ~name ~trail ~primary_cpu ~backup_cpu
   in
   let pair =
     Process_pair.create ~net ~node ~name ~primary_cpu ~backup_cpu
-      ~init:(fun () -> ())
-      ~apply:(fun () () -> ())
-      ~snapshot:(fun () -> [])
-      ~service:(fun pair replica process -> service t pair replica process)
+      ~service:(service t)
   in
   t.pair <- Some pair;
   Tmf.register_participant tmf

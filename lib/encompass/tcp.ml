@@ -24,11 +24,11 @@ type t = {
   program : Screen_program.t;
   terminals : terminal array;
   backoff_rng : Rng.t;
-  mutable pair : (unit, unit) Process_pair.t option;
+  mutable pair : Process_pair.t option;
 }
 
 let checkpoint t =
-  match t.pair with Some pair -> Process_pair.checkpoint pair () | None -> ()
+  match t.pair with Some pair -> Process_pair.checkpoint pair | None -> ()
 
 let metrics_sample t label = Metrics.sample (Net.metrics t.net) label
 
@@ -206,7 +206,7 @@ let rec terminal_loop t term process =
       checkpoint t);
   terminal_loop t term process
 
-let service t pair _replica process =
+let service t pair process =
   t.pair <- Some pair;
   Array.iter
     (fun term ->
@@ -214,11 +214,7 @@ let service t pair _replica process =
       Process.spawn_fiber process (fun () -> terminal_loop t term process))
     t.terminals;
   (* The service fiber itself only parks; terminal fibers do the work. *)
-  let rec idle () =
-    let _ = Process_pair.receive pair process in
-    idle ()
-  in
-  idle ()
+  Process_pair.serve pair process ignore
 
 let spawn ~net ~tmf ~node ~name ~lookup_class ~primary_cpu ~backup_cpu
     ~terminals ~program =
@@ -252,10 +248,7 @@ let spawn ~net ~tmf ~node ~name ~lookup_class ~primary_cpu ~backup_cpu
   in
   let pair =
     Process_pair.create ~net ~node ~name ~primary_cpu ~backup_cpu
-      ~init:(fun () -> ())
-      ~apply:(fun () () -> ())
-      ~snapshot:(fun () -> [])
-      ~service:(fun pair replica process -> service t pair replica process)
+      ~service:(service t)
   in
   t.pair <- Some pair;
   t

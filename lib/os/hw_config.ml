@@ -115,7 +115,7 @@ let knob_docs =
     ( "rollforward_parallelism",
       rollforward_parallelism_doc d.rollforward_parallelism,
       "ROLLFORWARD replay mode: seq (each audit trail one chain in audit \
-       order, on one worker) or chains:N (each trail's dependency chains \
-       from the logged inter-transaction edges, on N fiber workers; \
-       dependent images stay ordered)" );
+       order, on one worker) or chains:N (each trail's dependency chains, \
+       derived from the audit at recovery, on N fiber workers; dependent \
+       images stay ordered)" );
   ]

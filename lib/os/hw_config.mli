@@ -131,8 +131,8 @@ type t = {
           order, on one worker with no read-ahead — the paper's algorithm
           and the ablation baseline. [`Chains n] makes each trail's
           dependency chains (connected components of the
-          inter-transaction edges the audit layer logs at append time) the
-          chains and replays them concurrently on [n] fiber workers, with
+          inter-transaction edges that [Audit_trail.dependency_edges]
+          derives from the surviving audit at recovery) the chains and replays them concurrently on [n] fiber workers, with
           read-ahead when [n > 1]; records of dependent transactions keep
           their audit order, so the final logical state is identical to
           sequential replay. *)

@@ -189,11 +189,11 @@ let purge t =
 
 let post_at t time action =
   if Sim_time.compare time t.clock < 0 then
-    invalid_arg "Engine.schedule_at: time is in the past";
+    invalid_arg "Engine.post_at: time is in the past";
   heap_add t (fresh_event t time action)
 
 let post_after t span action =
-  if span < 0 then invalid_arg "Engine.schedule_after: negative span";
+  if span < 0 then invalid_arg "Engine.post_after: negative span";
   post_at t (Sim_time.add t.clock span) action
 
 let schedule_at t time action =

@@ -265,6 +265,4 @@ let to_float = function
 
 let to_list = function List items -> Some items | _ -> None
 
-let to_obj = function Obj fields -> Some fields | _ -> None
-
 let to_string_value = function String s -> Some s | _ -> None

@@ -35,6 +35,4 @@ val to_float : t -> float option
 
 val to_list : t -> t list option
 
-val to_obj : t -> (string * t) list option
-
 val to_string_value : t -> string option

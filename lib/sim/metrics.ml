@@ -17,7 +17,6 @@ type histogram = {
 
 type metric =
   | Counter of counter
-  | Gauge of int ref
   | Sample of sample
   | Histogram of histogram
 
@@ -101,18 +100,6 @@ let sum_counters t name =
       | Counter c when key = name || is_prefix key -> acc + c.count
       | _ -> acc)
     t.table 0
-
-let set_gauge t name v =
-  match Hashtbl.find_opt t.table name with
-  | Some (Gauge g) -> g := v
-  | Some _ -> invalid_arg ("Metrics.set_gauge: " ^ name ^ " is not a gauge")
-  | None -> Hashtbl.replace t.table name (Gauge (ref v))
-
-let read_gauge t name =
-  match Hashtbl.find_opt t.table name with
-  | Some (Gauge g) -> !g
-  | Some _ -> invalid_arg ("Metrics.read_gauge: " ^ name ^ " is not a gauge")
-  | None -> 0
 
 let sample t name =
   match Hashtbl.find_opt t.table name with
@@ -286,8 +273,8 @@ let histogram_buckets h =
 (* ------------------------------------------------------------------ *)
 (* Merge: fold one registry into another, so per-task registries built on
    worker domains can be combined into the single registry a report or a
-   JSON export expects. Order-sensitive only for gauges (last write wins),
-   which callers settle by merging in task order. *)
+   JSON export expects. Every metric merges by accumulation; only the order
+   of a sample's observations depends on the merge order. *)
 
 let merge_histogram ~(into : histogram) (src : histogram) =
   if into.bounds <> src.bounds then
@@ -310,7 +297,6 @@ let merge ~into src =
       let metric = Hashtbl.find src.table name in
       match (Hashtbl.find_opt into.table name, metric) with
       | None, Counter c -> add (counter into name) c.count
-      | None, Gauge g -> set_gauge into name !g
       | None, Sample s ->
           let dst = sample into name in
           for i = 0 to s.used - 1 do
@@ -319,7 +305,6 @@ let merge ~into src =
       | None, Histogram h ->
           merge_histogram ~into:(histogram ~bounds:h.bounds into name) h
       | Some (Counter dst), Counter c -> add dst c.count
-      | Some (Gauge dst), Gauge g -> dst := !g
       | Some (Sample dst), Sample s ->
           for i = 0 to s.used - 1 do
             observe dst s.values.(i)
@@ -342,7 +327,6 @@ let pp formatter t =
       (fun name ->
         match Hashtbl.find t.table name with
         | Counter c -> (name, Printf.sprintf "%d" c.count)
-        | Gauge g -> (name, Printf.sprintf "%d (gauge)" !g)
         | Sample s ->
             ( name,
               Printf.sprintf "n=%d mean=%.3f p50=%.3f p99=%.3f max=%.3f"
@@ -372,7 +356,6 @@ let float_list_json values = Json.List (List.map (fun v -> Json.Float v) values)
 
 let metric_to_json = function
   | Counter c -> Json.Obj [ ("type", Json.String "counter"); ("value", Json.Int c.count) ]
-  | Gauge g -> Json.Obj [ ("type", Json.String "gauge"); ("value", Json.Int !g) ]
   | Sample s ->
       Json.Obj
         [

@@ -1,9 +1,9 @@
 (** Measurement registry for experiments.
 
     Counters count events (transactions committed, messages sent, forced disc
-    writes); gauges expose a current level (lock-table size, suspense-file
-    backlog); samples accumulate a distribution (latencies) and report mean
-    and percentiles. Every experiment table in the benchmark harness is
+    writes); samples accumulate a distribution (latencies) and report mean
+    and percentiles; histograms bucket a distribution in O(1) per
+    observation. Every experiment table in the benchmark harness is
     printed from one of these registries, so the same code path feeds tests
     and benches. *)
 
@@ -55,12 +55,6 @@ val family_counter : counter_family -> string -> counter
 val sum_counters : t -> string -> int
 (** Sum of the bare counter [name] plus every labeled variant
     [name{...}]. *)
-
-(** {1 Gauges} *)
-
-val set_gauge : t -> string -> int -> unit
-
-val read_gauge : t -> string -> int
 
 (** {1 Samples (distributions)} *)
 
@@ -136,10 +130,9 @@ val read_histogram : t -> string -> histogram
 val merge : into:t -> t -> unit
 (** [merge ~into src] folds every metric of [src] into [into]: counters
     add, samples append their observations, histograms sum buckets /
-    count / sum and widen min/max (bounds must match), and gauges take
-    [src]'s value (last merge wins — merge per-task registries in task
-    order for a deterministic result). Metrics absent from [into] are
-    created. Raises [Invalid_argument] when a name is registered with a
+    count / sum and widen min/max (bounds must match). Metrics absent from
+    [into] are created; merge per-task registries in task order so that
+    sample observations keep a deterministic order. Raises [Invalid_argument] when a name is registered with a
     different metric type in each registry. *)
 
 (** {1 Reporting} *)

@@ -95,7 +95,6 @@ let test_metrics_merge_equals_accumulation () =
   let open Tandem_sim in
   let observe_task registry base =
     Metrics.add (Metrics.counter registry "task.count") base;
-    Metrics.set_gauge registry "task.last" base;
     Metrics.observe (Metrics.sample registry "task.sample")
       (float_of_int base);
     Metrics.observe_histogram

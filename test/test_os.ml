@@ -411,38 +411,33 @@ let prop_routing_matches_reference =
 (* ------------------------------------------------------------------ *)
 (* Process pairs *)
 
-(* A tiny stateful service: stores an integer register; requests add to it
-   and reply with the new value. State is checkpointed before replying. *)
+(* A tiny stateful service: stores an integer register that both halves
+   share; requests add to it and reply with the new value, checkpointing
+   before they act. *)
 type Message.payload += Add of int | Sum of int
 
 type register = { mutable total : int }
 
 let register_pair net node ~primary_cpu ~backup_cpu =
+  let register = { total = 0 } in
   Process_pair.create ~net ~node ~name:"$REG" ~primary_cpu ~backup_cpu
-    ~init:(fun () -> { total = 0 })
-    ~apply:(fun state delta -> state.total <- state.total + delta)
-    ~snapshot:(fun state -> [ state.total ])
-    ~service:(fun pair state process ->
-      let rec loop () =
-        let message = Process_pair.receive pair process in
-        (match message.Message.payload with
-        | Add n ->
-            Process_pair.checkpoint pair n;
-            state.total <- state.total + n;
-            Rpc.reply net ~self:process ~to_:message (Sum state.total)
-        | _ -> ());
-        loop ()
-      in
-      loop ())
+    ~service:(fun pair process ->
+      Process_pair.serve pair process (fun message ->
+          match message.Message.payload with
+          | Add n ->
+              Process_pair.checkpoint pair;
+              register.total <- register.total + n;
+              Rpc.reply net ~self:process ~to_:message (Sum register.total)
+          | _ -> ()))
 
-let call_add ?(name = "$REG") net node from_cpu n =
+let call_add net node from_cpu n =
   let result = ref None in
   ignore
     (Node.spawn node ~cpu:from_cpu (fun process ->
          result :=
            Some
-             (Rpc.call_name net ~self:process ~node:(Node.id node) ~name
-                (Add n))));
+             (Rpc.call_name net ~self:process ~node:(Node.id node)
+                ~name:"$REG" (Add n))));
   Engine.run (Net.engine net);
   !result
 
@@ -507,49 +502,46 @@ let test_pair_double_failure_takes_service_down () =
   check_bool "name unregistered" true
     (Option.is_none (Node.lookup_name node "$REG"))
 
-let test_pair_uncheckpointed_window_lost () =
-  (* A service that mutates BEFORE checkpointing loses the mutation on
-     takeover — demonstrating why checkpoint-then-act matters. *)
-  let net = make_net () in
-  let node = Net.node net 1 in
-  let pair =
-    Process_pair.create ~net ~node ~name:"$BAD" ~primary_cpu:0 ~backup_cpu:1
-      ~init:(fun () -> { total = 0 })
-      ~apply:(fun state delta -> state.total <- state.total + delta)
-      ~snapshot:(fun state -> [ state.total ])
-      ~service:(fun pair state process ->
-        let rec loop () =
-          let message = Process_pair.receive pair process in
-          (match message.Message.payload with
-          | Add n ->
-              state.total <- state.total + n;
-              (* Processor dies before the checkpoint is sent. *)
-              if n < 100 then Process_pair.checkpoint pair n;
-              Rpc.reply net ~self:process ~to_:message (Sum state.total)
-          | _ -> ());
-          loop ()
-        in
-        loop ())
+(* One checkpoint is counted once, holds the primary for the bus round trip
+   and charges the backup's processor one message; with a dead backup it is
+   still counted but returns at once, both before the failure is detected
+   and after (when no spare processor can host a new backup). *)
+let test_pair_checkpoint_cost () =
+  let checkpoint_once ~cpus ~fail_backup ~after =
+    let net = make_net ~cpus () in
+    let node = Net.node net 1 in
+    let engine = Net.engine net in
+    let elapsed = ref None in
+    ignore
+      (Process_pair.create ~net ~node ~name:"$CKPT" ~primary_cpu:0
+         ~backup_cpu:1 ~service:(fun pair _process ->
+           Fiber.sleep engine after;
+           let started = Engine.now engine in
+           Process_pair.checkpoint pair;
+           elapsed := Some (Sim_time.diff (Engine.now engine) started)));
+    if fail_backup then Node.fail_cpu node 1;
+    Engine.run engine;
+    ( Metrics.read_counter (Net.metrics net) "os.checkpoints",
+      Option.get !elapsed,
+      Cpu.total_busy (Node.cpu node 1) )
   in
-  ignore pair;
-  (match call_add ~name:"$BAD" net node 2 5 with
-  | Some (Ok (Sum 5)) -> ()
-  | _ -> Alcotest.fail "setup failed");
-  (* Send the poisoned op; primary updates its state but never checkpoints;
-     fail its cpu before the reply can matter. *)
-  ignore
-    (Node.spawn node ~cpu:2 (fun process ->
-         ignore
-           (Rpc.call_name net ~self:process ~node:1 ~name:"$BAD"
-              ~timeout:(Sim_time.milliseconds 50) ~retries:0 (Add 100))));
-  ignore
-    (Engine.schedule_after (Net.engine net) (Sim_time.microseconds 1700)
-       (fun () -> Node.fail_cpu node 0));
-  Engine.run (Net.engine net);
-  match call_add ~name:"$BAD" net node 2 0 with
-  | Some (Ok (Sum 5)) -> () (* the 100 was lost: un-checkpointed window *)
-  | Some (Ok (Sum n)) -> Alcotest.failf "unexpected survived total %d" n
-  | _ -> Alcotest.fail "post-takeover probe failed"
+  let count, elapsed, backup_busy =
+    checkpoint_once ~cpus:4 ~fail_backup:false ~after:0
+  in
+  check_int "one checkpoint counted" 1 count;
+  check_int "primary waits the bus round trip" (2 * Hw_config.bus_latency)
+    elapsed;
+  check_int "backup charged one message" Hw_config.cpu_message_cost
+    backup_busy;
+  List.iter
+    (fun (label, after) ->
+      let count, elapsed, _ = checkpoint_once ~cpus:2 ~fail_backup:true ~after in
+      check_int ("counted with a dead backup, " ^ label) 1 count;
+      check_int ("returns at once with a dead backup, " ^ label) 0 elapsed)
+    [
+      ("before detection", Sim_time.milliseconds 1);
+      ("after detection", 2 * Hw_config.failure_detection);
+    ]
 
 let () =
   let qcheck = List.map QCheck_alcotest.to_alcotest in
@@ -593,7 +585,6 @@ let () =
             test_pair_rebirth_allows_second_failure;
           Alcotest.test_case "double failure downs service" `Quick
             test_pair_double_failure_takes_service_down;
-          Alcotest.test_case "uncheckpointed window lost" `Quick
-            test_pair_uncheckpointed_window_lost;
+          Alcotest.test_case "checkpoint cost" `Quick test_pair_checkpoint_cost;
         ] );
     ]

@@ -133,9 +133,19 @@ let test_engine_rejects_past () =
   let engine = Engine.create () in
   ignore (Engine.schedule_at engine 10 (fun () -> ()));
   Engine.run engine;
-  Alcotest.check_raises "past scheduling rejected"
+  (* Each entry point names itself in the error. *)
+  Alcotest.check_raises "schedule_at rejects the past"
     (Invalid_argument "Engine.schedule_at: time is in the past") (fun () ->
-      ignore (Engine.schedule_at engine 5 (fun () -> ())))
+      ignore (Engine.schedule_at engine 5 (fun () -> ())));
+  Alcotest.check_raises "post_at rejects the past"
+    (Invalid_argument "Engine.post_at: time is in the past") (fun () ->
+      Engine.post_at engine 5 (fun () -> ()));
+  Alcotest.check_raises "schedule_after rejects a negative span"
+    (Invalid_argument "Engine.schedule_after: negative span") (fun () ->
+      ignore (Engine.schedule_after engine (-1) (fun () -> ())));
+  Alcotest.check_raises "post_after rejects a negative span"
+    (Invalid_argument "Engine.post_after: negative span") (fun () ->
+      Engine.post_after engine (-1) (fun () -> ()))
 
 (* ------------------------------------------------------------------ *)
 (* Engine equivalence against a naive reference scheduler.
