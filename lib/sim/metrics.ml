@@ -1,9 +1,19 @@
 type counter = { mutable count : int }
 
+(* A sample holds its observations in one of two forms. While every
+   observation is an integer in [0, int_limit), [counts.(v)] is how many
+   times [v] was observed, so storage is O(largest value) rather than
+   O(observations). The first other observation spills the counts into
+   [values] in ascending order; from then on [values] holds one float per
+   observation. *)
+let int_limit = 4096
+
 type sample = {
-  mutable values : float array;
-  mutable used : int;
-  mutable sorted : bool;
+  mutable counts : int array; (* integer mode; [||] once spilled *)
+  mutable spilled : bool;
+  mutable values : float array; (* spilled mode: the first [used] slots *)
+  mutable used : int; (* observations, in either mode *)
+  mutable sorted : bool; (* spilled mode: [values] ascend *)
 }
 
 type histogram = {
@@ -106,20 +116,56 @@ let sample t name =
   | Some (Sample s) -> s
   | Some _ -> invalid_arg ("Metrics.sample: " ^ name ^ " is not a sample")
   | None ->
-      let s = { values = [||]; used = 0; sorted = true } in
+      let s =
+        { counts = [||]; spilled = false; values = [||]; used = 0; sorted = true }
+      in
       Hashtbl.replace t.table name (Sample s);
       s
 
+let grow_counts s size =
+  let capacity = Array.length s.counts in
+  if size > capacity then begin
+    let counts = Array.make (min int_limit (max size (max 16 (2 * capacity)))) 0 in
+    Array.blit s.counts 0 counts 0 capacity;
+    s.counts <- counts
+  end
+
+(* The counts become [values], already ascending. *)
+let spill s =
+  let values = Array.make (max 64 (2 * s.used)) 0.0 in
+  let next = ref 0 in
+  Array.iteri
+    (fun v n ->
+      Array.fill values !next n (float_of_int v);
+      next := !next + n)
+    s.counts;
+  s.values <- values;
+  s.counts <- [||];
+  s.spilled <- true;
+  s.sorted <- true
+
+let is_counted v =
+  v >= 0.0 && v < float_of_int int_limit && Float.is_integer v
+  && not (Float.sign_bit v)
+
 let observe s v =
-  let capacity = Array.length s.values in
-  if s.used >= capacity then begin
-    let values = Array.make (max 64 (2 * capacity)) 0.0 in
-    Array.blit s.values 0 values 0 s.used;
-    s.values <- values
+  if (not s.spilled) && is_counted v then begin
+    let i = int_of_float v in
+    grow_counts s (i + 1);
+    s.counts.(i) <- s.counts.(i) + 1
+  end
+  else begin
+    if not s.spilled then spill s;
+    let capacity = Array.length s.values in
+    if s.used >= capacity then begin
+      let values = Array.make (max 64 (2 * capacity)) 0.0 in
+      Array.blit s.values 0 values 0 s.used;
+      s.values <- values
+    end;
+    s.values.(s.used) <- v;
+    s.sorted <- false
   end;
-  s.values.(s.used) <- v;
-  s.used <- s.used + 1;
-  s.sorted <- false
+  s.used <- s.used + 1
 
 let observe_span t name span =
   observe (sample t name) (float_of_int span /. 1e3)
@@ -128,12 +174,17 @@ let sample_count s = s.used
 
 let mean s =
   if s.used = 0 then Float.nan
-  else begin
+  else if s.spilled then begin
     let total = ref 0.0 in
     for i = 0 to s.used - 1 do
       total := !total +. s.values.(i)
     done;
     !total /. float_of_int s.used
+  end
+  else begin
+    let total = ref 0 in
+    Array.iteri (fun v n -> total := !total + (v * n)) s.counts;
+    float_of_int !total /. float_of_int s.used
   end
 
 let ensure_sorted s =
@@ -144,23 +195,47 @@ let ensure_sorted s =
     s.sorted <- true
   end
 
+(* The [rank]-th smallest observation, from 0. *)
+let order_statistic s rank =
+  if s.spilled then begin
+    ensure_sorted s;
+    s.values.(rank)
+  end
+  else begin
+    let rec walk v below =
+      let below = below + s.counts.(v) in
+      if below > rank then v else walk (v + 1) below
+    in
+    float_of_int (walk 0 0)
+  end
+
 let percentile s p =
   if s.used = 0 then Float.nan
   else begin
-    ensure_sorted s;
     let rank = p *. float_of_int (s.used - 1) in
     let lo = int_of_float (Float.floor rank) in
     let hi = min (s.used - 1) (lo + 1) in
     let frac = rank -. float_of_int lo in
-    (s.values.(lo) *. (1.0 -. frac)) +. (s.values.(hi) *. frac)
+    (order_statistic s lo *. (1.0 -. frac)) +. (order_statistic s hi *. frac)
   end
 
-let sample_max s =
-  if s.used = 0 then Float.nan
-  else begin
+let sample_max s = if s.used = 0 then Float.nan else order_statistic s (s.used - 1)
+
+(* Every observation, ascending. *)
+let iter_ascending f s =
+  if s.spilled then begin
     ensure_sorted s;
-    s.values.(s.used - 1)
+    for i = 0 to s.used - 1 do
+      f s.values.(i)
+    done
   end
+  else
+    Array.iteri
+      (fun v n ->
+        for _ = 1 to n do
+          f (float_of_int v)
+        done)
+      s.counts
 
 let read_sample t name = sample t name
 
@@ -273,8 +348,10 @@ let histogram_buckets h =
 (* ------------------------------------------------------------------ *)
 (* Merge: fold one registry into another, so per-task registries built on
    worker domains can be combined into the single registry a report or a
-   JSON export expects. Every metric merges by accumulation; only the order
-   of a sample's observations depends on the merge order. *)
+   JSON export expects. Every metric merges by accumulation, and a sample
+   exports its observations in ascending order, so no export depends on the
+   merge order. Only a spilled sample's [mean] can move in its last bits,
+   because it sums floats in the order they arrived. *)
 
 let merge_histogram ~(into : histogram) (src : histogram) =
   if into.bounds <> src.bounds then
@@ -287,6 +364,18 @@ let merge_histogram ~(into : histogram) (src : histogram) =
     if src.h_max > into.h_max then into.h_max <- src.h_max
   end
 
+let merge_sample ~into src =
+  if not (into.spilled || src.spilled) then begin
+    grow_counts into (Array.length src.counts);
+    Array.iteri (fun v n -> into.counts.(v) <- into.counts.(v) + n) src.counts;
+    into.used <- into.used + src.used
+  end
+  else if src.spilled then
+    for i = 0 to src.used - 1 do
+      observe into src.values.(i)
+    done
+  else iter_ascending (observe into) src
+
 let merge ~into src =
   let src_names =
     Hashtbl.fold (fun name _ acc -> name :: acc) src.table []
@@ -297,18 +386,11 @@ let merge ~into src =
       let metric = Hashtbl.find src.table name in
       match (Hashtbl.find_opt into.table name, metric) with
       | None, Counter c -> add (counter into name) c.count
-      | None, Sample s ->
-          let dst = sample into name in
-          for i = 0 to s.used - 1 do
-            observe dst s.values.(i)
-          done
+      | None, Sample s -> merge_sample ~into:(sample into name) s
       | None, Histogram h ->
           merge_histogram ~into:(histogram ~bounds:h.bounds into name) h
       | Some (Counter dst), Counter c -> add dst c.count
-      | Some (Sample dst), Sample s ->
-          for i = 0 to s.used - 1 do
-            observe dst s.values.(i)
-          done
+      | Some (Sample dst), Sample s -> merge_sample ~into:dst s
       | Some (Histogram dst), Histogram h -> merge_histogram ~into:dst h
       | Some _, _ ->
           invalid_arg ("Metrics.merge: " ^ name ^ " has conflicting types"))
@@ -357,10 +439,12 @@ let float_list_json values = Json.List (List.map (fun v -> Json.Float v) values)
 let metric_to_json = function
   | Counter c -> Json.Obj [ ("type", Json.String "counter"); ("value", Json.Int c.count) ]
   | Sample s ->
+      let descending = ref [] in
+      iter_ascending (fun v -> descending := Json.Float v :: !descending) s;
       Json.Obj
         [
           ("type", Json.String "sample");
-          ("values", float_list_json (Array.to_list (Array.sub s.values 0 s.used)));
+          ("values", Json.List (List.rev !descending));
         ]
   | Histogram h ->
       Json.Obj

@@ -56,7 +56,16 @@ val sum_counters : t -> string -> int
 (** Sum of the bare counter [name] plus every labeled variant
     [name{...}]. *)
 
-(** {1 Samples (distributions)} *)
+(** {1 Samples (distributions)}
+
+    A sample answers exactly: [mean], [percentile] and [sample_max] are
+    computed from every observation. While every observation is an integer
+    from 0 to 4095 (a batch size, a boxcar's occupancy) the sample keeps
+    one count per value, so its storage is O(largest value) however many
+    observations arrive, and the answers are bit-identical to those of a
+    sorted list of floats. The first other observation turns it, once, into
+    one float per observation. Either way {!to_json} lists the values in
+    ascending order. *)
 
 type sample
 
@@ -129,10 +138,12 @@ val read_histogram : t -> string -> histogram
 
 val merge : into:t -> t -> unit
 (** [merge ~into src] folds every metric of [src] into [into]: counters
-    add, samples append their observations, histograms sum buckets /
-    count / sum and widen min/max (bounds must match). Metrics absent from
-    [into] are created; merge per-task registries in task order so that
-    sample observations keep a deterministic order. Raises [Invalid_argument] when a name is registered with a
+    add, samples add their counts or append their observations, histograms
+    sum buckets / count / sum and widen min/max (bounds must match).
+    Metrics absent from [into] are created. The export does not depend on
+    the merge order; only a float sample's [mean] can differ in its last
+    bits, so merge per-task registries in task order for reproducible
+    reports. Raises [Invalid_argument] when a name is registered with a
     different metric type in each registry. *)
 
 (** {1 Reporting} *)

@@ -179,19 +179,22 @@ let test_labeled_counter_aggregation () =
 
 (* The bench digests in BENCH_results.json hash this text: a change to
    the export's layout shows here before it shows as seventeen changed
-   digests. *)
+   digests. A sample lists its values in ascending order whether it holds
+   counts of small integers ("batch_size") or floats ("latency_ms"). *)
 let test_metrics_json_text () =
   let m = Metrics.create () in
   Metrics.add (Metrics.counter m "commits") 17;
   List.iter (Metrics.observe (Metrics.sample m "latency_ms")) [ 2.5; 1.5 ];
+  List.iter (Metrics.observe (Metrics.sample m "batch_size")) [ 3.0; 1.0; 3.0 ];
   List.iter
     (Metrics.observe_histogram
        (Metrics.histogram ~bounds:[| 1.0; 10.0 |] m "latency_ms.hist"))
     [ 0.5; 2.5; 40.0 ];
   Alcotest.(check string)
     "exact text"
-    ({|{"commits":{"type":"counter","value":17},|}
-    ^ {|"latency_ms":{"type":"sample","values":[2.5,1.5]},|}
+    ({|{"batch_size":{"type":"sample","values":[1.0,3.0,3.0]},|}
+    ^ {|"commits":{"type":"counter","value":17},|}
+    ^ {|"latency_ms":{"type":"sample","values":[1.5,2.5]},|}
     ^ {|"latency_ms.hist":{"type":"histogram","bounds":[1.0,10.0],|}
     ^ {|"buckets":[1,1,1],"count":3,"sum":43.0,"min":0.5,"max":40.0}}|})
     (Json.to_string (Metrics.to_json m))

@@ -497,6 +497,156 @@ let prop_percentile_bounds =
       v >= lo -. 1e-9 && v <= hi +. 1e-9)
 
 
+(* A sample against a naive reference: its observations as a sorted list.
+   Streams of integers in [0, 4096) stay in the counted form; a spilling
+   stream puts one fractional, negative or too-large value at a random
+   position. Every value is a multiple of 0.25 below 2^14 in magnitude, so
+   any summation order gives the same float and every answer must match
+   the reference bit for bit. [Read] calls [percentile] and [sample_max]
+   mid-stream, which sorts a spilled sample in place. *)
+type sample_op = Observe of float | Read
+
+let gen_counted =
+  QCheck.Gen.(map float_of_int (frequency [ (4, 0 -- 20); (1, 0 -- 4095) ]))
+
+let gen_spill =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun k -> float_of_int k +. 0.5) (0 -- 100);
+        map (fun k -> float_of_int ((4 * k) + 1) /. 4.0) (0 -- 400);
+        map (fun k -> float_of_int (-k)) (1 -- 100);
+        map float_of_int (4096 -- 10_000);
+      ])
+
+let gen_ops value =
+  QCheck.Gen.(
+    list_size (0 -- 40)
+      (frequency [ (8, map (fun v -> Observe v) value); (1, return Read) ]))
+
+let gen_stream =
+  QCheck.Gen.(
+    oneof
+      [
+        gen_ops gen_counted;
+        map3
+          (fun before spill after -> before @ (Observe spill :: after))
+          (gen_ops gen_counted) gen_spill
+          (gen_ops (oneof [ gen_counted; gen_spill ]));
+      ])
+
+type sample_case =
+  | Single of sample_op list
+  | Merged of [ `Into_first | `Into_second | `Into_empty ]
+      * sample_op list
+      * sample_op list
+
+let print_ops ops =
+  String.concat " "
+    (List.map (function Observe v -> Printf.sprintf "%g" v | Read -> "R") ops)
+
+let print_sample_case = function
+  | Single ops -> "single: " ^ print_ops ops
+  | Merged (how, a, b) ->
+      Printf.sprintf "merge %s: [%s] [%s]"
+        (match how with
+        | `Into_first -> "second into first"
+        | `Into_second -> "first into second"
+        | `Into_empty -> "both into empty")
+        (print_ops a) (print_ops b)
+
+let gen_sample_case =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun ops -> Single ops) gen_stream;
+        map3
+          (fun how a b -> Merged (how, a, b))
+          (oneofl [ `Into_first; `Into_second; `Into_empty ])
+          gen_stream gen_stream;
+      ])
+
+let registry_of ops =
+  let m = Metrics.create () in
+  let s = Metrics.sample m "x" in
+  List.iter
+    (function
+      | Observe v -> Metrics.observe s v
+      | Read -> ignore (Metrics.percentile s 0.5 +. Metrics.sample_max s))
+    ops;
+  m
+
+let observed ops = List.filter_map (function Observe v -> Some v | Read -> None) ops
+
+let reference_percentile sorted p =
+  let n = List.length sorted in
+  let rank = p *. float_of_int (n - 1) in
+  let lo = int_of_float (Float.floor rank) in
+  let hi = min (n - 1) (lo + 1) in
+  let frac = rank -. float_of_int lo in
+  (List.nth sorted lo *. (1.0 -. frac)) +. (List.nth sorted hi *. frac)
+
+let prop_sample_matches_sorted_list =
+  QCheck.Test.make ~name:"sample = sorted-list reference" ~count:500
+    QCheck.(
+      pair
+        (make ~print:print_sample_case gen_sample_case)
+        (float_bound_inclusive 1.0))
+    (fun (case, p) ->
+      let m, values =
+        match case with
+        | Single ops -> (registry_of ops, observed ops)
+        | Merged (how, a, b) ->
+            let ra = registry_of a and rb = registry_of b in
+            let m =
+              match how with
+              | `Into_first -> Metrics.merge ~into:ra rb; ra
+              | `Into_second -> Metrics.merge ~into:rb ra; rb
+              | `Into_empty ->
+                  let m = Metrics.create () in
+                  Metrics.merge ~into:m ra;
+                  Metrics.merge ~into:m rb;
+                  m
+            in
+            (m, observed a @ observed b)
+      in
+      let s = Metrics.read_sample m "x" in
+      let sorted = List.sort Float.compare values in
+      let n = List.length sorted in
+      let json =
+        Json.Obj
+          [
+            ( "x",
+              Json.Obj
+                [
+                  ("type", Json.String "sample");
+                  ("values", Json.List (List.map (fun v -> Json.Float v) sorted));
+                ] );
+          ]
+      in
+      let same what expected actual =
+        Float.equal expected actual
+        || QCheck.Test.fail_reportf "%s: expected %h, got %h" what expected
+             actual
+      in
+      Metrics.sample_count s = n
+      && (n = 0
+          || same "mean"
+               (List.fold_left ( +. ) 0.0 sorted /. float_of_int n)
+               (Metrics.mean s)
+             && List.for_all
+                  (fun p ->
+                    same (Printf.sprintf "p%g" p) (reference_percentile sorted p)
+                      (Metrics.percentile s p))
+                  [ 0.0; 0.5; 0.99; 1.0; p ]
+             && same "max" (List.nth sorted (n - 1)) (Metrics.sample_max s))
+      && (n > 0
+          || Float.is_nan (Metrics.mean s)
+             && Float.is_nan (Metrics.percentile s p)
+             && Float.is_nan (Metrics.sample_max s))
+      && Json.to_string (Metrics.to_json m) = Json.to_string json)
+
+
 (* ------------------------------------------------------------------ *)
 (* Fiber_mutex *)
 
@@ -754,5 +904,5 @@ let () =
           Alcotest.test_case "family equals string-keyed" `Quick
             test_metrics_family_equals_string_keyed;
         ]
-        @ qcheck [ prop_percentile_bounds ] );
+        @ qcheck [ prop_percentile_bounds; prop_sample_matches_sorted_list ] );
     ]
