@@ -13,8 +13,8 @@
    - hotpath/: the index-backed TMF structures at sizes where list-backed
      implementations went quadratic (docs/PERFORMANCE.md).
    - core/: single data-path operations — B-tree insert, bulk load,
-     lookup and scan, lock acquire+release, audit append, record field
-     decode — and one whole simulated debit-credit transaction.
+     lookup, update and scan, lock acquire+release, audit append, record
+     field decode — and one whole simulated debit-credit transaction.
 
    Each benchmark builds its fixture untimed, the heap is compacted, and
    then one timer measures a fixed number of operations (a twentieth of it
@@ -293,6 +293,13 @@ let btree_lookup () =
   let tree = make_tree 10_000 in
   each (fun i -> ignore (Btree.find tree (Key.of_int (i * 37 mod 10_000))))
 
+(* An update finds the key in its leaf's packed keys and replaces only the
+   payload array. *)
+let btree_update () =
+  let tree = make_tree 10_000 in
+  each (fun i ->
+      ignore (Btree.update tree (Key.of_int (i * 37 mod 10_000)) "updated"))
+
 let btree_scan () =
   let tree = make_tree 10_000 in
   let lo = Key.of_int 4_000 and hi = Key.of_int 4_099 in
@@ -354,6 +361,7 @@ let benchmarks =
     row "core/btree insert (1k sequential)" 1_000 btree_insert;
     row "core/btree bulk load (1k sequential)" 10_000 btree_bulk_load;
     row "core/btree point lookup (10k tree)" 1_000_000 btree_lookup;
+    row "core/btree update (10k tree)" 1_000_000 btree_update;
     row "core/btree 100-record range scan" 100_000 btree_scan;
     row "core/lock acquire + release_all" 1_000_000 lock_cycle;
     row "core/audit trail append" 1_000_000 audit_append;

@@ -57,13 +57,16 @@ type t = {
          were dropped with the volatile tail. *)
 }
 
-let fresh_file file_number =
+(* A file's buffers start at [bytes] and [records]: small for the first
+   file, and for each later one the size of the last file closed, so they
+   need not double while the file fills. *)
+let fresh_file ?(bytes = 256) ?(records = 16) file_number =
   {
     file_number;
     first_seq = 0;
-    data = Bytes.create 256;
+    data = Bytes.create bytes;
     used = 0;
-    offsets = Array.make 16 0;
+    offsets = Array.make records 0;
     length = 0;
   }
 
@@ -262,10 +265,18 @@ let append t ~transid image =
   put_side file image.before;
   put_side file image.after;
   if file.length >= t.records_per_file then begin
-    (* Closed for good: keep exactly what it holds. *)
-    file.data <- Bytes.sub file.data 0 file.used;
-    file.offsets <- Array.sub file.offsets 0 file.length;
-    t.files <- fresh_file (file.file_number + 1) :: t.files
+    (* Closed for good: shed the slack only when it is a quarter or more of
+       what the file holds. The next file gets an eighth more bytes than
+       this one holds, so files of like records fill without a copy. *)
+    if 4 * (Bytes.length file.data - file.used) >= file.used then
+      file.data <- Bytes.sub file.data 0 file.used;
+    if 4 * (Array.length file.offsets - file.length) >= file.length then
+      file.offsets <- Array.sub file.offsets 0 file.length;
+    t.files <-
+      fresh_file
+        ~bytes:(file.used + (file.used / 8))
+        ~records:file.length (file.file_number + 1)
+      :: t.files
   end;
   sequence
 

@@ -1,3 +1,5 @@
+open Block_content
+
 type t = {
   store : Store.t;
   tree_name : string;
@@ -6,64 +8,33 @@ type t = {
   mutable record_count : int;
 }
 
-type leaf = { keys : Key.t array; payloads : string array; next_leaf : int option }
-
-type internal = { separators : Key.t array; children : int array }
-
-type node = Leaf of leaf | Internal of internal
-
 let max_keys t = (2 * t.degree) - 1
 
-let read_node t block =
-  match Store.read t.store block with
-  | Block_content.Btree_leaf { keys; payloads; next_leaf } ->
-      Leaf { keys; payloads; next_leaf }
-  | Block_content.Btree_internal { separators; children } ->
-      Internal { separators; children }
-  | Block_content.Relative_segment _ ->
-      invalid_arg "Btree.read_node: foreign block"
+(* Blocks are read straight out of the store: a leaf's keys stay packed,
+   and only insert, delete and split rebuild them. *)
+let leaf keys payloads next_leaf = Btree_leaf { keys; payloads; next_leaf }
 
-let leaf_content { keys; payloads; next_leaf } =
-  Block_content.Btree_leaf { keys; payloads; next_leaf }
+let internal separators children = Btree_internal { separators; children }
 
-let internal_content { separators; children } =
-  Block_content.Btree_internal { separators; children }
+let foreign () = invalid_arg "Btree: foreign block"
+
+let corrupt_link () = invalid_arg "Btree: corrupt sibling link"
 
 let create store ~name ~degree =
   if degree < 2 then invalid_arg "Btree.create: degree must be >= 2";
-  let root =
-    Store.alloc store
-      (leaf_content { keys = [||]; payloads = [||]; next_leaf = None })
-  in
+  let root = Store.alloc store (leaf Packed_keys.empty [||] no_leaf) in
   { store; tree_name = name; degree; root; record_count = 0 }
 
 let name t = t.tree_name
 
 let count t = t.record_count
 
-(* First index with arr.(i) >= key; Array.length arr when none. *)
-let lower_bound arr key =
-  let rec search lo hi =
-    if lo >= hi then lo
-    else begin
-      let mid = (lo + hi) / 2 in
-      if Key.compare arr.(mid) key < 0 then search (mid + 1) hi
-      else search lo mid
-    end
-  in
-  search 0 (Array.length arr)
+(* From a [Packed_keys.search] rank: the first index whose key is above
+   the key searched. *)
+let upper_bound rank = if rank >= 0 then rank + 1 else -rank - 1
 
 (* Child index for a key: separators.(i) <= key routes right of i. *)
-let child_index separators key =
-  let rec search lo hi =
-    if lo >= hi then lo
-    else begin
-      let mid = (lo + hi) / 2 in
-      if Key.compare separators.(mid) key <= 0 then search (mid + 1) hi
-      else search lo mid
-    end
-  in
-  search 0 (Array.length separators)
+let child_index separators key = upper_bound (Packed_keys.search separators key)
 
 let array_insert arr i x =
   let n = Array.length arr in
@@ -78,9 +49,10 @@ let array_remove arr i =
 
 let height t =
   let rec descend block levels =
-    match read_node t block with
-    | Leaf _ -> levels
-    | Internal { children; _ } -> descend children.(0) (levels + 1)
+    match Store.read t.store block with
+    | Btree_leaf _ -> levels
+    | Btree_internal { children; _ } -> descend children.(0) (levels + 1)
+    | Relative_segment _ -> foreign ()
   in
   descend t.root 1
 
@@ -89,89 +61,71 @@ let height t =
 
 type split = No_split | Split of Key.t * int
 
-let split_leaf t leaf =
-  let n = Array.length leaf.keys in
+(* A full leaf's right half goes to a fresh block and keeps its first key,
+   which is pushed up; the left half stays in [block]. *)
+let split_leaf t block keys payloads next_leaf =
+  let n = Array.length payloads in
   let half = n / 2 in
-  let right =
-    {
-      keys = Array.sub leaf.keys half (n - half);
-      payloads = Array.sub leaf.payloads half (n - half);
-      next_leaf = leaf.next_leaf;
-    }
+  let right_block =
+    Store.alloc t.store
+      (leaf
+         (Packed_keys.sub keys half (n - half))
+         (Array.sub payloads half (n - half))
+         next_leaf)
   in
-  let right_block = Store.alloc t.store (leaf_content right) in
-  let left =
-    {
-      keys = Array.sub leaf.keys 0 half;
-      payloads = Array.sub leaf.payloads 0 half;
-      next_leaf = Some right_block;
-    }
-  in
-  (left, right.keys.(0), right_block)
+  Store.write t.store block
+    (leaf (Packed_keys.sub keys 0 half) (Array.sub payloads 0 half) right_block);
+  Split (Packed_keys.get keys half, right_block)
 
-let split_internal t node =
-  let n = Array.length node.separators in
+(* A full internal block pushes its middle separator up and keeps neither
+   copy of it. *)
+let split_internal t block separators children =
+  let n = Array.length children - 1 in
   let mid = n / 2 in
-  let right =
-    {
-      separators = Array.sub node.separators (mid + 1) (n - mid - 1);
-      children = Array.sub node.children (mid + 1) (n - mid);
-    }
+  let right_block =
+    Store.alloc t.store
+      (internal
+         (Packed_keys.sub separators (mid + 1) (n - mid - 1))
+         (Array.sub children (mid + 1) (n - mid)))
   in
-  let right_block = Store.alloc t.store (internal_content right) in
-  let left =
-    {
-      separators = Array.sub node.separators 0 mid;
-      children = Array.sub node.children 0 (mid + 1);
-    }
-  in
-  (left, node.separators.(mid), right_block)
+  Store.write t.store block
+    (internal (Packed_keys.sub separators 0 mid) (Array.sub children 0 (mid + 1)));
+  Split (Packed_keys.get separators mid, right_block)
 
 exception Duplicate_key
 
 let insert t key payload =
   let rec insert_into block =
-    match read_node t block with
-    | Leaf leaf ->
-        let i = lower_bound leaf.keys key in
-        if i < Array.length leaf.keys && Key.equal leaf.keys.(i) key then
-          raise Duplicate_key;
-        let grown =
-          {
-            leaf with
-            keys = array_insert leaf.keys i key;
-            payloads = array_insert leaf.payloads i payload;
-          }
+    match Store.read t.store block with
+    | Btree_leaf { keys; payloads; next_leaf } ->
+        let i, keys =
+          match Packed_keys.add keys key with
+          | Ok added -> added
+          | Error _ -> raise Duplicate_key
         in
-        if Array.length grown.keys <= max_keys t then begin
-          Store.write t.store block (leaf_content grown);
+        let payloads = array_insert payloads i payload in
+        if Array.length payloads <= max_keys t then begin
+          Store.write t.store block (leaf keys payloads next_leaf);
           No_split
         end
-        else begin
-          let left, sep, right_block = split_leaf t grown in
-          Store.write t.store block (leaf_content left);
-          Split (sep, right_block)
-        end
-    | Internal node -> (
-        let i = child_index node.separators key in
-        match insert_into node.children.(i) with
+        else split_leaf t block keys payloads next_leaf
+    | Btree_internal { separators; children } -> (
+        let i = child_index separators key in
+        match insert_into children.(i) with
         | No_split -> No_split
         | Split (sep, right_block) ->
-            let grown =
-              {
-                separators = array_insert node.separators i sep;
-                children = array_insert node.children (i + 1) right_block;
-              }
+            let separators =
+              match Packed_keys.add separators sep with
+              | Ok (_, separators) -> separators
+              | Error _ -> invalid_arg "Btree: separator pushed up twice"
             in
-            if Array.length grown.separators <= max_keys t then begin
-              Store.write t.store block (internal_content grown);
+            let children = array_insert children (i + 1) right_block in
+            if Array.length children - 1 <= max_keys t then begin
+              Store.write t.store block (internal separators children);
               No_split
             end
-            else begin
-              let left, up_sep, new_right = split_internal t grown in
-              Store.write t.store block (internal_content left);
-              Split (up_sep, new_right)
-            end)
+            else split_internal t block separators children)
+    | Relative_segment _ -> foreign ()
   in
   match insert_into t.root with
   | No_split ->
@@ -180,8 +134,7 @@ let insert t key payload =
   | Split (sep, right_block) ->
       (* Grow at the top: move the old root aside under a fresh root. *)
       let new_root =
-        internal_content
-          { separators = [| sep |]; children = [| t.root; right_block |] }
+        internal (Packed_keys.of_array [| sep |]) [| t.root; right_block |]
       in
       t.root <- Store.alloc t.store new_root;
       t.record_count <- t.record_count + 1;
@@ -191,68 +144,70 @@ let insert t key payload =
 (* ------------------------------------------------------------------ *)
 (* Point access *)
 
+(* The leaf block a key routes to, and its content. *)
 let rec find_leaf t block key =
-  match read_node t block with
-  | Leaf leaf -> (block, leaf)
-  | Internal node ->
-      find_leaf t node.children.(child_index node.separators key) key
+  match Store.read t.store block with
+  | Btree_leaf _ as content -> (block, content)
+  | Btree_internal { separators; children } ->
+      find_leaf t children.(child_index separators key) key
+  | Relative_segment _ -> foreign ()
 
 let find t key =
-  let _, leaf = find_leaf t t.root key in
-  let i = lower_bound leaf.keys key in
-  if i < Array.length leaf.keys && Key.equal leaf.keys.(i) key then
-    Some leaf.payloads.(i)
-  else None
+  match find_leaf t t.root key with
+  | _, Btree_leaf { keys; payloads; _ } ->
+      let rank = Packed_keys.search keys key in
+      if rank >= 0 then Some payloads.(rank) else None
+  | _ -> foreign ()
 
+(* An update keeps the leaf's packed keys and replaces its payloads. *)
 let update t key payload =
-  let block, leaf = find_leaf t t.root key in
-  let i = lower_bound leaf.keys key in
-  if i < Array.length leaf.keys && Key.equal leaf.keys.(i) key then begin
-    let before = leaf.payloads.(i) in
-    let payloads = Array.copy leaf.payloads in
-    payloads.(i) <- payload;
-    Store.write t.store block (leaf_content { leaf with payloads });
-    Ok before
-  end
-  else Error `Not_found
+  match find_leaf t t.root key with
+  | block, Btree_leaf { keys; payloads; next_leaf } ->
+      let rank = Packed_keys.search keys key in
+      if rank >= 0 then begin
+        let before = payloads.(rank) in
+        let payloads = Array.copy payloads in
+        payloads.(rank) <- payload;
+        Store.write t.store block (leaf keys payloads next_leaf);
+        Ok before
+      end
+      else Error `Not_found
+  | _ -> foreign ()
 
 let delete t key =
-  let block, leaf = find_leaf t t.root key in
-  let i = lower_bound leaf.keys key in
-  if i < Array.length leaf.keys && Key.equal leaf.keys.(i) key then begin
-    let before = leaf.payloads.(i) in
-    let shrunk =
-      {
-        leaf with
-        keys = array_remove leaf.keys i;
-        payloads = array_remove leaf.payloads i;
-      }
-    in
-    Store.write t.store block (leaf_content shrunk);
-    t.record_count <- t.record_count - 1;
-    Ok before
-  end
-  else Error `Not_found
+  match find_leaf t t.root key with
+  | block, Btree_leaf { keys; payloads; next_leaf } ->
+      let rank = Packed_keys.search keys key in
+      if rank >= 0 then begin
+        let before = payloads.(rank) in
+        Store.write t.store block
+          (leaf (Packed_keys.remove keys rank) (array_remove payloads rank)
+             next_leaf);
+        t.record_count <- t.record_count - 1;
+        Ok before
+      end
+      else Error `Not_found
+  | _ -> foreign ()
 
 (* ------------------------------------------------------------------ *)
 (* Sequential access *)
 
-let rec first_in_chain t leaf after =
+(* The leaf a sibling link names. *)
+let sibling t block =
+  match Store.read t.store block with
+  | Btree_leaf _ as content -> content
+  | Btree_internal _ | Relative_segment _ -> corrupt_link ()
+
+let rec first_in_chain t content after =
   (* First (key, payload) strictly greater than [after] in this leaf or its
      successors; skips leaves emptied by deletes. *)
-  let i = lower_bound leaf.keys after in
-  let i =
-    if i < Array.length leaf.keys && Key.equal leaf.keys.(i) after then i + 1
-    else i
-  in
-  if i < Array.length leaf.keys then Some (leaf.keys.(i), leaf.payloads.(i))
-  else
-    match leaf.next_leaf with
-    | None -> None
-    | Some next -> (
-        match read_node t next with
-        | Leaf next_leaf -> first_in_chain t next_leaf after
-        | Internal _ -> invalid_arg "Btree: corrupt sibling link")
+  match content with
+  | Btree_leaf { keys; payloads; next_leaf } ->
+      let i = upper_bound (Packed_keys.search keys after) in
+      if i < Array.length payloads then Some (Packed_keys.get keys i, payloads.(i))
+      else if next_leaf = no_leaf then None
+      else first_in_chain t (sibling t next_leaf) after
+  | Btree_internal _ | Relative_segment _ -> corrupt_link ()
 
 let next_after t key =
   let _, leaf = find_leaf t t.root key in
@@ -261,48 +216,49 @@ let next_after t key =
 let range t ~lo ~hi =
   if Key.compare lo hi > 0 then []
   else begin
-    let _, leaf = find_leaf t t.root lo in
-    let rec collect leaf acc =
-      let stop = ref None in
-      let acc = ref acc in
-      (try
-         Array.iteri
-           (fun i key ->
-             if Key.compare key lo >= 0 then
-               if Key.compare key hi <= 0 then
-                 acc := (key, leaf.payloads.(i)) :: !acc
-               else begin
-                 stop := Some ();
-                 raise Exit
-               end)
-           leaf.keys
-       with Exit -> ());
-      match (!stop, leaf.next_leaf) with
-      | Some (), _ | None, None -> List.rev !acc
-      | None, Some next -> (
-          match read_node t next with
-          | Leaf next_leaf -> collect next_leaf !acc
-          | Internal _ -> invalid_arg "Btree: corrupt sibling link")
+    let rec collect content acc =
+      match content with
+      | Btree_leaf { keys; payloads; next_leaf } -> (
+          let acc = ref acc in
+          let stop =
+            try
+              Packed_keys.iteri
+                (fun i key ->
+                  if Key.compare key lo >= 0 then
+                    if Key.compare key hi <= 0 then
+                      acc := (key, payloads.(i)) :: !acc
+                    else raise Exit)
+                keys;
+              false
+            with Exit -> true
+          in
+          if stop || next_leaf = no_leaf then List.rev !acc
+          else collect (sibling t next_leaf) !acc)
+      | Btree_internal _ | Relative_segment _ -> corrupt_link ()
     in
-    collect leaf []
+    collect (snd (find_leaf t t.root lo)) []
   end
 
+let rec leftmost t block =
+  match Store.read t.store block with
+  | Btree_leaf _ as content -> content
+  | Btree_internal { children; _ } -> leftmost t children.(0)
+  | Relative_segment _ -> foreign ()
+
+(* [visit] on each leaf of the sibling chain, leftmost first. *)
+let iter_leaves t visit =
+  let rec walk content =
+    match content with
+    | Btree_leaf { keys; payloads; next_leaf } ->
+        visit keys payloads;
+        if next_leaf <> no_leaf then walk (sibling t next_leaf)
+    | Btree_internal _ | Relative_segment _ -> corrupt_link ()
+  in
+  walk (leftmost t t.root)
+
 let iter t visit =
-  let rec leftmost block =
-    match read_node t block with
-    | Leaf leaf -> leaf
-    | Internal node -> leftmost node.children.(0)
-  in
-  let rec walk leaf =
-    Array.iteri (fun i key -> visit key leaf.payloads.(i)) leaf.keys;
-    match leaf.next_leaf with
-    | None -> ()
-    | Some next -> (
-        match read_node t next with
-        | Leaf next_leaf -> walk next_leaf
-        | Internal _ -> invalid_arg "Btree: corrupt sibling link")
-  in
-  walk (leftmost t.root)
+  iter_leaves t (fun keys payloads ->
+      Packed_keys.iteri (fun i key -> visit key payloads.(i)) keys)
 
 let to_alist t =
   let items = ref [] in
@@ -310,20 +266,9 @@ let to_alist t =
   List.rev !items
 
 let leaf_blocks t =
-  let rec leftmost block =
-    match read_node t block with
-    | Leaf leaf -> leaf
-    | Internal node -> leftmost node.children.(0)
-  in
-  let rec walk leaf acc =
-    match leaf.next_leaf with
-    | None -> acc
-    | Some next -> (
-        match read_node t next with
-        | Leaf next_leaf -> walk next_leaf (acc + 1)
-        | Internal _ -> invalid_arg "Btree: corrupt sibling link")
-  in
-  walk (leftmost t.root) 1
+  let leaves = ref 0 in
+  iter_leaves t (fun _ _ -> incr leaves);
+  !leaves
 
 (* ------------------------------------------------------------------ *)
 (* Structural audit *)
@@ -352,27 +297,28 @@ let check_invariants t =
   in
   let counted = ref 0 in
   let rec check block lo hi depth =
-    match read_node t block with
-    | Leaf leaf ->
-        if Array.length leaf.keys <> Array.length leaf.payloads then
+    match Store.read t.store block with
+    | Btree_leaf { keys; payloads; _ } ->
+        let keys = Packed_keys.to_array keys in
+        if Array.length keys <> Array.length payloads then
           fail "leaf %d: key/payload arity mismatch" block;
-        if Array.length leaf.keys > max_keys t then
-          fail "leaf %d: overfull" block;
-        check_sorted (Printf.sprintf "leaf %d" block) leaf.keys lo hi;
-        counted := !counted + Array.length leaf.keys;
+        if Array.length keys > max_keys t then fail "leaf %d: overfull" block;
+        check_sorted (Printf.sprintf "leaf %d" block) keys lo hi;
+        counted := !counted + Array.length keys;
         depth
-    | Internal node ->
-        let n = Array.length node.separators in
-        if Array.length node.children <> n + 1 then
+    | Btree_internal { separators; children } ->
+        let separators = Packed_keys.to_array separators in
+        let n = Array.length separators in
+        if Array.length children <> n + 1 then
           fail "internal %d: arity mismatch" block;
         if n > max_keys t then fail "internal %d: overfull" block;
         if n = 0 then fail "internal %d: empty separator set" block;
-        check_sorted (Printf.sprintf "internal %d" block) node.separators lo hi;
+        check_sorted (Printf.sprintf "internal %d" block) separators lo hi;
         let depths =
           List.init (n + 1) (fun i ->
-              let child_lo = if i = 0 then lo else Some node.separators.(i - 1) in
-              let child_hi = if i = n then hi else Some node.separators.(i) in
-              check node.children.(i) child_lo child_hi (depth + 1))
+              let child_lo = if i = 0 then lo else Some separators.(i - 1) in
+              let child_hi = if i = n then hi else Some separators.(i) in
+              check children.(i) child_lo child_hi (depth + 1))
         in
         (match depths with
         | first :: rest ->
@@ -380,6 +326,7 @@ let check_invariants t =
               fail "internal %d: non-uniform depth" block;
             first
         | [] -> depth)
+    | Relative_segment _ -> foreign ()
   in
   ignore (check t.root None None 1);
   if !counted <> t.record_count then
@@ -411,15 +358,18 @@ let snapshot t =
    than a full block, so an append can overflow the level before it splits
    exactly as [insert] splits it. A leaf level uses [keys], [payloads] and
    [next_leaf]; an internal level keeps its separators in [keys] and uses
-   [children]. *)
+   [children]. [shared.(i)] is what key [i] has in common with key
+   [i - 1], found when the key was checked against it, so a block leaving
+   the path is packed without comparing its keys again. *)
 type path_level = {
   is_leaf : bool;
   mutable block : int;
   keys : Key.t array;
+  shared : int array;
   payloads : string array;
   children : int array;
   mutable used : int;  (* keys (separators) held *)
-  next_leaf : int option;
+  next_leaf : int;
 }
 
 (* What the next key must exceed: the keys already in the tree, then the
@@ -428,41 +378,50 @@ type bound = Any | At_least of Key.t | Above of Key.t
 
 (* Content of a freshly allocated block until it leaves the path or the
    load ends, whichever writes its final content first. *)
-let placeholder = leaf_content { keys = [||]; payloads = [||]; next_leaf = None }
+let placeholder = leaf Packed_keys.empty [||] no_leaf
 
-let level_of_node t block node =
+let path_level t ~is_leaf block keys ?(payloads = [||]) ?(children = [||])
+    ?(next_leaf = no_leaf) () =
   let slots = max_keys t + 1 in
-  let keys = Array.make slots Key.min_key in
-  match node with
-  | Leaf leaf ->
-      let used = Array.length leaf.keys in
-      let payloads = Array.make slots "" in
-      Array.blit leaf.keys 0 keys 0 used;
-      Array.blit leaf.payloads 0 payloads 0 used;
-      { is_leaf = true; block; keys; payloads; children = [||]; used;
-        next_leaf = leaf.next_leaf }
-  | Internal node ->
-      let used = Array.length node.separators in
-      let children = Array.make (slots + 1) 0 in
-      Array.blit node.separators 0 keys 0 used;
-      Array.blit node.children 0 children 0 (used + 1);
-      { is_leaf = false; block; keys; payloads = [||]; children; used;
-        next_leaf = None }
+  let used = Array.length keys in
+  let level =
+    {
+      is_leaf;
+      block;
+      keys = Array.make slots Key.min_key;
+      shared = Array.make slots 0;
+      payloads = (if is_leaf then Array.make slots "" else [||]);
+      children = (if is_leaf then [||] else Array.make (slots + 1) 0);
+      used;
+      next_leaf;
+    }
+  in
+  Array.blit keys 0 level.keys 0 used;
+  for i = 1 to used - 1 do
+    level.shared.(i) <- Key.common_prefix_length keys.(i - 1) keys.(i)
+  done;
+  Array.blit payloads 0 level.payloads 0 (Array.length payloads);
+  Array.blit children 0 level.children 0 (Array.length children);
+  level
+
+let level_of_content t block = function
+  | Btree_leaf { keys; payloads; next_leaf } ->
+      path_level t ~is_leaf:true block (Packed_keys.to_array keys) ~payloads
+        ~next_leaf ()
+  | Btree_internal { separators; children } ->
+      path_level t ~is_leaf:false block
+        (Packed_keys.to_array separators)
+        ~children ()
+  | Relative_segment _ -> foreign ()
 
 (* The level's content; [next_leaf] overrides a leaf's sibling link. *)
-let level_content ?next_leaf level ~count =
-  let keys = Array.sub level.keys 0 count in
+let level_content ?(next_leaf = no_leaf) level ~count =
+  let keys = Packed_keys.of_shared level.keys level.shared count in
   if level.is_leaf then
-    leaf_content
-      {
-        keys;
-        payloads = Array.sub level.payloads 0 count;
-        next_leaf =
-          (if Option.is_some next_leaf then next_leaf else level.next_leaf);
-      }
-  else
-    internal_content
-      { separators = keys; children = Array.sub level.children 0 (count + 1) }
+    leaf keys
+      (Array.sub level.payloads 0 count)
+      (if next_leaf <> no_leaf then next_leaf else level.next_leaf)
+  else internal keys (Array.sub level.children 0 (count + 1))
 
 (* The overfull level splits as [split_leaf] / [split_internal] split it:
    the right half gets a fresh block, the left half keeps the level's block
@@ -479,6 +438,7 @@ let split_level t level =
   Store.write t.store level.block
     (level_content level ~count:half ~next_leaf:right_block);
   Array.blit level.keys right_first level.keys 0 right_count;
+  Array.blit level.shared right_first level.shared 0 right_count;
   if level.is_leaf then
     Array.blit level.payloads right_first level.payloads 0 right_count
   else Array.blit level.children right_first level.children 0 (right_count + 1);
@@ -488,12 +448,12 @@ let split_level t level =
 
 let bulk_load t feed =
   let rec rightmost block levels =
-    let node = read_node t block in
-    let levels = level_of_node t block node :: levels in
-    match node with
-    | Leaf _ -> Array.of_list levels
-    | Internal { children; _ } ->
+    let content = Store.read t.store block in
+    let levels = level_of_content t block content :: levels in
+    match content with
+    | Btree_internal { children; _ } ->
         rightmost children.(Array.length children - 1) levels
+    | Btree_leaf _ | Relative_segment _ -> Array.of_list levels
   in
   (* Leaf first, root last. *)
   let path = ref (rightmost t.root []) in
@@ -514,14 +474,17 @@ let bulk_load t feed =
     if i = Array.length !path then begin
       let root = Store.alloc t.store placeholder in
       let level =
-        level_of_node t root
-          (Internal { separators = [| sep |]; children = [| t.root; right_block |] })
+        path_level t ~is_leaf:false root [| sep |]
+          ~children:[| t.root; right_block |] ()
       in
       t.root <- root;
       path := Array.append !path [| level |]
     end
     else begin
       let level = !path.(i) in
+      if level.used > 0 then
+        level.shared.(level.used) <-
+          Key.common_prefix_length level.keys.(level.used - 1) sep;
       level.keys.(level.used) <- sep;
       level.children.(level.used + 1) <- right_block;
       level.used <- level.used + 1;
@@ -530,19 +493,29 @@ let bulk_load t feed =
         carry (i + 1) up_sep new_right
     end
   in
+  let refuse key =
+    invalid_arg
+      (Format.asprintf "Btree.bulk_load %s: key %a does not ascend" t.tree_name
+         Key.pp key)
+  in
   let add key payload =
-    let admitted =
+    (* Under [Above last], [last] is the leaf's last key: the common prefix
+       that orders the two is what the key shares with its predecessor. *)
+    let shared =
       match !bound with
-      | Any -> true
-      | At_least floor -> Key.compare key floor >= 0
-      | Above last -> Key.compare key last > 0
+      | Any -> 0
+      | At_least floor -> if Key.compare key floor < 0 then refuse key else 0
+      | Above last ->
+          let shared = Key.common_prefix_length last key in
+          if
+            shared = String.length key
+            || (shared < String.length last && key.[shared] < last.[shared])
+          then refuse key
+          else shared
     in
-    if not admitted then
-      invalid_arg
-        (Format.asprintf "Btree.bulk_load %s: key %a does not ascend" t.tree_name
-           Key.pp key);
     bound := Above key;
     let leaf = !path.(0) in
+    leaf.shared.(leaf.used) <- shared;
     leaf.keys.(leaf.used) <- key;
     leaf.payloads.(leaf.used) <- payload;
     leaf.used <- leaf.used + 1;

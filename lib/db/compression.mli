@@ -1,9 +1,11 @@
 (** Data and index compression accounting.
 
     ENCOMPASS front-compresses keys within blocks (each key stores only the
-    bytes that differ from its predecessor). The simulation keeps blocks
-    uncompressed in memory but computes the exact savings front-coding would
-    achieve, which is what the compression experiment reports. *)
+    bytes that differ from its predecessor). The simulation's B-tree blocks
+    hold their keys front-coded in memory too ({!Packed_keys}); this module
+    computes the savings front-coding achieves against the raw keys, with
+    its own one-byte prefix-length model, which is what the compression
+    experiment reports. *)
 
 type stats = {
   raw_bytes : int;

@@ -1,59 +1,63 @@
 open Tandem_disk
 
 (* Both images are indexed by block number: slot [b] holds block [b]'s
-   content, [None] when it is unallocated. The arrays double on demand. *)
+   content, [vacant] when it is unallocated. The arrays double on demand. *)
 type t = {
   volume : Volume.t;
   cache : Cache.t;
-  mutable current : Block_content.t option array;
-  mutable disk : Block_content.t option array;
+  mutable current : Block_content.t array;
+  mutable disk : Block_content.t array;
   mutable live : int; (* allocated blocks in [current] *)
   mutable next_block : int;
   mutable charging : bool;
 }
 
+(* The one empty slot, told apart by physical equality: no block a caller
+   writes can be this value. *)
+let vacant = Block_content.Relative_segment { base_slot = -1; slots = [||] }
+
 let create volume ~cache_capacity =
   {
     volume;
     cache = Cache.create ~capacity:cache_capacity;
-    current = Array.make 256 None;
-    disk = Array.make 256 None;
+    current = Array.make 256 vacant;
+    disk = Array.make 256 vacant;
     live = 0;
     next_block = 0;
     charging = true;
   }
 
 let get image block =
-  if block >= 0 && block < Array.length image then image.(block) else None
+  if block >= 0 && block < Array.length image then image.(block) else vacant
 
-let holds image block = Option.is_some (get image block)
+let holds image block = get image block != vacant
 
 (* [image], or a copy of it doubled until it has a slot for [block]. *)
 let with_slot image block =
   let length = Array.length image in
   if block < length then image
   else begin
-    let bigger = Array.make (max (block + 1) (2 * length)) None in
+    let bigger = Array.make (max (block + 1) (2 * length)) vacant in
     Array.blit image 0 bigger 0 length;
     bigger
   end
 
 let set_current t block content =
   t.current <- with_slot t.current block;
-  (match t.current.(block) with None -> t.live <- t.live + 1 | Some _ -> ());
-  t.current.(block) <- Some content
+  if t.current.(block) == vacant then t.live <- t.live + 1;
+  t.current.(block) <- content
 
 let volume t = t.volume
 
 let set_charging t flag = t.charging <- flag
 
 let flush_block t block =
-  match get t.current block with
-  | Some _ as content ->
-      t.disk <- with_slot t.disk block;
-      t.disk.(block) <- content;
-      Cache.clean t.cache block
-  | None -> ()
+  let content = get t.current block in
+  if content != vacant then begin
+    t.disk <- with_slot t.disk block;
+    t.disk.(block) <- content;
+    Cache.clean t.cache block
+  end
 
 let handle_eviction t = function
   | Some { Cache.block; dirty } when dirty ->
@@ -91,22 +95,22 @@ let read t block =
   touch_for_read t block;
   (* Fetch after the touch: the physical read may have suspended the fiber,
      and the block may have been rewritten meanwhile. *)
-  match get t.current block with
-  | Some content -> content
-  | None -> raise Not_found
+  let content = get t.current block in
+  if content == vacant then raise Not_found;
+  content
 
 let write t block content =
   if not (holds t.current block) then
     invalid_arg "Store.write: unallocated block";
-  t.current.(block) <- Some content;
+  t.current.(block) <- content;
   touch_for_write t block
 
 let free t block =
   if holds t.current block then begin
-    t.current.(block) <- None;
+    t.current.(block) <- vacant;
     t.live <- t.live - 1
   end;
-  if holds t.disk block then t.disk.(block) <- None;
+  if holds t.disk block then t.disk.(block) <- vacant;
   Cache.drop t.cache block
 
 let flush_all t =
@@ -122,7 +126,7 @@ let crash t =
   t.current <- Array.copy t.disk;
   t.live <-
     Array.fold_left
-      (fun live slot -> if Option.is_some slot then live + 1 else live)
+      (fun live slot -> if slot != vacant then live + 1 else live)
       0 t.current;
   Cache.clear t.cache
 
@@ -142,14 +146,13 @@ let snapshot t =
   (* One scan from the top builds the list in ascending order. *)
   let blocks = ref [] in
   for block = Array.length t.current - 1 downto 0 do
-    match t.current.(block) with
-    | Some content -> blocks := (block, content) :: !blocks
-    | None -> ()
+    let content = t.current.(block) in
+    if content != vacant then blocks := (block, content) :: !blocks
   done;
   !blocks
 
 let restore t blocks =
-  Array.fill t.current 0 (Array.length t.current) None;
+  Array.fill t.current 0 (Array.length t.current) vacant;
   t.live <- 0;
   Cache.clear t.cache;
   List.iter

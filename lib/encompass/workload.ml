@@ -63,12 +63,25 @@ let install_bank cluster spec =
   Cluster.add_file cluster
     (Schema.define ~name:history_file ~organization:Schema.Entry_sequenced
        ~degree:32 ~partitions:single_partition ());
-  (* Payloads are immutable strings: every row shares one. *)
+  (* Payloads are immutable strings: every row shares one. The rows are
+     loaded a few thousand at a time, so a bank's rows never live at once;
+     loads in ascending batches build the blocks one load would. *)
   let payload = balance_payload spec.initial_balance in
-  let rows count = List.init count (fun i -> (Key.of_int i, payload)) in
-  Cluster.load_file cluster ~file:account_file (rows spec.accounts);
-  Cluster.load_file cluster ~file:teller_file (rows spec.tellers);
-  Cluster.load_file cluster ~file:branch_file (rows spec.branches)
+  let load file count =
+    let batch = 4096 in
+    let rec from lo =
+      if lo < count then begin
+        let hi = min count (lo + batch) in
+        Cluster.load_file cluster ~file
+          (List.init (hi - lo) (fun j -> (Key.of_int (lo + j), payload)));
+        from hi
+      end
+    in
+    from 0
+  in
+  load account_file spec.accounts;
+  load teller_file spec.tellers;
+  load branch_file spec.branches
 
 (* ------------------------------------------------------------------ *)
 (* Server handlers *)

@@ -64,6 +64,59 @@ let test_record_malformed_rejected () =
     (Invalid_argument "Record.decode: missing length delimiter") (fun () ->
       ignore (Record.decode "notarecord"))
 
+(* [field] and [int_field] scan in place; they must answer exactly as the
+   decode-based definitions do, raised exceptions included, on well-formed
+   payloads and on ones cut, grown or scrambled into malformed ones. *)
+let record_payload_gen =
+  QCheck.Gen.(
+    let name = oneofl [ ""; "a"; "b"; "ab"; "balance" ] in
+    let value =
+      oneof
+        [
+          map string_of_int int;
+          oneofl [ ""; "-"; "-0"; "007"; "+5"; "0x1f"; "1_000"; " 7"; "12a" ];
+          string_size ~gen:(oneofl [ '0'; '9'; '-'; ':'; 'a' ]) (0 -- 24);
+        ]
+    in
+    let encoded = map Record.encode (list_size (0 -- 4) (pair name value)) in
+    let alphabet = oneofl [ '0'; '1'; '2'; '9'; ':'; '-'; '+'; 'a'; 'x'; '_' ] in
+    let mutate payload =
+      let n = String.length payload in
+      oneof
+        [
+          map (fun cut -> String.sub payload 0 (cut mod (n + 1))) nat;
+          map2
+            (fun at c ->
+              let at = at mod (n + 1) in
+              String.sub payload 0 at ^ String.make 1 c
+              ^ String.sub payload at (n - at))
+            nat alphabet;
+          (if n = 0 then return payload
+           else
+             map2
+               (fun at c -> String.mapi (fun i x -> if i = at mod n then c else x) payload)
+               nat alphabet);
+        ]
+    in
+    pair
+      (frequency
+         [
+           (3, encoded);
+           (4, encoded >>= mutate);
+           (1, string_size ~gen:alphabet (0 -- 30));
+         ])
+      (oneofl [ ""; "a"; "b"; "ab"; "balance"; "zz" ]))
+
+let prop_record_field_matches_decode =
+  QCheck.Test.make ~name:"field and int_field agree with decode" ~count:2000
+    (QCheck.make ~print:QCheck.Print.(pair string string) record_payload_gen)
+    (fun (payload, name) ->
+      let outcome f = match f () with v -> Ok v | exception e -> Error e in
+      let decoded () = List.assoc_opt name (Record.decode payload) in
+      outcome (fun () -> Record.field payload name) = outcome decoded
+      && outcome (fun () -> Record.int_field payload name)
+         = outcome (fun () -> Option.bind (decoded ()) int_of_string_opt))
+
 (* ------------------------------------------------------------------ *)
 (* Store *)
 
@@ -71,17 +124,23 @@ let test_store_alloc_read_write () =
   let store = make_store () in
   let content keys =
     Block_content.Btree_leaf
-      { keys; payloads = Array.map (fun k -> k ^ "!") keys; next_leaf = None }
+      {
+        keys = Packed_keys.of_array keys;
+        payloads = Array.map (fun k -> k ^ "!") keys;
+        next_leaf = Block_content.no_leaf;
+      }
   in
   let b0 = Store.alloc store (content [| "a" |]) in
   let b1 = Store.alloc store (content [| "b" |]) in
   check_bool "distinct blocks" true (b0 <> b1);
   (match Store.read store b0 with
-  | Block_content.Btree_leaf { keys; _ } -> check_string "read back" "a" keys.(0)
+  | Block_content.Btree_leaf { keys; _ } ->
+      check_string "read back" "a" (Packed_keys.get keys 0)
   | _ -> Alcotest.fail "wrong content");
   Store.write store b0 (content [| "z" |]);
   (match Store.read store b0 with
-  | Block_content.Btree_leaf { keys; _ } -> check_string "updated" "z" keys.(0)
+  | Block_content.Btree_leaf { keys; _ } ->
+      check_string "updated" "z" (Packed_keys.get keys 0)
   | _ -> Alcotest.fail "wrong content");
   Store.free store b0;
   Alcotest.check_raises "freed block" Not_found (fun () ->
@@ -289,24 +348,42 @@ let test_btree_delete_then_scan () =
     remaining;
   expect_ok (Btree.check_invariants tree)
 
+(* Keys that front-coding must get right besides [Key.of_int]'s: the empty
+   key, short keys that are prefixes of one another, and bytes at and
+   above 0x80 next to 0x00 and 0x7f. *)
+let btree_key_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map Key.of_int (int_bound 63));
+        (1, return Key.min_key);
+        ( 3,
+          string_size
+            ~gen:(oneofl [ '\x00'; 'a'; 'b'; '\x7f'; '\x80'; '\xff' ])
+            (0 -- 4) );
+      ])
+
 (* Model-based property: a random operation sequence applied to the tree and
    to a reference Map must agree at every step. *)
 let btree_op_gen =
   QCheck.Gen.(
     frequency
       [
-        (4, map (fun k -> `Insert (k mod 64)) nat);
-        (2, map (fun k -> `Delete (k mod 64)) nat);
-        (2, map (fun k -> `Update (k mod 64)) nat);
-        (1, map (fun k -> `Find (k mod 64)) nat);
+        (4, map (fun k -> `Insert k) btree_key_gen);
+        (2, map (fun k -> `Delete k) btree_key_gen);
+        (2, map (fun k -> `Update k) btree_key_gen);
+        (1, map (fun k -> `Find k) btree_key_gen);
+        (1, map (fun k -> `Next_after k) btree_key_gen);
+        (1, map2 (fun lo hi -> `Range (lo, hi)) btree_key_gen btree_key_gen);
       ])
 
 let prop_btree_matches_model =
   QCheck.Test.make ~name:"btree agrees with Map model" ~count:120
-    (QCheck.make QCheck.Gen.(list_size (1 -- 200) btree_op_gen))
-    (fun ops ->
+    (QCheck.make
+       QCheck.Gen.(pair (oneofl [ 2; 8 ]) (list_size (1 -- 200) btree_op_gen)))
+    (fun (degree, ops) ->
       let module M = Map.Make (String) in
-      let tree = make_tree ~degree:2 () in
+      let tree = make_tree ~degree () in
       let model = ref M.empty in
       let serial = ref 0 in
       List.iter
@@ -314,60 +391,72 @@ let prop_btree_matches_model =
           incr serial;
           let value = string_of_int !serial in
           match op with
-          | `Insert k ->
-              let key = Key.of_int k in
+          | `Insert key ->
               let tree_result = Btree.insert tree key value in
               if M.mem key !model then assert (tree_result = Error `Duplicate)
               else begin
                 assert (tree_result = Ok ());
                 model := M.add key value !model
               end
-          | `Delete k ->
-              let key = Key.of_int k in
+          | `Delete key ->
               let tree_result = Btree.delete tree key in
               (match M.find_opt key !model with
               | Some v ->
                   assert (tree_result = Ok v);
                   model := M.remove key !model
               | None -> assert (tree_result = Error `Not_found))
-          | `Update k ->
-              let key = Key.of_int k in
+          | `Update key ->
               let tree_result = Btree.update tree key value in
               (match M.find_opt key !model with
               | Some v ->
                   assert (tree_result = Ok v);
                   model := M.add key value !model
               | None -> assert (tree_result = Error `Not_found))
-          | `Find k ->
-              let key = Key.of_int k in
-              assert (Btree.find tree key = M.find_opt key !model))
+          | `Find key -> assert (Btree.find tree key = M.find_opt key !model)
+          | `Next_after key ->
+              assert (
+                Btree.next_after tree key
+                = M.find_first_opt (fun k -> Key.compare k key > 0) !model)
+          | `Range (lo, hi) ->
+              assert (
+                Btree.range tree ~lo ~hi
+                = List.filter
+                    (fun (k, _) -> Key.compare k lo >= 0 && Key.compare k hi <= 0)
+                    (M.bindings !model)))
         ops;
       (match Btree.check_invariants tree with
       | Ok () -> ()
       | Error m -> QCheck.Test.fail_reportf "invariant: %s" m);
-      Btree.to_alist tree = M.bindings !model)
+      let visited = ref [] in
+      Btree.iter tree (fun key payload -> visited := (key, payload) :: !visited);
+      Btree.to_alist tree = M.bindings !model
+      && List.rev !visited = M.bindings !model)
 
 let prop_btree_range_matches_model =
   QCheck.Test.make ~name:"btree range agrees with Map model" ~count:80
-    QCheck.(triple (list (int_bound 99)) (int_bound 99) (int_bound 99))
-    (fun (keys, a, b) ->
+    (QCheck.make
+       QCheck.Gen.(
+         quad (oneofl [ 2; 8 ])
+           (list_size (0 -- 120) btree_key_gen)
+           btree_key_gen btree_key_gen))
+    (fun (degree, keys, a, b) ->
       let module M = Map.Make (String) in
-      let tree = make_tree ~degree:2 () in
+      let tree = make_tree ~degree () in
       let model = ref M.empty in
-      List.iter
-        (fun k ->
-          let key = Key.of_int k in
-          match Btree.insert tree key (string_of_int k) with
-          | Ok () -> model := M.add key (string_of_int k) !model
+      List.iteri
+        (fun i key ->
+          match Btree.insert tree key (string_of_int i) with
+          | Ok () -> model := M.add key (string_of_int i) !model
           | Error `Duplicate -> ())
         keys;
-      let lo = Key.of_int (min a b) and hi = Key.of_int (max a b) in
+      let lo = min a b and hi = max a b in
       let expected =
         M.bindings !model
         |> List.filter (fun (k, _) ->
                Key.compare k lo >= 0 && Key.compare k hi <= 0)
       in
-      Btree.range tree ~lo ~hi = expected)
+      Btree.range tree ~lo ~hi = expected
+      && Btree.range tree ~lo:hi ~hi:lo = (if lo = hi then expected else []))
 
 (* The ascending loader must build exactly what per-row inserts build: the
    same blocks and contents, root, count and next free block, whether the
@@ -408,12 +497,77 @@ let prop_bulk_load_matches_insert =
       | Error m -> QCheck.Test.fail_reportf "invariant: %s" m);
       let next_block store =
         Store.alloc store
-          (Block_content.Btree_leaf { keys = [||]; payloads = [||]; next_leaf = None })
+          (Block_content.Btree_leaf
+             {
+               keys = Packed_keys.empty;
+               payloads = [||];
+               next_leaf = Block_content.no_leaf;
+             })
       in
       Store.snapshot loaded_store = Store.snapshot per_row_store
       && Btree.count loaded = Btree.count per_row
       && Btree.height loaded = Btree.height per_row
       && next_block loaded_store = next_block per_row_store)
+
+(* Front-coded edits must leave exactly the encoding of the edited key
+   sequence, and [search] must rank a key as a scan of the keys would. *)
+let prop_packed_keys_edits =
+  QCheck.Test.make ~name:"packed keys edit and search like a sorted array"
+    ~count:300
+    (QCheck.make
+       QCheck.Gen.(
+         quad (list_size (0 -- 20) btree_key_gen) btree_key_gen nat nat))
+    (fun (keys, probe, i, length) ->
+      let keys = Array.of_list (List.sort_uniq Key.compare keys) in
+      let n = Array.length keys in
+      let packed = Packed_keys.of_array keys in
+      let without j = Array.init (n - 1) (fun k -> if k < j then keys.(k) else keys.(k + 1)) in
+      let rank =
+        match Array.find_index (fun k -> Key.compare k probe >= 0) keys with
+        | Some r when Key.equal keys.(r) probe -> r
+        | Some r -> -(r + 1)
+        | None -> -(n + 1)
+      in
+      let added =
+        match Packed_keys.add packed probe with
+        | Error i -> i = rank
+        | Ok (at, added) ->
+            at = -rank - 1
+            && added
+               = Packed_keys.of_array
+                   (Array.concat
+                      [ Array.sub keys 0 at; [| probe |]; Array.sub keys at (n - at) ])
+      in
+      let first = if n = 0 then 0 else i mod n in
+      let length = if n = 0 then 0 else length mod (n - first + 1) in
+      Packed_keys.to_array packed = keys
+      && Packed_keys.count packed = n
+      && Packed_keys.search packed probe = rank
+      && List.for_all
+           (fun j -> Packed_keys.get packed j = keys.(j))
+           (List.init n Fun.id)
+      && added
+      && (n = 0 || Packed_keys.remove packed first = Packed_keys.of_array (without first))
+      && Packed_keys.sub packed first length
+         = Packed_keys.of_array (Array.sub keys first length))
+
+(* A block keeps its keys front-coded in one string and each leaf's
+   payloads in one array, so rows sharing one payload cost a few words
+   each. *)
+let test_btree_blocks_are_compact () =
+  let store = make_store () in
+  let tree = Btree.create store ~name:"T" ~degree:8 in
+  let rows = 100_000 and payload = Record.encode [ ("balance", "1000") ] in
+  Btree.bulk_load tree (fun add ->
+      for i = 0 to rows - 1 do
+        add (Key.of_int i) payload
+      done);
+  let blocks = Array.of_list (List.map snd (Store.snapshot store)) in
+  let per_record =
+    float_of_int (Obj.reachable_words (Obj.repr blocks)) /. float_of_int rows
+  in
+  if per_record > 4.0 then
+    Alcotest.failf "blocks take %.2f words per record, more than 4" per_record
 
 (* ------------------------------------------------------------------ *)
 (* Relative and entry-sequenced files *)
@@ -775,7 +929,8 @@ let () =
           Alcotest.test_case "field ops" `Quick test_record_field_ops;
           Alcotest.test_case "nested encoding" `Quick test_record_nested_encoding;
           Alcotest.test_case "malformed rejected" `Quick test_record_malformed_rejected;
-        ] );
+        ]
+        @ qcheck [ prop_record_field_matches_decode ] );
       ( "store",
         [
           Alcotest.test_case "alloc read write" `Quick test_store_alloc_read_write;
@@ -794,12 +949,14 @@ let () =
           Alcotest.test_case "splits" `Quick test_btree_many_inserts_split;
           Alcotest.test_case "range and order" `Quick test_btree_range_and_order;
           Alcotest.test_case "delete then scan" `Quick test_btree_delete_then_scan;
+          Alcotest.test_case "blocks are compact" `Quick test_btree_blocks_are_compact;
         ]
         @ qcheck
             [
               prop_btree_matches_model;
               prop_bulk_load_matches_insert;
               prop_btree_range_matches_model;
+              prop_packed_keys_edits;
             ] );
       ( "flat_files",
         [
