@@ -7,7 +7,9 @@ open Tandem_disk
    ([first_seq] is meaningless while the file is empty and is reset by the
    first append). Non-empty files' runs are disjoint and descend with age,
    which makes [records_from] a per-file index computation instead of a
-   full-trail filter.
+   full-trail filter. [pins] counts the unsettled transactions whose oldest
+   surviving record the file holds: a pinned file is never purged by the
+   trail itself.
 
    A record's encoding is six fields, each a varint or a varint length
    followed by that many bytes:
@@ -25,6 +27,7 @@ type audit_file = {
   mutable used : int; (* bytes of [data] in use *)
   mutable offsets : int array;
   mutable length : int; (* records in the file *)
+  mutable pins : int;
 }
 
 (* One transaction's index entry. [live.(0 .. count - 1)] holds its records
@@ -51,6 +54,9 @@ type t = {
   mutable last_id : int;
   mutable next_seq : int;
   mutable forced_hwm : int; (* highest sequence on disc *)
+  mutable floor : int;
+      (* lowest sequence an archive's ROLLFORWARD may read; [max_int] until
+         an archive is taken, and never raised *)
   mutable crash_epoch : int;
       (* bumped by [crash]: a force that was in flight across a crash must
          not advance the high-water mark — the records it meant to cover
@@ -68,6 +74,7 @@ let fresh_file ?(bytes = 256) ?(records = 16) file_number =
     used = 0;
     offsets = Array.make records 0;
     length = 0;
+    pins = 0;
   }
 
 let create volume ~name ?(records_per_file = 512) ?(force_window = 0) () =
@@ -86,6 +93,7 @@ let create volume ~name ?(records_per_file = 512) ?(force_window = 0) () =
     last_id = -1;
     next_seq = 0;
     forced_hwm = -1;
+    floor = max_int;
     crash_epoch = 0;
   }
 
@@ -104,7 +112,7 @@ let current_file t =
 let reserve file extra =
   let needed = file.used + extra in
   if needed > Bytes.length file.data then begin
-    let data = Bytes.create (max needed (2 * Bytes.length file.data)) in
+    let data = Bytes.create (Int.max needed (2 * Bytes.length file.data)) in
     Bytes.blit file.data 0 data 0 file.used;
     file.data <- data
   end
@@ -225,11 +233,72 @@ let grow array n filler =
   Array.blit array 0 grown 0 n;
   grown
 
+(* The file holding [sequence], which must be present. *)
+let file_holding t sequence =
+  let rec find = function
+    | [] -> assert false
+    | file :: older ->
+        if file.length > 0 && file.first_seq <= sequence then file
+        else find older
+  in
+  find t.files
+
+(* Drop the oldest files while [purgeable] holds of each, and take their
+   records out of the index; returns how many of them held records. The
+   dropped files are strictly the oldest: every record they hold is older
+   than every kept record, so per transaction they are the oldest end of
+   its chain — count them off and drop each live array's front once. An
+   unsettled transaction that keeps records pins the file of its new
+   oldest one (its old pin went with the dropped files). *)
+let drop_oldest t purgeable =
+  let rec split dropped = function
+    | file :: newer when purgeable file -> split (file :: dropped) newer
+    | kept -> (dropped, kept)
+  in
+  let dropped, kept = split [] (List.rev t.files) in
+  t.files <- (if kept = [] then [ fresh_file 0 ] else List.rev kept);
+  let purged_per_tx : (string, int) Hashtbl.t = Hashtbl.create 16 in
+  List.iter
+    (fun file ->
+      for i = 0 to file.length - 1 do
+        let _, transid = header file i in
+        Hashtbl.replace purged_per_tx transid
+          (1 + Option.value ~default:0 (Hashtbl.find_opt purged_per_tx transid))
+      done)
+    dropped;
+  Hashtbl.iter
+    (fun transid purged ->
+      match Hashtbl.find_opt t.tx_index transid with
+      | None -> ()
+      | Some entry ->
+          entry.count <- entry.count - purged;
+          if entry.count <= 0 then Hashtbl.remove t.tx_index transid
+          else if Array.length entry.live > 0 then begin
+            entry.live <- Array.sub entry.live purged entry.count;
+            let file = file_holding t entry.live.(0).sequence in
+            file.pins <- file.pins + 1
+          end)
+    purged_per_tx;
+  List.length (List.filter (fun file -> file.length > 0) dropped)
+
+(* What the trail drops by itself once a file closes: closed files that no
+   reader can reach — no unsettled transaction starts in them (backout and
+   END read those), every record is forced (a crash truncates only above
+   [forced_hwm]) and below the floor (ROLLFORWARD reads from there). *)
+let unreadable t file =
+  file != current_file t
+  && file.pins = 0
+  && (file.length = 0
+     ||
+     let last = file.first_seq + file.length - 1 in
+     last <= t.forced_hwm && last < t.floor)
+
 (* ------------------------------------------------------------------ *)
 
 let append t ~transid image =
   let sequence = t.next_seq in
   t.next_seq <- t.next_seq + 1;
+  let file = current_file t in
   let record = { Audit_record.sequence; transid; image } in
   let back =
     match Hashtbl.find_opt t.tx_index transid with
@@ -247,9 +316,9 @@ let append t ~transid image =
     | None ->
         Hashtbl.replace t.tx_index transid
           { last = sequence; count = 1; live = Array.make 8 record };
+        file.pins <- file.pins + 1;
         0
   in
-  let file = current_file t in
   if file.length = 0 then file.first_seq <- sequence;
   if file.length = Array.length file.offsets then
     file.offsets <- grow file.offsets file.length 0;
@@ -276,14 +345,18 @@ let append t ~transid image =
       fresh_file
         ~bytes:(file.used + (file.used / 8))
         ~records:file.length (file.file_number + 1)
-      :: t.files
+      :: t.files;
+    ignore (drop_oldest t (unreadable t))
   end;
   sequence
 
 let settle t ~transid =
   match Hashtbl.find_opt t.tx_index transid with
-  | Some entry -> entry.live <- [||]
-  | None -> ()
+  | Some entry when Array.length entry.live > 0 ->
+      let file = file_holding t entry.live.(0).sequence in
+      file.pins <- file.pins - 1;
+      entry.live <- [||]
+  | Some _ | None -> ()
 
 let force t =
   if t.forced_hwm < t.next_seq - 1 then begin
@@ -291,7 +364,7 @@ let force t =
     let epoch = t.crash_epoch in
     let target = t.next_seq - 1 in
     Force_daemon.force t.daemon;
-    if t.crash_epoch = epoch then t.forced_hwm <- max t.forced_hwm target
+    if t.crash_epoch = epoch then t.forced_hwm <- Int.max t.forced_hwm target
   end
 
 let forced_up_to t = t.forced_hwm
@@ -342,8 +415,10 @@ let records_between t ~lo_seq ~hi_seq =
     (fun acc file ->
       if file.length = 0 then acc
       else
-        let lo = max file.first_seq lo_seq - file.first_seq in
-        let hi = min (file.first_seq + file.length - 1) hi_seq - file.first_seq in
+        let lo = Int.max file.first_seq lo_seq - file.first_seq in
+        let hi =
+          Int.min (file.first_seq + file.length - 1) hi_seq - file.first_seq
+        in
         decode_range t file ~lo ~hi acc)
     [] t.files
 
@@ -358,14 +433,19 @@ let unforced_records t =
   records_between t ~lo_seq:(t.forced_hwm + 1) ~hi_seq:max_int
 
 (* Remove one record from the TAIL of its transaction's chain — valid
-   whenever records are removed newest first (the crash path). *)
+   whenever records are removed newest first (the crash path). The record
+   that empties a chain is its oldest, so an unsettled transaction's pin
+   is on [file]. *)
 let unindex_newest t file i =
   let back, transid = header file i in
   match Hashtbl.find_opt t.tx_index transid with
   | None -> ()
   | Some entry ->
       entry.count <- entry.count - 1;
-      if entry.count = 0 then Hashtbl.remove t.tx_index transid
+      if entry.count = 0 then begin
+        Hashtbl.remove t.tx_index transid;
+        if Array.length entry.live > 0 then file.pins <- file.pins - 1
+      end
       else begin
         entry.last <- entry.last - back;
         (* Drop the popped record's reference; slot 0 is still in use. *)
@@ -383,7 +463,7 @@ let crash t =
       if file.length > 0 then begin
         let keep =
           if file.first_seq > t.forced_hwm then 0
-          else min file.length (t.forced_hwm - file.first_seq + 1)
+          else Int.min file.length (t.forced_hwm - file.first_seq + 1)
         in
         if keep < file.length then begin
           for i = file.length - 1 downto keep do
@@ -400,37 +480,20 @@ let crash t =
 let file_count t = List.length t.files
 
 let purge_files_before t ~sequence =
-  let keep, purge =
-    List.partition
-      (fun file ->
-        file.length = 0 (* current, empty *)
-        || file.first_seq + file.length - 1 >= sequence)
-      t.files
-  in
-  t.files <- (if keep = [] then [ fresh_file 0 ] else keep);
-  (* Purged files are strictly the oldest: every record they hold is older
-     than every kept record, so per transaction they are the oldest end of
-     its chain — count them off and drop each live array's front once. *)
-  let purged_per_tx : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun file ->
-      for i = 0 to file.length - 1 do
-        let _, transid = header file i in
-        Hashtbl.replace purged_per_tx transid
-          (1 + Option.value ~default:0 (Hashtbl.find_opt purged_per_tx transid))
-      done)
-    purge;
-  Hashtbl.iter
-    (fun transid purged ->
-      match Hashtbl.find_opt t.tx_index transid with
-      | None -> ()
-      | Some entry ->
-          entry.count <- entry.count - purged;
-          if entry.count <= 0 then Hashtbl.remove t.tx_index transid
-          else if Array.length entry.live > 0 then
-            entry.live <- Array.sub entry.live purged entry.count)
-    purged_per_tx;
-  List.length purge
+  drop_oldest t (fun file ->
+      file.length = 0 || file.first_seq + file.length - 1 < sequence)
+
+(* An unsettled transaction's oldest record is the first of its live
+   array. Called once per archive, so one pass over the index is cheap. *)
+let retain_from t ~sequence =
+  t.floor <-
+    Hashtbl.fold
+      (fun _ entry floor ->
+        if Array.length entry.live > 0 then
+          Int.min floor entry.live.(0).sequence
+        else floor)
+      t.tx_index
+      (Int.min t.floor sequence)
 
 (* Commit markers are skipped: every fast-path commit writes the same
    ($TMF, $COMMIT, "") sentinel, so an edge through it would chain every

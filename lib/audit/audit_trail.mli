@@ -19,7 +19,26 @@
     O(records of that transaction) by a per-transaction back-link chain
     through the encoded records, [record_count_for] is O(1), and
     [records_from] is a per-file suffix slice. The index stays consistent
-    through [crash] and [purge_files_before]. *)
+    through [crash] and [purge_files_before].
+
+    {2 Purging}
+
+    An audit record has three readers, and the trail keeps exactly what
+    they can still read:
+    - backout and END ({!records_for}, {!record_count_for}) read every
+      record of a transaction that is not yet {!settle}d;
+    - ROLLFORWARD reads the forced records from each archive's position on,
+      plus every record of the transactions open when the archive was taken
+      ({!retain_from});
+    - {!crash} truncates only the records above {!forced_up_to}.
+
+    So when a file closes, the trail drops its oldest closed files while
+    each one holds the oldest record of no unsettled transaction, holds
+    only forced records, and lies wholly below the floor that
+    {!retain_from} sets. With no archive taken there is no floor: nothing
+    can ROLLFORWARD. Dropped records are gone for every reader: a settled
+    transaction reads back only its surviving records, and its index entry
+    goes with its last one. *)
 
 type t
 
@@ -49,8 +68,9 @@ val forced_up_to : t -> int
 val next_sequence : t -> int
 
 val records_for : t -> transid:string -> Audit_record.t list
-(** All records of one transaction, ascending — buffered tail included
-    (transaction backout runs against the live trail). O(records of this
+(** The records of one transaction the trail holds, ascending — buffered
+    tail included (transaction backout runs against the live trail); all
+    of them until it is settled. O(records of this
     transaction), not O(trail): an unsettled transaction's records come
     straight from the index, a settled one's are decoded along its chain. *)
 
@@ -77,11 +97,18 @@ val crash : t -> unit
 (** Total node failure: the unforced tail is lost. *)
 
 val file_count : t -> int
-(** Number of audit files written so far (including the current one). *)
+(** Number of audit files the trail holds (including the current one). *)
+
+val retain_from : t -> sequence:int -> unit
+(** An archive was taken whose ROLLFORWARD reads the records from
+    [sequence] on and every record of the transactions unsettled now. Lowers
+    the trail's floor to the lowest of these; the floor is never raised
+    again, since the archive may be restored at any later time. *)
 
 val purge_files_before : t -> sequence:int -> int
-(** Drop whole audit files entirely below the sequence number (they have
-    been archived); returns how many files were purged. *)
+(** Drop the oldest audit files while they lie entirely below the sequence
+    number, whatever reads them; returns how many files with records went.
+    The trail's own purging (above) goes through the same upkeep. *)
 
 val dependency_edges : t -> (string * string) list
 (** Forced inter-transaction dependency edges [(from, to)], ascending by

@@ -6,9 +6,11 @@
     failure of the node. The manual-override procedure for a partitioned
     participant starts by consulting this trail on the home node.
 
-    The trail keeps one table entry per transaction: its disposition and
-    the order in which it was recorded, from which {!entries} rebuilds the
-    history. *)
+    The trail keeps one table entry per transaction: its disposition, a
+    flag for a record written without a force, and the order in which it
+    was recorded, from which {!entries} rebuilds the history and {!crash}
+    tells the unforced records that a later forced write carried from
+    those it did not. *)
 
 type t
 
@@ -34,7 +36,8 @@ val record_unforced : t -> transid:string -> disposition -> unit
 val crash : t -> int
 (** Simulate losing the node's memory: every disposition recorded with
     [record_unforced] since the last forced write disappears; forced records
-    survive. Returns the number of records lost; O(lost). *)
+    survive. Returns the number of records lost; O(table), which is paid
+    only at a total node failure. *)
 
 val disposition_of : t -> transid:string -> disposition option
 

@@ -74,7 +74,11 @@ let take_archive t =
     trail_positions =
       Hashtbl.fold
         (fun name trail acc ->
-          (name, Audit_trail.forced_up_to trail + 1) :: acc)
+          let position = Audit_trail.forced_up_to trail + 1 in
+          (* The replay reads from [position] on, and every record of the
+             transactions open now: the trail must keep them all. *)
+          Audit_trail.retain_from trail ~sequence:position;
+          (name, position) :: acc)
         t.state.Tmf_state.trails [];
     open_transactions =
       Hashtbl.fold

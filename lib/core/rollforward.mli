@@ -56,7 +56,8 @@ val register_target : t -> target -> unit
 
 val take_archive : t -> archive
 (** Snapshot every registered target and note each trail's position. Can run
-    during normal processing. *)
+    during normal processing. Each trail keeps, from then on, every record
+    this archive's recovery reads ({!Tandem_audit.Audit_trail.retain_from}). *)
 
 val archive_trail_gap : t -> archive -> int
 (** Forced audit records written since the archive (the redo workload). *)

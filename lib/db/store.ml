@@ -37,7 +37,7 @@ let with_slot image block =
   let length = Array.length image in
   if block < length then image
   else begin
-    let bigger = Array.make (max (block + 1) (2 * length)) vacant in
+    let bigger = Array.make (Int.max (block + 1) (2 * length)) vacant in
     Array.blit image 0 bigger 0 length;
     bigger
   end
@@ -159,5 +159,5 @@ let restore t blocks =
     (fun (block, content) ->
       if block < 0 then invalid_arg "Store.restore: negative block";
       set_current t block content;
-      t.next_block <- max t.next_block (block + 1))
+      t.next_block <- Int.max t.next_block (block + 1))
     blocks

@@ -356,6 +356,172 @@ let test_two_trail_rollforward () =
     [ ("seq", seq); ("chains:4", par) ]
 
 (* ------------------------------------------------------------------ *)
+(* Audit files purged under load *)
+
+(* One node whose data volume writes a trail of four records a file, so a
+   short load of transfers closes, and purges, dozens of audit files. *)
+let small_file_cluster ~seed ~parallelism =
+  let config =
+    { Hw_config.default with Hw_config.rollforward_parallelism = parallelism }
+  in
+  let cluster = Cluster.create ~seed ~config () in
+  ignore (Cluster.add_node cluster ~id:1 ~cpus:4);
+  let audit_volume =
+    Tandem_disk.Volume.create (Cluster.engine cluster)
+      ~metrics:(Cluster.metrics cluster) ~name:"1:$AUDIT4VOL"
+      ~access_time:config.Hw_config.disc_access
+  in
+  Tmf.add_audit_trail (Cluster.tmf cluster) ~node:1 ~name:"$AUDIT4"
+    ~volume:audit_volume ~records_per_file:4 ();
+  ignore
+    (Cluster.add_volume cluster ~node:1 ~name:"$DATA1" ~primary_cpu:2
+       ~backup_cpu:3 ~trail:"$AUDIT4" ());
+  let spec =
+    {
+      Workload.accounts = 200;
+      tellers = 10;
+      branches = 5;
+      initial_balance = 1_000;
+      account_partitions = [ (1, "$DATA1") ];
+      system_home = (1, "$DATA1");
+    }
+  in
+  Workload.install_bank cluster spec;
+  ignore (Workload.add_transfer_servers cluster ~node:1 ~count:4 ());
+  let tcp =
+    Cluster.add_tcp cluster ~node:1 ~name:"$TCP1" ~terminals:4
+      ~program:Workload.transfer_program ()
+  in
+  let trail =
+    Hashtbl.find (Tmf.node_state (Cluster.tmf cluster) 1).Tmf.Tmf_state.trails
+      "$AUDIT4"
+  in
+  (cluster, spec, tcp, trail)
+
+(* [count] transfers among accounts [0 .. span - 1], spread over the TCP's
+   four terminals. *)
+let submit_transfers tcp ~count ~span =
+  for i = 0 to count - 1 do
+    let from_account = i * 7 mod span in
+    let to_account = (from_account + 1 + (i * 13 mod (span - 1))) mod span in
+    Tcp.submit tcp ~terminal:(i mod 4)
+      (Workload.transfer_input_between ~from_account ~to_account
+         ~amount:(1 + (i mod 50)))
+  done
+
+(* Files closed and dropped: with no crash, every closed file held four
+   records. *)
+let files_purged trail =
+  (Audit_trail.next_sequence trail / 4) + 1 - Audit_trail.file_count trail
+
+(* ROLLFORWARD from an archive taken after dozens of audit files were
+   purged, with the load still running: the trail must have kept every file
+   from the archive's position on, so the node comes back exactly as it
+   was before the crash, under either replay mode. *)
+let test_rollforward_after_purging () =
+  List.iter
+    (fun (mode, parallelism) ->
+      let cluster, spec, tcp, trail =
+        small_file_cluster ~seed:31 ~parallelism
+      in
+      submit_transfers tcp ~count:240 ~span:spec.Workload.accounts;
+      Cluster.run ~until:(Sim_time.milliseconds 1_500) cluster;
+      let purged_at_archive = files_purged trail in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d files purged before the archive" mode
+           purged_at_archive)
+        true (purged_at_archive >= 24);
+      let archive = Cluster.take_archive cluster ~node:1 in
+      Cluster.run cluster;
+      check_int (mode ^ ": every transfer committed") 240 (Tcp.completed tcp);
+      let before = cluster_digest cluster in
+      for cpu = 0 to 3 do
+        Cluster.fail_cpu cluster ~node:1 cpu
+      done;
+      Cluster.total_node_failure cluster ~node:1;
+      Harness.drain cluster;
+      Cluster.restore_cpu cluster ~node:1 0;
+      let stats = Cluster.rollforward_node cluster ~node:1 archive in
+      Alcotest.(check bool)
+        (mode ^ ": post-archive work redone") true
+        (stats.Tmf.Rollforward.transactions_redone > 0);
+      Alcotest.(check string) (mode ^ ": pre-crash state") before
+        (cluster_digest cluster);
+      check_int (mode ^ ": funds conserved") 200_000
+        (Workload.total_balance cluster spec))
+    [ ("seq", `Sequential); ("chains:4", `Chains 4) ]
+
+(* One transaction ships its audit to the trail ten times over two
+   simulated seconds while transfers around it commit and settle, so its
+   records span dozens of closed audit files. The trail purges files before
+   it begins, holds every file from its first record on while it runs, and
+   when it aborts, backout must find every one of its records; once it is
+   settled, purging resumes. *)
+let test_backout_across_purged_files () =
+  let cluster, spec, tcp, trail =
+    small_file_cluster ~seed:37 ~parallelism:`Sequential
+  in
+  let tmf = Cluster.tmf cluster in
+  let engine = Cluster.engine cluster in
+  let steps = 10 and first_own = 190 in
+  let purged_at_begin = ref 0 and spanned = ref 0 and kept = ref 0 in
+  let purged_at_abort = ref 0 and aborted = ref false in
+  Cluster.run_client cluster ~node:1 ~cpu:1 (fun process ->
+      Fiber.sleep engine (Sim_time.milliseconds 1_000);
+      purged_at_begin := files_purged trail;
+      let transid = Tmf.begin_transaction tmf ~node:1 ~cpu:1 in
+      let transid_string = Tmf.Transid.to_string transid in
+      let participant =
+        Hashtbl.find (Tmf.node_state tmf 1).Tmf.Tmf_state.participants "$DATA1"
+      in
+      for step = 0 to steps - 1 do
+        (match
+           File_client.update (Cluster.files cluster) ~self:process ~transid
+             ~file:Workload.account_file
+             (Tandem_db.Key.of_int (first_own + step))
+             (Tandem_db.Record.encode [ ("balance", "99999") ])
+         with
+        | Ok () -> ()
+        | Error e -> Alcotest.failf "update failed: %a" File_client.pp_error e);
+        ignore (participant.Tmf.Participant.flush_audit ~self:process transid);
+        Fiber.sleep engine (Sim_time.milliseconds 200)
+      done;
+      (match Audit_trail.records_for trail ~transid:transid_string with
+      | first :: _ as records ->
+          let last = List.nth records (List.length records - 1) in
+          spanned := last.Audit_record.sequence - first.Audit_record.sequence;
+          kept := List.length records
+      | [] -> ());
+      purged_at_abort := files_purged trail;
+      aborted :=
+        Result.is_ok
+          (Tmf.abort_transaction tmf ~self:process ~reason:"test" transid));
+  submit_transfers tcp ~count:300 ~span:first_own;
+  Cluster.run cluster;
+  Alcotest.(check bool) "the long transaction aborted" true !aborted;
+  Alcotest.(check bool)
+    (Printf.sprintf "files purged before it began (%d)" !purged_at_begin)
+    true (!purged_at_begin >= 12);
+  Alcotest.(check bool)
+    (Printf.sprintf "its records span dozens of files (%d sequences)" !spanned)
+    true
+    (!spanned >= 4 * 24);
+  check_int "the trail held every record it shipped" steps !kept;
+  Alcotest.(check bool)
+    (Printf.sprintf "purging resumed after it settled (%d, then %d)"
+       !purged_at_abort (files_purged trail))
+    true
+    (files_purged trail >= !purged_at_abort + 24);
+  check_int "every transfer committed" 300 (Tcp.completed tcp);
+  for account = first_own to first_own + steps - 1 do
+    Alcotest.(check (option int))
+      (Printf.sprintf "account %d backed out" account)
+      (Some 1_000)
+      (Workload.account_balance cluster ~account)
+  done;
+  check_int "funds conserved" 200_000 (Workload.total_balance cluster spec)
+
+(* ------------------------------------------------------------------ *)
 (* Dependency index unit tests *)
 
 let make_volume () =
@@ -464,6 +630,13 @@ let () =
             test_dependency_index_survives_crash;
           Alcotest.test_case "purge drops the archived prefix" `Quick
             test_dependency_index_survives_purge;
+        ] );
+      ( "audit purging",
+        [
+          Alcotest.test_case "rollforward after files are purged" `Quick
+            test_rollforward_after_purging;
+          Alcotest.test_case "backout across purged files" `Quick
+            test_backout_across_purged_files;
         ] );
       ( "parallel rollforward",
         Alcotest.test_case "fast-path markers replay in parallel" `Quick
