@@ -259,6 +259,79 @@ let safe_queue_fill () =
           Tmf.Tmp.safe_deliver tmp 2 (Tmf.Tmp.Phase2_commit transid))
         transids)
 
+(* A participant's monitor trail: 8,192 dispositions for four remote
+   (home, cpu) pairs, each pair's sequence numbers ascending but shuffled
+   within windows of 32, the order phase two reaches a participant in.
+   One in 16 is forced, as a 2PC commit record is; the rest are written
+   unforced, then every one is looked up. One op is one disposition, and
+   each run of 8,192 fills a fresh trail, so an insert that shifts the
+   whole run (quadratic in the trail) shows at any op count. *)
+let monitor_fill_size = 8_192
+
+let monitor_participant () =
+  let rng = Rng.create ~seed:23 in
+  let transids =
+    Array.init monitor_fill_size (fun i ->
+        let pair = i land 3 and n = i lsr 2 in
+        Printf.sprintf "%d.%d.%d" (2 + (pair lsr 1)) (pair land 1) n)
+  in
+  (* Shuffle within windows of 32 entries per pair (128 in the array). *)
+  for start = 0 to (monitor_fill_size / 128) - 1 do
+    for i = 127 downto 1 do
+      let j = Rng.int rng (i + 1) in
+      let a = (start * 128) + i and b = (start * 128) + j in
+      let x = transids.(a) in
+      transids.(a) <- transids.(b);
+      transids.(b) <- x
+    done
+  done;
+  fun ops ->
+    let fills = (ops + monitor_fill_size - 1) / monitor_fill_size in
+    for _ = 1 to fills do
+      let engine = Engine.create () in
+      let volume =
+        Tandem_disk.Volume.create engine ~metrics:(Metrics.create ()) ~name:"$M"
+          ~access_time:(Sim_time.milliseconds 5)
+      in
+      let monitor = Tandem_audit.Monitor_trail.create volume in
+      ignore
+        (Fiber.spawn (fun () ->
+             Array.iteri
+               (fun i transid ->
+                 if i land 15 = 0 then
+                   Tandem_audit.Monitor_trail.record monitor ~transid
+                     Tandem_audit.Monitor_trail.Committed
+                 else
+                   Tandem_audit.Monitor_trail.record_unforced monitor ~transid
+                     Tandem_audit.Monitor_trail.Aborted)
+               transids));
+      Engine.run engine;
+      Array.iter
+        (fun transid ->
+          ignore (Tandem_audit.Monitor_trail.disposition_of monitor ~transid))
+        transids
+    done;
+    fills * monitor_fill_size
+
+(* The span registry at its steady state: a full 4,096-slot ring, each op
+   starting and finishing one transaction (the ring trims every 2,048)
+   and sending a late phase-two event to the one finished 100 ops before,
+   which lives in the ring. Ids are made untimed; an id comes round again
+   only long after it left the ring. *)
+let span_ring_churn () =
+  let ids = Array.init 16_384 (Printf.sprintf "1.0.%d") in
+  let spans = Span.create (Engine.create ()) in
+  let cycle i =
+    let id = ids.(i land 16_383) in
+    ignore (Span.start spans id);
+    ignore (Span.finish spans id Span.Committed);
+    Span.incr_phase2_msgs spans ids.((i - 100) land 16_383)
+  in
+  for i = 0 to 4_095 do
+    cycle i
+  done;
+  each (fun i -> cycle (i + 4_096))
+
 (* Selective-receive mailbox: enqueue 1k then drain FIFO. *)
 let mailbox_fifo () =
   each (fun _ ->
@@ -358,6 +431,10 @@ let benchmarks =
       lock_release_scaling;
     row "hotpath/tmp safe-delivery enqueue (1k entries)" 4_000 safe_queue_fill;
     row "hotpath/mailbox fifo (1k enqueue+drain)" 10_000 mailbox_fifo;
+    row "hotpath/monitor record + disposition_of (8k participant-order transids)"
+      327_680 monitor_participant;
+    row "hotpath/span finish + late emit (full 4k ring)" 1_000_000
+      span_ring_churn;
     row "core/btree insert (1k sequential)" 1_000 btree_insert;
     row "core/btree bulk load (1k sequential)" 10_000 btree_bulk_load;
     row "core/btree point lookup (10k tree)" 1_000_000 btree_lookup;

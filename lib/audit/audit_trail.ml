@@ -243,13 +243,42 @@ let file_holding t sequence =
   in
   find t.files
 
+(* The back-link of record [i], read in place. *)
+let back_link file i =
+  let rec get pos shift acc =
+    let byte = Char.code (Bytes.get file.data pos) in
+    let acc = acc lor ((byte land 0x7f) lsl shift) in
+    if byte < 0x80 then acc else get (pos + 1) (shift + 7) acc
+  in
+  get file.offsets.(i) 0 0
+
+(* How many of [entry]'s records lie at or above [boundary]: its chain
+   walked back from its newest record, in the files of [t]. *)
+let records_above t entry boundary =
+  let rec walk files sequence remaining kept =
+    if remaining = 0 || sequence < boundary then kept
+    else
+      match files with
+      | [] -> assert false
+      | file :: older ->
+          if file.length = 0 || file.first_seq > sequence then
+            walk older sequence remaining kept
+          else
+            walk files
+              (sequence - back_link file (sequence - file.first_seq))
+              (remaining - 1) (kept + 1)
+  in
+  walk t.files entry.last entry.count 0
+
 (* Drop the oldest files while [purgeable] holds of each, and take their
    records out of the index; returns how many of them held records. The
-   dropped files are strictly the oldest: every record they hold is older
-   than every kept record, so per transaction they are the oldest end of
-   its chain — count them off and drop each live array's front once. An
-   unsettled transaction that keeps records pins the file of its new
-   oldest one (its old pin went with the dropped files). *)
+   dropped files are strictly the oldest: every record they hold lies
+   below [boundary] and every kept record at or above it, so per
+   transaction they are the oldest end of its chain. An entry whose newest
+   record is dropped goes; any other keeps the count of its records above
+   the boundary, found in its live array or along its chain, and drops its
+   live array's front. An unsettled transaction that keeps records pins the
+   file of its new oldest one (its old pin went with the dropped files). *)
 let drop_oldest t purgeable =
   let rec split dropped = function
     | file :: newer when purgeable file -> split (file :: dropped) newer
@@ -257,28 +286,35 @@ let drop_oldest t purgeable =
   in
   let dropped, kept = split [] (List.rev t.files) in
   t.files <- (if kept = [] then [ fresh_file 0 ] else List.rev kept);
-  let purged_per_tx : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun file ->
-      for i = 0 to file.length - 1 do
-        let _, transid = header file i in
-        Hashtbl.replace purged_per_tx transid
-          (1 + Option.value ~default:0 (Hashtbl.find_opt purged_per_tx transid))
-      done)
-    dropped;
-  Hashtbl.iter
-    (fun transid purged ->
-      match Hashtbl.find_opt t.tx_index transid with
-      | None -> ()
-      | Some entry ->
-          entry.count <- entry.count - purged;
-          if entry.count <= 0 then Hashtbl.remove t.tx_index transid
-          else if Array.length entry.live > 0 then begin
-            entry.live <- Array.sub entry.live purged entry.count;
-            let file = file_holding t entry.live.(0).sequence in
-            file.pins <- file.pins + 1
-          end)
-    purged_per_tx;
+  let boundary =
+    List.fold_left
+      (fun boundary file ->
+        if file.length = 0 then boundary
+        else Int.max boundary (file.first_seq + file.length))
+      min_int dropped
+  in
+  if boundary > min_int then
+    Hashtbl.filter_map_inplace
+      (fun _ entry ->
+        if entry.last < boundary then None
+        else begin
+          if Array.length entry.live = 0 then
+            entry.count <- records_above t entry boundary
+          else begin
+            let purged = ref 0 in
+            while entry.live.(!purged).sequence < boundary do
+              incr purged
+            done;
+            if !purged > 0 then begin
+              entry.count <- entry.count - !purged;
+              entry.live <- Array.sub entry.live !purged entry.count;
+              let file = file_holding t entry.live.(0).sequence in
+              file.pins <- file.pins + 1
+            end
+          end;
+          Some entry
+        end)
+      t.tx_index;
   List.length (List.filter (fun file -> file.length > 0) dropped)
 
 (* What the trail drops by itself once a file closes: closed files that no

@@ -6,11 +6,16 @@
     failure of the node. The manual-override procedure for a partitioned
     participant starts by consulting this trail on the home node.
 
-    The trail keeps one table entry per transaction: its disposition, a
-    flag for a record written without a force, and the order in which it
-    was recorded, from which {!entries} rebuilds the history and {!crash}
-    tells the unforced records that a later forced write carried from
-    those it did not. *)
+    The trail keeps one int per transaction: its disposition, a flag for a
+    record written without a force, and the order in which it was
+    recorded, from which {!entries} rebuilds the history and {!crash} tells
+    the unforced records that a later forced write carried from those it
+    did not. A transid in the canonical ["home.cpu.seq"] form that
+    [Transid.to_string] renders is held as that int beside its sequence
+    number, in a sorted array per (home, cpu): a lookup is a binary
+    search, and an insert shifts the entries of that (home, cpu) recorded
+    with a higher sequence number. Any other string is a table entry of
+    its own, so distinct strings stay distinct keys. *)
 
 type t
 
@@ -36,7 +41,7 @@ val record_unforced : t -> transid:string -> disposition -> unit
 val crash : t -> int
 (** Simulate losing the node's memory: every disposition recorded with
     [record_unforced] since the last forced write disappears; forced records
-    survive. Returns the number of records lost; O(table), which is paid
+    survive. Returns the number of records lost; O(entries), which is paid
     only at a total node failure. *)
 
 val disposition_of : t -> transid:string -> disposition option

@@ -24,12 +24,49 @@ type span = {
   mutable state_broadcasts : int;
 }
 
+(* The finished spans, flat: slot [s] keeps its id in [ids.(s)], its
+   outcome in [outcomes.(s)] and its stamps and counts in [fields], at
+   [s * width + offset] for the offsets below; a stamp not yet taken is
+   [no_stamp]. [index] is an open-addressing table of live slot numbers
+   (-1 empty) hashed by id, at most half full. The arrays start at
+   [first_slots] slots at the first [finish] and double up to the
+   registry's capacity; slots not live keep stale values until reused. *)
+type ring = {
+  ids : string array;
+  outcomes : outcome array;
+  fields : int array;
+  index : int array;
+}
+
+let begin_at = 0
+let phase1_at = 1
+let phase2_at = 2
+let backout_at = 3
+let end_at = 4
+let messages = 5
+let prepares = 6
+let phase2_msgs = 7
+let forced_writes = 8
+let lock_waits = 9
+let restarts = 10
+let images_undone = 11
+let remote_nodes = 12
+let state_broadcasts = 13
+let width = 14
+
+let no_stamp = -1
+
+let first_slots = 16
+
+(* The live slots are the [finished_size] slots from [head] on, modulo
+   [capacity], oldest first; [head] stays 0 until the ring is full, so
+   while it grows they are its first slots. *)
 type t = {
   engine : Engine.t;
   capacity : int;
   active_table : (string, span) Hashtbl.t;
-  finished_table : (string, span) Hashtbl.t;
-  mutable finished : span list; (* newest first, trimmed to capacity *)
+  mutable ring : ring option;
+  mutable head : int;
   mutable finished_size : int;
   mutable total_started : int;
   mutable total_committed : int;
@@ -37,12 +74,13 @@ type t = {
 }
 
 let create ?(capacity = 4096) engine =
+  if capacity < 1 then invalid_arg "Span.create: capacity must be positive";
   {
     engine;
     capacity;
     active_table = Hashtbl.create 256;
-    finished_table = Hashtbl.create 256;
-    finished = [];
+    ring = None;
+    head = 0;
     finished_size = 0;
     total_started = 0;
     total_committed = 0;
@@ -77,52 +115,192 @@ let start t id =
       t.total_started <- t.total_started + 1;
       span
 
+(* The [i]th live slot, oldest first. *)
+let nth t i = (t.head + i) mod t.capacity
+
+(* The live slot holding [id], or -1. *)
+let slot_of ring id =
+  let mask = Array.length ring.index - 1 in
+  let rec probe i =
+    let slot = ring.index.(i) in
+    if slot < 0 || String.equal ring.ids.(slot) id then slot
+    else probe ((i + 1) land mask)
+  in
+  probe (Hashtbl.hash id land mask)
+
+(* Point [ring.ids.(slot)]'s index entry at [slot]: a newer span of the same
+   id replaces an older one. *)
+let index_slot ring slot =
+  let mask = Array.length ring.index - 1 in
+  let id = ring.ids.(slot) in
+  let rec probe i =
+    let found = ring.index.(i) in
+    if found < 0 || String.equal ring.ids.(found) id then ring.index.(i) <- slot
+    else probe ((i + 1) land mask)
+  in
+  probe (Hashtbl.hash id land mask)
+
+let reindex t ring =
+  Array.fill ring.index 0 (Array.length ring.index) (-1);
+  for i = 0 to t.finished_size - 1 do
+    index_slot ring (nth t i)
+  done
+
+(* A ring of [slots] slots holding the live slots of [t]'s ring, which
+   start at slot 0. *)
+let resize t slots =
+  let rec pow2 n = if n >= 2 * slots then n else pow2 (2 * n) in
+  let ring =
+    {
+      ids = Array.make slots "";
+      outcomes = Array.make slots Pending;
+      fields = Array.make (slots * width) 0;
+      index = Array.make (pow2 1) (-1);
+    }
+  in
+  Option.iter
+    (fun old ->
+      Array.blit old.ids 0 ring.ids 0 t.finished_size;
+      Array.blit old.outcomes 0 ring.outcomes 0 t.finished_size;
+      Array.blit old.fields 0 ring.fields 0 (t.finished_size * width))
+    t.ring;
+  reindex t ring;
+  t.ring <- Some ring;
+  ring
+
 (* Late events (a retried phase-two delivery, a restart against a resolved
-   transid) may still refer to a finished span; unknown ids are dropped —
-   the registry must never be grown by stray lock owners or replays. *)
+   transid) may still refer to a finished span and are written into its
+   slot; unknown ids are dropped — the registry must never be grown by
+   stray lock owners or replays. [active] updates an active span; a
+   finished one's [field] grows by [n]. *)
+let add t id n ~active ~field =
+  match Hashtbl.find_opt t.active_table id with
+  | Some span -> active span n
+  | None -> (
+      match t.ring with
+      | None -> ()
+      | Some ring ->
+          let slot = slot_of ring id in
+          if slot >= 0 then begin
+            let i = (slot * width) + field in
+            ring.fields.(i) <- ring.fields.(i) + n
+          end)
+
+(* The same for a stamp, which keeps the first time it is taken. *)
+let stamp t id ~active ~field =
+  let now = Engine.now t.engine in
+  match Hashtbl.find_opt t.active_table id with
+  | Some span -> active span now
+  | None -> (
+      match t.ring with
+      | None -> ()
+      | Some ring ->
+          let slot = slot_of ring id in
+          let i = (slot * width) + field in
+          if slot >= 0 && ring.fields.(i) = no_stamp then ring.fields.(i) <- now)
+
+let mark_phase1 t id =
+  stamp t id ~field:phase1_at ~active:(fun span now ->
+      if span.phase1_at = None then span.phase1_at <- Some now)
+
+let mark_phase2 t id =
+  stamp t id ~field:phase2_at ~active:(fun span now ->
+      if span.phase2_at = None then span.phase2_at <- Some now)
+
+let mark_backout t id =
+  stamp t id ~field:backout_at ~active:(fun span now ->
+      if span.backout_at = None then span.backout_at <- Some now)
+
+let add_messages t id n =
+  add t id n ~field:messages ~active:(fun span n -> span.messages <- span.messages + n)
+
+let incr_prepares t id =
+  add t id 1 ~field:prepares ~active:(fun span n -> span.prepares <- span.prepares + n)
+
+let incr_phase2_msgs t id =
+  add t id 1 ~field:phase2_msgs ~active:(fun span n ->
+      span.phase2_msgs <- span.phase2_msgs + n)
+
+let incr_forced_writes t id =
+  add t id 1 ~field:forced_writes ~active:(fun span n ->
+      span.forced_writes <- span.forced_writes + n)
+
+let incr_lock_waits t id =
+  add t id 1 ~field:lock_waits ~active:(fun span n ->
+      span.lock_waits <- span.lock_waits + n)
+
+let incr_restarts t id =
+  add t id 1 ~field:restarts ~active:(fun span n -> span.restarts <- span.restarts + n)
+
+let add_images_undone t id n =
+  add t id n ~field:images_undone ~active:(fun span n ->
+      span.images_undone <- span.images_undone + n)
+
+let incr_remote_nodes t id =
+  add t id 1 ~field:remote_nodes ~active:(fun span n ->
+      span.remote_nodes <- span.remote_nodes + n)
+
+let add_state_broadcasts t id n =
+  add t id n ~field:state_broadcasts ~active:(fun span n ->
+      span.state_broadcasts <- span.state_broadcasts + n)
+
+let stamp_value = function Some time -> time | None -> no_stamp
+
+let stamp_of value = if value = no_stamp then None else Some value
+
+let store t ring span =
+  let slot = nth t t.finished_size in
+  let set field value = ring.fields.((slot * width) + field) <- value in
+  ring.ids.(slot) <- span.span_id;
+  ring.outcomes.(slot) <- span.outcome;
+  set begin_at span.begin_at;
+  set phase1_at (stamp_value span.phase1_at);
+  set phase2_at (stamp_value span.phase2_at);
+  set backout_at (stamp_value span.backout_at);
+  set end_at (stamp_value span.end_at);
+  set messages span.messages;
+  set prepares span.prepares;
+  set phase2_msgs span.phase2_msgs;
+  set forced_writes span.forced_writes;
+  set lock_waits span.lock_waits;
+  set restarts span.restarts;
+  set images_undone span.images_undone;
+  set remote_nodes span.remote_nodes;
+  set state_broadcasts span.state_broadcasts;
+  index_slot ring slot;
+  t.finished_size <- t.finished_size + 1
+
+(* A finished span, read back from its slot. *)
+let span_at ring slot =
+  let get field = ring.fields.((slot * width) + field) in
+  {
+    span_id = ring.ids.(slot);
+    begin_at = get begin_at;
+    phase1_at = stamp_of (get phase1_at);
+    phase2_at = stamp_of (get phase2_at);
+    backout_at = stamp_of (get backout_at);
+    end_at = stamp_of (get end_at);
+    outcome = ring.outcomes.(slot);
+    messages = get messages;
+    prepares = get prepares;
+    phase2_msgs = get phase2_msgs;
+    forced_writes = get forced_writes;
+    lock_waits = get lock_waits;
+    restarts = get restarts;
+    images_undone = get images_undone;
+    remote_nodes = get remote_nodes;
+    state_broadcasts = get state_broadcasts;
+  }
+
 let find t id =
   match Hashtbl.find_opt t.active_table id with
   | Some _ as hit -> hit
-  | None -> Hashtbl.find_opt t.finished_table id
-
-let with_span t id f = match find t id with Some span -> f span | None -> ()
-
-let mark_phase1 t id =
-  with_span t id (fun span ->
-      if span.phase1_at = None then span.phase1_at <- Some (Engine.now t.engine))
-
-let mark_phase2 t id =
-  with_span t id (fun span ->
-      if span.phase2_at = None then span.phase2_at <- Some (Engine.now t.engine))
-
-let mark_backout t id =
-  with_span t id (fun span ->
-      if span.backout_at = None then
-        span.backout_at <- Some (Engine.now t.engine))
-
-let add_messages t id n = with_span t id (fun span -> span.messages <- span.messages + n)
-
-let incr_prepares t id = with_span t id (fun span -> span.prepares <- span.prepares + 1)
-
-let incr_phase2_msgs t id =
-  with_span t id (fun span -> span.phase2_msgs <- span.phase2_msgs + 1)
-
-let incr_forced_writes t id =
-  with_span t id (fun span -> span.forced_writes <- span.forced_writes + 1)
-
-let incr_lock_waits t id =
-  with_span t id (fun span -> span.lock_waits <- span.lock_waits + 1)
-
-let incr_restarts t id = with_span t id (fun span -> span.restarts <- span.restarts + 1)
-
-let add_images_undone t id n =
-  with_span t id (fun span -> span.images_undone <- span.images_undone + n)
-
-let incr_remote_nodes t id =
-  with_span t id (fun span -> span.remote_nodes <- span.remote_nodes + 1)
-
-let add_state_broadcasts t id n =
-  with_span t id (fun span -> span.state_broadcasts <- span.state_broadcasts + n)
+  | None -> (
+      match t.ring with
+      | None -> None
+      | Some ring ->
+          let slot = slot_of ring id in
+          if slot < 0 then None else Some (span_at ring slot))
 
 let finish t id outcome =
   match Hashtbl.find_opt t.active_table id with
@@ -135,22 +313,24 @@ let finish t id outcome =
       | Aborted _ -> t.total_aborted <- t.total_aborted + 1
       | Pending -> ());
       Hashtbl.remove t.active_table id;
-      Hashtbl.replace t.finished_table id span;
-      t.finished <- span :: t.finished;
-      t.finished_size <- t.finished_size + 1;
-      if t.finished_size > t.capacity then begin
-        (* Drop the oldest half in one pass to amortize the trim. *)
+      let ring =
+        match t.ring with
+        | Some ring
+          when t.finished_size < Array.length ring.ids || t.finished_size = t.capacity ->
+            ring
+        | Some ring -> resize t (Int.min t.capacity (2 * Array.length ring.ids))
+        | None -> resize t (Int.min t.capacity first_slots)
+      in
+      if t.finished_size < t.capacity then store t ring span
+      else begin
+        (* Full: keep the newest half, this span included, dropping the
+           oldest in one step to amortize the index rebuild. *)
         let keep = t.capacity / 2 in
-        t.finished <-
-          List.filteri
-            (fun i kept_span ->
-              if i < keep then true
-              else begin
-                Hashtbl.remove t.finished_table kept_span.span_id;
-                false
-              end)
-            t.finished;
-        t.finished_size <- keep
+        let older = Int.max 0 (keep - 1) in
+        t.head <- nth t (t.finished_size - older);
+        t.finished_size <- older;
+        reindex t ring;
+        if keep > 0 then store t ring span
       end;
       Some span
 
@@ -161,7 +341,15 @@ let active t = Hashtbl.fold (fun _ span acc -> span :: acc) t.active_table []
 
 let active_count t = Hashtbl.length t.active_table
 
-let finished t = List.rev t.finished
+(* [f slot acc] over the live slots, oldest first. *)
+let fold_finished t f acc =
+  let rec go i acc = if i = t.finished_size then acc else go (i + 1) (f (nth t i) acc) in
+  go 0 acc
+
+let finished t =
+  match t.ring with
+  | None -> []
+  | Some ring -> List.init t.finished_size (fun i -> span_at ring (nth t i))
 
 let finished_count t = t.finished_size
 
@@ -172,24 +360,33 @@ let committed_total t = t.total_committed
 let aborted_total t = t.total_aborted
 
 let slowest ?(n = 10) t =
-  let keyed =
-    List.filter_map
-      (fun span -> Option.map (fun d -> (d, span)) (duration span))
-      t.finished
-  in
-  let sorted = List.sort (fun (a, _) (b, _) -> Int.compare b a) keyed in
-  List.filteri (fun i _ -> i < n) (List.map snd sorted)
+  match t.ring with
+  | None -> []
+  | Some ring ->
+      let newest_first =
+        fold_finished t
+          (fun slot acc ->
+            let get field = ring.fields.((slot * width) + field) in
+            (get end_at - get begin_at, slot) :: acc)
+          []
+      in
+      List.stable_sort (fun (a, _) (b, _) -> Int.compare b a) newest_first
+      |> List.filteri (fun i _ -> i < n)
+      |> List.map (fun (_, slot) -> span_at ring slot)
 
 let abort_reasons t =
   let counts = Hashtbl.create 16 in
-  List.iter
-    (fun span ->
-      match span.outcome with
-      | Aborted reason ->
-          Hashtbl.replace counts reason
-            (1 + Option.value ~default:0 (Hashtbl.find_opt counts reason))
-      | Committed | Pending -> ())
-    t.finished;
+  (match t.ring with
+  | None -> ()
+  | Some ring ->
+      fold_finished t
+        (fun slot () ->
+          match ring.outcomes.(slot) with
+          | Aborted reason ->
+              Hashtbl.replace counts reason
+                (1 + Option.value ~default:0 (Hashtbl.find_opt counts reason))
+          | Committed | Pending -> ())
+        ());
   Hashtbl.fold (fun reason count acc -> (reason, count) :: acc) counts []
   |> List.sort (fun (ra, a) (rb, b) ->
          match Int.compare b a with 0 -> String.compare ra rb | c -> c)

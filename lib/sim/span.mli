@@ -12,7 +12,14 @@
     are network-unique), bounded: finished spans live in a ring of
     [capacity] entries, the oldest half dropped on overflow. Events against
     ids the registry no longer knows are silently ignored — replayed
-    phase-two deliveries and stray lock owners must not grow it. *)
+    phase-two deliveries and stray lock owners must not grow it.
+
+    The ring is flat: an id, an outcome and fourteen ints a slot in
+    arrays allocated by the first {!finish} and doubled up to [capacity],
+    so once it is full a finished span allocates nothing and holds no
+    record.
+    Late events against a finished span update its slot in place; the
+    readers build [span] records from the slots. *)
 
 type t
 
@@ -38,13 +45,15 @@ type span = {
 }
 
 val create : ?capacity:int -> Engine.t -> t
-(** [capacity] (default 4096) bounds the finished-span ring. *)
+(** [capacity] (default 4096) bounds the finished-span ring; it must be
+    positive. *)
 
 val start : t -> string -> span
 (** Begin (or return the already-active) span for the transid. *)
 
 val find : t -> string -> span option
-(** Active first, then the finished ring. *)
+(** Active first, then the finished ring. A finished span is returned as a
+    snapshot of its slot: changing that record changes nothing here. *)
 
 val finish : t -> string -> outcome -> span option
 (** Stamp [end_at], record the outcome and move the span to the finished
