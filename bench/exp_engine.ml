@@ -20,8 +20,9 @@
    then one timer measures a fixed number of operations (a twentieth of it
    in quick mode). A full run rewrites BENCH_engine.json with the measured
    rates, stamped with the host they were measured on. A quick run leaves
-   the JSON untouched and fails unless every row reaches a third of its
-   committed rate. *)
+   the JSON untouched, runs the whole table three times over and fails
+   unless every row's best repetition reaches a third of its committed
+   rate. *)
 
 open Tandem_sim
 open Tandem_db
@@ -461,6 +462,10 @@ let measure ~quick { name; ops; prepare } =
 
 let committed_path = "BENCH_engine.json"
 
+(* A quick run times the table this many times and keeps each row's
+   best. *)
+let quick_repetitions = 3
+
 (* The committed ops/sec of [committed_path], by benchmark name. *)
 let committed_rates () =
   let fail why = failwith (Printf.sprintf "engine: %s: %s" committed_path why) in
@@ -486,7 +491,9 @@ let committed_rates () =
 
 (* The floor is a third of the committed rate: slack for runner variance,
    so the guard catches order-of-magnitude regressions (a reintroduced
-   closure-compare heap, a quadratic hot path), not noise. *)
+   closure-compare heap, a quadratic hot path), not noise. [rows] holds
+   each row's best quick repetition: a burst of load on a shared host slows
+   one repetition, not all three. *)
 let check_against_committed rows =
   let committed = committed_rates () in
   let names = List.sort String.compare in
@@ -531,7 +538,19 @@ let run () =
      indexed TMF structures and per-event instrumentation must run at \
      memory speed";
   let quick = quick_mode () in
-  let rows = List.map (measure ~quick) benchmarks in
+  let rows =
+    if not quick then List.map (measure ~quick) benchmarks
+    else
+      (* Interleaved: each repetition runs the whole table, so a burst of
+         host load lands on different rows in each. *)
+      let repetitions =
+        List.init quick_repetitions (fun _ ->
+            List.map (measure ~quick) benchmarks)
+      in
+      List.fold_left
+        (List.map2 (fun best row -> if rate row > rate best then row else best))
+        (List.hd repetitions) (List.tl repetitions)
+  in
   print_table
     ~columns:[ "benchmark"; "ops"; "elapsed s"; "ops/sec"; "ns/op" ]
     (List.map

@@ -46,7 +46,7 @@ let registry_drained cluster =
     List.fold_left
       (fun acc node ->
         acc
-        + Hashtbl.length
+        + Tbl.String.length
             (Tmf.node_state (Cluster.tmf cluster) node).Tmf.Tmf_state.registry)
       0 (Cluster.node_ids cluster)
   in

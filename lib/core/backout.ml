@@ -22,7 +22,7 @@ let perform net state ~self transid =
             if Audit_record.is_commit_marker image then ()
             else
             match
-              Hashtbl.find_opt state.Tmf_state.participants
+              Tbl.String.find_opt state.Tmf_state.participants
                 image.Audit_record.volume
             with
             | None ->

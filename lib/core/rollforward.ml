@@ -5,6 +5,7 @@ module Fiber_mutex = Tandem_sim.Fiber_mutex
 module Metrics = Tandem_sim.Metrics
 module Engine = Tandem_sim.Engine
 module Sim_time = Tandem_sim.Sim_time
+module Tbl = Tandem_sim.Tbl
 module String_set = Set.Make (String)
 
 type target = {
@@ -81,7 +82,7 @@ let take_archive t =
           (name, position) :: acc)
         t.state.Tmf_state.trails [];
     open_transactions =
-      Hashtbl.fold
+      Tbl.String.fold
         (fun tid info acc ->
           if info.Tmf_state.resolved = None then String_set.add tid acc
           else acc)

@@ -1,5 +1,6 @@
 open Tandem_os
 open Tandem_audit
+module Tbl = Tandem_sim.Tbl
 
 module Transid = Transid
 module Tx_state = Tx_state
@@ -14,9 +15,9 @@ module Paxos_commit = Paxos_commit
 
 type t = {
   net : Net.t;
-  node_states : (Ids.node_id, Tmf_state.node_state) Hashtbl.t;
-  tmps : (Ids.node_id, Tmp.t) Hashtbl.t;
-  rollforwards : (Ids.node_id, Rollforward.t) Hashtbl.t;
+  node_states : Tmf_state.node_state Tbl.Int.t;
+  tmps : Tmp.t Tbl.Int.t;
+  rollforwards : Rollforward.t Tbl.Int.t; (* all by node id *)
   begins : Tandem_sim.Metrics.counter Lazy.t;
   begins_by_node : Tandem_sim.Metrics.counter_family;
 }
@@ -24,9 +25,9 @@ type t = {
 let create net =
   {
     net;
-    node_states = Hashtbl.create 8;
-    tmps = Hashtbl.create 8;
-    rollforwards = Hashtbl.create 8;
+    node_states = Tbl.Int.create 8;
+    tmps = Tbl.Int.create 8;
+    rollforwards = Tbl.Int.create 8;
     begins = lazy (Tandem_sim.Metrics.counter (Net.metrics net) "tmf.begins");
     begins_by_node =
       Tandem_sim.Metrics.counter_family (Net.metrics net)
@@ -36,29 +37,29 @@ let create net =
 let net t = t.net
 
 let node_state t node =
-  match Hashtbl.find_opt t.node_states node with
+  match Tbl.Int.find_opt t.node_states node with
   | Some state -> state
   | None -> invalid_arg (Printf.sprintf "Tmf: node %d not installed" node)
 
 let tmp t node =
-  match Hashtbl.find_opt t.tmps node with
+  match Tbl.Int.find_opt t.tmps node with
   | Some tmp -> tmp
   | None -> invalid_arg (Printf.sprintf "Tmf: node %d not installed" node)
 
 let rollforward t node =
-  match Hashtbl.find_opt t.rollforwards node with
+  match Tbl.Int.find_opt t.rollforwards node with
   | Some r -> r
   | None -> invalid_arg (Printf.sprintf "Tmf: node %d not installed" node)
 
 let install_node t node ~monitor_volume =
   let id = Node.id node in
-  if Hashtbl.mem t.node_states id then
+  if Tbl.Int.mem t.node_states id then
     invalid_arg "Tmf.install_node: already installed";
   let force_window = (Net.config t.net).Hw_config.group_commit_window in
   let state = Tmf_state.make_node_state ~force_window ~node ~monitor_volume () in
-  Hashtbl.replace t.node_states id state;
+  Tbl.Int.replace t.node_states id state;
   let tmp = Tmp.spawn ~net:t.net ~state ~primary_cpu:0 ~backup_cpu:1 in
-  Hashtbl.replace t.tmps id tmp;
+  Tbl.Int.replace t.tmps id tmp;
   Backout.spawn ~net:t.net ~state ~primary_cpu:1 ~backup_cpu:0;
   (* Every node carries an acceptor on its system volume; under the 2PC
      knob it simply never receives a message. Which nodes form the quorum
@@ -66,7 +67,7 @@ let install_node t node ~monitor_volume =
      ({!Paxos_commit.acceptor_nodes}), not here. *)
   Acceptor.spawn ~net:t.net ~state ~volume:monitor_volume ~primary_cpu:0
     ~backup_cpu:1;
-  Hashtbl.replace t.rollforwards id (Rollforward.create ~net:t.net ~state)
+  Tbl.Int.replace t.rollforwards id (Rollforward.create ~net:t.net ~state)
 
 let add_audit_trail t ~node ~name ~volume ?records_per_file () =
   let state = node_state t node in
@@ -89,7 +90,7 @@ let register_participant t participant =
   then
     invalid_arg
       ("Tmf.register_participant: unknown trail " ^ participant.Participant.trail);
-  Hashtbl.replace state.Tmf_state.participants participant.Participant.volume
+  Tbl.String.replace state.Tmf_state.participants participant.Participant.volume
     participant
 
 let begin_transaction t ~node ~cpu =

@@ -1,3 +1,5 @@
+module Tbl = Tandem_sim.Tbl
+
 type tx_info = {
   transid : Transid.t;
   mutable local_volumes : string list;
@@ -17,8 +19,8 @@ type node_state = {
   monitor : Tandem_audit.Monitor_trail.t;
   trails : (string, Tandem_audit.Audit_trail.t) Hashtbl.t;
   audit_processes : (string, Tandem_audit.Audit_process.t) Hashtbl.t;
-  participants : (string, Participant.t) Hashtbl.t;
-  registry : (string, tx_info) Hashtbl.t;
+  participants : Participant.t Tbl.String.t;
+  registry : tx_info Tbl.String.t;
   mutable generation : int;
   seq_counters : int array;
   tmp_name : string;
@@ -32,8 +34,8 @@ let make_node_state ?(force_window = 0) ~node ~monitor_volume () =
     monitor = Tandem_audit.Monitor_trail.create ~force_window monitor_volume;
     trails = Hashtbl.create 4;
     audit_processes = Hashtbl.create 4;
-    participants = Hashtbl.create 8;
-    registry = Hashtbl.create 64;
+    participants = Tbl.String.create 8;
+    registry = Tbl.String.create 64;
     generation = 0;
     seq_counters = Array.make (Tandem_os.Node.cpu_count node) 0;
     tmp_name = "$TMP";
@@ -41,11 +43,11 @@ let make_node_state ?(force_window = 0) ~node ~monitor_volume () =
   }
 
 let find_tx state transid =
-  Hashtbl.find_opt state.registry (Transid.to_string transid)
+  Tbl.String.find_opt state.registry (Transid.to_string transid)
 
 let ensure_tx state transid =
   let key = Transid.to_string transid in
-  match Hashtbl.find_opt state.registry key with
+  match Tbl.String.find_opt state.registry key with
   | Some info -> info
   | None ->
       let info =
@@ -62,12 +64,12 @@ let ensure_tx state transid =
           resolution_lock = Tandem_sim.Fiber_mutex.create ();
         }
       in
-      Hashtbl.replace state.registry key info;
+      Tbl.String.replace state.registry key info;
       info
 
 let forget_tx state transid =
   let key = Transid.to_string transid in
-  Hashtbl.remove state.registry key;
+  Tbl.String.remove state.registry key;
   Hashtbl.iter
     (fun _ trail -> Tandem_audit.Audit_trail.settle trail ~transid:key)
     state.trails
@@ -96,7 +98,7 @@ let participants_of state transid =
   | None -> []
   | Some info ->
       List.filter_map
-        (fun volume -> Hashtbl.find_opt state.participants volume)
+        (fun volume -> Tbl.String.find_opt state.participants volume)
         info.local_volumes
 
 let trails_of state transid =

@@ -39,8 +39,8 @@ type node_state = {
   monitor : Tandem_audit.Monitor_trail.t;
   trails : (string, Tandem_audit.Audit_trail.t) Hashtbl.t;
   audit_processes : (string, Tandem_audit.Audit_process.t) Hashtbl.t;
-  participants : (string, Participant.t) Hashtbl.t;  (** by volume name *)
-  registry : (string, tx_info) Hashtbl.t;  (** by transid string *)
+  participants : Participant.t Tandem_sim.Tbl.String.t;  (** by volume name *)
+  registry : tx_info Tandem_sim.Tbl.String.t;  (** by transid string *)
   mutable generation : int;
       (** Bumped whenever the registry is destroyed wholesale (total node
           failure). In-flight commit work captures the generation at entry

@@ -1150,7 +1150,7 @@ let start_watchdog t ~interval =
           let rec watch () =
             Fiber.sleep (Net.engine t.net) interval;
             let victims =
-              Hashtbl.fold
+              Tbl.String.fold
                 (fun _ info acc ->
                   let home = Transid.home info.Tmf_state.transid in
                   if
@@ -1223,7 +1223,7 @@ let force_disposition t ~self transid disposition =
    what `tandem indoubt` lists and the chaos checks probe. Sorted by transid
    for deterministic output. *)
 let in_doubt_transactions t =
-  Hashtbl.fold
+  Tbl.String.fold
     (fun _ info acc ->
       if
         info.Tmf_state.voted_yes

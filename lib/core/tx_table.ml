@@ -3,7 +3,7 @@ open Tandem_os
 
 type t = {
   node : Node.t;
-  tables : (string, Tx_state.t) Hashtbl.t array; (* per cpu *)
+  tables : Tx_state.t Tbl.String.t array; (* per cpu, by transid *)
   mutable messages : int;
   census : (Tx_state.t option * Tx_state.t, int) Hashtbl.t;
   broadcast_msgs : Metrics.counter Lazy.t;
@@ -13,7 +13,7 @@ let create node =
   let t =
     {
       node;
-      tables = Array.init (Node.cpu_count node) (fun _ -> Hashtbl.create 64);
+      tables = Array.init (Node.cpu_count node) (fun _ -> Tbl.String.create 64);
       messages = 0;
       census = Hashtbl.create 16;
       broadcast_msgs =
@@ -23,16 +23,16 @@ let create node =
   (* A reloaded processor comes back with fresh memory: its copy of the
      table is empty until new broadcasts arrive (stale states would make
      later broadcasts look like illegal transitions). *)
-  Node.on_cpu_up node (fun cpu -> Hashtbl.reset t.tables.(cpu));
+  Node.on_cpu_up node (fun cpu -> Tbl.String.reset t.tables.(cpu));
   t
 
 let reset t =
-  Array.iter Hashtbl.reset t.tables
+  Array.iter Tbl.String.reset t.tables
 
 let apply t ~cpu transid new_state =
   let table = t.tables.(cpu) in
   let key = Transid.to_string transid in
-  let current = Hashtbl.find_opt table key in
+  let current = Tbl.String.find_opt table key in
   (match (current, new_state) with
   | None, Tx_state.Active -> ()
   | None, _ ->
@@ -55,8 +55,8 @@ let apply t ~cpu transid new_state =
     Hashtbl.replace t.census arc
       (1 + Option.value ~default:0 (Hashtbl.find_opt t.census arc))
   end;
-  if Tx_state.is_terminal new_state then Hashtbl.remove table key
-  else Hashtbl.replace table key new_state
+  if Tx_state.is_terminal new_state then Tbl.String.remove table key
+  else Tbl.String.replace table key new_state
 
 let broadcast t transid new_state =
   let engine = Node.engine t.node in
@@ -71,7 +71,7 @@ let broadcast t transid new_state =
     up
 
 let state_on t ~cpu transid =
-  Hashtbl.find_opt t.tables.(cpu) (Transid.to_string transid)
+  Tbl.String.find_opt t.tables.(cpu) (Transid.to_string transid)
 
 let broadcasts_sent t = t.messages
 

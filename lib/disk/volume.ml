@@ -130,7 +130,7 @@ let force_io t =
   write_mirrors t
 
 (* Block-addressed I/O through the controller cache. Without a cache these
-   are exactly {!read_io}/{!write_io}; with one, a read hit costs no disc
+   are exactly [read_io]/[write_io]; with one, a read hit costs no disc
    access, a write is absorbed (write-behind: the block goes dirty and is
    flushed by the next {!force_io}), and evicting a dirty block pays its
    deferred physical write on the spot. *)

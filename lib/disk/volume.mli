@@ -34,23 +34,21 @@ val available : t -> bool
 val read_io : t -> unit
 (** One physical read (fiber blocks for the access). *)
 
-val write_io : t -> unit
-(** One physical write, applied to every up mirror in parallel (fiber blocks
-    until the slower mirror finishes). *)
-
 val force_io : t -> unit
-(** A write that must reach oxide before returning — same timing as
-    {!write_io}, counted separately because forced writes are what the
+(** A write that must reach oxide before returning: one physical write,
+    applied to every up mirror in parallel (fiber blocks until the slower
+    mirror finishes), counted separately because forced writes are what the
     WAL-vs-checkpoint experiment (E6) measures. Also flushes the controller
     cache's write-behind backlog: every dirty block is covered by this one
     physical write (counted under [disk.cache_write_behind]). *)
 
 (** {1 Block-addressed I/O through the controller cache}
 
-    With [cache_blocks = 0] these are exactly {!read_io}/{!write_io}. With a
-    cache, a read hit costs no disc access, a write is absorbed (the block
-    goes dirty and rides out with the next {!force_io}), and evicting a
-    dirty block pays its deferred physical write on the spot. Hits, misses
+    With [cache_blocks = 0] these are exactly {!read_io} and one physical
+    write, timed as in {!force_io} but not forced. With a cache, a read hit
+    costs no disc access, a write is absorbed (the block goes dirty and
+    rides out with the next {!force_io}), and evicting a dirty block pays
+    its deferred physical write on the spot. Hits, misses
     and eviction writes are exported as [disk.cache_hits],
     [disk.cache_misses] and [disk.cache_evict_writes]. *)
 

@@ -196,7 +196,7 @@ let total_node_failure t ~node =
      commits whose marker carries the decision) die with the node's memory;
      forced monitor records survive. *)
   ignore (Tandem_audit.Monitor_trail.crash state.Tmf.Tmf_state.monitor);
-  Hashtbl.reset state.Tmf.Tmf_state.registry;
+  Tbl.String.reset state.Tmf.Tmf_state.registry;
   Tmf.Tx_table.reset state.Tmf.Tmf_state.tx_tables;
   state.Tmf.Tmf_state.generation <- state.Tmf.Tmf_state.generation + 1;
   Metrics.incr (Metrics.counter (Net.metrics t.net) "hw.total_node_failures")

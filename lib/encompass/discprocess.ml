@@ -1,8 +1,9 @@
 open Tandem_os
 open Tandem_db
 open Dp_protocol
+module Tbl = Tandem_sim.Tbl
 
-type reply_slots = (Ids.pid, int * Message.payload) Hashtbl.t
+type reply_slots = (int * Message.payload) Ids.Pid_tbl.t
 
 type t = {
   net : Net.t;
@@ -12,9 +13,9 @@ type t = {
   trail_name : string;
   volume : Tandem_disk.Volume.t;
   dp_store : Store.t;
-  files : (string, File.t) Hashtbl.t;
+  files : File.t Tbl.String.t;
   locks : Tandem_lock.Lock_table.t;
-  audit_buffers : (string, Tandem_audit.Audit_record.image list) Hashtbl.t;
+  audit_buffers : Tandem_audit.Audit_record.image list Tbl.String.t;
       (* transid -> images, newest first *)
   mutable generation : int;
       (* bumped by total failure: a write that completes across a bump was
@@ -41,20 +42,22 @@ let store t = t.dp_store
 
 let lock_table t = t.locks
 
-let file t file_name = Hashtbl.find_opt t.files file_name
+let file t file_name = Tbl.String.find_opt t.files file_name
 
 let add_file t def =
   let file_name = def.Schema.file_name in
-  if Hashtbl.mem t.files file_name then
+  if Tbl.String.mem t.files file_name then
     invalid_arg ("Discprocess.add_file: duplicate " ^ file_name);
   let file = File.create t.dp_store def in
-  Hashtbl.replace t.files file_name file;
+  Tbl.String.replace t.files file_name file;
   file
 
 let reply_slots t = t.reply_slots
 
 let audit_buffer_depth t =
-  Hashtbl.fold (fun _ images acc -> acc + List.length images) t.audit_buffers 0
+  Tbl.String.fold
+    (fun _ images acc -> acc + List.length images)
+    t.audit_buffers 0
 
 (* ------------------------------------------------------------------ *)
 (* Request execution *)
@@ -136,9 +139,9 @@ let buffer_audit t transaction ~pending (file : File.t) change =
         in
         let existing =
           Option.value ~default:[]
-            (Hashtbl.find_opt t.audit_buffers transid_string)
+            (Tbl.String.find_opt t.audit_buffers transid_string)
         in
-        Hashtbl.replace t.audit_buffers transid_string (image :: existing);
+        Tbl.String.replace t.audit_buffers transid_string (image :: existing);
         if (Net.config t.net).Hw_config.dp_checkpoint_coalescing then
           incr pending
         else checkpoint_cost t
@@ -285,7 +288,7 @@ let execute t process ~requester (op : op_meta) payload =
 
 let flush_audit t process transid =
   let transid_string = Tmf.Transid.to_string transid in
-  match Hashtbl.find_opt t.audit_buffers transid_string with
+  match Tbl.String.find_opt t.audit_buffers transid_string with
   | None | Some [] -> Dp_flushed 0
   | Some images_newest_first -> (
       match
@@ -294,7 +297,7 @@ let flush_audit t process transid =
           (List.rev images_newest_first)
       with
       | Ok () ->
-          Hashtbl.remove t.audit_buffers transid_string;
+          Tbl.String.remove t.audit_buffers transid_string;
           Dp_flushed (List.length images_newest_first)
       | Error e ->
           Dp_error (Bad_request (Format.asprintf "audit flush: %a" Rpc.pp_error e)))
@@ -302,7 +305,7 @@ let flush_audit t process transid =
 let release t transid =
   let transid_string = Tmf.Transid.to_string transid in
   Tandem_lock.Lock_table.release_all t.locks ~owner:transid_string;
-  Hashtbl.remove t.audit_buffers transid_string;
+  Tbl.String.remove t.audit_buffers transid_string;
   Dp_ok
 
 let undo t image =
@@ -335,7 +338,7 @@ let handle t process message =
          belongs to an operation the requester gave up on, and is refused. *)
       Process.spawn_fiber process (fun () ->
           let requester = message.Message.src in
-          match Hashtbl.find_opt t.reply_slots requester with
+          match Ids.Pid_tbl.find_opt t.reply_slots requester with
           | Some (saved, reply) when saved = op.op_id -> respond reply
           | Some (saved, _) when saved > op.op_id ->
               respond (Dp_error (Bad_request "stale retry"))
@@ -343,10 +346,11 @@ let handle t process message =
               let reply =
                 execute t process ~requester op message.Message.payload
               in
-              (match Hashtbl.find_opt t.reply_slots requester with
+              (match Ids.Pid_tbl.find_opt t.reply_slots requester with
               | Some (saved, _) when saved > op.op_id ->
                   () (* a late completion never displaces a newer reply *)
-              | _ -> Hashtbl.replace t.reply_slots requester (op.op_id, reply));
+              | _ ->
+                  Ids.Pid_tbl.replace t.reply_slots requester (op.op_id, reply));
               respond reply)
   | Dp_flush_audit transid ->
       Process.spawn_fiber process (fun () ->
@@ -371,13 +375,13 @@ let spawn ~net ~tmf ~node ~volume ~name ~trail ~primary_cpu ~backup_cpu
       trail_name = trail;
       volume;
       dp_store = Store.create volume ~cache_capacity;
-      files = Hashtbl.create 8;
+      files = Tbl.String.create 8;
       locks =
         Tandem_lock.Lock_table.create ~spans:(Net.spans net) (Net.engine net)
           ~metrics:(Net.metrics net) ~name;
-      audit_buffers = Hashtbl.create 32;
+      audit_buffers = Tbl.String.create 32;
       generation = 0;
-      reply_slots = Hashtbl.create 8;
+      reply_slots = Ids.Pid_tbl.create 8;
       data_mutex = Tandem_sim.Fiber_mutex.create ();
       pair = None;
       coalesced_checkpoints =
@@ -435,7 +439,9 @@ let rollforward_target t =
       (fun () ->
         let blocks = Store.snapshot t.dp_store in
         let metadata =
-          Hashtbl.fold (fun _ file acc -> File.snapshot file :: acc) t.files []
+          Tbl.String.fold
+            (fun _ file acc -> File.snapshot file :: acc)
+            t.files []
         in
         fun () ->
           Store.restore t.dp_store blocks;
@@ -444,7 +450,9 @@ let rollforward_target t =
     unflushed_images =
       (fun () ->
         (* Each per-transaction buffer is newest first already. *)
-        Hashtbl.fold (fun _ images acc -> images @ acc) t.audit_buffers []);
+        Tbl.String.fold
+          (fun _ images acc -> images @ acc)
+          t.audit_buffers []);
     redo =
       (fun image ->
         match file t image.Tandem_audit.Audit_record.file with
@@ -469,6 +477,6 @@ let rollforward_target t =
 let simulate_total_failure t =
   t.generation <- t.generation + 1;
   Store.crash t.dp_store;
-  Hashtbl.reset t.audit_buffers;
-  Hashtbl.reset t.reply_slots;
+  Tbl.String.reset t.audit_buffers;
+  Ids.Pid_tbl.reset t.reply_slots;
   Tandem_lock.Lock_table.reset t.locks

@@ -22,7 +22,7 @@ type waiter = {
 
 type file_state = {
   mutable file_owner : string option;
-  mutable record_owners : (string, string) Hashtbl.t; (* key -> owner *)
+  mutable record_owners : string Tbl.String.t; (* key -> owner *)
 }
 
 (* Grantability only ever changes when a lock in the SAME file is released
@@ -41,9 +41,9 @@ type t = {
   c_release_all : Metrics.counter Lazy.t;
   spans : Span.t option;
   table_name : string;
-  files : (string, file_state) Hashtbl.t;
-  owner_index : (string, (resource, unit) Hashtbl.t) Hashtbl.t;
-  wait_queues : (string, waiter Queue.t) Hashtbl.t; (* file -> FIFO *)
+  files : file_state Tbl.String.t;
+  owner_index : (resource, unit) Hashtbl.t Tbl.String.t;
+  wait_queues : waiter Queue.t Tbl.String.t; (* file -> FIFO *)
   mutable waiting : int; (* pending waiters across all queues *)
 }
 
@@ -57,22 +57,22 @@ let create ?spans engine ~metrics ~name =
     c_release_all = lazy (Metrics.counter metrics "lock.release_all");
     spans;
     table_name = name;
-    files = Hashtbl.create 32;
-    owner_index = Hashtbl.create 32;
-    wait_queues = Hashtbl.create 8;
+    files = Tbl.String.create 32;
+    owner_index = Tbl.String.create 32;
+    wait_queues = Tbl.String.create 8;
     waiting = 0;
   }
 
 let file_state t file =
-  match Hashtbl.find_opt t.files file with
+  match Tbl.String.find_opt t.files file with
   | Some state -> state
   | None ->
-      let state = { file_owner = None; record_owners = Hashtbl.create 16 } in
-      Hashtbl.replace t.files file state;
+      let state = { file_owner = None; record_owners = Tbl.String.create 16 } in
+      Tbl.String.replace t.files file state;
       state
 
 let other_record_owners state ~owner =
-  Hashtbl.fold
+  Tbl.String.fold
     (fun _ record_owner found ->
       found || not (String.equal record_owner owner))
     state.record_owners false
@@ -84,7 +84,7 @@ let grantable t ~owner resource =
       match state.file_owner with
       | Some file_owner when not (String.equal file_owner owner) -> false
       | Some _ | None -> (
-          match Hashtbl.find_opt state.record_owners key with
+          match Tbl.String.find_opt state.record_owners key with
           | Some record_owner -> String.equal record_owner owner
           | None -> true))
   | File_lock file ->
@@ -96,11 +96,11 @@ let grantable t ~owner resource =
 
 let note_granted t ~owner resource =
   let held =
-    match Hashtbl.find_opt t.owner_index owner with
+    match Tbl.String.find_opt t.owner_index owner with
     | Some held -> held
     | None ->
         let held = Hashtbl.create 8 in
-        Hashtbl.replace t.owner_index owner held;
+        Tbl.String.replace t.owner_index owner held;
         held
   in
   Hashtbl.replace held resource ()
@@ -110,8 +110,8 @@ let grant t ~owner resource =
   | Record_lock { file; key } ->
       let state = file_state t file in
       (* A file-lock holder's record access is already covered. *)
-      if not (Hashtbl.mem state.record_owners key) then begin
-        Hashtbl.replace state.record_owners key owner;
+      if not (Tbl.String.mem state.record_owners key) then begin
+        Tbl.String.replace state.record_owners key owner;
         note_granted t ~owner resource
       end
   | File_lock file ->
@@ -126,7 +126,7 @@ let grant t ~owner resource =
 let wake_grantable t files =
   List.iter
     (fun file ->
-      match Hashtbl.find_opt t.wait_queues file with
+      match Tbl.String.find_opt t.wait_queues file with
       | None -> ()
       | Some queue ->
           let passes = Queue.length queue in
@@ -151,17 +151,17 @@ let wake_grantable t files =
                 end
                 else Queue.add waiter queue
           done;
-          if Queue.is_empty queue then Hashtbl.remove t.wait_queues file)
+          if Queue.is_empty queue then Tbl.String.remove t.wait_queues file)
     files
 
 let enqueue_waiter t waiter =
   let file = file_of_resource waiter.resource in
   let queue =
-    match Hashtbl.find_opt t.wait_queues file with
+    match Tbl.String.find_opt t.wait_queues file with
     | Some queue -> queue
     | None ->
         let queue = Queue.create () in
-        Hashtbl.replace t.wait_queues file queue;
+        Tbl.String.replace t.wait_queues file queue;
         queue
   in
   Queue.add waiter queue;
@@ -203,15 +203,15 @@ let try_acquire t ~owner resource =
   else false
 
 let release_all t ~owner =
-  (match Hashtbl.find_opt t.owner_index owner with
+  (match Tbl.String.find_opt t.owner_index owner with
   | None -> ()
   | Some held ->
-      Hashtbl.remove t.owner_index owner;
-      let touched = Hashtbl.create 8 in
+      Tbl.String.remove t.owner_index owner;
+      let touched = Tbl.String.create 8 in
       Hashtbl.iter
         (fun resource () ->
           let file = file_of_resource resource in
-          Hashtbl.replace touched file ();
+          Tbl.String.replace touched file ();
           match resource with
           | File_lock _ -> (
               let state = file_state t file in
@@ -221,24 +221,25 @@ let release_all t ~owner =
               | Some _ | None -> ())
           | Record_lock { key; _ } -> (
               let state = file_state t file in
-              match Hashtbl.find_opt state.record_owners key with
+              match Tbl.String.find_opt state.record_owners key with
               | Some record_owner when String.equal record_owner owner ->
-                  Hashtbl.remove state.record_owners key
+                  Tbl.String.remove state.record_owners key
               | Some _ | None -> ()))
         held;
-      wake_grantable t (Hashtbl.fold (fun file () acc -> file :: acc) touched []));
+      wake_grantable t
+        (Tbl.String.fold (fun file () acc -> file :: acc) touched []));
   Metrics.incr (Lazy.force t.c_release_all)
 
 let holder t resource =
   match resource with
   | File_lock file -> (
-      match Hashtbl.find_opt t.files file with
+      match Tbl.String.find_opt t.files file with
       | Some state -> state.file_owner
       | None -> None)
   | Record_lock { file; key } -> (
-      match Hashtbl.find_opt t.files file with
+      match Tbl.String.find_opt t.files file with
       | Some state -> (
-          match Hashtbl.find_opt state.record_owners key with
+          match Tbl.String.find_opt state.record_owners key with
           | Some _ as direct -> direct
           | None -> state.file_owner)
       | None -> None)
@@ -249,24 +250,24 @@ let holds t ~owner resource =
   | None -> false
 
 let locks_of t ~owner =
-  match Hashtbl.find_opt t.owner_index owner with
+  match Tbl.String.find_opt t.owner_index owner with
   | None -> []
   | Some held -> Hashtbl.fold (fun resource () acc -> resource :: acc) held []
 
 let locked_count t =
-  Hashtbl.fold
+  Tbl.String.fold
     (fun _ state acc ->
       acc
       + (match state.file_owner with Some _ -> 1 | None -> 0)
-      + Hashtbl.length state.record_owners)
+      + Tbl.String.length state.record_owners)
     t.files 0
 
 let waiting_count t = t.waiting
 
 let reset t =
-  Hashtbl.reset t.files;
-  Hashtbl.reset t.owner_index;
-  Hashtbl.iter
+  Tbl.String.reset t.files;
+  Tbl.String.reset t.owner_index;
+  Tbl.String.iter
     (fun _ queue ->
       Queue.iter
         (fun waiter ->
@@ -276,5 +277,5 @@ let reset t =
           end)
         queue)
     t.wait_queues;
-  Hashtbl.reset t.wait_queues;
+  Tbl.String.reset t.wait_queues;
   t.waiting <- 0

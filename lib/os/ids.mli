@@ -20,5 +20,8 @@ val pp_pid : Format.formatter -> pid -> unit
 
 val equal_pid : pid -> pid -> bool
 
+module Pid_tbl : Hashtbl.SeededS with type key = pid
+(** A {!Tandem_sim.Tbl} keyed by pid. *)
+
 val max_cpus_per_node : int
 (** 16, per the hardware architecture. *)

@@ -19,6 +19,10 @@ type lane = {
   mutable last_arrival : Sim_time.t;
 }
 
+(* A cached route: [Uncached] until first asked, reset when a link
+   changes. *)
+type cached_route = Uncached | Route of (int * Sim_time.span) option
+
 type t = {
   engine : Engine.t;
   config : Hw_config.t;
@@ -26,11 +30,14 @@ type t = {
   metrics : Metrics.t;
   spans : Span.t;
   workload_rng : Rng.t;
-  node_table : (Ids.node_id, Node.t) Hashtbl.t;
+  node_table : Node.t Tbl.Int.t;
   mutable links : link list;
-  mutable route_cache : (Ids.node_id * Ids.node_id, (int * Sim_time.span) option) Hashtbl.t;
-  lanes : (Ids.node_id * Ids.node_id, lane) Hashtbl.t;
-  node_msg_counters : (Ids.node_id, Metrics.counter) Hashtbl.t;
+  (* Per-message state by node id, [routes.(src).(dst)], [lanes.(src).(dst)]
+     and [node_msg_counters.(dst)]: square in every id from 0 to the
+     largest one routed, grown by [route]. *)
+  mutable routes : cached_route array array;
+  mutable lanes : lane option array array;
+  mutable node_msg_counters : Metrics.counter option array;
   (* Pre-resolved handles for the per-message fast path: one registry
      lookup at net creation instead of a string hash per send. *)
   c_msgs_sent : Metrics.counter;
@@ -51,11 +58,11 @@ let create ?(seed = 42) ?(config = Hw_config.default) () =
     metrics;
     spans = Span.create engine;
     workload_rng = Rng.split (Engine.rng engine);
-    node_table = Hashtbl.create 8;
+    node_table = Tbl.Int.create 8;
     links = [];
-    route_cache = Hashtbl.create 16;
-    lanes = Hashtbl.create 16;
-    node_msg_counters = Hashtbl.create 8;
+    routes = [||];
+    lanes = [||];
+    node_msg_counters = [||];
     c_msgs_sent = Metrics.counter metrics "net.msgs_sent";
     c_hops = Metrics.counter metrics "net.hops";
     c_retransmits = Metrics.counter metrics "net.retransmits";
@@ -78,26 +85,48 @@ let spans t = t.spans
 
 let rng t = t.workload_rng
 
-let invalidate_routes t = Hashtbl.reset t.route_cache
+let invalidate_routes t =
+  Array.iter (fun row -> Array.fill row 0 (Array.length row) Uncached) t.routes
+
+(* Grow the per-id arrays to cover node id [id] (at least 0). *)
+let cover t id =
+  let n = Array.length t.lanes in
+  if id >= n then begin
+    let n' = max (id + 1) (2 * n) in
+    let widen row fill =
+      let wide = Array.make n' fill in
+      Array.blit row 0 wide 0 (Array.length row);
+      wide
+    in
+    let widen_rows rows fill =
+      Array.init n' (fun src ->
+          widen (if src < n then rows.(src) else [||]) fill)
+    in
+    t.routes <- widen_rows t.routes Uncached;
+    t.lanes <- widen_rows t.lanes None;
+    t.node_msg_counters <- widen t.node_msg_counters None
+  end
 
 let add_node t ~id ~cpus =
-  if Hashtbl.mem t.node_table id then invalid_arg "Net.add_node: duplicate id";
+  if id < 0 then invalid_arg "Net.add_node: negative id";
+  if Tbl.Int.mem t.node_table id then invalid_arg "Net.add_node: duplicate id";
   let node =
     Node.create ~engine:t.engine ~trace:t.trace ~metrics:t.metrics ~id ~cpus
   in
-  Hashtbl.replace t.node_table id node;
+  Tbl.Int.replace t.node_table id node;
   invalidate_routes t;
   node
 
-let node t id = Hashtbl.find t.node_table id
+let node t id = Tbl.Int.find t.node_table id
 
 let nodes t =
-  Hashtbl.fold (fun _ node acc -> node :: acc) t.node_table []
+  Tbl.Int.fold (fun _ node acc -> node :: acc) t.node_table []
   |> List.sort (fun a b -> Int.compare (Node.id a) (Node.id b))
 
 let add_link ?latency t a b =
   let latency = Option.value latency ~default:Hw_config.network_latency in
   if a = b then invalid_arg "Net.add_link: self link";
+  if a < 0 || b < 0 then invalid_arg "Net.add_link: negative node id";
   t.links <-
     { node_a = a; node_b = b; nominal_latency = latency; latency; up = true }
     :: t.links;
@@ -225,18 +254,25 @@ let compute_route t src dst =
     next_settled ()
   end
 
+(* No link has a negative end, so a negative id is reachable only from
+   itself. *)
 let route t src dst =
-  match Hashtbl.find_opt t.route_cache (src, dst) with
-  | Some cached -> cached
-  | None ->
-      let result = compute_route t src dst in
-      Hashtbl.replace t.route_cache (src, dst) result;
-      result
+  if src = dst then Some (0, 0)
+  else if src < 0 || dst < 0 then None
+  else begin
+    cover t (max src dst);
+    match t.routes.(src).(dst) with
+    | Route cached -> cached
+    | Uncached ->
+        let result = compute_route t src dst in
+        t.routes.(src).(dst) <- Route result;
+        result
+  end
 
 let reachable t src dst = Option.is_some (route t src dst)
 
 let deliver_at_destination t (message : Message.t) =
-  match Hashtbl.find_opt t.node_table message.Message.dst.Ids.node with
+  match Tbl.Int.find_opt t.node_table message.Message.dst.Ids.node with
   | None -> Metrics.incr (Metrics.counter t.metrics "net.msgs_dropped_no_node")
   | Some node -> (
       match Node.find_process node message.Message.dst with
@@ -246,21 +282,21 @@ let deliver_at_destination t (message : Message.t) =
           Metrics.incr (Metrics.counter t.metrics "os.msgs_dropped_dead"))
 
 (* Per-destination counter handles are cached in the net state so the hot
-   send path never re-renders the canonical labeled name. *)
+   send path never re-renders the canonical labeled name. Both lookups
+   below follow a [route] to the same ids, which covered them. *)
 let node_msg_counter t dst_node =
-  match Hashtbl.find_opt t.node_msg_counters dst_node with
+  match t.node_msg_counters.(dst_node) with
   | Some counter -> counter
   | None ->
       let counter =
         Metrics.counter_with t.metrics "net.node_msgs"
           ~labels:[ ("dst", string_of_int dst_node) ]
       in
-      Hashtbl.replace t.node_msg_counters dst_node counter;
+      t.node_msg_counters.(dst_node) <- Some counter;
       counter
 
 let lane_for t src_node dst_node =
-  let key = (src_node, dst_node) in
-  match Hashtbl.find_opt t.lanes key with
+  match t.lanes.(src_node).(dst_node) with
   | Some lane -> lane
   | None ->
       let lane =
@@ -271,7 +307,7 @@ let lane_for t src_node dst_node =
           last_arrival = Sim_time.zero;
         }
       in
-      Hashtbl.replace t.lanes key lane;
+      t.lanes.(src_node).(dst_node) <- Some lane;
       lane
 
 (* Close the lane's boxcar: every message collected during the window shares
@@ -308,7 +344,7 @@ let depart_boxcar t lane =
 let send t (message : Message.t) =
   let src = message.Message.src and dst = message.Message.dst in
   if src.Ids.node = dst.Ids.node then
-    match Hashtbl.find_opt t.node_table src.Ids.node with
+    match Tbl.Int.find_opt t.node_table src.Ids.node with
     | None -> invalid_arg "Net.send: unknown source node"
     | Some node -> Node.deliver_local node message
   else begin

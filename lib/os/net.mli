@@ -37,7 +37,8 @@ val rng : t -> Tandem_sim.Rng.t
 (** {1 Topology} *)
 
 val add_node : t -> id:Ids.node_id -> cpus:int -> Node.t
-(** Add a node. Node ids must be unique. *)
+(** Add a node. Node ids must be unique and at least 0: the net keeps its
+    per-pair state (routes, boxcar lanes) in arrays indexed by node id. *)
 
 val node : t -> Ids.node_id -> Node.t
 (** Raises [Not_found] for unknown ids. *)
@@ -46,6 +47,7 @@ val nodes : t -> Node.t list
 
 val add_link :
   ?latency:Tandem_sim.Sim_time.span -> t -> Ids.node_id -> Ids.node_id -> unit
+(** Raises [Invalid_argument] for a self link or a negative node id. *)
 
 val fail_link : t -> Ids.node_id -> Ids.node_id -> unit
 

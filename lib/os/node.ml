@@ -8,8 +8,8 @@ type t = {
   cpus : Cpu.t array;
   mutable bus_x_up : bool;
   mutable bus_y_up : bool;
-  processes : (int, Process.t) Hashtbl.t;
-  names : (string, Ids.pid) Hashtbl.t;
+  processes : Process.t Tbl.Int.t; (* by serial *)
+  names : Ids.pid Tbl.String.t;
   mutable next_serial : int;
   mutable cpu_down_hooks : (Ids.cpu_id -> unit) list;
   mutable cpu_up_hooks : (Ids.cpu_id -> unit) list;
@@ -30,8 +30,8 @@ let create ~engine ~trace ~metrics ~id ~cpus =
     cpus = Array.init cpus (fun i -> Cpu.create engine ~node:id ~id:i);
     bus_x_up = true;
     bus_y_up = true;
-    processes = Hashtbl.create 64;
-    names = Hashtbl.create 32;
+    processes = Tbl.Int.create 64;
+    names = Tbl.String.create 32;
     next_serial = 0;
     cpu_down_hooks = [];
     cpu_up_hooks = [];
@@ -68,23 +68,23 @@ let spawn t ?name ~cpu:cpu_id body =
     match name with Some n -> n | None -> Printf.sprintf "p%d" t.next_serial
   in
   let process = Process.create t.engine ~pid ~name:process_name ~cpu in
-  Hashtbl.replace t.processes t.next_serial process;
-  (match name with Some n -> Hashtbl.replace t.names n pid | None -> ());
+  Tbl.Int.replace t.processes t.next_serial process;
+  (match name with Some n -> Tbl.String.replace t.names n pid | None -> ());
   Process.start process body;
   process
 
 let find_process t (pid : Ids.pid) =
   if pid.Ids.node <> t.id then None
   else
-    match Hashtbl.find_opt t.processes pid.Ids.serial with
+    match Tbl.Int.find_opt t.processes pid.Ids.serial with
     | Some process when Ids.equal_pid (Process.pid process) pid -> Some process
     | Some _ | None -> None
 
-let register_name t name pid = Hashtbl.replace t.names name pid
+let register_name t name pid = Tbl.String.replace t.names name pid
 
-let unregister_name t name = Hashtbl.remove t.names name
+let unregister_name t name = Tbl.String.remove t.names name
 
-let lookup_name t name = Hashtbl.find_opt t.names name
+let lookup_name t name = Tbl.String.find_opt t.names name
 
 let buses_up t = (if t.bus_x_up then 1 else 0) + if t.bus_y_up then 1 else 0
 
@@ -116,7 +116,7 @@ let fail_cpu t cpu_id =
     Cpu.mark_down cpu;
     Trace.emit t.trace "hw" "node %d: cpu %d FAILED" t.id cpu_id;
     Metrics.incr (Metrics.counter t.metrics "hw.cpu_failures");
-    Hashtbl.iter
+    Tbl.Int.iter
       (fun _ process ->
         if (Process.pid process).Ids.cpu = cpu_id then Process.kill process)
       t.processes;

@@ -10,7 +10,7 @@ type t = {
   mutable spawned_since_prune : int;
   mutable live_at_prune : int;
   mutable alive : bool;
-  pending_replies : (int, Message.payload -> unit) Hashtbl.t;
+  pending_replies : (Message.payload -> unit) Tbl.Int.t; (* by corr *)
 }
 
 let create engine ~pid ~name ~cpu =
@@ -24,7 +24,7 @@ let create engine ~pid ~name ~cpu =
     spawned_since_prune = 0;
     live_at_prune = 0;
     alive = true;
-    pending_replies = Hashtbl.create 8;
+    pending_replies = Tbl.Int.create 8;
   }
 
 let spawn_fiber t body =
@@ -79,16 +79,16 @@ let kill t =
     (* Outstanding RPC completions belong to the fibers just killed; their
        timeout timers will fire and be ignored. Dropping the table merely
        stops replies from reaching a corpse. *)
-    Hashtbl.reset t.pending_replies
+    Tbl.Int.reset t.pending_replies
   end
 
 let deliver t message =
   if t.alive then begin
     match message.Message.kind with
     | Message.Reply -> (
-        match Hashtbl.find_opt t.pending_replies message.Message.corr with
+        match Tbl.Int.find_opt t.pending_replies message.Message.corr with
         | Some complete ->
-            Hashtbl.remove t.pending_replies message.Message.corr;
+            Tbl.Int.remove t.pending_replies message.Message.corr;
             complete message.Message.payload
         | None ->
             (* Late reply after the requester timed out: discard. *)
@@ -97,8 +97,8 @@ let deliver t message =
   end
 
 let expect_reply t ~corr complete =
-  Hashtbl.replace t.pending_replies corr complete
+  Tbl.Int.replace t.pending_replies corr complete
 
-let forget_reply t ~corr = Hashtbl.remove t.pending_replies corr
+let forget_reply t ~corr = Tbl.Int.remove t.pending_replies corr
 
 let receive ?filter t = Mailbox.receive ?filter t.mailbox

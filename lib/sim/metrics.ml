@@ -30,17 +30,17 @@ type metric =
   | Sample of sample
   | Histogram of histogram
 
-type t = { table : (string, metric) Hashtbl.t }
+type t = { table : metric Tbl.String.t }
 
-let create () = { table = Hashtbl.create 64 }
+let create () = { table = Tbl.String.create 64 }
 
 let counter t name =
-  match Hashtbl.find_opt t.table name with
+  match Tbl.String.find_opt t.table name with
   | Some (Counter c) -> c
   | Some _ -> invalid_arg ("Metrics.counter: " ^ name ^ " is not a counter")
   | None ->
       let c = { count = 0 } in
-      Hashtbl.replace t.table name (Counter c);
+      Tbl.String.replace t.table name (Counter c);
       c
 
 let incr c = c.count <- c.count + 1
@@ -50,7 +50,7 @@ let add c n = c.count <- c.count + n
 let counter_value c = c.count
 
 let read_counter t name =
-  match Hashtbl.find_opt t.table name with
+  match Tbl.String.find_opt t.table name with
   | Some (Counter c) -> c.count
   | Some _ -> invalid_arg ("Metrics.read_counter: " ^ name ^ " is not a counter")
   | None -> 0
@@ -82,20 +82,25 @@ type counter_family = {
   f_metrics : t;
   f_name : string;
   f_label : string;
-  f_cache : (string, counter) Hashtbl.t;
+  f_cache : counter Tbl.String.t;
 }
 
 let counter_family t ~name ~label =
-  { f_metrics = t; f_name = name; f_label = label; f_cache = Hashtbl.create 8 }
+  {
+    f_metrics = t;
+    f_name = name;
+    f_label = label;
+    f_cache = Tbl.String.create 8;
+  }
 
 let family_counter f value =
-  match Hashtbl.find_opt f.f_cache value with
+  match Tbl.String.find_opt f.f_cache value with
   | Some c -> c
   | None ->
       let c =
         counter_with f.f_metrics f.f_name ~labels:[ (f.f_label, value) ]
       in
-      Hashtbl.replace f.f_cache value c;
+      Tbl.String.replace f.f_cache value c;
       c
 
 let sum_counters t name =
@@ -104,7 +109,7 @@ let sum_counters t name =
     String.length s >= String.length prefix
     && String.sub s 0 (String.length prefix) = prefix
   in
-  Hashtbl.fold
+  Tbl.String.fold
     (fun key metric acc ->
       match metric with
       | Counter c when key = name || is_prefix key -> acc + c.count
@@ -112,14 +117,14 @@ let sum_counters t name =
     t.table 0
 
 let sample t name =
-  match Hashtbl.find_opt t.table name with
+  match Tbl.String.find_opt t.table name with
   | Some (Sample s) -> s
   | Some _ -> invalid_arg ("Metrics.sample: " ^ name ^ " is not a sample")
   | None ->
       let s =
         { counts = [||]; spilled = false; values = [||]; used = 0; sorted = true }
       in
-      Hashtbl.replace t.table name (Sample s);
+      Tbl.String.replace t.table name (Sample s);
       s
 
 let grow_counts s size =
@@ -268,12 +273,12 @@ let make_histogram bounds =
   }
 
 let histogram ?(bounds = default_latency_bounds_ms) t name =
-  match Hashtbl.find_opt t.table name with
+  match Tbl.String.find_opt t.table name with
   | Some (Histogram h) -> h
   | Some _ -> invalid_arg ("Metrics.histogram: " ^ name ^ " is not a histogram")
   | None ->
       let h = make_histogram bounds in
-      Hashtbl.replace t.table name (Histogram h);
+      Tbl.String.replace t.table name (Histogram h);
       h
 
 let read_histogram t name = histogram t name
@@ -378,13 +383,13 @@ let merge_sample ~into src =
 
 let merge ~into src =
   let src_names =
-    Hashtbl.fold (fun name _ acc -> name :: acc) src.table []
+    Tbl.String.fold (fun name _ acc -> name :: acc) src.table []
     |> List.sort String.compare
   in
   List.iter
     (fun name ->
-      let metric = Hashtbl.find src.table name in
-      match (Hashtbl.find_opt into.table name, metric) with
+      let metric = Tbl.String.find src.table name in
+      match (Tbl.String.find_opt into.table name, metric) with
       | None, Counter c -> add (counter into name) c.count
       | None, Sample s -> merge_sample ~into:(sample into name) s
       | None, Histogram h ->
@@ -400,14 +405,14 @@ let merge ~into src =
 (* Reporting *)
 
 let names t =
-  Hashtbl.fold (fun name _ acc -> name :: acc) t.table []
+  Tbl.String.fold (fun name _ acc -> name :: acc) t.table []
   |> List.sort String.compare
 
 let pp formatter t =
   let rows =
     List.map
       (fun name ->
-        match Hashtbl.find t.table name with
+        match Tbl.String.find t.table name with
         | Counter c -> (name, Printf.sprintf "%d" c.count)
         | Sample s ->
             ( name,
@@ -461,5 +466,5 @@ let metric_to_json = function
 let to_json t =
   Json.Obj
     (List.map
-       (fun name -> (name, metric_to_json (Hashtbl.find t.table name)))
+       (fun name -> (name, metric_to_json (Tbl.String.find t.table name)))
        (names t))

@@ -100,13 +100,11 @@ val read_sample : t -> string -> sample
 
 type histogram
 
-val default_latency_bounds_ms : float array
-(** Roughly geometric bucket upper bounds in milliseconds, 0.25 ms to 30 s. *)
-
 val histogram : ?bounds:float array -> t -> string -> histogram
 (** The histogram registered under the name, created on first use with
-    [bounds] (default {!default_latency_bounds_ms}; values above the last
-    bound land in an overflow bucket). [bounds] must ascend strictly. *)
+    [bounds] (by default 16 roughly geometric upper bounds in
+    milliseconds, 0.25 ms to 30 s; values above the last bound land in an
+    overflow bucket). [bounds] must ascend strictly. *)
 
 val observe_histogram : histogram -> float -> unit
 

@@ -64,7 +64,7 @@ let first_slots = 16
 type t = {
   engine : Engine.t;
   capacity : int;
-  active_table : (string, span) Hashtbl.t;
+  active_table : span Tbl.String.t;
   mutable ring : ring option;
   mutable head : int;
   mutable finished_size : int;
@@ -78,7 +78,7 @@ let create ?(capacity = 4096) engine =
   {
     engine;
     capacity;
-    active_table = Hashtbl.create 256;
+    active_table = Tbl.String.create 256;
     ring = None;
     head = 0;
     finished_size = 0;
@@ -88,7 +88,7 @@ let create ?(capacity = 4096) engine =
   }
 
 let start t id =
-  match Hashtbl.find_opt t.active_table id with
+  match Tbl.String.find_opt t.active_table id with
   | Some span -> span
   | None ->
       let span =
@@ -111,7 +111,7 @@ let start t id =
           state_broadcasts = 0;
         }
       in
-      Hashtbl.replace t.active_table id span;
+      Tbl.String.replace t.active_table id span;
       t.total_started <- t.total_started + 1;
       span
 
@@ -174,7 +174,7 @@ let resize t slots =
    stray lock owners or replays. [active] updates an active span; a
    finished one's [field] grows by [n]. *)
 let add t id n ~active ~field =
-  match Hashtbl.find_opt t.active_table id with
+  match Tbl.String.find_opt t.active_table id with
   | Some span -> active span n
   | None -> (
       match t.ring with
@@ -189,7 +189,7 @@ let add t id n ~active ~field =
 (* The same for a stamp, which keeps the first time it is taken. *)
 let stamp t id ~active ~field =
   let now = Engine.now t.engine in
-  match Hashtbl.find_opt t.active_table id with
+  match Tbl.String.find_opt t.active_table id with
   | Some span -> active span now
   | None -> (
       match t.ring with
@@ -293,7 +293,7 @@ let span_at ring slot =
   }
 
 let find t id =
-  match Hashtbl.find_opt t.active_table id with
+  match Tbl.String.find_opt t.active_table id with
   | Some _ as hit -> hit
   | None -> (
       match t.ring with
@@ -303,7 +303,7 @@ let find t id =
           if slot < 0 then None else Some (span_at ring slot))
 
 let finish t id outcome =
-  match Hashtbl.find_opt t.active_table id with
+  match Tbl.String.find_opt t.active_table id with
   | None -> None (* already finished (or never started): keep the first verdict *)
   | Some span ->
       span.end_at <- Some (Engine.now t.engine);
@@ -312,7 +312,7 @@ let finish t id outcome =
       | Committed -> t.total_committed <- t.total_committed + 1
       | Aborted _ -> t.total_aborted <- t.total_aborted + 1
       | Pending -> ());
-      Hashtbl.remove t.active_table id;
+      Tbl.String.remove t.active_table id;
       let ring =
         match t.ring with
         | Some ring
@@ -337,9 +337,9 @@ let finish t id outcome =
 let duration span =
   Option.map (fun end_at -> Sim_time.diff end_at span.begin_at) span.end_at
 
-let active t = Hashtbl.fold (fun _ span acc -> span :: acc) t.active_table []
+let active t = Tbl.String.fold (fun _ span acc -> span :: acc) t.active_table []
 
-let active_count t = Hashtbl.length t.active_table
+let active_count t = Tbl.String.length t.active_table
 
 (* [f slot acc] over the live slots, oldest first. *)
 let fold_finished t f acc =

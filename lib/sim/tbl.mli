@@ -1,0 +1,19 @@
+(** Hash tables specialised to one key type.
+
+    Each is [Hashtbl.MakeSeeded] over {!Hashtbl.seeded_hash} and the key
+    type's own equality, so a lookup makes no polymorphic compare. The
+    hash is the generic table's and [create] draws its seed the same way
+    ([?random] defaults to {!Hashtbl.is_randomized}), so a typed table fed
+    the same operations keeps the same buckets and folds in the same order
+    as a generic [Hashtbl.t] — also when [OCAMLRUNPARAM=R] randomizes
+    both. *)
+
+module Make (Key : sig
+  type t
+
+  val equal : t -> t -> bool
+end) : Hashtbl.SeededS with type key = Key.t
+
+module Int : Hashtbl.SeededS with type key = int
+
+module String : Hashtbl.SeededS with type key = string

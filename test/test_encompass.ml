@@ -346,7 +346,7 @@ let test_rollforward_discards_uncommitted () =
       match !dangling with
       | Some transid -> (
           let state = Tmf.node_state tmf 1 in
-          match Hashtbl.find_opt state.Tmf.Tmf_state.participants "$DATA1" with
+          match Tbl.String.find_opt state.Tmf.Tmf_state.participants "$DATA1" with
           | Some participant ->
               ignore (participant.Tmf.Participant.flush_audit ~self:process transid);
               Tandem_audit.Audit_trail.force
@@ -1063,7 +1063,7 @@ let fuzzy_archive_scenario ~open_tx_commits =
       (* Flush this transaction's audit so its image sits in the trail
          BEFORE the archive point (the pre-archive loser-candidate path). *)
       let state = Tmf.node_state tmf 1 in
-      (match Hashtbl.find_opt state.Tmf.Tmf_state.participants "$DATA1" with
+      (match Tbl.String.find_opt state.Tmf.Tmf_state.participants "$DATA1" with
       | Some participant ->
           ignore (participant.Tmf.Participant.flush_audit ~self:process transid);
           Tandem_audit.Audit_trail.force
@@ -1143,7 +1143,7 @@ let test_spanning_tree_shape () =
        (fun () ->
          let children node =
            let state = Tmf.node_state (Cluster.tmf cluster) node in
-           Hashtbl.fold
+           Tbl.String.fold
              (fun _ info acc -> info.Tmf.Tmf_state.children @ acc)
              state.Tmf.Tmf_state.registry []
            |> List.sort_uniq Int.compare

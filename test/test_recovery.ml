@@ -251,7 +251,7 @@ let recover_transfer_node ~seed ~spec ~archive_ms ?crash_ms ~parallelism
   in
   Cluster.run ?until:(Option.map Sim_time.milliseconds crash_ms) cluster;
   let open_at_crash =
-    Hashtbl.fold
+    Tbl.String.fold
       (fun _ info acc ->
         if info.Tmf.Tmf_state.resolved = None then acc + 1 else acc)
       state.Tmf.Tmf_state.registry 0
@@ -472,7 +472,7 @@ let test_backout_across_purged_files () =
       let transid = Tmf.begin_transaction tmf ~node:1 ~cpu:1 in
       let transid_string = Tmf.Transid.to_string transid in
       let participant =
-        Hashtbl.find (Tmf.node_state tmf 1).Tmf.Tmf_state.participants "$DATA1"
+        Tbl.String.find (Tmf.node_state tmf 1).Tmf.Tmf_state.participants "$DATA1"
       in
       for step = 0 to steps - 1 do
         (match

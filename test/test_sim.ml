@@ -150,50 +150,77 @@ let test_engine_rejects_past () =
 (* ------------------------------------------------------------------ *)
 (* Engine equivalence against a naive reference scheduler.
 
-   The monomorphized heap, event pooling and tombstone reaping are pure
+   The array heap, slot reuse and tombstone reaping are pure
    representation changes: the engine's observable behaviour is the
    (time, seq)-ordered execution sequence, and that must match a scheduler
-   with none of those optimizations. The workload below randomly schedules
-   and cancels from inside running events — the same decision stream is
-   replayed against both implementations because both deliver events in the
-   same order, so the RNG draws stay aligned. *)
+   with none of those optimizations. The workload below randomly schedules,
+   posts and cancels from inside running events — the same decision stream
+   is replayed against both implementations because both deliver events in
+   the same order, so the RNG draws stay aligned. It is shaped to reach
+   every path of the engine's layout: 300-500 events pending at the start
+   (past the 256 slots an engine is created with), cancel storms that turn
+   most pending events into tombstones (past the 64 that trigger a purge,
+   mid-run), cancels through handles whose event already fired and whose
+   slot has been reused, handle-less posts beside handles, and two
+   [run ~until] stops before the final run resumes. *)
 
-let run_scheduler_workload ~seed ~schedule ~cancel ~now ~run =
+type 'handle scheduler = {
+  schedule : int -> (unit -> unit) -> 'handle;
+  post : int -> (unit -> unit) -> unit;
+  cancel : 'handle -> unit;
+  now : unit -> int;
+  pending : unit -> int;
+  run : ?until:int -> unit -> unit;
+}
+
+(* The trace: (event id, clock, pending) at every executed event, and
+   (-1, clock, pending) after each [run] returns. *)
+let run_scheduler_workload ~seed s =
   let rng = Rng.create ~seed in
   let trace = ref [] in
-  let handles = Hashtbl.create 64 in
+  let log id = trace := (id, s.now (), s.pending ()) :: !trace in
+  let handles = Hashtbl.create 64 in (* id -> handle; posts have none *)
   let next_id = ref 0 in
-  let fresh () =
+  let rec add delay =
     incr next_id;
-    !next_id
-  in
-  let rec action id () =
-    trace := (id, now ()) :: !trace;
+    let id = !next_id in
+    if Rng.int rng 3 = 0 then s.post delay (action id)
+    else Hashtbl.replace handles id (s.schedule delay (action id))
+  and action id () =
+    log id;
     (* Spawn 0-2 children, capped so the branching process terminates. *)
-    let children = if !next_id >= 300 then 0 else Rng.int rng 3 in
+    let children = if !next_id >= 2_000 then 0 else Rng.int rng 3 in
     for _ = 1 to children do
-      let child = fresh () in
-      Hashtbl.replace handles child
-        (schedule (1 + Rng.int rng 40) (action child))
+      add (1 + Rng.int rng 400)
     done;
-    (* Sometimes cancel a random outstanding handle — possibly one that
-       already fired, which must be a no-op on both sides. *)
-    if Rng.int rng 4 = 0 && Hashtbl.length handles > 0 then begin
-      let ids =
-        List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) handles [])
-      in
-      let victim = List.nth ids (Rng.int rng (List.length ids)) in
-      cancel (Hashtbl.find handles victim)
-    end
+    match Rng.int rng 100 with
+    | 0 ->
+        (* A storm: cancel about three in four of every handle issued. *)
+        for victim = 1 to !next_id do
+          if Rng.int rng 4 <> 0 then
+            Option.iter s.cancel (Hashtbl.find_opt handles victim)
+        done
+    | n when n < 25 ->
+        (* One random id: often an event that already fired, whose slot
+           a later event now holds — a no-op on both sides. *)
+        Option.iter s.cancel
+          (Hashtbl.find_opt handles (1 + Rng.int rng !next_id))
+    | _ -> ()
   in
-  for _ = 1 to 8 do
-    let id = fresh () in
-    Hashtbl.replace handles id (schedule (1 + Rng.int rng 40) (action id))
+  for _ = 1 to 300 + Rng.int rng 200 do
+    add (1 + Rng.int rng 1_000)
   done;
-  run ();
+  List.iter
+    (fun until ->
+      s.run ~until ();
+      log (-1))
+    [ 250; 600 ];
+  s.run ();
+  log (-1);
   List.rev !trace
 
-(* The reference: a sorted association list, no pooling, no tombstones. *)
+(* The reference: a list of events, scanned for the earliest live one; no
+   slots, no heap, no tombstone purging. *)
 module Reference_scheduler = struct
   type ev = {
     time : int;
@@ -217,7 +244,9 @@ module Reference_scheduler = struct
 
   let cancel ev = if not ev.fired then ev.live <- false
 
-  let run t =
+  let pending t = List.length (List.filter (fun ev -> ev.live) t.events)
+
+  let run ?(until = max_int) t =
     let rec loop () =
       let next =
         List.fold_left
@@ -233,13 +262,14 @@ module Reference_scheduler = struct
           None t.events
       in
       match next with
-      | None -> ()
-      | Some ev ->
-          t.events <- List.filter (fun e -> e != ev) t.events;
+      | Some ev when ev.time <= until ->
+          t.events <- List.filter (fun e -> e != ev && e.live) t.events;
           t.now <- ev.time;
           ev.fired <- true;
           ev.act ();
           loop ()
+      | Some _ | None ->
+          if until <> max_int && t.now < until then t.now <- until
     in
     loop ()
 end
@@ -250,18 +280,28 @@ let engine_matches_reference ~seed =
   let engine = Engine.create () in
   let engine_trace =
     run_scheduler_workload ~seed
-      ~schedule:(fun delay act -> Engine.schedule_after engine delay act)
-      ~cancel:Engine.cancel
-      ~now:(fun () -> Engine.now engine)
-      ~run:(fun () -> Engine.run engine)
+      {
+        schedule = (fun delay act -> Engine.schedule_after engine delay act);
+        post = (fun delay act -> Engine.post_after engine delay act);
+        cancel = Engine.cancel;
+        now = (fun () -> Engine.now engine);
+        pending = (fun () -> Engine.pending engine);
+        run = (fun ?until () -> Engine.run ?until engine);
+      }
   in
   let reference = Reference_scheduler.create () in
   let reference_trace =
     run_scheduler_workload ~seed
-      ~schedule:(Reference_scheduler.schedule reference)
-      ~cancel:Reference_scheduler.cancel
-      ~now:(fun () -> reference.Reference_scheduler.now)
-      ~run:(fun () -> Reference_scheduler.run reference)
+      {
+        schedule = Reference_scheduler.schedule reference;
+        post =
+          (fun delay act ->
+            ignore (Reference_scheduler.schedule reference delay act));
+        cancel = Reference_scheduler.cancel;
+        now = (fun () -> reference.Reference_scheduler.now);
+        pending = (fun () -> Reference_scheduler.pending reference);
+        run = (fun ?until () -> Reference_scheduler.run ?until reference);
+      }
   in
   engine_trace = reference_trace
 
@@ -286,7 +326,7 @@ let test_engine_pending_excludes_tombstones () =
   check_int "drained" 0 (Engine.pending engine)
 
 let test_engine_stale_handle_is_noop () =
-  (* After an event fires, its record returns to the pool and may be reused
+  (* After an event fires, its slot returns to the free stack and is reused
      by the next schedule; cancelling through the stale handle must not
      touch the new occupant. *)
   let engine = Engine.create () in
@@ -782,6 +822,58 @@ let test_engine_reference_parallel_instances () =
   check_bool "every parallel instance matches the reference" true
     (List.for_all Fun.id results)
 
+(* ------------------------------------------------------------------ *)
+(* Typed hash tables *)
+
+(* A typed table fed the same replace/remove/reset sequence as a generic
+   [Hashtbl] holds the same bindings and folds them in the same order after
+   every step: the hash and the seed are the generic table's, so the
+   bucket layout is too. Fold order reaches outputs (phase-two fan-out,
+   lock wake-ups), so this is what lets a table change type without
+   moving a pinned number. Keys come from 300 values, so the tables pass
+   several resizes and removals hit. *)
+let fold_order_matches (type key)
+    (module T : Hashtbl.SeededS with type key = key) (key_of : int -> key) ops =
+  let typed = T.create 8 and generic = Hashtbl.create 8 in
+  List.for_all
+    (fun (op, k, v) ->
+      let key = key_of k in
+      (match op with
+      | 0 ->
+          T.reset typed;
+          Hashtbl.reset generic
+      | 1 | 2 | 3 | 4 ->
+          T.remove typed key;
+          Hashtbl.remove generic key
+      | _ ->
+          T.replace typed key v;
+          Hashtbl.replace generic key v);
+      T.fold (fun k v acc -> (k, v) :: acc) typed []
+      = Hashtbl.fold (fun k v acc -> (k, v) :: acc) generic [])
+    ops
+
+let table_ops =
+  QCheck.(
+    list_of_size
+      Gen.(int_range 0 400)
+      (triple (int_range 0 20) (int_range 0 299) small_int))
+
+let prop_typed_tables_fold_like_hashtbl =
+  QCheck.Test.make ~name:"typed tables fold like a generic Hashtbl" ~count:50
+    table_ops (fun ops ->
+      fold_order_matches (module Tbl.Int) (fun k -> (k * 7919) - 1_000_000) ops
+      && fold_order_matches
+           (module Tbl.String)
+           (fun k ->
+             if k mod 2 = 0 then Printf.sprintf "%d.%d.%d" (k mod 3) (k mod 4) k
+             else "$DATA" ^ string_of_int k)
+           ops
+      && fold_order_matches
+           (module Tandem_os.Ids.Pid_tbl)
+           (fun k ->
+             { Tandem_os.Ids.node = k mod 5; cpu = k mod 16; serial = k })
+           ops)
+
 (* Regression: fiber ids are allocated per engine. With the old
    module-level counter, interleaved spawns against two engines drew from
    one sequence (1,3,5… / 2,4,6…) and a second engine never started at
@@ -857,6 +949,7 @@ let () =
             test_engine_mass_cancel_reclaims;
         ]
         @ qcheck [ prop_engine_matches_reference ] );
+      ("tbl", qcheck [ prop_typed_tables_fold_like_hashtbl ]);
       ( "fiber",
         [
           Alcotest.test_case "sleep sequence" `Quick test_fiber_sleep_sequence;
