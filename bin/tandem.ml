@@ -93,6 +93,15 @@ let setup_bank ?(trace_tags = [])
 
 let run_bank ({ cpus; volumes; seconds; _ } as opts) fail_cpu fail_at
     trace_tags =
+  if fail_at < 0 then refuse "--fail-at %d: expected at least 0" fail_at;
+  (match fail_cpu with
+  | Some cpu ->
+      if cpu < 0 || cpu >= cpus then
+        refuse "--fail-cpu %d: expected 0-%d" cpu (cpus - 1);
+      if fail_at >= seconds then
+        refuse "--fail-at %d: expected 0-%d (within --seconds %d)" fail_at
+          (seconds - 1) seconds
+  | None -> ());
   let cluster, tcp = setup_bank ~trace_tags opts in
   (match (fail_cpu, fail_at) with
   | Some cpu, at ->
@@ -268,8 +277,11 @@ let start_mfg ~seed ~seconds =
   traffic ();
   t
 
+let check_top top = if top < 0 then refuse "--top %d: expected at least 0" top
+
 let run_stats workload ({ seed; cpus; volumes; seconds; _ } as opts) top json
     =
+  check_top top;
   match workload with
   | "bank" ->
       let cluster, tcp = setup_bank opts in
@@ -329,6 +341,7 @@ let print_timeline span =
     span.Span.images_undone span.Span.remote_nodes
 
 let run_trace ({ seconds; _ } as opts) tags top =
+  check_top top;
   let tags = if tags = [] then [ "*" ] else tags in
   let cluster, tcp = setup_bank ~trace_tags:tags opts in
   let trace = Tandem_os.Net.trace (Cluster.net cluster) in
@@ -362,6 +375,15 @@ let trace_cmd =
 (* mfg: the four-plant manufacturing data base with a partition window. *)
 
 let run_mfg seed seconds partition_at heal_at =
+  if seconds < 1 then refuse "--seconds %d: expected at least 1" seconds;
+  (match partition_at with
+  | Some at ->
+      if at < 0 || at >= seconds then
+        refuse "--partition %d: expected 0-%d (within --seconds %d)" at
+          (seconds - 1) seconds;
+      if heal_at <= at then
+        refuse "--heal %d: expected after --partition %d" heal_at at
+  | None -> ());
   let t = start_mfg ~seed ~seconds in
   let cluster = Tandem_mfg.Mfg_app.cluster t in
   let net = Cluster.net cluster in
@@ -406,6 +428,7 @@ let mfg_cmd =
 (* query: run a mini-ENFORM query against a freshly-loaded bank. *)
 
 let run_query seconds text =
+  if seconds < 0 then refuse "--seconds %d: expected at least 0" seconds;
   let cluster, spec =
     Workload.build_bank ~seed:7 ~accounts:100 ~servers:[ `Bank 2 ] ()
   in
@@ -434,7 +457,11 @@ let run_query seconds text =
       | None -> Printf.printf "no such file %s (try ACCOUNT, TELLER, BRANCH, HISTORY)
 " query.Tandem_db.Query.file
       | Some file -> (
-          match Tandem_db.Query.run query file with
+          (* The engine is stopped: read the file as it stands, without
+             suspending on a block that is not in the cache. *)
+          match
+            Workload.uncharged dp (fun () -> Tandem_db.Query.run query file)
+          with
           | Error m -> Printf.printf "error: %s
 " m
           | Ok rows ->
@@ -699,18 +726,17 @@ let run_chaos list_only scenario_name seeds quick show_schedule
           match Scenarios.find name with
           | Some s -> [ s ]
           | None ->
-              Printf.eprintf "unknown scenario %S; try one of:\n  %s\n" name
-                (String.concat "\n  " Scenarios.names);
-              exit 2)
+              refuse "--scenario %s: expected one of %s" name
+                (String.concat ", " Scenarios.names))
     in
     let seeds = if seeds = [] then [ 42; 1981; 7 ] else seeds in
     let jobs =
       match jobs with
       | Some n when n >= 1 -> n
-      | Some n ->
-          Printf.eprintf "--jobs %d: expected a positive integer\n" n;
-          exit 2
-      | None -> Tandem_sim.Domain_pool.jobs_from_env ()
+      | Some n -> refuse "--jobs %d: expected at least 1" n
+      | None -> (
+          try Tandem_sim.Domain_pool.jobs_from_env ()
+          with Invalid_argument message -> refuse "%s" message)
     in
     let tasks =
       List.concat_map

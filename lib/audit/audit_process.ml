@@ -48,10 +48,6 @@ let spawn ~net ~node ~trail ~name ~primary_cpu ~backup_cpu =
   in
   { process_name = name; audit_trail = trail; pair }
 
-let name t = t.process_name
-
-let trail t = t.audit_trail
-
 let is_up t = Process_pair.is_up t.pair
 
 let expect_ok = function

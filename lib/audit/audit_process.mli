@@ -17,11 +17,8 @@ val spawn :
   backup_cpu:Tandem_os.Ids.cpu_id ->
   t
 
-val name : t -> string
-
-val trail : t -> Audit_trail.t
-
 val is_up : t -> bool
+(** Test hook: whether the pair has a live primary. *)
 
 (** {1 Client side} *)
 

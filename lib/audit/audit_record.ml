@@ -42,8 +42,3 @@ let undo_change image =
   }
 
 let redo_change = undo_change
-
-let pp formatter t =
-  let side = function Some _ -> "*" | None -> "-" in
-  Format.fprintf formatter "#%d %s %s[%S] %s->%s" t.sequence t.transid
-    t.image.file t.image.key (side t.image.before) (side t.image.after)

@@ -33,5 +33,3 @@ val undo_change : image -> Tandem_db.File.change
 (** The file-layer change whose [apply_undo] reverses this image. *)
 
 val redo_change : image -> Tandem_db.File.change
-
-val pp : Format.formatter -> t -> unit

@@ -97,8 +97,6 @@ let create volume ~name ?(records_per_file = 512) ?(force_window = 0) () =
     crash_epoch = 0;
   }
 
-let name t = t.trail_name
-
 let current_file t =
   match t.files with
   | file :: _ -> file

@@ -53,8 +53,6 @@ val create :
     numbered audit file is started. [force_window] (default 0) is the
     group-commit accumulation window of the trail's force daemon. *)
 
-val name : t -> string
-
 val append : t -> transid:string -> Audit_record.image -> int
 (** Buffer one record; returns its sequence number. No physical I/O. *)
 
@@ -97,7 +95,8 @@ val crash : t -> unit
 (** Total node failure: the unforced tail is lost. *)
 
 val file_count : t -> int
-(** Number of audit files the trail holds (including the current one). *)
+(** Test hook: number of audit files the trail holds (including the current
+    one). *)
 
 val retain_from : t -> sequence:int -> unit
 (** An archive was taken whose ROLLFORWARD reads the records from
@@ -106,9 +105,9 @@ val retain_from : t -> sequence:int -> unit
     again, since the archive may be restored at any later time. *)
 
 val purge_files_before : t -> sequence:int -> int
-(** Drop the oldest audit files while they lie entirely below the sequence
-    number, whatever reads them; returns how many files with records went.
-    The trail's own purging (above) goes through the same upkeep. *)
+(** Test hook: drop the oldest audit files while they lie entirely below the
+    sequence number, whatever reads them; returns how many files with records
+    went. The trail's own purging (above) goes through the same upkeep. *)
 
 val dependency_edges : t -> (string * string) list
 (** Forced inter-transaction dependency edges [(from, to)], ascending by

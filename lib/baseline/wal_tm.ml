@@ -62,8 +62,9 @@ let create ~engine ~metrics ~data_volume ~log_volume ?(cache_capacity = 256)
 
 let counter t name = Metrics.counter t.metrics ("baseline." ^ name)
 
-(* A control point: flush, snapshot (blocks + file metadata), note the log
-   position. Restart recovers from here by redoing winners. *)
+(* A control point, taken after each set-up load: snapshot the blocks and
+   file metadata, note the log position. Restart recovers from here by
+   redoing winners. *)
 let take_control_point t =
   let blocks = Store.snapshot t.store in
   let metadata =
@@ -90,17 +91,6 @@ let require_file t file =
 let load_file t ~file records =
   File.load [ (Key.min_key, require_file t file) ] records;
   take_control_point t
-
-let control_point t =
-  (* Sharp control point: the snapshot must contain no loser data, so it
-     can only be taken at quiescence. *)
-  if t.live_txs <> [] then false
-  else begin
-    Store.flush_all t.store;
-    take_control_point t;
-    Metrics.incr (counter t "control_points");
-    true
-  end
 
 let is_available t = t.available
 
@@ -191,34 +181,6 @@ let update t tx ~file key payload =
           if not (force_log_for_change t tx change) then Error `Halted
           else begin
             (match File.update f key payload with
-            | Ok _ -> ()
-            | Error _ -> assert false);
-            Ok change
-          end)
-
-let insert t tx ~file key payload =
-  mutate t tx ~file key (fun f ->
-      match File.read f key with
-      | Some _ -> Error `Duplicate
-      | None ->
-          let change = { File.file; key; before = None; after = Some payload } in
-          if not (force_log_for_change t tx change) then Error `Halted
-          else begin
-            (match File.insert f key payload with
-            | Ok _ -> ()
-            | Error _ -> assert false);
-            Ok change
-          end)
-
-let delete t tx ~file key =
-  mutate t tx ~file key (fun f ->
-      match File.read f key with
-      | None -> Error `Not_found
-      | Some before ->
-          let change = { File.file; key; before = Some before; after = None } in
-          if not (force_log_for_change t tx change) then Error `Halted
-          else begin
-            (match File.delete f key with
             | Ok _ -> ()
             | Error _ -> assert false);
             Ok change

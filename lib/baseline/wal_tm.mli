@@ -33,6 +33,7 @@ val load_file : t -> file:string -> (Tandem_db.Key.t * string) list -> unit
     point. *)
 
 val is_available : t -> bool
+(** Test hook: [false] from {!crash} until {!restart} completes. *)
 
 type tx
 
@@ -48,14 +49,6 @@ val update :
   (unit, [ `Lock_timeout | `Not_found | `Halted ]) result
 (** Forces the log record before touching the data base, per the WAL rule. *)
 
-val insert :
-  t -> tx -> file:string -> Tandem_db.Key.t -> string ->
-  (unit, [ `Lock_timeout | `Duplicate | `Halted ]) result
-
-val delete :
-  t -> tx -> file:string -> Tandem_db.Key.t ->
-  (unit, [ `Lock_timeout | `Not_found | `Halted ]) result
-
 val commit : t -> tx -> (unit, [ `Halted ]) result
 (** Force the commit record; release locks. *)
 
@@ -63,14 +56,7 @@ val abort : t -> tx -> unit
 (** Undo from the in-memory log tail; release locks. *)
 
 val file_contents : t -> file:string -> (Tandem_db.Key.t * string) list
-(** Direct (uncharged) observation. *)
-
-val control_point : t -> bool
-(** Take a control point (flush + snapshot + log position): restart replays
-    only the log written after the most recent one. Sharp control points
-    require quiescence: returns [false] (and does nothing) while any
-    transaction is live. Runs in a fiber (the flush performs physical
-    writes). *)
+(** Test hook: direct (uncharged) observation. *)
 
 (** {1 Crash and restart} *)
 
@@ -90,3 +76,5 @@ val unavailable_total : t -> Tandem_sim.Sim_time.span
 (** Accumulated service outage (halt to end-of-restart). *)
 
 val forced_log_writes : t -> int
+(** Test hook: physical log forces so far (the [baseline.forced_log_writes]
+    counter). *)

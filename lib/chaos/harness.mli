@@ -60,10 +60,6 @@ val check_bank : bank -> Checker.verdict
 
 (** {1 Seeded schedule helpers} *)
 
-val window : quick:bool -> int * int
-(** The [lo, hi) millisecond window faults are drawn from: inside the busy
-    part of the closed-loop run in either mode. *)
-
 val draw_at : Tandem_sim.Rng.t -> quick:bool -> int
 (** One fault instant uniform in {!window}. *)
 

@@ -20,7 +20,7 @@ type pinned = {
 }
 
 val partition_base : Workload.bank_spec -> node:Tandem_os.Ids.node_id -> int
-(** First account key on the node's ACCOUNT partition. *)
+(** Test hook: first account key on the node's ACCOUNT partition. *)
 
 val drive_client :
   ?bound_ms:int ->
@@ -40,13 +40,13 @@ val pin_transfer :
   to_account:int ->
   amount:int ->
   pinned
-(** Begin at [home], transfer [amount] between the two accounts (both must
-    live on [participant]'s partition), then drive phase one at the
+(** Test hook: begin at [home], transfer [amount] between the two accounts (both
+    must live on [participant]'s partition), then drive phase one at the
     participant, leaving it voted-yes with locks held. *)
 
 val decide_2pc : Cluster.t -> home:Tandem_os.Ids.node_id -> pinned -> bool
-(** Force the home's Committed monitor record — a 2PC coordinator dead
-    between commit point and phase two. *)
+(** Test hook: force the home's Committed monitor record — a 2PC coordinator
+    dead between commit point and phase two. *)
 
 val decide_paxos :
   Cluster.t ->
@@ -55,8 +55,8 @@ val decide_paxos :
   acceptor_count:int ->
   pinned ->
   bool
-(** Cast the home's combined vote-plus-manifest to the acceptors — a Paxos
-    Commit coordinator dead between its decision round and phase two. *)
+(** Test hook: cast the home's combined vote-plus-manifest to the acceptors — a
+    Paxos Commit coordinator dead between its decision round and phase two. *)
 
 type wreck = {
   bank : Harness.bank;

@@ -6,7 +6,7 @@ type learned = Decided of Monitor_trail.disposition | Unknown
 
 (* A pure function of the node set, which is immutable for the life of a
    net in this simulation (nodes are all added at boot; [Net] has no
-   remove, and [Net.fail_node] keeps the node in the set). That is what
+   remove, and a failed node stays in the set). That is what
    makes recomputing the set here safe: every caller — voter, home,
    learner, recovery leader — derives the same quorum set for a
    transaction across its whole life. If membership ever became dynamic,

@@ -34,8 +34,6 @@ let create net =
         ~name:"tmf.begins_by_node" ~label:"node";
   }
 
-let net t = t.net
-
 let node_state t node =
   match Tbl.Int.find_opt t.node_states node with
   | Some state -> state

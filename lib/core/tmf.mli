@@ -25,8 +25,6 @@ type t
 
 val create : Tandem_os.Net.t -> t
 
-val net : t -> Tandem_os.Net.t
-
 val install_node :
   t ->
   Tandem_os.Node.t ->

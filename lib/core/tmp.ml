@@ -58,8 +58,6 @@ type t = {
   tmp_read_only_votes : Metrics.counter Lazy.t;
 }
 
-let state t = t.node_state
-
 let hw t = Net.config t.net
 
 let own_node t = Node.id t.node_state.Tmf_state.node
@@ -1141,37 +1139,6 @@ let spawn ~net ~state ~primary_cpu ~backup_cpu =
        ~name:state.Tmf_state.tmp_name ~primary_cpu ~backup_cpu
        ~service:(service t));
   t
-
-let start_watchdog t ~interval =
-  match t.primary with
-  | None -> invalid_arg "Tmp.start_watchdog: no primary"
-  | Some process ->
-      Process.spawn_fiber process (fun () ->
-          let rec watch () =
-            Fiber.sleep (Net.engine t.net) interval;
-            let victims =
-              Tbl.String.fold
-                (fun _ info acc ->
-                  let home = Transid.home info.Tmf_state.transid in
-                  if
-                    info.Tmf_state.resolved = None
-                    && (not info.Tmf_state.voted_yes)
-                    && home <> own_node t
-                    && not (Net.reachable t.net (own_node t) home)
-                  then info.Tmf_state.transid :: acc
-                  else acc)
-                t.node_state.Tmf_state.registry []
-            in
-            List.iter
-              (fun transid ->
-                Metrics.incr (Lazy.force t.tmf_unilateral_aborts);
-                with_tx_lock t transid (fun () ->
-                    local_abort t ~self:process transid
-                      "loss of communication with home node"))
-              victims;
-            watch ()
-          in
-          watch ())
 
 (* ------------------------------------------------------------------ *)
 (* Client operations *)

@@ -56,8 +56,6 @@ val spawn :
   backup_cpu:Tandem_os.Ids.cpu_id ->
   t
 
-val state : t -> Tmf_state.node_state
-
 val safe_deliver : t -> Tandem_os.Ids.node_id -> Tandem_os.Message.payload -> unit
 (** Queue one safe-delivery (guaranteed, not time-critical) message for the
     destination node and kick the retransmission fiber. Exposed for tests
@@ -66,13 +64,12 @@ val safe_deliver : t -> Tandem_os.Ids.node_id -> Tandem_os.Message.payload -> un
 val arm_transaction_timer : t -> Transid.t -> unit
 (** Start the transaction-time-limit clock for a transid known at this
     node. Armed automatically for remote begins; the facade arms it at
-    BEGIN-TRANSACTION. *)
-
-val start_watchdog : t -> interval:Tandem_sim.Sim_time.span -> unit
-(** Spawn the loss-of-communication detector: an active (not yet voted)
-    transaction whose home node becomes unreachable is unilaterally aborted
-    here. The watchdog runs forever — enable it only in runs driven with a
-    time bound. *)
+    BEGIN-TRANSACTION. This clock carries a node's right to abort
+    unilaterally before its phase-one vote: a transaction that has not
+    voted yes here when the limit passes is backed out and its locks
+    released, whatever its home node can say (a participant cut off from
+    its home included). A client's {!abort_transaction} is the other way
+    in. *)
 
 (** {1 Client operations} (run inside any fiber) *)
 

@@ -18,8 +18,10 @@ val make : home:Tandem_os.Ids.node_id -> cpu:Tandem_os.Ids.cpu_id -> seq:int -> 
 val home : t -> Tandem_os.Ids.node_id
 
 val equal : t -> t -> bool
+(** Test hook: structural equality. *)
 
 val compare : t -> t -> int
+(** Test hook: a total order consistent with {!equal}. *)
 
 val to_string : t -> string
 (** Rendered as ["node.cpu.seq"]. Messages carry the transid itself; this

@@ -20,6 +20,4 @@ let to_string = function
   | Aborting -> "aborting"
   | Aborted -> "aborted"
 
-let pp formatter t = Format.pp_print_string formatter (to_string t)
-
 let all = [ Active; Ending; Ended; Aborting; Aborted ]

@@ -19,6 +19,4 @@ val is_terminal : t -> bool
 
 val to_string : t -> string
 
-val pp : Format.formatter -> t -> unit
-
 val all : t list

@@ -31,7 +31,8 @@ val state_on :
     Active broadcast arrives or after the transid left the system). *)
 
 val broadcasts_sent : t -> int
-(** Total per-processor messages consumed by broadcasts (E8's measure). *)
+(** Test hook: total per-processor messages consumed by this table's
+    broadcasts; E8 reads the same count as [tmf.state_broadcast_msgs]. *)
 
 val transition_census : t -> ((Tx_state.t option * Tx_state.t) * int) list
 (** How many times each (from, to) transition was applied on processor 0 —

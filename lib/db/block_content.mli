@@ -29,5 +29,3 @@ type t =
 
 val no_leaf : int
 (** [-1]: the [next_leaf] of the rightmost leaf. *)
-
-val describe : t -> string

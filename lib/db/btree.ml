@@ -25,8 +25,6 @@ let create store ~name ~degree =
   let root = Store.alloc store (leaf Packed_keys.empty [||] no_leaf) in
   { store; tree_name = name; degree; root; record_count = 0 }
 
-let name t = t.tree_name
-
 let count t = t.record_count
 
 (* From a [Packed_keys.search] rank: the first index whose key is above

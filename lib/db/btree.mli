@@ -17,13 +17,11 @@ val create : Store.t -> name:string -> degree:int -> t
     [2d - 1] keys. Small degrees make deep trees for cheap (they exercise
     splits quickly in tests); realistic blocks are [d = 32] or more. *)
 
-val name : t -> string
-
 val count : t -> int
 (** Number of records. *)
 
 val height : t -> int
-(** Levels from root to leaf (1 = root is a leaf). *)
+(** Test hook: levels from root to leaf (1 = root is a leaf). *)
 
 val insert : t -> Key.t -> string -> (unit, [ `Duplicate ]) result
 

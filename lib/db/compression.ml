@@ -36,7 +36,3 @@ let btree_stats tree =
     let penalty = (leaves - 1) * average_key in
     { stream with compressed_bytes = min stream.raw_bytes (stream.compressed_bytes + penalty) }
   end
-
-let pp formatter stats =
-  Format.fprintf formatter "%d -> %d bytes (%.2fx)" stats.raw_bytes
-    stats.compressed_bytes (ratio stats)

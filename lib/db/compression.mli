@@ -16,10 +16,8 @@ val ratio : stats -> float
 (** [compressed / raw]; [1.0] for empty input. *)
 
 val front_code : Key.t array -> stats
-(** Savings of front-coding a sorted key array: each key after the first
-    costs one prefix-length byte plus its distinct suffix. *)
+(** Test hook: savings of front-coding a sorted key array: each key after the
+    first costs one prefix-length byte plus its distinct suffix. *)
 
 val btree_stats : Btree.t -> stats
 (** Aggregate front-coding savings over every leaf block's keys. *)
-
-val pp : Format.formatter -> stats -> unit

@@ -249,21 +249,6 @@ let next_after t key =
       in
       probe (start + 1)
 
-let range t ~lo ~hi =
-  match t.impl with
-  | Key_seq tree -> Btree.range tree ~lo ~hi
-  | Rel _ | Entry _ ->
-      let rec collect key acc =
-        match next_after t key with
-        | Some (k, payload) when Key.compare k hi <= 0 ->
-            collect k ((k, payload) :: acc)
-        | Some _ | None -> List.rev acc
-      in
-      let first =
-        match read t lo with Some payload -> [ (lo, payload) ] | None -> []
-      in
-      first @ collect lo []
-
 let lookup_index t ~index key =
   match
     List.find_opt

@@ -58,8 +58,6 @@ val apply_redo : t -> change -> unit
 
 val next_after : t -> Key.t -> (Key.t * string) option
 
-val range : t -> lo:Key.t -> hi:Key.t -> (Key.t * string) list
-
 val lookup_index : t -> index:string -> Key.t -> Key.t list
 (** Primary keys matching an alternate key ({!Schema.index_def} name). *)
 
@@ -73,6 +71,6 @@ val snapshot : t -> unit -> unit
     by the store's own snapshot. *)
 
 val check_invariants : t -> (unit, string) result
-(** Structural audit of the organization and of index consistency (every
-    record indexed exactly once per applicable index, no dangling index
+(** Test hook: structural audit of the organization and of index consistency
+    (every record indexed exactly once per applicable index, no dangling index
     entries). *)

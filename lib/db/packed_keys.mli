@@ -25,8 +25,6 @@ val of_shared : Key.t array -> int array -> int -> t
 
 val to_array : t -> Key.t array
 
-val count : t -> int
-
 val search : t -> Key.t -> int
 (** [search t key] is [i] when key [i] equals [key], and [-(i + 1)] when
     [key] is absent and [i] keys lie below it. One linear scan that

@@ -138,5 +138,3 @@ let int_field payload name =
   | -1 -> None
   | position -> int_in payload (chunk_start payload position) (chunk_end payload position)
   | exception Irregular -> Option.bind (field payload name) int_of_string_opt
-
-let size payload = String.length payload

@@ -21,6 +21,3 @@ val set_field : string -> string -> string -> string
     (added if absent). *)
 
 val int_field : string -> string -> int option
-
-val size : string -> int
-(** Payload size in bytes (for audit-record accounting). *)

@@ -19,8 +19,6 @@ let create store ~name ~slots_per_segment =
     top_slot = -1;
   }
 
-let name t = t.file_name
-
 let segment_of t slot = slot / t.slots_per_segment
 
 let offset_of t slot = slot mod t.slots_per_segment

@@ -8,8 +8,6 @@ type t
 
 val create : Store.t -> name:string -> slots_per_segment:int -> t
 
-val name : t -> string
-
 val read_slot : t -> int -> string option
 
 val write_slot : t -> int -> string -> string option

@@ -60,3 +60,4 @@ val add : t -> file_def -> unit
 val find : t -> string -> file_def option
 
 val all : t -> file_def list
+(** Test hook: every file definition in the dictionary. *)

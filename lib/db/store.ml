@@ -47,8 +47,6 @@ let set_current t block content =
   if t.current.(block) == vacant then t.live <- t.live + 1;
   t.current.(block) <- content
 
-let volume t = t.volume
-
 let set_charging t flag = t.charging <- flag
 
 let flush_block t block =

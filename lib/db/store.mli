@@ -25,8 +25,6 @@ type t
 val create :
   Tandem_disk.Volume.t -> cache_capacity:int -> t
 
-val volume : t -> Tandem_disk.Volume.t
-
 val set_charging : t -> bool -> unit
 
 val alloc : t -> Block_content.t -> int
@@ -39,9 +37,11 @@ val read : t -> int -> Block_content.t
 val write : t -> int -> Block_content.t -> unit
 
 val free : t -> int -> unit
+(** Test hook: release a block from the current and flushed images and the
+    cache. *)
 
 val flush_all : t -> unit
-(** Write back every dirty block (a control point / archive preparation). *)
+(** Test hook: write back every dirty block. *)
 
 val crash : t -> unit
 (** Lose the current image: revert to flushed blocks, empty the cache. *)
@@ -54,6 +54,7 @@ val block_count : t -> int
 (** Allocated blocks in the current image; O(1). *)
 
 val dirty_count : t -> int
+(** Test hook: blocks written since they were last flushed. *)
 
 val cache_hits : t -> int
 

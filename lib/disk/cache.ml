@@ -36,8 +36,6 @@ let create ~capacity =
     miss_count = 0;
   }
 
-let capacity t = t.cap
-
 let resident t = t.count
 
 (* The entry of a resident block, or the sentinel. *)

@@ -19,9 +19,8 @@ type block = int
 
 val create : capacity:int -> t
 
-val capacity : t -> int
-
 val resident : t -> int
+(** Test hook: blocks held now. *)
 
 type eviction = { block : block; dirty : bool }
 
@@ -39,6 +38,8 @@ val clean : t -> block -> unit
     likewise for {!is_dirty} (false) and {!drop}. *)
 
 val is_dirty : t -> block -> bool
+(** Test hook: whether a resident block was written since it was last
+    cleaned. *)
 
 val dirty_blocks : t -> block list
 (** Ascending. Walks the resident blocks only: O(capacity log capacity). *)

@@ -11,8 +11,6 @@ type t = {
 let create engine ~name ~access_time =
   { engine; name; access_time; up = true; busy_until = Sim_time.zero }
 
-let name t = t.name
-
 let is_up t = t.up
 
 let mark_down t =

@@ -12,8 +12,6 @@ val create :
   access_time:Tandem_sim.Sim_time.span ->
   t
 
-val name : t -> string
-
 val is_up : t -> bool
 
 val mark_down : t -> unit

@@ -22,4 +22,4 @@ val force : t -> unit
     has completed. Must run inside a fiber. *)
 
 val physical_forces : t -> int
-(** Forces actually issued (≤ the number of {!force} calls). *)
+(** Test hook: forces actually issued (≤ the number of {!force} calls). *)

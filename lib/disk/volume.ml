@@ -167,10 +167,6 @@ let write_block t block =
           | Some _ | None -> ()));
       Cache.mark_dirty cache block
 
-let cache_hits t = match t.cache with Some c -> Cache.hits c | None -> 0
-
-let cache_misses t = match t.cache with Some c -> Cache.misses c | None -> 0
-
 let drive t which = match which with `M0 -> t.mirror0 | `M1 -> t.mirror1
 
 let fail_drive t which =

@@ -56,10 +56,6 @@ val read_block : t -> int -> unit
 
 val write_block : t -> int -> unit
 
-val cache_hits : t -> int
-
-val cache_misses : t -> int
-
 val fail_drive : t -> [ `M0 | `M1 ] -> unit
 
 val revive_drive : t -> [ `M0 | `M1 ] -> blocks:int -> unit

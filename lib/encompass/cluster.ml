@@ -165,8 +165,6 @@ let all_discprocesses t =
   |> List.sort (fun (a, _) (b, _) -> compare a b)
   |> List.map snd
 
-let tcps t = List.rev t.tcps
-
 let run_client t ~node ~cpu body =
   ignore (Node.spawn (Net.node t.net node) ~cpu (fun process -> body process))
 
@@ -207,8 +205,8 @@ let rollforward_node t ~node archive =
       result :=
         Some (Tmf.Rollforward.recover (Tmf.rollforward t.tmf node) ~self:process archive));
   (* Pump the engine in bounded slices: other machinery (safe-delivery
-     retries against a partitioned node, watchdogs) may keep the event queue
-     non-empty forever. *)
+     retries against a partitioned node, time-limit timers) may keep the
+     event queue non-empty forever. *)
   let rec pump remaining =
     if !result = None && remaining > 0 then begin
       run_for t (Sim_time.seconds 1);

@@ -36,9 +36,9 @@ val link : t -> Tandem_os.Ids.node_id -> Tandem_os.Ids.node_id -> unit
 
 val add_audit_trail :
   t -> node:Tandem_os.Ids.node_id -> name:string -> unit
-(** Create an additional audit trail (with its own volume and AUDITPROCESS
-    pair) on the node; volumes can then be configured onto it. Trail
-    locations are independently configurable, per the paper. *)
+(** Test hook: create an additional audit trail (with its own volume and
+    AUDITPROCESS pair) on the node; volumes can then be configured onto it.
+    Trail locations are independently configurable, per the paper. *)
 
 val add_volume :
   t ->
@@ -114,9 +114,6 @@ val data_volumes : t -> (Tandem_os.Ids.node_id * string) list
 
 val all_discprocesses : t -> Discprocess.t list
 (** Every DISCPROCESS, sorted by [(node, volume name)]. *)
-
-val tcps : t -> Tcp.t list
-(** Every TCP, in creation order. *)
 
 val run_client :
   t ->

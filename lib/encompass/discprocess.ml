@@ -34,8 +34,6 @@ type t = {
   checkpoint_batch_size : Tandem_sim.Metrics.sample Lazy.t;
 }
 
-let name t = t.dp_name
-
 let node_id t = Node.id t.node
 
 let store t = t.dp_store

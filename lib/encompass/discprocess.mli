@@ -30,10 +30,6 @@ val spawn :
 (** Spawn the pair, register its name, and register it with TMF as a
     participant feeding the named audit trail. *)
 
-val name : t -> string
-
-val node_id : t -> Tandem_os.Ids.node_id
-
 val store : t -> Tandem_db.Store.t
 
 val lock_table : t -> Tandem_lock.Lock_table.t
@@ -44,16 +40,17 @@ val add_file : t -> Tandem_db.Schema.file_def -> Tandem_db.File.t
 val file : t -> string -> Tandem_db.File.t option
 
 val is_up : t -> bool
+(** Test hook: whether the pair has a live primary. *)
 
 val audit_buffer_depth : t -> int
-(** Images generated but not yet shipped to the audit trail. *)
+(** Test hook: images generated but not yet shipped to the audit trail. *)
 
 type reply_slots
 
 val reply_slots : t -> reply_slots
-(** Duplicate detection: the op_id and reply of each requester's newest
-    completed data request, so a path retry replays instead of executing
-    twice. Exposed so tests can bound what it retains. *)
+(** Test hook: the duplicate-detection state, the op_id and reply of each
+    requester's newest completed data request, so a path retry replays
+    instead of executing twice. Tests bound what it retains. *)
 
 val rollforward_target : t -> Tmf.Rollforward.target
 (** Snapshot/restore/redo hooks over this volume's store for ROLLFORWARD. *)

@@ -27,8 +27,6 @@ let is_transient = function
 
 let create ~net ~tmf ~dictionary = { net; tmf; dict = dictionary }
 
-let dictionary t = t.dict
-
 let definition t file =
   match Schema.find t.dict file with
   | Some def -> Ok def

@@ -27,8 +27,6 @@ val create :
   dictionary:Tandem_db.Schema.t ->
   t
 
-val dictionary : t -> Tandem_db.Schema.t
-
 val read :
   t ->
   self:Tandem_os.Process.t ->
@@ -101,4 +99,5 @@ val lock_file :
   transid:Tmf.Transid.t ->
   file:string ->
   (unit, error) result
-(** File-granularity lock on every partition of the file. *)
+(** Test hook: the paper's file-granularity lock on every partition of the
+    file. No workload takes one. *)

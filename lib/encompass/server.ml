@@ -76,31 +76,9 @@ let create_class ~net ~files ~node ~name ~handler ~initial () =
         t.members);
   t
 
-let class_name t = t.name
-
 let node_id t = Node.id t.node
 
 let member_count t = Array.length t.members
-
-let set_members t target =
-  if target < 0 then invalid_arg "Server.set_members: negative size";
-  let current = Array.length t.members in
-  if target < current then begin
-    for slot = target to current - 1 do
-      Process.kill t.members.(slot);
-      Node.unregister_name t.node (member_name t slot)
-    done;
-    t.members <- Array.sub t.members 0 target
-  end
-  else if target > current then begin
-    let extra =
-      Array.init (target - current) (fun i ->
-          match spawn_slot t (current + i) with
-          | Some process -> process
-          | None -> invalid_arg "Server.set_members: no up processor")
-    in
-    t.members <- Array.append t.members extra
-  end
 
 let queued_requests t =
   Array.fold_left
@@ -109,39 +87,6 @@ let queued_requests t =
         acc + Mailbox.pending (Process.mailbox process)
       else acc)
     0 t.members
-
-let enable_autoscale t ~min_members ~max_members
-    ?(interval = Tandem_sim.Sim_time.seconds 1) () =
-  if min_members < 1 || max_members < min_members then
-    invalid_arg "Server.enable_autoscale: bad bounds";
-  if Array.length t.members < min_members then set_members t min_members;
-  let monitor_cpu =
-    match Node.up_cpus t.node with cpu :: _ -> cpu | [] -> 0
-  in
-  ignore
-    (Node.spawn t.node ~name:(t.name ^ "-MON") ~cpu:monitor_cpu
-       (fun _process ->
-         let rec watch () =
-           Tandem_sim.Fiber.sleep (Net.engine t.net) interval;
-           let members = Array.length t.members in
-           let backlog = queued_requests t in
-           (* More than two queued requests per member: grow. Completely
-              idle: shrink one at a time. *)
-           if backlog > 2 * members && members < max_members then begin
-             set_members t (min max_members (members + 1));
-             Tandem_sim.Metrics.incr
-               (Tandem_sim.Metrics.counter (Net.metrics t.net)
-                  "encompass.servers_created")
-           end
-           else if backlog = 0 && members > min_members then begin
-             set_members t (members - 1);
-             Tandem_sim.Metrics.incr
-               (Tandem_sim.Metrics.counter (Net.metrics t.net)
-                  "encompass.servers_deleted")
-           end;
-           watch ()
-         in
-         watch ()))
 
 (* ------------------------------------------------------------------ *)
 

@@ -3,9 +3,9 @@
     A server is context-free and single-threaded: read the transaction
     request message, perform the data-base function, reply. Servers are
     grouped into classes; requesters address a class and the send is
-    dispatched to one member. The class can be grown or shrunk while
-    running — the application-control function that keeps response time
-    under changing load (F2 scales it with the processor count). *)
+    dispatched to one member. A class's size is set when it is created (F2
+    scales it with the processor count); a member lost to a processor
+    failure is respawned on a surviving processor. *)
 
 type ctx = {
   server_process : Tandem_os.Process.t;
@@ -41,24 +41,9 @@ val create_class :
 (** Start [initial] members, placed round-robin over the node's up
     processors, registered as ["<name>-0"], ["<name>-1"], … *)
 
-val class_name : t -> string
-
 val node_id : t -> Tandem_os.Ids.node_id
 
 val member_count : t -> int
-
-val enable_autoscale :
-  t ->
-  min_members:int ->
-  max_members:int ->
-  ?interval:Tandem_sim.Sim_time.span ->
-  unit ->
-  unit
-(** Application control: watch the class's request backlog and grow or
-    shrink the pool within the bounds — "dynamic creation and deletion of
-    application server processes to ensure good response time and
-    utilization of resources as the workload changes". The watcher runs
-    forever; use in runs driven with a time bound. *)
 
 val queued_requests : t -> int
 (** Requests waiting in members' mailboxes right now. *)

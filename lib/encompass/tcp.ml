@@ -253,8 +253,6 @@ let spawn ~net ~tmf ~node ~name ~lookup_class ~primary_cpu ~backup_cpu
   t.pair <- Some pair;
   t
 
-let name t = t.tcp_name
-
 let submit t ~terminal input =
   if terminal < 0 || terminal >= Array.length t.terminals then
     invalid_arg "Tcp.submit: no such terminal";

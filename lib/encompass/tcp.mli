@@ -23,8 +23,6 @@ val spawn :
 (** [lookup_class] resolves a server-class name to its node and size (the
     cluster provides it). [terminals] must be 1..32. *)
 
-val name : t -> string
-
 val submit : t -> terminal:int -> string -> unit
 (** Deliver one screen input to a terminal; it queues behind earlier
     inputs. O(1). *)

@@ -156,6 +156,11 @@ val customer_query_input : customer:int -> string
 val orders_for_customer : Cluster.t -> home:Tandem_os.Ids.node_id * string -> customer:int -> int
 (** Direct (unmetered) index count, for assertions. *)
 
+val uncharged : Discprocess.t -> (unit -> 'a) -> 'a
+(** [uncharged dp f] runs [f], a direct observation of [dp]'s files from
+    outside any fiber, with the volume's physical-I/O charging suspended:
+    no read suspends and none is charged. *)
+
 val account_balance : Cluster.t -> account:int -> int option
 (** Direct (unmetered) read of one account's balance, for assertions. *)
 

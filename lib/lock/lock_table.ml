@@ -244,11 +244,6 @@ let holder t resource =
           | None -> state.file_owner)
       | None -> None)
 
-let holds t ~owner resource =
-  match holder t resource with
-  | Some h -> String.equal h owner
-  | None -> false
-
 let locks_of t ~owner =
   match Tbl.String.find_opt t.owner_index owner with
   | None -> []

@@ -24,6 +24,7 @@ type resource =
           no block- or index-level locking. *)
 
 val pp_resource : Format.formatter -> resource -> unit
+(** Test hook: renders a resource for messages. *)
 
 val create :
   ?spans:Tandem_sim.Span.t ->
@@ -53,9 +54,8 @@ val release_all : t -> owner:string -> unit
 
 val holder : t -> resource -> string option
 
-val holds : t -> owner:string -> resource -> bool
-
 val locks_of : t -> owner:string -> resource list
+(** Test hook: every resource the owner holds, in no fixed order. *)
 
 val reset : t -> unit
 (** Drop every lock and waiter without waking anyone — lock tables are

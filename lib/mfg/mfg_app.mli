@@ -86,10 +86,10 @@ val tcp : t -> Tandem_os.Ids.node_id -> Tandem_encompass.Tcp.t
 (** {1 Observation} *)
 
 val submissions : t -> int
-(** How many inputs this application instance has submitted (the
+(** Test hook: how many inputs this application instance has submitted (the
     round-robin terminal counter). Per instance by construction: a fresh
-    application always starts at 0, however many others ran before it or
-    are running beside it on another domain. *)
+    application always starts at 0, however many others ran before it or are
+    running beside it on another domain. *)
 
 val replica_descriptions :
   t -> item:int -> (Tandem_os.Ids.node_id * string option) list

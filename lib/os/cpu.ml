@@ -34,7 +34,3 @@ let consume t span =
   if delay > 0 then Fiber.sleep t.engine delay
 
 let total_busy t = t.busy_total
-
-let pp formatter t =
-  Format.fprintf formatter "cpu %d:%d (%s)" t.node t.id
-    (if t.up then "up" else "down")

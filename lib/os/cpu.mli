@@ -27,5 +27,3 @@ val consume : t -> Tandem_sim.Sim_time.span -> unit
 
 val total_busy : t -> Tandem_sim.Sim_time.span
 (** Cumulative processor time served since creation. *)
-
-val pp : Format.formatter -> t -> unit

@@ -83,8 +83,6 @@ let rpc_calls_family t = t.rpc_calls
 
 let spans t = t.spans
 
-let rng t = t.workload_rng
-
 let invalidate_routes t =
   Array.iter (fun row -> Array.fill row 0 (Array.length row) Uncached) t.routes
 
@@ -404,8 +402,3 @@ let send t (message : Message.t) =
 let fresh_corr t =
   t.next_corr <- t.next_corr + 1;
   t.next_corr
-
-let fail_node t id =
-  let node = node t id in
-  List.iter (fun cpu_id -> Node.fail_cpu node cpu_id) (Node.up_cpus node);
-  Trace.emit t.trace "hw" "node %d: TOTAL FAILURE" id

@@ -31,9 +31,6 @@ val spans : t -> Tandem_sim.Span.t
 (** The network-wide per-transaction span registry (transids are
     network-unique, so one registry serves every node). *)
 
-val rng : t -> Tandem_sim.Rng.t
-(** A dedicated split stream for workload generation. *)
-
 (** {1 Topology} *)
 
 val add_node : t -> id:Ids.node_id -> cpus:int -> Node.t
@@ -77,8 +74,8 @@ val heal_partition : t -> unit
 (** Restore every failed link. *)
 
 val route : t -> Ids.node_id -> Ids.node_id -> (int * Tandem_sim.Sim_time.span) option
-(** [route t a b] is [(hops, total latency)] of the current best path, or
-    [None] when [b] is unreachable from [a]. *)
+(** Test hook: [route t a b] is [(hops, total latency)] of the current best
+    path, or [None] when [b] is unreachable from [a]. *)
 
 val reachable : t -> Ids.node_id -> Ids.node_id -> bool
 
@@ -98,7 +95,3 @@ val fresh_corr : t -> int
 (** Allocate a network-unique correlation number. *)
 
 (** {1 Whole-node failure} *)
-
-val fail_node : t -> Ids.node_id -> unit
-(** Total node failure: every processor fails at once (the
-    multiple-module-failure case that ROLLFORWARD exists for). *)

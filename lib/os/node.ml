@@ -44,8 +44,6 @@ let id t = t.id
 
 let engine t = t.engine
 
-let trace t = t.trace
-
 let metrics t = t.metrics
 
 let cpu_count t = Array.length t.cpus

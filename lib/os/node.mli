@@ -21,8 +21,6 @@ val id : t -> Ids.node_id
 
 val engine : t -> Tandem_sim.Engine.t
 
-val trace : t -> Tandem_sim.Trace.t
-
 val metrics : t -> Tandem_sim.Metrics.t
 
 val cpu_count : t -> int

@@ -63,8 +63,6 @@ let iter_concurrently t f items =
 
 let pid t = t.pid
 
-let name t = t.name
-
 let cpu t = t.cpu
 
 let mailbox t = t.mailbox

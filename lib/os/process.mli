@@ -30,8 +30,6 @@ val iter_concurrently : t -> ('a -> unit) -> 'a list -> unit
 
 val pid : t -> Ids.pid
 
-val name : t -> string
-
 val cpu : t -> Cpu.t
 
 val mailbox : t -> Mailbox.t

@@ -9,7 +9,6 @@ type t = {
   service : t -> Process.t -> unit;
   mutable primary : Process.t option;
   mutable backup : Process.t option;
-  mutable takeover_count : int;
   checkpoints : Metrics.counter Lazy.t;
 }
 
@@ -50,7 +49,6 @@ let handle_cpu_down t failed_cpu =
         (* Takeover: the backup becomes the primary. *)
         t.backup <- None;
         t.primary <- Some backup_process;
-        t.takeover_count <- t.takeover_count + 1;
         Node.register_name t.node t.pair_name (Process.pid backup_process);
         Trace.emit (Net.trace t.net) "pair" "%s: takeover by cpu %d"
           t.pair_name (Process.pid backup_process).Ids.cpu;
@@ -108,7 +106,6 @@ let create ~net ~node ~name ~primary_cpu ~backup_cpu ~service =
       service;
       primary = None;
       backup = None;
-      takeover_count = 0;
       checkpoints = lazy (Metrics.counter (Net.metrics net) "os.checkpoints");
     }
   in
@@ -141,11 +138,8 @@ let serve _t process handle =
   in
   loop ()
 
-let name t = t.pair_name
-
 let is_up t =
   match t.primary with
   | Some process -> Process.is_alive process
   | None -> false
 
-let takeovers t = t.takeover_count

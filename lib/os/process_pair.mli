@@ -46,9 +46,5 @@ val serve : t -> Process.t -> (Message.t -> unit) -> unit
     [cpu_message_cost] to the process's processor, then calls [handle].
     Never returns. *)
 
-val name : t -> string
-
 val is_up : t -> bool
 
-val takeovers : t -> int
-(** Number of backup-promotions so far. *)

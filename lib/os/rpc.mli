@@ -18,7 +18,7 @@ val call :
   ?timeout:Tandem_sim.Sim_time.span ->
   Message.payload ->
   (Message.payload, error) result
-(** One request/reply exchange with a fixed destination pid. *)
+(** Test hook: one request/reply exchange with a fixed destination pid. *)
 
 val call_name :
   Net.t ->

@@ -56,5 +56,3 @@ let map ?(chunk = 1) ~jobs f items =
         (Array.map
            (function Some (Ok v) -> v | Some (Error _) | None -> assert false)
            results)
-
-let run_all ~jobs thunks = map ~jobs (fun th -> th ()) thunks

@@ -30,7 +30,3 @@ val map : ?chunk:int -> jobs:int -> ('a -> 'b) -> 'a list -> 'b list
     failed task, raised immediately).
     [f] runs in an arbitrary domain, so it must not touch mutable state
     outside its own task. *)
-
-val run_all : jobs:int -> (unit -> 'a) list -> 'a list
-(** [run_all ~jobs thunks] is {!map} over heterogeneous work items:
-    [map ~jobs (fun th -> th ()) thunks]. *)

@@ -284,14 +284,6 @@ let reap t slot =
   t.tombstones <- t.tombstones - 1;
   release t slot
 
-let step t =
-  if t.size = 0 then false
-  else begin
-    let slot = t.heap.(2) in
-    if t.live.(slot) then fire t t.heap.(0) slot else reap t slot;
-    true
-  end
-
 let run ?until t =
   let limit = match until with None -> max_int | Some l -> l in
   let continue = ref true in

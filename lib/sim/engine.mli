@@ -30,8 +30,8 @@ val alloc_fiber_id : t -> int
     each see the dense sequence 1, 2, 3, …; see {!Fiber.spawn}. *)
 
 val schedule_at : t -> Sim_time.t -> (unit -> unit) -> handle
-(** [schedule_at t time action] runs [action] at [time]. Scheduling in the
-    past raises [Invalid_argument]. *)
+(** Test hook: [schedule_at t time action] runs [action] at [time]. Scheduling
+    in the past raises [Invalid_argument]. *)
 
 val schedule_after : t -> Sim_time.span -> (unit -> unit) -> handle
 (** [schedule_after t span action] runs [action] [span] after [now]. *)
@@ -57,9 +57,6 @@ val run : ?until:Sim_time.t -> t -> unit
 
 val run_for : t -> Sim_time.span -> unit
 (** [run_for t span] is [run t ~until:(now t + span)]. *)
-
-val step : t -> bool
-(** Execute the single next event. [false] if the queue was empty. *)
 
 val pending : t -> int
 (** Number of live events waiting. Cancelled-but-unreaped tombstones are

@@ -70,8 +70,6 @@ let kill fiber = fiber.killed <- true
 
 let is_alive fiber = (not fiber.killed) && fiber.state <> Finished
 
-let name fiber = fiber.name
-
 let id fiber = fiber.id
 
 let sleep engine span =
@@ -82,8 +80,6 @@ let sleep engine span =
      have ended. Cancelling at kill time would skip that cleanup. *)
   suspend (fun resume ->
       Engine.post_after engine span (fun () -> resume (Ok ())))
-
-let yield engine = sleep engine 0
 
 let parallel_iter ?(name = "worker") ~workers f items =
   match items with

@@ -45,15 +45,11 @@ val kill : t -> unit
 
 val is_alive : t -> bool
 
-val name : t -> string
-
 val id : t -> int
+(** Test hook: unique among the fibers of one engine. *)
 
 val sleep : Engine.t -> Sim_time.span -> unit
 (** Suspend the calling fiber for a simulated duration. *)
-
-val yield : Engine.t -> unit
-(** Suspend and resume at the same instant, after already-queued events. *)
 
 val parallel_iter :
   ?name:string -> workers:int -> ('a -> unit) -> 'a list -> unit

@@ -36,5 +36,3 @@ let with_lock t f =
       raise e
 
 let locked t = t.held
-
-let waiters t = Queue.length t.queue

@@ -12,16 +12,8 @@ type t
 
 val create : unit -> t
 
-val lock : t -> unit
-(** Acquire, suspending the calling fiber FIFO behind current waiters. *)
-
-val unlock : t -> unit
-(** Release; wakes the next waiter. Raises [Invalid_argument] if not
-    locked. *)
-
 val with_lock : t -> (unit -> 'a) -> 'a
 (** [with_lock t f] runs [f] under the mutex, releasing on any exit. *)
 
 val locked : t -> bool
-
-val waiters : t -> int
+(** Test hook: whether some fiber holds the mutex. *)

@@ -73,8 +73,6 @@ let to_string ?(pretty = false) json =
   write ~indent:(if pretty then 2 else 0) ~level:0 buffer json;
   Buffer.contents buffer
 
-let pp formatter json = Format.pp_print_string formatter (to_string ~pretty:true json)
-
 (* ------------------------------------------------------------------ *)
 (* Parsing: a plain recursive-descent parser over the input string. *)
 

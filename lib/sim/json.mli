@@ -18,9 +18,6 @@ type t =
 val to_string : ?pretty:bool -> t -> string
 (** Compact by default; [~pretty:true] indents by two spaces. *)
 
-val pp : Format.formatter -> t -> unit
-(** Pretty form. *)
-
 val of_string : string -> (t, string) result
 (** Strict parse of one JSON value (trailing garbage is an error). *)
 

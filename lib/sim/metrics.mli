@@ -24,6 +24,7 @@ val incr : counter -> unit
 val add : counter -> int -> unit
 
 val counter_value : counter -> int
+(** Test hook: the counter's current value. *)
 
 val read_counter : t -> string -> int
 (** Value of the named counter; [0] if never touched. *)
@@ -36,7 +37,7 @@ val read_counter : t -> string -> int
     aggregating by prefix. *)
 
 val labeled_name : string -> (string * string) list -> string
-(** The canonical registry name for [name] with [labels]. *)
+(** Test hook: the canonical registry name for [name] with [labels]. *)
 
 val counter_with : t -> string -> labels:(string * string) list -> counter
 
@@ -116,18 +117,19 @@ val histogram_count : histogram -> int
 val histogram_sum : histogram -> float
 
 val histogram_mean : histogram -> float
-(** [nan] when empty. *)
+(** Test hook: the mean; [nan] when empty. *)
 
 val histogram_quantile : histogram -> float -> float
 (** [histogram_quantile h 0.99] etc.; [nan] when empty. *)
 
 val histogram_min : histogram -> float
+(** Test hook: exact observed minimum; [nan] when empty. *)
 
 val histogram_max : histogram -> float
 (** Exact observed extremes; [nan] when empty. *)
 
 val histogram_buckets : histogram -> ((float * float) * int) list
-(** [((lo, hi), count)] per bucket, in ascending order; the overflow
+(** Test hook: [((lo, hi), count)] per bucket, in ascending order; the overflow
     bucket's [hi] is the observed max. *)
 
 val read_histogram : t -> string -> histogram
@@ -145,9 +147,6 @@ val merge : into:t -> t -> unit
     different metric type in each registry. *)
 
 (** {1 Reporting} *)
-
-val names : t -> string list
-(** All registered metric names, sorted. *)
 
 val pp : Format.formatter -> t -> unit
 (** Render the whole registry as an aligned table. *)

@@ -4,8 +4,6 @@ let golden_gamma = 0x9E3779B97F4A7C15L
 
 let create ~seed = { state = Int64.of_int seed }
 
-let copy t = { state = t.state }
-
 (* splitmix64 finalizer: Steele, Lea & Flood, "Fast splittable pseudorandom
    number generators" (OOPSLA 2014). *)
 let mix z =
@@ -36,10 +34,6 @@ let float t bound =
 let bool t = Int64.logand (bits64 t) 1L = 1L
 
 let bernoulli t ~p = float t 1.0 < p
-
-let exponential t ~mean =
-  let u = 1.0 -. float t 1.0 in
-  -.mean *. log u
 
 (* Zipf by inverse-CDF over precomputed harmonic weights would need caching;
    the rejection-free "quick" method below recomputes the normalizer, which is

@@ -17,8 +17,6 @@ val split : t -> t
     stream per subsystem so that adding draws in one subsystem does not
     perturb another. *)
 
-val copy : t -> t
-
 val bits64 : t -> int64
 (** Next raw 64 bits. *)
 
@@ -28,17 +26,10 @@ val int : t -> int -> int
 val int_in_range : t -> lo:int -> hi:int -> int
 (** Uniform in \[lo, hi\] inclusive. Requires [lo <= hi]. *)
 
-val float : t -> float -> float
-(** [float t bound] is uniform in \[0, bound). *)
-
 val bool : t -> bool
 
 val bernoulli : t -> p:float -> bool
 (** [bernoulli t ~p] is [true] with probability [p]. *)
-
-val exponential : t -> mean:float -> float
-(** Exponentially distributed value with the given mean (for inter-arrival
-    times). *)
 
 val zipf : t -> n:int -> theta:float -> int
 (** [zipf t ~n ~theta] is a Zipf-skewed value in \[0, n) — used for skewed

@@ -12,8 +12,6 @@ let seconds s = s * 1_000_000
 
 let minutes m = m * 60_000_000
 
-let of_seconds_float s = int_of_float ((s *. 1e6) +. 0.5)
-
 let to_seconds_float us = float_of_int us /. 1e6
 
 let add t span = t + span

@@ -20,9 +20,6 @@ val milliseconds : int -> span
 val seconds : int -> span
 val minutes : int -> span
 
-val of_seconds_float : float -> span
-(** [of_seconds_float s] is [s] seconds rounded to the nearest microsecond. *)
-
 val to_seconds_float : span -> float
 
 val add : t -> span -> t

@@ -337,8 +337,6 @@ let finish t id outcome =
 let duration span =
   Option.map (fun end_at -> Sim_time.diff end_at span.begin_at) span.end_at
 
-let active t = Tbl.String.fold (fun _ span acc -> span :: acc) t.active_table []
-
 let active_count t = Tbl.String.length t.active_table
 
 (* [f slot acc] over the live slots, oldest first. *)

@@ -52,8 +52,8 @@ val start : t -> string -> span
 (** Begin (or return the already-active) span for the transid. *)
 
 val find : t -> string -> span option
-(** Active first, then the finished ring. A finished span is returned as a
-    snapshot of its slot: changing that record changes nothing here. *)
+(** Test hook: active first, then the finished ring. A finished span is returned
+    as a snapshot of its slot: changing that record changes nothing here. *)
 
 val finish : t -> string -> outcome -> span option
 (** Stamp [end_at], record the outcome and move the span to the finished
@@ -81,22 +81,30 @@ val add_state_broadcasts : t -> string -> int -> unit
 val duration : span -> Sim_time.span option
 (** [end_at - begin_at] once finished. *)
 
-val active : t -> span list
 val active_count : t -> int
+(** Test hook: spans started and not finished. *)
 
 val finished : t -> span list
 (** Oldest first. *)
 
 val finished_count : t -> int
+(** Test hook: spans held in the finished ring. *)
+
 val started_total : t -> int
+(** Test hook: spans started since creation. *)
+
 val committed_total : t -> int
+(** Test hook: spans finished committed since creation. *)
+
 val aborted_total : t -> int
+(** Test hook: spans finished aborted since creation. *)
 
 val slowest : ?n:int -> t -> span list
 (** The [n] (default 10) longest finished spans, slowest first. *)
 
 val abort_reasons : t -> (string * int) list
-(** Distinct abort/backout reasons with counts, most frequent first. *)
+(** Test hook: distinct abort/backout reasons with counts, most frequent
+    first. *)
 
 (** {1 Rendering} *)
 
@@ -106,5 +114,6 @@ val pp_summary : ?top:int -> Format.formatter -> t -> unit
 (** Totals, the slowest transactions and the backout-reason census. *)
 
 val to_json : span -> Json.t
+(** Test hook: one span as JSON. *)
 
 val summary_json : ?top:int -> t -> Json.t

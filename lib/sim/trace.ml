@@ -19,8 +19,6 @@ let create ?(capacity = 4096) engine =
 
 let enable t tag = Hashtbl.replace t.enabled_tags tag ()
 
-let disable t tag = Hashtbl.remove t.enabled_tags tag
-
 let enabled t tag =
   Hashtbl.mem t.enabled_tags tag || Hashtbl.mem t.enabled_tags "*"
 
@@ -64,7 +62,3 @@ let find t ~subsystem ~substring =
 let count t ~subsystem =
   List.length
     (List.filter (fun e -> String.equal e.subsystem subsystem) (entries t))
-
-let clear t =
-  t.ring <- [];
-  t.size <- 0

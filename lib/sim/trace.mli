@@ -15,10 +15,6 @@ val create : ?capacity:int -> Engine.t -> t
 val enable : t -> string -> unit
 (** Enable a subsystem tag. The pseudo-tag ["*"] enables everything. *)
 
-val disable : t -> string -> unit
-
-val enabled : t -> string -> bool
-
 val emit : t -> string -> ('a, Format.formatter, unit, unit) format4 -> 'a
 (** [emit t subsystem fmt ...] records an entry if [subsystem] is enabled. *)
 
@@ -26,10 +22,9 @@ val entries : t -> entry list
 (** Recorded entries, oldest first. *)
 
 val find : t -> subsystem:string -> substring:string -> entry option
-(** First entry of [subsystem] whose message contains [substring]. *)
+(** Test hook: first entry of [subsystem] whose message contains [substring]. *)
 
 val count : t -> subsystem:string -> int
-
-val clear : t -> unit
+(** Test hook: entries recorded for [subsystem]. *)
 
 val pp_entry : Format.formatter -> entry -> unit

@@ -135,53 +135,6 @@ let test_crash_halts_and_restart_recovers () =
   Alcotest.(check (option int)) "loser gone (other leg)" (Some 1_000) (balance tm 3);
   check_bool "outage accounted" true (Wal_tm.unavailable_total tm >= Sim_time.seconds 5)
 
-let test_control_point_bounds_restart () =
-  let engine, tm = make () in
-  ignore
-    (Fiber.spawn (fun () ->
-         for _ = 1 to 30 do
-           ignore (transfer tm ~from_account:0 ~to_account:1 ~amount:1)
-         done;
-         Alcotest.(check bool) "control point taken" true (Wal_tm.control_point tm);
-         for _ = 1 to 5 do
-           ignore (transfer tm ~from_account:2 ~to_account:3 ~amount:1)
-         done));
-  Engine.run engine;
-  Wal_tm.crash tm;
-  let start = Engine.now engine in
-  Wal_tm.restart tm ~on_done:(fun () -> ());
-  Engine.run engine;
-  let with_cp = Sim_time.diff (Engine.now engine) start in
-  (* Correctness: all 35 transfers survive. *)
-  Alcotest.(check (option int)) "pre-cp work survives" (Some 970) (balance tm 0);
-  Alcotest.(check (option int)) "post-cp work survives" (Some 995) (balance tm 2);
-  (* A run with the same work but no control point restarts slower. *)
-  let engine2, tm2 = make () in
-  ignore
-    (Fiber.spawn (fun () ->
-         for _ = 1 to 35 do
-           ignore (transfer tm2 ~from_account:0 ~to_account:1 ~amount:1)
-         done));
-  Engine.run engine2;
-  Wal_tm.crash tm2;
-  let start2 = Engine.now engine2 in
-  Wal_tm.restart tm2 ~on_done:(fun () -> ());
-  Engine.run engine2;
-  let without_cp = Sim_time.diff (Engine.now engine2) start2 in
-  Alcotest.(check bool) "control point shortens restart" true (with_cp < without_cp)
-
-let test_control_point_refused_mid_transaction () =
-  let engine, tm = make () in
-  ignore
-    (Fiber.spawn (fun () ->
-         match Wal_tm.begin_transaction tm with
-         | Error `Unavailable -> Alcotest.fail "unavailable"
-         | Ok tx ->
-             Alcotest.(check bool) "refused while live" false (Wal_tm.control_point tm);
-             Wal_tm.abort tm tx;
-             Alcotest.(check bool) "allowed at quiescence" true (Wal_tm.control_point tm)));
-  Engine.run engine
-
 let test_restart_time_grows_with_log () =
   let run transactions =
     let engine, tm = make () in
@@ -215,9 +168,5 @@ let () =
             test_crash_halts_and_restart_recovers;
           Alcotest.test_case "restart time grows with log" `Quick
             test_restart_time_grows_with_log;
-          Alcotest.test_case "control point bounds restart" `Quick
-            test_control_point_bounds_restart;
-          Alcotest.test_case "control point needs quiescence" `Quick
-            test_control_point_refused_mid_transaction;
         ] );
     ]

@@ -295,8 +295,12 @@ let test_volume_cache_read_path () =
   Alcotest.(check int)
     "only compulsory misses hit the disc" 4
     (Tandem_disk.Volume.reads volume);
-  Alcotest.(check int) "hits" 12 (Tandem_disk.Volume.cache_hits volume);
-  Alcotest.(check int) "misses" 4 (Tandem_disk.Volume.cache_misses volume)
+  Alcotest.(check int)
+    "hits" 12
+    (Metrics.read_counter metrics "disk.cache_hits");
+  Alcotest.(check int)
+    "misses" 4
+    (Metrics.read_counter metrics "disk.cache_misses")
 
 let test_volume_cache_write_behind () =
   let engine = Engine.create () in

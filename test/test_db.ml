@@ -541,7 +541,7 @@ let prop_packed_keys_edits =
       let first = if n = 0 then 0 else i mod n in
       let length = if n = 0 then 0 else length mod (n - first + 1) in
       Packed_keys.to_array packed = keys
-      && Packed_keys.count packed = n
+      && Array.length (Packed_keys.to_array packed) = n
       && Packed_keys.search packed probe = rank
       && List.for_all
            (fun j -> Packed_keys.get packed j = keys.(j))

@@ -193,10 +193,10 @@ let test_tcp_takeover_reexecutes_input () =
 (* ------------------------------------------------------------------ *)
 (* Distributed transactions *)
 
-let two_node_cluster () =
+let two_node_cluster ?config () =
   (* Accounts 0-49 on node 1, 50-99 on node 2. *)
   let cluster, spec =
-    Workload.build_bank ~seed:11 ~nodes:2 ~accounts:100
+    Workload.build_bank ~seed:11 ?config ~nodes:2 ~accounts:100
       ~servers:[ `Transfer 2 ] ()
   in
   let tcp =
@@ -779,28 +779,48 @@ let test_stale_lock_reaped_by_waiter () =
     (Metrics.read_counter (Cluster.metrics cluster) "lock.stale_reaped" >= 1)
 
 (* ------------------------------------------------------------------ *)
-(* Loss-of-communication watchdog: unilateral abort at a participant *)
+(* The unilateral abort right before the phase-one vote: a participant cut
+   off from its home node while the transaction is active aborts it at the
+   transaction time limit and frees its locks, with the link still down. *)
 
-let test_watchdog_unilateral_abort () =
-  let cluster, tcp, _spec = two_node_cluster () in
-  let tmf = Cluster.tmf cluster in
-  (* Start the watchdog on node 2. *)
-  Tandem_encompass.Cluster.run_client cluster ~node:2 ~cpu:2 (fun _ -> ());
-  Tmf.Tmp.start_watchdog (Tmf.tmp tmf 2) ~interval:(Sim_time.seconds 2);
-  (* A transfer that reaches node 2 and then loses its home node: cut the
-     link while the transaction is active. *)
-  ignore
-    (Engine.schedule_after (Cluster.engine cluster) (Sim_time.milliseconds 60)
-       (fun () -> Net.fail_link (Cluster.net cluster) 1 2));
+let test_cut_off_participant_times_out () =
+  let limit = Sim_time.seconds 5 in
+  let cluster, tcp, _spec =
+    two_node_cluster
+      ~config:{ Hw_config.default with transaction_time_limit = limit }
+      ()
+  in
+  let net = Cluster.net cluster and engine = Cluster.engine cluster in
+  let dp2 = Cluster.discprocess cluster ~node:2 ~volume:"$DATA2" in
+  let locks () =
+    Tandem_lock.Lock_table.locked_count (Discprocess.lock_table dp2)
+  in
+  (* Cut the link the moment the credit has locked its row at node 2: the
+     transaction is active there and has not been asked to vote. *)
+  let cut_at = ref None in
+  let rec cut_once_locked () =
+    if locks () > 0 then begin
+      cut_at := Some (Engine.now engine);
+      Net.fail_link net 1 2
+    end
+    else
+      ignore
+        (Engine.schedule_after engine (Sim_time.milliseconds 1) cut_once_locked)
+  in
+  cut_once_locked ();
   Tcp.submit tcp ~terminal:0
     (Workload.transfer_input_between ~from_account:10 ~to_account:80 ~amount:100);
-  Cluster.run ~until:(Sim_time.seconds 30) cluster;
-  (* Node 2 aborted the orphan unilaterally; its locks are free. *)
-  let dp2 = Cluster.discprocess cluster ~node:2 ~volume:"$DATA2" in
-  check_int "participant locks released before heal" 0
-    (Tandem_lock.Lock_table.locked_count (Discprocess.lock_table dp2));
-  check_bool "unilateral abort counted" true
-    (Metrics.read_counter (Cluster.metrics cluster) "tmf.unilateral_aborts" >= 1)
+  Cluster.run ~until:limit cluster;
+  check_bool "cut while active" true (Option.is_some !cut_at);
+  check_bool "participant holds its locks until the limit" true (locks () > 0);
+  check_int "participant never voted" 0
+    (List.length
+       (Tmf.Tmp.in_doubt_transactions (Tmf.tmp (Cluster.tmf cluster) 2)));
+  Cluster.run ~until:(Sim_time.add limit (Sim_time.seconds 1)) cluster;
+  check_bool "link still down" false (Net.reachable net 2 1);
+  check_int "participant locks released before heal" 0 (locks ());
+  check_bool "time-limit abort counted" true
+    (Metrics.read_counter (Cluster.metrics cluster) "tmf.auto_aborts" >= 1)
 
 (* ------------------------------------------------------------------ *)
 (* Relative files through the full transactional stack *)
@@ -841,34 +861,6 @@ let test_relative_file_transactional () =
   Alcotest.(check (option string)) "committed update" (Some "THREE") (read_slot 3);
   Alcotest.(check (option string)) "aborted delete restored" (Some "eight") (read_slot 8);
   Alcotest.(check (option string)) "aborted insert gone" None (read_slot 4)
-
-(* ------------------------------------------------------------------ *)
-(* Application control: the server pool grows under backlog and shrinks
-   when idle. *)
-
-let test_server_autoscaling () =
-  let cluster, tcp, spec = single_node_cluster ~terminals:8 () in
-  (match Cluster.server_class cluster "BANK" with
-  | Some bank ->
-      Server.enable_autoscale bank ~min_members:1 ~max_members:6
-        ~interval:(Sim_time.milliseconds 500) ();
-      (* A burst: 8 terminals x 20 inputs against a pool starting at 2. *)
-      let rng = Rng.create ~seed:61 in
-      for i = 0 to 159 do
-        Tcp.submit tcp ~terminal:(i mod 8) (Workload.debit_credit_input rng spec ())
-      done;
-      Cluster.run ~until:(Sim_time.minutes 2) cluster;
-      check_int "burst completed" 160 (Tcp.completed tcp);
-      check_bool "pool grew under load" true
-        (Metrics.read_counter (Cluster.metrics cluster) "encompass.servers_created" >= 1);
-      (* Idle period: the pool shrinks back towards the minimum. *)
-      Cluster.run
-        ~until:(Sim_time.add (Engine.now (Cluster.engine cluster)) (Sim_time.minutes 2))
-        cluster;
-      check_bool "pool shrank when idle" true
-        (Metrics.read_counter (Cluster.metrics cluster) "encompass.servers_deleted" >= 1);
-      check_int "back at the minimum" 1 (Server.member_count bank)
-  | None -> Alcotest.fail "no BANK class")
 
 (* ------------------------------------------------------------------ *)
 (* Multiple audit trails: volumes configured onto different trails; one
@@ -1600,12 +1592,11 @@ let () =
           Alcotest.test_case "abandoned tx auto-aborts" `Quick
             test_abandoned_transaction_auto_aborts;
           Alcotest.test_case "stale lock reaped" `Quick test_stale_lock_reaped_by_waiter;
-          Alcotest.test_case "watchdog unilateral abort" `Quick
-            test_watchdog_unilateral_abort;
+          Alcotest.test_case "cut-off participant times out" `Quick
+            test_cut_off_participant_times_out;
           Alcotest.test_case "relative file transactional" `Quick
             test_relative_file_transactional;
           Alcotest.test_case "two audit trails" `Quick test_two_audit_trails;
-          Alcotest.test_case "server autoscaling" `Quick test_server_autoscaling;
           Alcotest.test_case "node security control" `Quick test_node_security_control;
           Alcotest.test_case "explicit RESTART-TRANSACTION" `Quick
             test_explicit_restart_verb;

@@ -461,7 +461,8 @@ let test_pair_takeover_preserves_state () =
   | _ -> Alcotest.fail "setup add failed");
   Node.fail_cpu node 0;
   Engine.run (Net.engine net);
-  check_int "one takeover" 1 (Process_pair.takeovers pair);
+  check_int "one takeover" 1
+    (Metrics.read_counter (Net.metrics net) "os.pair_takeovers");
   check_bool "pair still up" true (Process_pair.is_up pair);
   (* The checkpointed state survived; a name-addressed request reaches the
      new primary transparently. *)
@@ -483,7 +484,8 @@ let test_pair_rebirth_allows_second_failure () =
   (* The promoted primary created a new backup; kill the new primary too. *)
   Node.fail_cpu node 1;
   Engine.run (Net.engine net);
-  check_int "two takeovers" 2 (Process_pair.takeovers pair);
+  check_int "two takeovers" 2
+    (Metrics.read_counter (Net.metrics net) "os.pair_takeovers");
   check_bool "still up after two sequential failures" true
     (Process_pair.is_up pair);
   match call_add net node 3 1 with

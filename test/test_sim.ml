@@ -12,7 +12,6 @@ let test_time_units () =
   check_int "ms" 1_000 (Sim_time.milliseconds 1);
   check_int "s" 1_000_000 (Sim_time.seconds 1);
   check_int "min" 60_000_000 (Sim_time.minutes 1);
-  check_int "round" 1_500_000 (Sim_time.of_seconds_float 1.5);
   Alcotest.(check string) "pp us" "500us" (Sim_time.to_string 500);
   Alcotest.(check string) "pp ms" "1.500ms" (Sim_time.to_string 1_500);
   Alcotest.(check string) "pp s" "2.000s" (Sim_time.to_string 2_000_000)
@@ -54,16 +53,6 @@ let prop_rng_range =
       let hi = lo + extent in
       let v = Rng.int_in_range rng ~lo ~hi in
       v >= lo && v <= hi)
-
-let test_rng_exponential_mean () =
-  let rng = Rng.create ~seed:11 in
-  let n = 20_000 in
-  let total = ref 0.0 in
-  for _ = 1 to n do
-    total := !total +. Rng.exponential rng ~mean:10.0
-  done;
-  let mean = !total /. float_of_int n in
-  check_bool "mean near 10" true (mean > 9.0 && mean < 11.0)
 
 let test_rng_zipf_skew () =
   let rng = Rng.create ~seed:13 in
@@ -929,7 +918,6 @@ let () =
         [
           Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
           Alcotest.test_case "split streams" `Quick test_rng_split_independent;
-          Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
           Alcotest.test_case "zipf skew" `Quick test_rng_zipf_skew;
         ]
         @ qcheck [ prop_rng_bounds; prop_rng_range ] );
