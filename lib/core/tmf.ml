@@ -13,11 +13,16 @@ module Rollforward = Rollforward
 module Acceptor = Acceptor
 module Paxos_commit = Paxos_commit
 
+type node_entry = {
+  state : Tmf_state.node_state;
+  tmp : Tmp.t;
+  rollforward : Rollforward.t;
+}
+
 type t = {
   net : Net.t;
-  node_states : Tmf_state.node_state Tbl.Int.t;
-  tmps : Tmp.t Tbl.Int.t;
-  rollforwards : Rollforward.t Tbl.Int.t; (* all by node id *)
+  (* By node id (at least 0, see [Net.add_node]), grown by [install_node]. *)
+  mutable nodes : node_entry option array;
   begins : Tandem_sim.Metrics.counter Lazy.t;
   begins_by_node : Tandem_sim.Metrics.counter_family;
 }
@@ -25,39 +30,34 @@ type t = {
 let create net =
   {
     net;
-    node_states = Tbl.Int.create 8;
-    tmps = Tbl.Int.create 8;
-    rollforwards = Tbl.Int.create 8;
+    nodes = [||];
     begins = lazy (Tandem_sim.Metrics.counter (Net.metrics net) "tmf.begins");
     begins_by_node =
       Tandem_sim.Metrics.counter_family (Net.metrics net)
         ~name:"tmf.begins_by_node" ~label:"node";
   }
 
-let node_state t node =
-  match Tbl.Int.find_opt t.node_states node with
-  | Some state -> state
+let installed t node =
+  match
+    if node >= 0 && node < Array.length t.nodes then t.nodes.(node) else None
+  with
+  | Some entry -> entry
   | None -> invalid_arg (Printf.sprintf "Tmf: node %d not installed" node)
 
-let tmp t node =
-  match Tbl.Int.find_opt t.tmps node with
-  | Some tmp -> tmp
-  | None -> invalid_arg (Printf.sprintf "Tmf: node %d not installed" node)
+let node_state t node = (installed t node).state
 
-let rollforward t node =
-  match Tbl.Int.find_opt t.rollforwards node with
-  | Some r -> r
-  | None -> invalid_arg (Printf.sprintf "Tmf: node %d not installed" node)
+let tmp t node = (installed t node).tmp
+
+let rollforward t node = (installed t node).rollforward
 
 let install_node t node ~monitor_volume =
   let id = Node.id node in
-  if Tbl.Int.mem t.node_states id then
+  t.nodes <- Tbl.grow t.nodes id;
+  if Option.is_some t.nodes.(id) then
     invalid_arg "Tmf.install_node: already installed";
   let force_window = (Net.config t.net).Hw_config.group_commit_window in
   let state = Tmf_state.make_node_state ~force_window ~node ~monitor_volume () in
-  Tbl.Int.replace t.node_states id state;
   let tmp = Tmp.spawn ~net:t.net ~state ~primary_cpu:0 ~backup_cpu:1 in
-  Tbl.Int.replace t.tmps id tmp;
   Backout.spawn ~net:t.net ~state ~primary_cpu:1 ~backup_cpu:0;
   (* Every node carries an acceptor on its system volume; under the 2PC
      knob it simply never receives a message. Which nodes form the quorum
@@ -65,7 +65,8 @@ let install_node t node ~monitor_volume =
      ({!Paxos_commit.acceptor_nodes}), not here. *)
   Acceptor.spawn ~net:t.net ~state ~volume:monitor_volume ~primary_cpu:0
     ~backup_cpu:1;
-  Tbl.Int.replace t.rollforwards id (Rollforward.create ~net:t.net ~state)
+  let rollforward = Rollforward.create ~net:t.net ~state in
+  t.nodes.(id) <- Some { state; tmp; rollforward }
 
 let add_audit_trail t ~node ~name ~volume ?records_per_file () =
   let state = node_state t node in
@@ -99,7 +100,7 @@ let begin_transaction t ~node ~cpu =
   ignore (Tmf_state.ensure_tx state transid);
   Tmp.arm_transaction_timer (tmp t node) transid;
   ignore (Tandem_sim.Span.start (Net.spans t.net) (Transid.to_string transid));
-  Tx_table.broadcast state.Tmf_state.tx_tables transid Tx_state.Active;
+  ignore (Tx_table.broadcast state.Tmf_state.tx_tables transid Tx_state.Active);
   Tandem_sim.Metrics.incr (Lazy.force t.begins);
   Tandem_sim.Metrics.incr
     (Tandem_sim.Metrics.family_counter t.begins_by_node (string_of_int node));

@@ -104,9 +104,10 @@ let observe_indoubt t info =
              (Sim_time.diff (Engine.now (Net.engine t.net)) voted_at))
 
 let broadcast t transid tx_state =
-  Tx_table.broadcast t.node_state.Tmf_state.tx_tables transid tx_state;
-  Span.add_state_broadcasts (spans t) (Transid.to_string transid)
-    (List.length (Node.up_cpus t.node_state.Tmf_state.node))
+  let sent =
+    Tx_table.broadcast t.node_state.Tmf_state.tx_tables transid tx_state
+  in
+  Span.add_state_broadcasts (spans t) (Transid.to_string transid) sent
 
 (* The home node resolves the span: stamp the outcome once and feed the
    commit/abort latency histograms. Participant nodes replaying phase two

@@ -5,7 +5,9 @@
     bus is fast and reliable enough that selective notification is not worth
     its bookkeeping (the design decision experiment E8 quantifies). Each
     processor keeps its own copy of the table; a DISCPROCESS consults the
-    copy on its own processor.
+    copy on its own processor. The copies live in one table keyed by
+    transid with a slot per processor, so a broadcast hashes the transid
+    once rather than once per processor.
 
     When a terminal state's broadcast lands, the transid leaves the table —
     "once the ended state has completed, the transid leaves the system". *)
@@ -14,10 +16,19 @@ type t
 
 val create : Tandem_os.Node.t -> t
 
-val broadcast : t -> Transid.t -> Tx_state.t -> unit
-(** Send the state change to every up processor (one bus message each,
-    arriving after the bus latency; same-processor copy immediate). Illegal
-    transitions raise [Invalid_argument] at apply time. *)
+val broadcast : t -> Transid.t -> Tx_state.t -> int
+(** Send the state change to every processor up now, one bus message each,
+    and return how many were sent. Every copy, the sender's own included,
+    lands [Hw_config.bus_latency] later.
+
+    All copies land in one engine event, which applies the change to each
+    of those processors in ascending order, skipping one that has failed
+    since. That schedule equals one event per processor: those events
+    would be posted back to back at one instant with one delay, so they
+    hold consecutive sequence numbers at one firing time, and no other
+    event can run between them. An illegal transition raises
+    [Invalid_argument] out of the event at the processor where it is
+    found; the processors after it in that broadcast are not updated. *)
 
 val reset : t -> unit
 (** Total node failure: every processor's copy of the table dies with its

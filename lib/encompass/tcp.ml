@@ -9,10 +9,6 @@ type terminal = {
   mutable current_input : string option; (* checkpointed screen data *)
   mutable current_transid : Tmf.Transid.t option;
   mutable output : string option;
-  mutable completed : int;
-  mutable aborted : int;
-  mutable failed : int;
-  mutable restarts : int;
 }
 
 type t = {
@@ -25,17 +21,20 @@ type t = {
   terminals : terminal array;
   backoff_rng : Rng.t;
   mutable pair : Process_pair.t option;
+  tx_latency : Metrics.sample Lazy.t; (* registered at first completion *)
+  (* Running totals over every terminal. *)
+  mutable completed : int;
+  mutable aborted : int;
+  mutable failed : int;
+  mutable restarts : int;
 }
 
 let checkpoint t =
   match t.pair with Some pair -> Process_pair.checkpoint pair | None -> ()
 
-let metrics_sample t label = Metrics.sample (Net.metrics t.net) label
-
 let observe_latency t started =
   let elapsed = Sim_time.diff (Engine.now (Net.engine t.net)) started in
-  Metrics.observe (metrics_sample t "encompass.tx_latency_ms")
-    (float_of_int elapsed /. 1e3)
+  Metrics.observe (Lazy.force t.tx_latency) (float_of_int elapsed /. 1e3)
 
 let abort_quietly t process transid reason =
   match transid with
@@ -83,7 +82,7 @@ let execute t term process input =
            transaction twice. *)
         term.current_transid <- None;
         term.output <- Some "COMMITTED (outcome recovered after failure)";
-        term.completed <- term.completed + 1;
+        t.completed <- t.completed + 1;
         observe_latency t started
     | `Aborted | `Not_in_transaction ->
         term.current_transid <- None;
@@ -147,10 +146,10 @@ let execute t term process input =
     with
     | output ->
         term.output <- Some output;
-        term.completed <- term.completed + 1;
+        t.completed <- t.completed + 1;
         observe_latency t started
     | exception Restart_transaction reason ->
-        term.restarts <- term.restarts + 1;
+        t.restarts <- t.restarts + 1;
         Metrics.incr (Metrics.counter (Net.metrics t.net) "encompass.restarts");
         (match term.current_transid with
         | Some transid ->
@@ -168,13 +167,13 @@ let execute t term process input =
         else begin
           (match abort_quietly t process term.current_transid reason with
           | _ -> term.current_transid <- None);
-          term.failed <- term.failed + 1;
+          t.failed <- t.failed + 1;
           term.output <- Some ("FAILED: " ^ reason)
         end
     | exception Abort_program reason ->
         (match abort_quietly t process term.current_transid reason with
         | _ -> term.current_transid <- None);
-        term.aborted <- term.aborted + 1;
+        t.aborted <- t.aborted + 1;
         term.output <- Some ("ABORTED: " ^ reason)
   in
   attempt restart_limit
@@ -238,12 +237,14 @@ let spawn ~net ~tmf ~node ~name ~lookup_class ~primary_cpu ~backup_cpu
               current_input = None;
               current_transid = None;
               output = None;
-              completed = 0;
-              aborted = 0;
-              failed = 0;
-              restarts = 0;
             });
       pair = None;
+      tx_latency =
+        lazy (Metrics.sample (Net.metrics net) "encompass.tx_latency_ms");
+      completed = 0;
+      aborted = 0;
+      failed = 0;
+      restarts = 0;
     }
   in
   let pair =
@@ -268,12 +269,10 @@ let terminal_count t = Array.length t.terminals
 
 let last_output t ~terminal = t.terminals.(terminal).output
 
-let sum t field = Array.fold_left (fun acc term -> acc + field term) 0 t.terminals
+let completed t = t.completed
 
-let completed t = sum t (fun term -> term.completed)
+let program_aborts t = t.aborted
 
-let program_aborts t = sum t (fun term -> term.aborted)
+let failures t = t.failed
 
-let failures t = sum t (fun term -> term.failed)
-
-let restarts t = sum t (fun term -> term.restarts)
+let restarts t = t.restarts

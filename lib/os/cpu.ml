@@ -3,16 +3,13 @@ open Tandem_sim
 type t = {
   engine : Engine.t;
   node : Ids.node_id;
-  id : Ids.cpu_id;
   mutable up : bool;
   mutable busy_until : Sim_time.t;
   mutable busy_total : Sim_time.span;
 }
 
-let create engine ~node ~id =
-  { engine; node; id; up = true; busy_until = Sim_time.zero; busy_total = 0 }
-
-let id t = t.id
+let create engine ~node =
+  { engine; node; up = true; busy_until = Sim_time.zero; busy_total = 0 }
 
 let node t = t.node
 

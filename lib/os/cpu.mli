@@ -8,18 +8,18 @@
 
 type t
 
-val create : Tandem_sim.Engine.t -> node:Ids.node_id -> id:Ids.cpu_id -> t
-
-val id : t -> Ids.cpu_id
+val create : Tandem_sim.Engine.t -> node:Ids.node_id -> t
 
 val node : t -> Ids.node_id
 
 val is_up : t -> bool
 
 val mark_down : t -> unit
-(** Also clears the backlog of queued processor time. *)
+(** Also clears the backlog of queued processor time. Call it only through
+    [Node.fail_cpu], which keeps [Node.up_cpus] in step. *)
 
 val mark_up : t -> unit
+(** Call it only through [Node.restore_cpu]. *)
 
 val consume : t -> Tandem_sim.Sim_time.span -> unit
 (** [consume t span] charges [span] of processor time to the calling fiber,

@@ -30,11 +30,11 @@ type t = {
   metrics : Metrics.t;
   spans : Span.t;
   workload_rng : Rng.t;
-  node_table : Node.t Tbl.Int.t;
   mutable links : link list;
-  (* Per-message state by node id, [routes.(src).(dst)], [lanes.(src).(dst)]
-     and [node_msg_counters.(dst)]: square in every id from 0 to the
-     largest one routed, grown by [route]. *)
+  (* State by node id, [node_table.(id)], [routes.(src).(dst)],
+     [lanes.(src).(dst)] and [node_msg_counters.(dst)]: square in every id
+     from 0 to the largest one added or routed, grown by [cover]. *)
+  mutable node_table : Node.t option array;
   mutable routes : cached_route array array;
   mutable lanes : lane option array array;
   mutable node_msg_counters : Metrics.counter option array;
@@ -44,6 +44,7 @@ type t = {
   c_hops : Metrics.counter;
   c_retransmits : Metrics.counter;
   c_boxcars : Metrics.counter;
+  boxcar_occupancy : Metrics.sample Lazy.t; (* registered at first boxcar *)
   rpc_calls : Metrics.counter_family;
   mutable next_corr : int;
 }
@@ -58,7 +59,7 @@ let create ?(seed = 42) ?(config = Hw_config.default) () =
     metrics;
     spans = Span.create engine;
     workload_rng = Rng.split (Engine.rng engine);
-    node_table = Tbl.Int.create 8;
+    node_table = [||];
     links = [];
     routes = [||];
     lanes = [||];
@@ -67,6 +68,7 @@ let create ?(seed = 42) ?(config = Hw_config.default) () =
     c_hops = Metrics.counter metrics "net.hops";
     c_retransmits = Metrics.counter metrics "net.retransmits";
     c_boxcars = Metrics.counter metrics "net.boxcars";
+    boxcar_occupancy = lazy (Metrics.sample metrics "net.boxcar_occupancy");
     rpc_calls = Metrics.counter_family metrics ~name:"rpc.calls" ~label:"name";
     next_corr = 0;
   }
@@ -102,24 +104,33 @@ let cover t id =
     in
     t.routes <- widen_rows t.routes Uncached;
     t.lanes <- widen_rows t.lanes None;
-    t.node_msg_counters <- widen t.node_msg_counters None
+    t.node_msg_counters <- Tbl.grow t.node_msg_counters id;
+    t.node_table <- Tbl.grow t.node_table id
   end
 
 let add_node t ~id ~cpus =
   if id < 0 then invalid_arg "Net.add_node: negative id";
-  if Tbl.Int.mem t.node_table id then invalid_arg "Net.add_node: duplicate id";
+  cover t id;
+  if Option.is_some t.node_table.(id) then
+    invalid_arg "Net.add_node: duplicate id";
   let node =
     Node.create ~engine:t.engine ~trace:t.trace ~metrics:t.metrics ~id ~cpus
   in
-  Tbl.Int.replace t.node_table id node;
+  t.node_table.(id) <- Some node;
   invalidate_routes t;
   node
 
-let node t id = Tbl.Int.find t.node_table id
+let find_node t id =
+  if id < 0 || id >= Array.length t.node_table then None
+  else t.node_table.(id)
+
+let node t id =
+  match find_node t id with Some node -> node | None -> raise Not_found
 
 let nodes t =
-  Tbl.Int.fold (fun _ node acc -> node :: acc) t.node_table []
-  |> List.sort (fun a b -> Int.compare (Node.id a) (Node.id b))
+  Array.fold_right
+    (fun slot acc -> match slot with Some node -> node :: acc | None -> acc)
+    t.node_table []
 
 let add_link ?latency t a b =
   let latency = Option.value latency ~default:Hw_config.network_latency in
@@ -270,7 +281,7 @@ let route t src dst =
 let reachable t src dst = Option.is_some (route t src dst)
 
 let deliver_at_destination t (message : Message.t) =
-  match Tbl.Int.find_opt t.node_table message.Message.dst.Ids.node with
+  match find_node t message.Message.dst.Ids.node with
   | None -> Metrics.incr (Metrics.counter t.metrics "net.msgs_dropped_no_node")
   | Some node -> (
       match Node.find_process node message.Message.dst with
@@ -322,9 +333,7 @@ let depart_boxcar t lane =
   let occupancy = List.length batch in
   if occupancy > 0 then begin
     Metrics.incr t.c_boxcars;
-    Metrics.observe
-      (Metrics.sample t.metrics "net.boxcar_occupancy")
-      (float_of_int occupancy);
+    Metrics.observe (Lazy.force t.boxcar_occupancy) (float_of_int occupancy);
     let marginal = Hw_config.boxcar_marginal_cost in
     let arrival =
       Sim_time.add (Engine.now t.engine)
@@ -342,7 +351,7 @@ let depart_boxcar t lane =
 let send t (message : Message.t) =
   let src = message.Message.src and dst = message.Message.dst in
   if src.Ids.node = dst.Ids.node then
-    match Tbl.Int.find_opt t.node_table src.Ids.node with
+    match find_node t src.Ids.node with
     | None -> invalid_arg "Net.send: unknown source node"
     | Some node -> Node.deliver_local node message
   else begin

@@ -8,7 +8,12 @@ type t = {
   cpus : Cpu.t array;
   mutable bus_x_up : bool;
   mutable bus_y_up : bool;
-  processes : Process.t Tbl.Int.t; (* by serial *)
+  (* Every process ever spawned, by serial: [by_serial] answers the
+     per-message [find_process]; [processes] is kept for [fail_cpu] alone,
+     whose kill order is its fold order. *)
+  mutable by_serial : Process.t option array;
+  processes : Process.t Tbl.Int.t;
+  mutable up : Ids.cpu_id list; (* ascending; kept by fail/restore_cpu *)
   names : Ids.pid Tbl.String.t;
   mutable next_serial : int;
   mutable cpu_down_hooks : (Ids.cpu_id -> unit) list;
@@ -27,10 +32,12 @@ let create ~engine ~trace ~metrics ~id ~cpus =
     engine;
     trace;
     metrics;
-    cpus = Array.init cpus (fun i -> Cpu.create engine ~node:id ~id:i);
+    cpus = Array.init cpus (fun _ -> Cpu.create engine ~node:id);
     bus_x_up = true;
     bus_y_up = true;
+    by_serial = Array.make 64 None;
     processes = Tbl.Int.create 64;
+    up = List.init cpus Fun.id;
     names = Tbl.String.create 32;
     next_serial = 0;
     cpu_down_hooks = [];
@@ -52,10 +59,7 @@ let cpu t i =
   if i < 0 || i >= Array.length t.cpus then invalid_arg "Node.cpu: no such cpu";
   t.cpus.(i)
 
-let up_cpus t =
-  Array.to_list t.cpus
-  |> List.filter Cpu.is_up
-  |> List.map Cpu.id
+let up_cpus t = t.up
 
 let spawn t ?name ~cpu:cpu_id body =
   let cpu = cpu t cpu_id in
@@ -66,15 +70,20 @@ let spawn t ?name ~cpu:cpu_id body =
     match name with Some n -> n | None -> Printf.sprintf "p%d" t.next_serial
   in
   let process = Process.create t.engine ~pid ~name:process_name ~cpu in
-  Tbl.Int.replace t.processes t.next_serial process;
+  let serial = t.next_serial in
+  t.by_serial <- Tbl.grow t.by_serial serial;
+  t.by_serial.(serial) <- Some process;
+  Tbl.Int.replace t.processes serial process;
   (match name with Some n -> Tbl.String.replace t.names n pid | None -> ());
   Process.start process body;
   process
 
 let find_process t (pid : Ids.pid) =
-  if pid.Ids.node <> t.id then None
+  let serial = pid.Ids.serial in
+  if pid.Ids.node <> t.id || serial < 0 || serial >= Array.length t.by_serial
+  then None
   else
-    match Tbl.Int.find_opt t.processes pid.Ids.serial with
+    match t.by_serial.(serial) with
     | Some process when Ids.equal_pid (Process.pid process) pid -> Some process
     | Some _ | None -> None
 
@@ -112,6 +121,7 @@ let fail_cpu t cpu_id =
   let cpu = cpu t cpu_id in
   if Cpu.is_up cpu then begin
     Cpu.mark_down cpu;
+    t.up <- List.filter (fun id -> id <> cpu_id) t.up;
     Trace.emit t.trace "hw" "node %d: cpu %d FAILED" t.id cpu_id;
     Metrics.incr (Metrics.counter t.metrics "hw.cpu_failures");
     Tbl.Int.iter
@@ -131,6 +141,7 @@ let restore_cpu t cpu_id =
   let cpu = cpu t cpu_id in
   if not (Cpu.is_up cpu) then begin
     Cpu.mark_up cpu;
+    t.up <- List.merge Int.compare [ cpu_id ] t.up;
     Trace.emit t.trace "hw" "node %d: cpu %d reloaded" t.id cpu_id;
     List.iter (fun hook -> hook cpu_id) (List.rev t.cpu_up_hooks)
   end

@@ -28,12 +28,15 @@ val cpu_count : t -> int
 val cpu : t -> Ids.cpu_id -> Cpu.t
 
 val up_cpus : t -> Ids.cpu_id list
+(** The processors that are up, ascending. Kept by {!fail_cpu} and
+    {!restore_cpu}, so a call allocates nothing. *)
 
 val spawn : t -> ?name:string -> cpu:Ids.cpu_id -> (Process.t -> unit) -> Process.t
 (** Start a process on the given processor. Raises [Invalid_argument] if the
     processor is down. *)
 
 val find_process : t -> Ids.pid -> Process.t option
+(** An array index by serial, no hash. *)
 
 val register_name : t -> string -> Ids.pid -> unit
 

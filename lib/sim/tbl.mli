@@ -1,6 +1,7 @@
-(** Hash tables specialised to one key type.
+(** Tables by key: hash tables specialised to one key type, and option
+    arrays indexed by a small id.
 
-    Each is [Hashtbl.MakeSeeded] over {!Hashtbl.seeded_hash} and the key
+    Each hash table is [Hashtbl.MakeSeeded] over {!Hashtbl.seeded_hash} and the key
     type's own equality, so a lookup makes no polymorphic compare. The
     hash is the generic table's and [create] draws its seed the same way
     ([?random] defaults to {!Hashtbl.is_randomized}), so a typed table fed
@@ -17,3 +18,8 @@ end) : Hashtbl.SeededS with type key = Key.t
 module Int : Hashtbl.SeededS with type key = int
 
 module String : Hashtbl.SeededS with type key = string
+
+val grow : 'a option array -> int -> 'a option array
+(** [grow a i] is [a] when [i] indexes it, else a copy of [a] padded with
+    [None] to length [max (i + 1) (2 * Array.length a)]: a table by a
+    small non-negative id, widened as ids arrive. *)

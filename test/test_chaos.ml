@@ -179,39 +179,39 @@ let test_quick_matrix_green () =
 
 let pinned_fingerprints =
   [
-    ("cpu-crash-restart", 42, "51807b0c4feae26efc62abe43780b4ce");
-    ("cpu-crash-restart", 1981, "73645d40586018c69010d9752b39b803");
-    ("cpu-crash-restart", 7, "01066723a1c72539e74e1c13cf5a32b2");
-    ("dp-takeover", 42, "165dc6421fbef460903ed6aa8ddd3c5b");
-    ("dp-takeover", 1981, "1cc2c395a40872353c7f70a067297f95");
-    ("dp-takeover", 7, "ba678bbbe6ddebca3dc8e196feb62af7");
-    ("tcp-takeover", 42, "eec2f2c9a3ad5f5c7afc377171138bd8");
-    ("tcp-takeover", 1981, "b936540311c7289ff347fb7f45f59fd4");
-    ("tcp-takeover", 7, "746ffdaef9ec2093bc731b555925d470");
-    ("mirror-failure-revive", 42, "00a06707fb81da143443ee01b5d151b5");
-    ("mirror-failure-revive", 1981, "07d8071ac1066aa8c8609e433cb12db9");
-    ("mirror-failure-revive", 7, "32a614fce44577cdaeb92135668bf7a6");
-    ("controller-bus-flap", 42, "f7289b25c2680b459521329763161e5f");
-    ("controller-bus-flap", 1981, "b6904d105a727eb3db60256a4fecb29f");
-    ("controller-bus-flap", 7, "fb4ee2e0ee1f49ebdb6bb093e7c2a91c");
-    ("partition-heal", 42, "d1114afd0b86ebf78ea0d868d98ed18d");
-    ("partition-heal", 1981, "3edd7f886eb557fa3ab62b0e93a44848");
-    ("partition-heal", 7, "a0073f1fff7543480e62ac5f8314cab1");
-    ("message-delay-loss", 42, "962bc7fd58459d69499901e41e8b23c9");
-    ("message-delay-loss", 1981, "73bd12bc4fb0419fb765e39ace3bff7c");
-    ("message-delay-loss", 7, "39765eaddf5447eb0eca254fd328d39f");
-    ("home-crash-phase2", 42, "b3d8c3cf50f7f1cfcc6644d954c347c6");
-    ("home-crash-phase2", 1981, "3b33b459a06f70ea86a3aea6fd416f0e");
-    ("home-crash-phase2", 7, "63b3c4e45609b3373e2fa4ba5ec6d6a9");
-    ("node-crash-rollforward", 42, "d4f66363d7beb8fdc36fcfb43cf947e9");
-    ("node-crash-rollforward", 1981, "2b14a7f98bd8fb4b7d0573ac7d3b5bcb");
-    ("node-crash-rollforward", 7, "01e798f926468a3cc97fbbf8baf8a6d8");
-    ("recovery-storm", 42, "ad5ab90991721b1e0fee79f54263e73c");
-    ("recovery-storm", 1981, "75ebb1b8335c58ef64f4de4bb1e050b6");
-    ("recovery-storm", 7, "b1d71c4ffcf4ab11781033ec06fe91fe");
-    ("mfg-partition-reconverge", 42, "8b21ed385f91cefa2342bd5ac3c301a7");
-    ("mfg-partition-reconverge", 1981, "8363e24909864023925bf8477033e6d6");
-    ("mfg-partition-reconverge", 7, "9654d75f818805813f8cc457bc04f821");
+    ("cpu-crash-restart", 42, "36ec738527e019ba41cd240a6a25580a");
+    ("cpu-crash-restart", 1981, "b0708b0b3b754d4c7077b58193ed6cba");
+    ("cpu-crash-restart", 7, "760f0ada5e5054879790e7bed1a59d23");
+    ("dp-takeover", 42, "05089dab907b6c98919b845453d7c0bd");
+    ("dp-takeover", 1981, "5f871f94f096edf7ce1532d8b485817f");
+    ("dp-takeover", 7, "a814ae96e28ee1c70ea92f7668e8f0ff");
+    ("tcp-takeover", 42, "3da758c9bc8efd0439c2095a03badd40");
+    ("tcp-takeover", 1981, "f605acc7e91ba4b2294b164bf370146e");
+    ("tcp-takeover", 7, "6f76cd599b1c9d313a2390fce6bd47b0");
+    ("mirror-failure-revive", 42, "765d6ca6e7efeacb0e6c8699fe2d96f9");
+    ("mirror-failure-revive", 1981, "454715678140996ff1124d68e32a2cd0");
+    ("mirror-failure-revive", 7, "4957873e3df25fa597e4293da9873bc8");
+    ("controller-bus-flap", 42, "60c0f20b0557aeadac7b2adeda46beb1");
+    ("controller-bus-flap", 1981, "3cde52c40ec8aad6c29a4a2752199a61");
+    ("controller-bus-flap", 7, "80c7d48c5b40b302abe65f0d40cd8228");
+    ("partition-heal", 42, "9653d6e1fb88414a7411a3f1a38aee47");
+    ("partition-heal", 1981, "33e54bb5e39c8262cccb0112a64d8077");
+    ("partition-heal", 7, "bc79a4246fbccd78337c7d1ff61d995d");
+    ("message-delay-loss", 42, "aff7c1c66a4857cc81efe403342c1c50");
+    ("message-delay-loss", 1981, "23ee699698b0ee0d630df928a414d0f6");
+    ("message-delay-loss", 7, "dcfa00e6b7230527c0b952449b966c66");
+    ("home-crash-phase2", 42, "8393a9e5f2366f0e9ca0594b2512c4d7");
+    ("home-crash-phase2", 1981, "65f7101bf99c216bdd38cc81f7f390bf");
+    ("home-crash-phase2", 7, "1805fc9bcfcaf5bf1a08897025a44397");
+    ("node-crash-rollforward", 42, "1f5290c432cefc9d3f7721b709a2d38a");
+    ("node-crash-rollforward", 1981, "7fd049ccad75009f56a504162e3bd426");
+    ("node-crash-rollforward", 7, "dcf52c819ffa0cafc096b8c7846b8d64");
+    ("recovery-storm", 42, "805000bfc32581975e92113655efce75");
+    ("recovery-storm", 1981, "a29817fec5ef648d8f2e925d5baff177");
+    ("recovery-storm", 7, "0ecf19116276821989425743f141aa59");
+    ("mfg-partition-reconverge", 42, "c5a9f5707d0bd1e5cab628f12d63611a");
+    ("mfg-partition-reconverge", 1981, "7094a69e613e1cf36252b25aa15832b2");
+    ("mfg-partition-reconverge", 7, "286d2ea16fb670a204b0e2937b96d30f");
   ]
 
 let test_fingerprints_pinned () =

@@ -885,7 +885,7 @@ let test_fiber_ids_per_engine () =
 let test_process_keeps_only_live_fibers () =
   let open Tandem_os in
   let engine = Engine.create () in
-  let cpu = Cpu.create engine ~node:1 ~id:0 in
+  let cpu = Cpu.create engine ~node:1 in
   let process =
     Process.create engine ~pid:{ Ids.node = 1; cpu = 0; serial = 1 } ~name:"P" ~cpu
   in

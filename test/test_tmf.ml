@@ -147,9 +147,12 @@ let make_node () =
 
 let transid seq = Tmf.Transid.make ~home:1 ~cpu:0 ~seq
 
+let broadcast table transid state =
+  ignore (Tmf.Tx_table.broadcast table transid state)
+
 let test_broadcast_reaches_every_cpu () =
   let net, _, table = make_node () in
-  Tmf.Tx_table.broadcast table (transid 1) Tmf.Tx_state.Active;
+  broadcast table (transid 1) Tmf.Tx_state.Active;
   Engine.run (Net.engine net);
   for cpu = 0 to 3 do
     match Tmf.Tx_table.state_on table ~cpu (transid 1) with
@@ -160,17 +163,17 @@ let test_broadcast_reaches_every_cpu () =
 
 let test_terminal_state_leaves_system () =
   let net, _, table = make_node () in
-  Tmf.Tx_table.broadcast table (transid 1) Tmf.Tx_state.Active;
-  Tmf.Tx_table.broadcast table (transid 1) Tmf.Tx_state.Ending;
-  Tmf.Tx_table.broadcast table (transid 1) Tmf.Tx_state.Ended;
+  broadcast table (transid 1) Tmf.Tx_state.Active;
+  broadcast table (transid 1) Tmf.Tx_state.Ending;
+  broadcast table (transid 1) Tmf.Tx_state.Ended;
   Engine.run (Net.engine net);
   check_bool "transid left the system" true
     (Tmf.Tx_table.state_on table ~cpu:0 (transid 1) = None)
 
 let test_illegal_transition_faults () =
   let net, _, table = make_node () in
-  Tmf.Tx_table.broadcast table (transid 1) Tmf.Tx_state.Active;
-  Tmf.Tx_table.broadcast table (transid 1) Tmf.Tx_state.Ended;
+  broadcast table (transid 1) Tmf.Tx_state.Active;
+  broadcast table (transid 1) Tmf.Tx_state.Ended;
   Alcotest.check_raises "active -> ended is illegal"
     (Invalid_argument "Tx_table: illegal transition active -> ended for 1.0.1")
     (fun () -> Engine.run (Net.engine net))
@@ -179,7 +182,7 @@ let test_down_cpu_misses_broadcast () =
   let net, node, table = make_node () in
   Node.fail_cpu node 3;
   Engine.run (Net.engine net);
-  Tmf.Tx_table.broadcast table (transid 1) Tmf.Tx_state.Active;
+  broadcast table (transid 1) Tmf.Tx_state.Active;
   Engine.run (Net.engine net);
   check_bool "up cpu sees it" true
     (Tmf.Tx_table.state_on table ~cpu:0 (transid 1) <> None);
@@ -191,13 +194,13 @@ let test_census_counts_transitions () =
   let net, _, table = make_node () in
   List.iter
     (fun seq ->
-      Tmf.Tx_table.broadcast table (transid seq) Tmf.Tx_state.Active;
-      Tmf.Tx_table.broadcast table (transid seq) Tmf.Tx_state.Ending;
-      Tmf.Tx_table.broadcast table (transid seq) Tmf.Tx_state.Ended)
+      broadcast table (transid seq) Tmf.Tx_state.Active;
+      broadcast table (transid seq) Tmf.Tx_state.Ending;
+      broadcast table (transid seq) Tmf.Tx_state.Ended)
     [ 1; 2; 3 ];
-  Tmf.Tx_table.broadcast table (transid 4) Tmf.Tx_state.Active;
-  Tmf.Tx_table.broadcast table (transid 4) Tmf.Tx_state.Aborting;
-  Tmf.Tx_table.broadcast table (transid 4) Tmf.Tx_state.Aborted;
+  broadcast table (transid 4) Tmf.Tx_state.Active;
+  broadcast table (transid 4) Tmf.Tx_state.Aborting;
+  broadcast table (transid 4) Tmf.Tx_state.Aborted;
   Engine.run (Net.engine net);
   let census = Tmf.Tx_table.transition_census table in
   let count arc = Option.value ~default:0 (List.assoc_opt arc census) in
@@ -206,6 +209,165 @@ let test_census_counts_transitions () =
   check_int "commits" 3 (count (Some Tmf.Tx_state.Ending, Tmf.Tx_state.Ended));
   check_int "aborts" 1 (count (Some Tmf.Tx_state.Active, Tmf.Tx_state.Aborting));
   check_int "backouts" 1 (count (Some Tmf.Tx_state.Aborting, Tmf.Tx_state.Aborted))
+
+(* The table as it was built before a broadcast became one event: one
+   table per processor, one engine event per up processor, each applying
+   the change on its own processor. *)
+module Reference_table = struct
+  type t = {
+    node : Node.t;
+    tables : (string, Tmf.Tx_state.t) Hashtbl.t array;
+    mutable messages : int;
+    census : (Tmf.Tx_state.t option * Tmf.Tx_state.t, int) Hashtbl.t;
+  }
+
+  let create node =
+    let t =
+      {
+        node;
+        tables = Array.init 4 (fun _ -> Hashtbl.create 64);
+        messages = 0;
+        census = Hashtbl.create 16;
+      }
+    in
+    Node.on_cpu_up node (fun cpu -> Hashtbl.reset t.tables.(cpu));
+    t
+
+  let reset t = Array.iter Hashtbl.reset t.tables
+
+  let apply t ~cpu transid new_state =
+    let table = t.tables.(cpu) in
+    let key = Tmf.Transid.to_string transid in
+    let current = Hashtbl.find_opt table key in
+    (match current with
+    | Some from
+      when from <> new_state
+           && not (Tmf.Tx_state.legal_transition from new_state) ->
+        invalid_arg
+          (Printf.sprintf "Tx_table: illegal transition %s -> %s for %s"
+             (Tmf.Tx_state.to_string from)
+             (Tmf.Tx_state.to_string new_state)
+             key)
+    | Some _ | None -> ());
+    if cpu = 0 then begin
+      let arc = (current, new_state) in
+      Hashtbl.replace t.census arc
+        (1 + Option.value ~default:0 (Hashtbl.find_opt t.census arc))
+    end;
+    if Tmf.Tx_state.is_terminal new_state then Hashtbl.remove table key
+    else Hashtbl.replace table key new_state
+
+  let broadcast t transid new_state =
+    let up =
+      List.filter (fun cpu -> Cpu.is_up (Node.cpu t.node cpu)) [ 0; 1; 2; 3 ]
+    in
+    t.messages <- t.messages + List.length up;
+    List.iter
+      (fun cpu ->
+        Engine.post_after (Node.engine t.node) Hw_config.bus_latency
+          (fun () ->
+            if Cpu.is_up (Node.cpu t.node cpu) then apply t ~cpu transid new_state))
+      up;
+    List.length up
+
+  let state_on t ~cpu transid =
+    Hashtbl.find_opt t.tables.(cpu) (Tmf.Transid.to_string transid)
+
+  let transition_census t =
+    Hashtbl.fold (fun arc n acc -> (arc, n) :: acc) t.census []
+end
+
+(* Each op is three small ints, read by [drive]: a broadcast (mostly a
+   legal next state of the transid, sometimes any state), a processor
+   failure or reload, a node reset, or a run to a near instant. *)
+let prop_one_event_broadcast_matches_reference =
+  QCheck.Test.make ~name:"one-event broadcast = one event per processor"
+    ~count:300
+    QCheck.(list_of_size Gen.(int_range 1 80) (triple small_nat small_nat small_nat))
+    (fun ops ->
+      let net_a = Net.create () and net_b = Net.create () in
+      let node_a = Net.add_node net_a ~id:1 ~cpus:4 in
+      let node_b = Net.add_node net_b ~id:1 ~cpus:4 in
+      let table = Tmf.Tx_table.create node_a in
+      let reference = Reference_table.create node_b in
+      let transids = List.init 4 (fun seq -> transid (seq + 1)) in
+      let intended = Array.make 4 None in
+      let agree () =
+        List.for_all
+          (fun tid ->
+            List.for_all
+              (fun cpu ->
+                Tmf.Tx_table.state_on table ~cpu tid
+                = Reference_table.state_on reference ~cpu tid)
+              [ 0; 1; 2; 3 ])
+          transids
+        && Tmf.Tx_table.transition_census table
+           = Reference_table.transition_census reference
+        && Tmf.Tx_table.broadcasts_sent table = reference.Reference_table.messages
+      in
+      let run_both until =
+        let outcome net =
+          match Engine.run ~until (Net.engine net) with
+          | () -> None
+          | exception Invalid_argument message -> Some message
+        in
+        let a = outcome net_a in
+        let b = outcome net_b in
+        (a = b, a <> None)
+      in
+      let next_state seq choice =
+        let successors =
+          match intended.(seq) with
+          | None | Some (Tmf.Tx_state.Ended | Tmf.Tx_state.Aborted) ->
+              [ Tmf.Tx_state.Active ]
+          | Some Tmf.Tx_state.Active -> [ Tmf.Tx_state.Ending; Aborting ]
+          | Some Tmf.Tx_state.Ending -> [ Tmf.Tx_state.Ended; Aborting ]
+          | Some Tmf.Tx_state.Aborting -> [ Tmf.Tx_state.Aborted ]
+        in
+        if choice mod 8 = 0 then List.nth Tmf.Tx_state.all (choice / 8 mod 5)
+        else List.nth successors (choice mod List.length successors)
+      in
+      let rec drive = function
+        | [] ->
+            let same, _ = run_both max_int in
+            same && agree ()
+        | (kind, a, b) :: rest -> (
+            let cpu = a mod 4 in
+            let step =
+              match kind mod 10 with
+              | 0 | 1 | 2 | 3 ->
+                  let seq = a mod 4 in
+                  let state = next_state seq b in
+                  intended.(seq) <- Some state;
+                  let tid = List.nth transids seq in
+                  let sent = Tmf.Tx_table.broadcast table tid state in
+                  `Continue
+                    (sent = Reference_table.broadcast reference tid state)
+              | 4 ->
+                  Node.fail_cpu node_a cpu;
+                  Node.fail_cpu node_b cpu;
+                  `Continue true
+              | 5 ->
+                  Node.restore_cpu node_a cpu;
+                  Node.restore_cpu node_b cpu;
+                  `Continue true
+              | 6 when b mod 4 = 0 ->
+                  Tmf.Tx_table.reset table;
+                  Reference_table.reset reference;
+                  `Continue true
+              | _ ->
+                  let now = Engine.now (Net.engine net_a) in
+                  let until =
+                    Sim_time.add now (b mod 3 * Hw_config.bus_latency / 2)
+                  in
+                  let same, raised = run_both until in
+                  if raised then `Stop same else `Continue same
+            in
+            match step with
+            | `Stop same -> same && agree ()
+            | `Continue same -> same && agree () && drive rest)
+      in
+      drive ops)
 
 (* ------------------------------------------------------------------ *)
 (* Repeated crash-restart: a voted-yes participant that fails totally,
@@ -325,7 +487,8 @@ let () =
           Alcotest.test_case "down cpu misses broadcast" `Quick
             test_down_cpu_misses_broadcast;
           Alcotest.test_case "census" `Quick test_census_counts_transitions;
-        ] );
+        ]
+        @ qcheck [ prop_one_event_broadcast_matches_reference ] );
       ( "repeated crash",
         [
           Alcotest.test_case "2pc: in doubt until healed, then converges"
