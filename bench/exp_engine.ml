@@ -174,13 +174,15 @@ let trail_image key =
     after = Some "new";
   }
 
+let transid seq = Transid.make ~home:1 ~cpu:0 ~seq
+
 (* A 10k-record trail shared by 16 concurrent transactions. *)
 let shared_trail () =
   let trail = make_trail () in
+  let transids = Array.init 16 transid in
   for i = 0 to 9_999 do
     ignore
-      (Tandem_audit.Audit_trail.append trail
-         ~transid:(Printf.sprintf "1.0.%d" (i mod 16))
+      (Tandem_audit.Audit_trail.append trail ~transid:transids.(i mod 16)
          (trail_image (string_of_int i)))
   done;
   trail
@@ -188,27 +190,25 @@ let shared_trail () =
 (* Backout's read pattern: all records of ONE live transaction, read from
    the index as appended. *)
 let backout_scan () =
-  let trail = shared_trail () in
-  each (fun _ ->
-      ignore (Tandem_audit.Audit_trail.records_for trail ~transid:"1.0.7"))
+  let trail = shared_trail () and transid = transid 7 in
+  each (fun _ -> ignore (Tandem_audit.Audit_trail.records_for trail ~transid))
 
 (* Recovery's read pattern: the same transaction once settled, its 625
    records decoded along its back-link chain. *)
 let settled_scan () =
-  let trail = shared_trail () in
-  Tandem_audit.Audit_trail.settle trail ~transid:"1.0.7";
-  each (fun _ ->
-      ignore (Tandem_audit.Audit_trail.records_for trail ~transid:"1.0.7"))
+  let trail = shared_trail () and transid = transid 7 in
+  Tandem_audit.Audit_trail.settle trail ~transid;
+  each (fun _ -> ignore (Tandem_audit.Audit_trail.records_for trail ~transid))
 
 (* The cumulative append cost of filling one large audit file (trails
    configured for few rollovers see multi-thousand-record files; a
    per-append length scan makes the fill quadratic). *)
 let audit_append_fill () =
-  let image = trail_image "k" in
+  let image = trail_image "k" and transid = transid 1 in
   each (fun _ ->
       let trail = make_trail ~records_per_file:2_000 () in
       for _ = 0 to 1_999 do
-        ignore (Tandem_audit.Audit_trail.append trail ~transid:"1.0.1" image)
+        ignore (Tandem_audit.Audit_trail.append trail ~transid image)
       done)
 
 (* Phase two's unlock: release ONE transaction's 1k locks out of a table
@@ -217,14 +217,15 @@ let audit_append_fill () =
    Printf's. *)
 let lock_release_scaling () =
   let locks = make_locks () in
+  let background = Array.init 10 (fun seq -> Transid.make ~home:2 ~cpu:0 ~seq) in
   for file = 0 to 149 do
     for k = 0 to 1_999 do
       ignore
-        (Tandem_lock.Lock_table.try_acquire locks
-           ~owner:(Printf.sprintf "bg%d" (k mod 10))
+        (Tandem_lock.Lock_table.try_acquire locks ~owner:background.(k mod 10)
            (record_lock (Printf.sprintf "F%d" file) (string_of_int k)))
     done
   done;
+  let owner = transid 0 in
   let wanted =
     Array.init 1_000 (fun k -> record_lock "F0" (Printf.sprintf "b%d" k))
   in
@@ -232,9 +233,9 @@ let lock_release_scaling () =
       Array.iter
         (fun resource ->
           ignore
-            (Tandem_lock.Lock_table.try_acquire locks ~owner:"bench" resource))
+            (Tandem_lock.Lock_table.try_acquire locks ~owner resource))
         wanted;
-      Tandem_lock.Lock_table.release_all locks ~owner:"bench")
+      Tandem_lock.Lock_table.release_all locks ~owner)
 
 (* The TMP safe-delivery queue: enqueue 1k phase-two messages (the engine
    never runs, so nothing is delivered — this is the pure enqueue path a
@@ -274,7 +275,7 @@ let monitor_participant () =
   let transids =
     Array.init monitor_fill_size (fun i ->
         let pair = i land 3 and n = i lsr 2 in
-        Printf.sprintf "%d.%d.%d" (2 + (pair lsr 1)) (pair land 1) n)
+        Transid.make ~home:(2 + (pair lsr 1)) ~cpu:(pair land 1) ~seq:n)
   in
   (* Shuffle within windows of 32 entries per pair (128 in the array). *)
   for start = 0 to (monitor_fill_size / 128) - 1 do
@@ -320,7 +321,7 @@ let monitor_participant () =
    which lives in the ring. Ids are made untimed; an id comes round again
    only long after it left the ring. *)
 let span_ring_churn () =
-  let ids = Array.init 16_384 (Printf.sprintf "1.0.%d") in
+  let ids = Array.init 16_384 transid in
   let spans = Span.create (Engine.create ()) in
   let cycle i =
     let id = ids.(i land 16_383) in
@@ -381,8 +382,9 @@ let btree_scan () =
 
 let lock_cycle () =
   let locks = make_locks () in
+  let owners = Array.init 8 transid in
   each (fun i ->
-      let owner = string_of_int (i land 7) in
+      let owner = owners.(i land 7) in
       ignore
         (Tandem_lock.Lock_table.try_acquire locks ~owner
            (record_lock "F" (string_of_int i)));
@@ -390,9 +392,8 @@ let lock_cycle () =
 
 let audit_append () =
   let trail = make_trail () in
-  let image = trail_image "k" in
-  each (fun _ ->
-      ignore (Tandem_audit.Audit_trail.append trail ~transid:"1.0.1" image))
+  let image = trail_image "k" and transid = transid 1 in
+  each (fun _ -> ignore (Tandem_audit.Audit_trail.append trail ~transid image))
 
 let record_decode () =
   let payload =

@@ -1,7 +1,10 @@
 open Tandem_os
 
 type Message.payload +=
-  | Audit_append of { transid : string; images : Audit_record.image list }
+  | Audit_append of {
+      transid : Tandem_sim.Transid.t;
+      images : Audit_record.image list;
+    }
   | Audit_force
   | Audit_ok
 

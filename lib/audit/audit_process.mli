@@ -27,7 +27,7 @@ val append_images :
   self:Tandem_os.Process.t ->
   node:Tandem_os.Ids.node_id ->
   name:string ->
-  transid:string ->
+  transid:Tandem_sim.Transid.t ->
   Audit_record.image list ->
   (unit, Tandem_os.Rpc.error) result
 (** Ship a batch of audit images to the named AUDITPROCESS and wait for the

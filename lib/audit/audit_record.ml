@@ -6,10 +6,9 @@ type image = {
   after : string option;
 }
 
-type t = { sequence : int; transid : string; image : image }
+type t = { sequence : int; transid : Tandem_sim.Transid.t; image : image }
 
-let of_change ~volume ~transid (change : Tandem_db.File.change) =
-  ignore transid;
+let of_change ~volume (change : Tandem_db.File.change) =
   {
     volume;
     file = change.Tandem_db.File.file;

@@ -1,4 +1,5 @@
 open Tandem_disk
+module Transid = Tandem_sim.Transid
 
 (* A closed or current audit file, kept as the bytes a disc file would hold.
    Record [i] is encoded at [data.[offsets.(i)]] and has sequence number
@@ -11,11 +12,11 @@ open Tandem_disk
    surviving record the file holds: a pinned file is never purged by the
    trail itself.
 
-   A record's encoding is six fields, each a varint or a varint length
+   A record's encoding is eight fields, each a varint or a varint length
    followed by that many bytes:
    - [back]: sequence delta to the previous record of the same transaction
      (0 for its first record) — the per-transaction chain;
-   - the transid;
+   - the transid's home, cpu and seq, three varints;
    - the interned (volume, file) name id;
    - the key;
    - before and after: 0 for [None], [1 + length] then the bytes for
@@ -47,7 +48,7 @@ type t = {
   trail_name : string;
   records_per_file : int;
   mutable files : audit_file list; (* newest first *)
-  tx_index : (string, tx_entry) Hashtbl.t;
+  tx_index : (string, tx_entry) Hashtbl.t; (* by [Transid.to_string] *)
   name_ids : (string * string, int) Hashtbl.t; (* (volume, file) -> id *)
   mutable names : (string * string) array; (* id -> (volume, file) *)
   mutable last_name : Audit_record.image; (* the image [last_id] names *)
@@ -168,19 +169,25 @@ let get_string r = get_bytes r (get_varint r)
 let get_side r =
   match get_varint r with 0 -> None | n -> Some (get_bytes r (n - 1))
 
+let get_transid r =
+  let home = get_varint r in
+  let cpu = get_varint r in
+  let seq = get_varint r in
+  Transid.make ~home ~cpu ~seq
+
 let reader file i = { bytes = file.data; pos = file.offsets.(i) }
 
 (* The back-link and transid of record [i]: what index maintenance needs. *)
 let header file i =
   let r = reader file i in
   let back = get_varint r in
-  (back, get_string r)
+  (back, get_transid r)
 
 (* Record [i] and its back-link. *)
 let decode_linked t file i =
   let r = reader file i in
   let back = get_varint r in
-  let transid = get_string r in
+  let transid = get_transid r in
   let volume, file_name = t.names.(get_varint r) in
   let key = get_string r in
   let before = get_side r in
@@ -334,8 +341,9 @@ let append t ~transid image =
   t.next_seq <- t.next_seq + 1;
   let file = current_file t in
   let record = { Audit_record.sequence; transid; image } in
+  let key = Transid.to_string transid in
   let back =
-    match Hashtbl.find_opt t.tx_index transid with
+    match Hashtbl.find_opt t.tx_index key with
     | Some entry ->
         let back = sequence - entry.last in
         let n = entry.count in
@@ -348,7 +356,7 @@ let append t ~transid image =
         entry.count <- n + 1;
         back
     | None ->
-        Hashtbl.replace t.tx_index transid
+        Hashtbl.replace t.tx_index key
           { last = sequence; count = 1; live = Array.make 8 record };
         file.pins <- file.pins + 1;
         0
@@ -359,10 +367,12 @@ let append t ~transid image =
   file.offsets.(file.length) <- file.used;
   file.length <- file.length + 1;
   reserve file
-    ((6 * max_varint_bytes) + String.length transid + String.length image.key
+    ((8 * max_varint_bytes) + String.length image.key
     + side_length image.before + side_length image.after);
   put_varint file back;
-  put_string file transid;
+  put_varint file transid.home;
+  put_varint file transid.cpu;
+  put_varint file transid.seq;
   put_varint file (name_id t image);
   put_string file image.key;
   put_side file image.before;
@@ -385,7 +395,7 @@ let append t ~transid image =
   sequence
 
 let settle t ~transid =
-  match Hashtbl.find_opt t.tx_index transid with
+  match Hashtbl.find_opt t.tx_index (Transid.to_string transid) with
   | Some entry when Array.length entry.live > 0 ->
       let file = file_holding t entry.live.(0).sequence in
       file.pins <- file.pins - 1;
@@ -426,7 +436,7 @@ let decode_chain t entry =
   walk t.files entry.last entry.count []
 
 let records_for t ~transid =
-  match Hashtbl.find_opt t.tx_index transid with
+  match Hashtbl.find_opt t.tx_index (Transid.to_string transid) with
   | None -> []
   | Some ({ live = [||]; _ } as entry) -> decode_chain t entry
   | Some { live; count; _ } ->
@@ -436,7 +446,7 @@ let records_for t ~transid =
       collect (count - 1) []
 
 let record_count_for t ~transid =
-  match Hashtbl.find_opt t.tx_index transid with
+  match Hashtbl.find_opt t.tx_index (Transid.to_string transid) with
   | Some entry -> entry.count
   | None -> 0
 
@@ -472,12 +482,13 @@ let unforced_records t =
    is on [file]. *)
 let unindex_newest t file i =
   let back, transid = header file i in
-  match Hashtbl.find_opt t.tx_index transid with
+  let key = Transid.to_string transid in
+  match Hashtbl.find_opt t.tx_index key with
   | None -> ()
   | Some entry ->
       entry.count <- entry.count - 1;
       if entry.count = 0 then begin
-        Hashtbl.remove t.tx_index transid;
+        Hashtbl.remove t.tx_index key;
         if Array.length entry.live > 0 then file.pins <- file.pins - 1
       end
       else begin
@@ -535,7 +546,7 @@ let retain_from t ~sequence =
    edges exist to expose. Markers carry no data image — they order against
    nothing. *)
 let dependency_edges t =
-  let last_writer : (string * string * string, string) Hashtbl.t =
+  let last_writer : (string * string * string, Transid.t) Hashtbl.t =
     Hashtbl.create 256
   in
   let edges = ref [] in
@@ -544,7 +555,7 @@ let dependency_edges t =
       if not (Audit_record.is_commit_marker image) then begin
         let key = Audit_record.(image.volume, image.file, image.key) in
         (match Hashtbl.find_opt last_writer key with
-        | Some previous when not (String.equal previous transid) ->
+        | Some previous when not (Transid.equal previous transid) ->
             edges := (previous, transid) :: !edges
         | Some _ | None -> ());
         Hashtbl.replace last_writer key transid

@@ -53,7 +53,7 @@ val create :
     numbered audit file is started. [force_window] (default 0) is the
     group-commit accumulation window of the trail's force daemon. *)
 
-val append : t -> transid:string -> Audit_record.image -> int
+val append : t -> transid:Tandem_sim.Transid.t -> Audit_record.image -> int
 (** Buffer one record; returns its sequence number. No physical I/O. *)
 
 val force : t -> unit
@@ -65,20 +65,20 @@ val forced_up_to : t -> int
 
 val next_sequence : t -> int
 
-val records_for : t -> transid:string -> Audit_record.t list
+val records_for : t -> transid:Tandem_sim.Transid.t -> Audit_record.t list
 (** The records of one transaction the trail holds, ascending — buffered
     tail included (transaction backout runs against the live trail); all
     of them until it is settled. O(records of this
     transaction), not O(trail): an unsettled transaction's records come
     straight from the index, a settled one's are decoded along its chain. *)
 
-val settle : t -> transid:string -> unit
+val settle : t -> transid:Tandem_sim.Transid.t -> unit
 (** The transaction is finished: drop its records' decoded copies, keeping
     only their encoding. Later reads decode. This only frees memory — every
     result is the same whether or not it was called, and records appended
     for the transaction afterwards are kept encoded only. *)
 
-val record_count_for : t -> transid:string -> int
+val record_count_for : t -> transid:Tandem_sim.Transid.t -> int
 (** [List.length (records_for t ~transid)] in O(1) — the observability
     path's undo-image count, read straight from the index. *)
 
@@ -109,7 +109,7 @@ val purge_files_before : t -> sequence:int -> int
     sequence number, whatever reads them; returns how many files with records
     went. The trail's own purging (above) goes through the same upkeep. *)
 
-val dependency_edges : t -> (string * string) list
+val dependency_edges : t -> (Tandem_sim.Transid.t * Tandem_sim.Transid.t) list
 (** Forced inter-transaction dependency edges [(from, to)], ascending by
     the dependent record's sequence: one edge wherever a transaction writes
     a (volume, file, key) whose previous surviving writer is a *different*

@@ -1,4 +1,5 @@
 open Tandem_disk
+module Transid = Tandem_sim.Transid
 
 type disposition = Committed | Aborted
 
@@ -8,27 +9,22 @@ type disposition = Committed | Aborted
    disposition. Every record ordered below [covered] is on oxide: a forced
    write carries every disposition recorded before it was asked for.
 
-   A canonical transid ["home.cpu.seq"] (decimal fields as
-   [Transid.to_string] renders them, within the bounds below) is stored as
-   one int cell [seq lsl 32 lor value] in the run of its (home, cpu): the
-   run is sorted by [seq] and searched by bisection. Transids arrive
-   nearly in sequence order, so an insert shifts only the few cells above
-   it. Any other string keeps a table entry in [others]. *)
+   A transid is stored as one int cell [seq lsl 32 lor value] in the run
+   of its (home, cpu): the run is sorted by [seq] and searched by
+   bisection. Transids arrive nearly in sequence order, so an insert
+   shifts only the few cells above it. [Transid.make] keeps [seq] below
+   2^30, so a cell fits in 62 bits. *)
 type run = { mutable cells : int array; mutable length : int }
 
 type t = {
   volume : Volume.t;
   daemon : Force_daemon.t;
   mutable runs : run array array; (* [runs.(home).(cpu)] *)
-  others : (string, int) Hashtbl.t;
   mutable next_order : int;
   mutable covered : int;
-  staged : (string, unit) Hashtbl.t; (* being forced right now *)
+  staged : (string, unit) Hashtbl.t;
+      (* by [Transid.to_string]: being forced right now *)
 }
-
-let max_node = 1 lsl 10 (* home and cpu fields below this *)
-
-let max_seq = 1 lsl 30
 
 let max_order = 1 lsl 30
 
@@ -41,7 +37,6 @@ let create ?(force_window = 0) volume =
     volume;
     daemon = Force_daemon.create ~window:force_window volume;
     runs = [||];
-    others = Hashtbl.create 1;
     next_order = 0;
     covered = 0;
     staged = Hashtbl.create 8;
@@ -53,42 +48,9 @@ let unforced_flag = 2
 
 let disposition_of_value value = if value land 1 = 0 then Committed else Aborted
 
-(* [home lsl 40 lor cpu lsl 30 lor seq] for a canonical transid: three
-   fields of decimal digits, no sign and no leading zero, within the
-   bounds; -1 for any other string, which therefore never shares a key
-   with a canonical one. *)
-let canonical_key s =
-  let n = String.length s in
-  (* [field] fields are done and packed in [key]; the current one has
-     [digits] digits so far and reads [value]. *)
-  let rec scan i field digits value key =
-    if i = n || s.[i] = '.' then
-      let bound = if field = 2 then max_seq else max_node in
-      if digits = 0 || value >= bound then -1
-      else if field < 2 then
-        if i = n then -1 else scan (i + 1) (field + 1) 0 0 ((key lsl 10) lor value)
-      else if i = n then (key lsl 30) lor value
-      else -1
-    else
-      match s.[i] with
-      | '0' .. '9' as c ->
-          (* A leading zero, or more digits than any bound needs. *)
-          if (digits = 1 && value = 0) || digits = 10 then -1
-          else scan (i + 1) field (digits + 1) ((value * 10) + Char.code c - 48) key
-      | _ -> -1
-  in
-  scan 0 0 0 0 0
-
-let home_of key = key lsr 40
-
-let cpu_of key = (key lsr 30) land (max_node - 1)
-
-let seq_of key = key land (max_seq - 1)
-
 let empty_run = { cells = [||]; length = 0 }
 
-let find_run t key =
-  let home = home_of key and cpu = cpu_of key in
+let find_run t { Transid.home; cpu; _ } =
   if home < Array.length t.runs && cpu < Array.length t.runs.(home) then
     t.runs.(home).(cpu)
   else empty_run
@@ -102,8 +64,7 @@ let widen a n filler =
     grown
   end
 
-let run_for_insert t key =
-  let home = home_of key and cpu = cpu_of key in
+let run_for_insert t { Transid.home; cpu; _ } =
   t.runs <- widen t.runs (home + 1) [||];
   t.runs.(home) <- widen t.runs.(home) (cpu + 1) empty_run;
   if t.runs.(home).(cpu) == empty_run then
@@ -124,40 +85,32 @@ let search run seq =
 
 (* The transid's value, or -1 if it has none. *)
 let value_of t transid =
-  let key = canonical_key transid in
-  if key < 0 then
-    match Hashtbl.find t.others transid with
-    | value -> value
-    | exception Not_found -> -1
-  else
-    let run = find_run t key and seq = seq_of key in
-    let i = search run seq in
-    if i < run.length && run.cells.(i) lsr 32 = seq then cell_value run.cells.(i)
-    else -1
+  let run = find_run t transid and seq = transid.Transid.seq in
+  let i = search run seq in
+  if i < run.length && run.cells.(i) lsr 32 = seq then cell_value run.cells.(i)
+  else -1
 
 let check_new t transid =
-  if value_of t transid >= 0 || Hashtbl.mem t.staged transid then
-    invalid_arg ("Monitor_trail.record: duplicate disposition for " ^ transid)
+  let key = Transid.to_string transid in
+  if value_of t transid >= 0 || Hashtbl.mem t.staged key then
+    invalid_arg ("Monitor_trail.record: duplicate disposition for " ^ key)
 
 let add t transid flags =
   if t.next_order >= max_order then failwith "Monitor_trail: order overflow";
   let value = (t.next_order lsl 2) lor flags in
   t.next_order <- t.next_order + 1;
-  let key = canonical_key transid in
-  if key < 0 then Hashtbl.replace t.others transid value
-  else begin
-    let run = run_for_insert t key and seq = seq_of key in
-    let i = search run seq in
-    if run.length = Array.length run.cells then
-      run.cells <- widen run.cells (2 * run.length) 0;
-    Array.blit run.cells i run.cells (i + 1) (run.length - i);
-    run.cells.(i) <- (seq lsl 32) lor value;
-    run.length <- run.length + 1
-  end
+  let run = run_for_insert t transid and seq = transid.Transid.seq in
+  let i = search run seq in
+  if run.length = Array.length run.cells then
+    run.cells <- widen run.cells (2 * run.length) 0;
+  Array.blit run.cells i run.cells (i + 1) (run.length - i);
+  run.cells.(i) <- (seq lsl 32) lor value;
+  run.length <- run.length + 1
 
 let record t ~transid disposition =
   check_new t transid;
-  Hashtbl.replace t.staged transid ();
+  let key = Transid.to_string transid in
+  Hashtbl.replace t.staged key ();
   (* The write carries every disposition recorded before it was asked for;
      one recorded while it is in flight waits for the next force. *)
   let covers = t.next_order in
@@ -169,9 +122,9 @@ let record t ~transid disposition =
   (match Force_daemon.force t.daemon with
   | () -> ()
   | exception e ->
-      Hashtbl.remove t.staged transid;
+      Hashtbl.remove t.staged key;
       raise e);
-  Hashtbl.remove t.staged transid;
+  Hashtbl.remove t.staged key;
   t.covered <- Int.max t.covered covers;
   add t transid (bit disposition)
 
@@ -183,14 +136,6 @@ let lost t value = value land unforced_flag <> 0 && value lsr 2 >= t.covered
 
 let crash t =
   let dropped = ref 0 in
-  Hashtbl.filter_map_inplace
-    (fun _ value ->
-      if lost t value then begin
-        incr dropped;
-        None
-      end
-      else Some value)
-    t.others;
   Array.iter
     (Array.iter (fun run ->
          let kept = ref 0 in
@@ -214,9 +159,7 @@ let disposition_of t ~transid =
 
 let count t disposition =
   let b = bit disposition in
-  let n =
-    ref (Hashtbl.fold (fun _ value n -> if value land 1 = b then n + 1 else n) t.others 0)
-  in
+  let n = ref 0 in
   Array.iter
     (Array.iter (fun run ->
          for i = 0 to run.length - 1 do
@@ -226,9 +169,7 @@ let count t disposition =
   !n
 
 let entries t =
-  let acc =
-    ref (Hashtbl.fold (fun transid value acc -> (value, transid) :: acc) t.others [])
-  in
+  let acc = ref [] in
   Array.iteri
     (fun home cpus ->
       Array.iteri
@@ -236,7 +177,7 @@ let entries t =
           for i = 0 to run.length - 1 do
             let cell = run.cells.(i) in
             acc :=
-              (cell_value cell, Printf.sprintf "%d.%d.%d" home cpu (cell lsr 32))
+              (cell_value cell, Transid.make ~home ~cpu ~seq:(cell lsr 32))
               :: !acc
           done)
         cpus)

@@ -10,12 +10,10 @@
     record written without a force, and the order in which it was
     recorded, from which {!entries} rebuilds the history and {!crash} tells
     the unforced records that a later forced write carried from those it
-    did not. A transid in the canonical ["home.cpu.seq"] form that
-    [Transid.to_string] renders is held as that int beside its sequence
-    number, in a sorted array per (home, cpu): a lookup is a binary
-    search, and an insert shifts the entries of that (home, cpu) recorded
-    with a higher sequence number. Any other string is a table entry of
-    its own, so distinct strings stay distinct keys. *)
+    did not. A transid is held as that int beside its sequence number, in a
+    sorted array per (home, cpu): a lookup is a binary search, and an
+    insert shifts the entries of that (home, cpu) recorded with a higher
+    sequence number. *)
 
 type t
 
@@ -25,12 +23,12 @@ val create : ?force_window:Tandem_sim.Sim_time.span -> Tandem_disk.Volume.t -> t
 (** [force_window] (default 0) is the group-commit accumulation window of
     the trail's force daemon. *)
 
-val record : t -> transid:string -> disposition -> unit
+val record : t -> transid:Tandem_sim.Transid.t -> disposition -> unit
 (** Force-write one completion record (the calling fiber pays the forced
     write). Recording a transaction twice raises [Invalid_argument] — a
     disposition is immutable. *)
 
-val record_unforced : t -> transid:string -> disposition -> unit
+val record_unforced : t -> transid:Tandem_sim.Transid.t -> disposition -> unit
 (** Record a completion status without paying a force: used when the
     disposition's durability is carried by something else (an abort that
     restart re-derives by presumption; a fast-path commit whose marker rode
@@ -44,10 +42,10 @@ val crash : t -> int
     survive. Returns the number of records lost; O(entries), which is paid
     only at a total node failure. *)
 
-val disposition_of : t -> transid:string -> disposition option
+val disposition_of : t -> transid:Tandem_sim.Transid.t -> disposition option
 
 val count : t -> disposition -> int
 
-val entries : t -> (string * disposition) list
+val entries : t -> (Tandem_sim.Transid.t * disposition) list
 (** Completion history, oldest first: sorted by recording order, so
     O(entries · log entries). *)

@@ -6,7 +6,7 @@ type log_body = Change of int * File.change | Commit_record of int
 type log_entry = { lsn : int; body : log_body }
 
 type tx = {
-  tx_id : int;
+  owner : Transid.t; (* single system: home 0, cpu 0, seq the log's id *)
   mutable live : bool;
   mutable undo : File.change list; (* newest first: the in-memory log tail *)
   mutable epoch : int; (* crash epoch the transaction was born in *)
@@ -98,13 +98,18 @@ let begin_transaction t =
   if not t.available then Error `Unavailable
   else begin
     t.next_tx <- t.next_tx + 1;
-    let tx = { tx_id = t.next_tx; live = true; undo = []; epoch = t.epoch } in
+    let tx =
+      {
+        owner = Transid.make ~home:0 ~cpu:0 ~seq:t.next_tx;
+        live = true;
+        undo = [];
+        epoch = t.epoch;
+      }
+    in
     t.live_txs <- tx :: t.live_txs;
     Metrics.incr (counter t "begins");
     Ok tx
   end
-
-let owner tx = Printf.sprintf "b%d" tx.tx_id
 
 let tx_valid t tx = t.available && tx.live && tx.epoch = t.epoch
 
@@ -130,12 +135,12 @@ let force_log_through t lsn =
 (* The WAL rule: the log record reaches oxide before the data base is
    touched. *)
 let force_log_for_change t tx change =
-  let lsn = append_log t (Change (tx.tx_id, change)) in
+  let lsn = append_log t (Change (tx.owner.seq, change)) in
   force_log_through t lsn
 
 let acquire t tx ~file key =
   match
-    Tandem_lock.Lock_table.acquire t.locks ~owner:(owner tx)
+    Tandem_lock.Lock_table.acquire t.locks ~owner:tx.owner
       ~timeout:t.lock_timeout
       (Tandem_lock.Lock_table.Record_lock { file; key })
   with
@@ -189,12 +194,12 @@ let update t tx ~file key payload =
 let finish t tx =
   tx.live <- false;
   t.live_txs <- List.filter (fun other -> other != tx) t.live_txs;
-  Tandem_lock.Lock_table.release_all t.locks ~owner:(owner tx)
+  Tandem_lock.Lock_table.release_all t.locks ~owner:tx.owner
 
 let commit t tx =
   if not (tx_valid t tx) then Error `Halted
   else begin
-    let lsn = append_log t (Commit_record tx.tx_id) in
+    let lsn = append_log t (Commit_record tx.owner.seq) in
     if force_log_through t lsn then begin
       Metrics.incr (counter t "commits");
       finish t tx;

@@ -100,8 +100,7 @@ let decide_2pc cluster ~home pinned =
       drive_client cluster ~node:home (fun _self ->
           Tandem_audit.Monitor_trail.record
             (Tmf.node_state (Cluster.tmf cluster) home).Tmf.Tmf_state.monitor
-            ~transid:(Tmf.Transid.to_string transid)
-            Tandem_audit.Monitor_trail.Committed;
+            ~transid Tandem_audit.Monitor_trail.Committed;
           decided := true);
       !decided
 

@@ -37,21 +37,21 @@ type value =
   | Manifest_aborted
 
 type Message.payload +=
-  | Pax_p1a of { transid : Transid.t; instance : instance; ballot : int }
+  | Pax_p1a of { transid : Tandem_sim.Transid.t; instance : instance; ballot : int }
   | Pax_p1b of { promised : int; accepted : (int * value) option }
   | Pax_p2a of {
-      transid : Transid.t;
+      transid : Tandem_sim.Transid.t;
       instance : instance;
       ballot : int;
       value : value;
     }
   | Pax_p2b
   | Pax_decide of {
-      transid : Transid.t;
+      transid : Tandem_sim.Transid.t;
       home : Ids.node_id;
       participants : Ids.node_id list;
     }
-  | Pax_read of Transid.t
+  | Pax_read of Tandem_sim.Transid.t
   | Pax_state of (instance * int * value) list
   | Pax_nack of { promised : int }
 

@@ -11,10 +11,9 @@ let perform net state ~self transid =
   let metrics = Net.metrics net in
   let undone = ref 0 in
   let failure = ref None in
-  let transid_string = Transid.to_string transid in
   Hashtbl.iter
     (fun _ trail ->
-      let records = Audit_trail.records_for trail ~transid:transid_string in
+      let records = Audit_trail.records_for trail ~transid in
       List.iter
         (fun record ->
           if !failure = None then begin
@@ -46,10 +45,10 @@ let perform net state ~self transid =
       let images =
         Hashtbl.fold
           (fun _ trail acc ->
-            acc + Audit_trail.record_count_for trail ~transid:transid_string)
+            acc + Audit_trail.record_count_for trail ~transid)
           state.Tmf_state.trails 0
       in
-      Span.add_images_undone (Net.spans net) transid_string images;
+      Span.add_images_undone (Net.spans net) transid images;
       Ok !undone
 
 let service net state pair process =

@@ -30,7 +30,6 @@ let tmp_counter net name = Metrics.counter (Net.metrics net) ("tmp." ^ name)
 
 let fanout net ~self ~acceptors ~transid payload =
   let own = Cpu.node (Process.cpu self) in
-  let transid = Transid.to_string transid in
   let results = ref [] in
   Process.iter_concurrently self
     (fun acceptor ->

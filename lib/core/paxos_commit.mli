@@ -40,7 +40,7 @@ val cast_vote :
   Net.t ->
   self:Process.t ->
   acceptors:Ids.node_id list ->
-  Transid.t ->
+  Tandem_sim.Transid.t ->
   (unit, string) result
 (** A voted-yes participant replicates its Prepared vote (its own instance,
     ballot 0) to the acceptors; [Ok] once a majority acknowledged. *)
@@ -51,7 +51,7 @@ val cast_decision :
   acceptors:Ids.node_id list ->
   home:Ids.node_id ->
   participants:Ids.node_id list ->
-  Transid.t ->
+  Tandem_sim.Transid.t ->
   (unit, [ `Superseded | `No_quorum ]) result
 (** The home's commit point: its own vote plus the manifest of voted-yes
     participants, one acceptor round, one force each. [`Superseded] means a
@@ -62,7 +62,7 @@ val learn :
   Net.t ->
   self:Process.t ->
   acceptors:Ids.node_id list ->
-  Transid.t ->
+  Tandem_sim.Transid.t ->
   learned
 (** Read every reachable acceptor and compute the verdict if it is chosen.
     [Unknown] never means "aborted" — only a recovery ballot can turn an
@@ -72,7 +72,7 @@ val recover :
   Net.t ->
   self:Process.t ->
   acceptors:Ids.node_id list ->
-  Transid.t ->
+  Tandem_sim.Transid.t ->
   (Monitor_trail.disposition, [ `Unreachable | `Contended ]) result
 (** Become a recovery leader: drive the commit instance (abort default) and
     every manifest-listed vote instance (abort default) to chosen values at
@@ -83,6 +83,6 @@ val resolve :
   Net.t ->
   self:Process.t ->
   acceptors:Ids.node_id list ->
-  Transid.t ->
+  Tandem_sim.Transid.t ->
   (Monitor_trail.disposition, [ `Unreachable | `Contended ]) result
 (** {!learn}, falling back to {!recover} when the verdict is still open. *)

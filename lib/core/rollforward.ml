@@ -6,7 +6,7 @@ module Metrics = Tandem_sim.Metrics
 module Engine = Tandem_sim.Engine
 module Sim_time = Tandem_sim.Sim_time
 module Tbl = Tandem_sim.Tbl
-module String_set = Set.Make (String)
+module Transid = Tandem_sim.Transid
 
 type target = {
   target_volume : string;
@@ -25,7 +25,7 @@ type archive = {
   trail_positions : (string * int) list;
       (* trail name -> first sequence not yet forced at archive time; the
          replay starts there, so it covers the unforced tail *)
-  open_transactions : String_set.t;
+  open_transactions : Transid.t list;
       (* unresolved at archive time: their pre-archive images are loser
          candidates *)
   loser_images : Audit_record.image list;
@@ -83,10 +83,10 @@ let take_archive t =
         t.state.Tmf_state.trails [];
     open_transactions =
       Tbl.String.fold
-        (fun tid info acc ->
-          if info.Tmf_state.resolved = None then String_set.add tid acc
+        (fun _ info acc ->
+          if info.Tmf_state.resolved = None then info.Tmf_state.transid :: acc
           else acc)
-        t.state.Tmf_state.registry String_set.empty;
+        t.state.Tmf_state.registry [];
     loser_images =
       (* Buffered images are the newest writes (they have not even reached
          the trail), so they go first; the unforced trail tails follow,
@@ -117,8 +117,7 @@ let own_node t = Node.id t.state.Tmf_state.node
    acceptor set (Paxos Commit). *)
 let rec disposition_of t ~self transid =
   match
-    Monitor_trail.disposition_of t.state.Tmf_state.monitor
-      ~transid:(Transid.to_string transid)
+    Monitor_trail.disposition_of t.state.Tmf_state.monitor ~transid
   with
   | Some d -> `Known d
   | None -> (
@@ -193,29 +192,26 @@ let restore_archive t archive =
    transactions), not O(trail). Every record below the archive's position
    was already forced when the archive was taken. *)
 let pre_archive_open_records trail ~position open_transactions =
-  String_set.fold
-    (fun transid acc ->
+  List.fold_left
+    (fun acc transid ->
       List.fold_left
         (fun acc record ->
           if record.Audit_record.sequence < position then record :: acc
           else acc)
         acc
         (Audit_trail.records_for trail ~transid))
-    open_transactions []
+    [] open_transactions
   |> List.sort (fun a b ->
          Int.compare a.Audit_record.sequence b.Audit_record.sequence)
 
 (* Resolve each transaction once; the verdict table doubles as the memo. *)
-let verdict_for t ~self verdicts transid_string =
-  match Hashtbl.find_opt verdicts transid_string with
-  | Some v -> v
+let verdict_for t ~self verdicts transid =
+  let key = Transid.to_string transid in
+  match Hashtbl.find_opt verdicts key with
+  | Some (_, v) -> v
   | None ->
-      let v =
-        match Transid.of_string transid_string with
-        | Some transid -> disposition_of t ~self transid
-        | None -> `Known Monitor_trail.Aborted
-      in
-      Hashtbl.replace verdicts transid_string v;
+      let v = disposition_of t ~self transid in
+      Hashtbl.replace verdicts key (transid, v);
       v
 
 let is_loser verdict =
@@ -225,7 +221,7 @@ let is_loser verdict =
 
 let assemble_stats verdicts ~scanned ~applied ~undone =
   let count p =
-    Hashtbl.fold (fun _ v acc -> if p v then acc + 1 else acc) verdicts 0
+    Hashtbl.fold (fun _ (_, v) acc -> if p v then acc + 1 else acc) verdicts 0
   in
   {
     images_scanned = scanned;
@@ -235,10 +231,7 @@ let assemble_stats verdicts ~scanned ~applied ~undone =
     transactions_discarded = count (fun v -> v = `Known Monitor_trail.Aborted);
     in_doubt =
       Hashtbl.fold
-        (fun transid_string v acc ->
-          match (v, Transid.of_string transid_string) with
-          | `In_doubt, Some transid -> transid :: acc
-          | _ -> acc)
+        (fun _ (transid, v) acc -> if v = `In_doubt then transid :: acc else acc)
         verdicts [];
   }
 
@@ -274,10 +267,11 @@ let trail_chains ~dependency trail ~pre_open ~redo_records =
       in
       List.iter
         (fun (a, b) ->
-          let ra = find a and rb = find b in
+          let ra = find (Transid.to_string a)
+          and rb = find (Transid.to_string b) in
           if not (String.equal ra rb) then Hashtbl.replace parent ra rb)
         (Audit_trail.dependency_edges trail);
-      find
+      fun transid -> find (Transid.to_string transid)
     end
   in
   let chain_of : (string, chain) Hashtbl.t = Hashtbl.create 64 in
@@ -422,16 +416,17 @@ let replay t ~self archive =
       (fun (_, pre_open, redo_records) ->
         List.filter_map
           (fun { Audit_record.transid; _ } ->
-            if Hashtbl.mem seen transid then None
+            let key = Transid.to_string transid in
+            if Hashtbl.mem seen key then None
             else begin
-              Hashtbl.replace seen transid ();
+              Hashtbl.replace seen key ();
               Some transid
             end)
           (pre_open @ redo_records))
       per_trail
   in
   Fiber.parallel_iter ~name:"rollforward-verdict" ~workers
-    (fun transid_string -> ignore (verdict_for t ~self verdicts transid_string))
+    (fun transid -> ignore (verdict_for t ~self verdicts transid))
     transids;
   (* Step 5, per chain: ...then back the chain's losers out newest-first:
      post-archive images of transactions without a commit record, and the

@@ -10,7 +10,10 @@
 (** Re-exports: [tmf.ml] is the library's root module, so every public
     submodule is surfaced here. *)
 
-module Transid = Transid
+module Transid = Tandem_sim.Transid
+(** The transid lives in the simulation layer, where the audit, lock,
+    monitor and span layers below TMF share it. *)
+
 module Tx_state = Tx_state
 module Tx_table = Tx_table
 module Participant = Participant

@@ -1,4 +1,5 @@
 module Tbl = Tandem_sim.Tbl
+module Transid = Tandem_sim.Transid
 
 type tx_info = {
   transid : Transid.t;
@@ -68,10 +69,9 @@ let ensure_tx state transid =
       info
 
 let forget_tx state transid =
-  let key = Transid.to_string transid in
-  Tbl.String.remove state.registry key;
+  Tbl.String.remove state.registry (Transid.to_string transid);
   Hashtbl.iter
-    (fun _ trail -> Tandem_audit.Audit_trail.settle trail ~transid:key)
+    (fun _ trail -> Tandem_audit.Audit_trail.settle trail ~transid)
     state.trails
 
 (* Participant/child registration never creates the entry: a live
@@ -107,7 +107,6 @@ let trails_of state transid =
   |> List.sort_uniq String.compare
 
 let commit_marker_survives state transid =
-  let transid_string = Transid.to_string transid in
   Hashtbl.fold
     (fun _ trail found ->
       found
@@ -115,5 +114,5 @@ let commit_marker_survives state transid =
            (fun record ->
              Tandem_audit.Audit_record.is_commit_marker
                record.Tandem_audit.Audit_record.image)
-           (Tandem_audit.Audit_trail.records_for trail ~transid:transid_string))
+           (Tandem_audit.Audit_trail.records_for trail ~transid))
     state.trails false

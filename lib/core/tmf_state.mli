@@ -9,7 +9,7 @@
     failures with the pair and are lost only in a total node failure. *)
 
 type tx_info = {
-  transid : Transid.t;
+  transid : Tandem_sim.Transid.t;
   mutable local_volumes : string list;  (** Participating volumes here. *)
   mutable children : Tandem_os.Ids.node_id list;
       (** Nodes this node first transmitted the transid to. *)
@@ -62,28 +62,28 @@ val make_node_state :
 (** [force_window] (default 0) is the group-commit window of the monitor
     trail's force daemon. *)
 
-val find_tx : node_state -> Transid.t -> tx_info option
+val find_tx : node_state -> Tandem_sim.Transid.t -> tx_info option
 
-val ensure_tx : node_state -> Transid.t -> tx_info
+val ensure_tx : node_state -> Tandem_sim.Transid.t -> tx_info
 (** Look up, creating a fresh info (and counting the transaction as known
     here) if absent. *)
 
-val forget_tx : node_state -> Transid.t -> unit
+val forget_tx : node_state -> Tandem_sim.Transid.t -> unit
 (** Drop the registry entry and {!Tandem_audit.Audit_trail.settle} the
     transaction on each of the node's trails: its audit records stay, kept
     only in encoded form. *)
 
-val add_local_volume : node_state -> Transid.t -> string -> unit
+val add_local_volume : node_state -> Tandem_sim.Transid.t -> string -> unit
 
-val add_child : node_state -> Transid.t -> Tandem_os.Ids.node_id -> unit
+val add_child : node_state -> Tandem_sim.Transid.t -> Tandem_os.Ids.node_id -> unit
 
-val participants_of : node_state -> Transid.t -> Participant.t list
+val participants_of : node_state -> Tandem_sim.Transid.t -> Participant.t list
 (** Participant records for the transaction's local volumes. *)
 
-val trails_of : node_state -> Transid.t -> string list
+val trails_of : node_state -> Tandem_sim.Transid.t -> string list
 (** Distinct audit-process names covering those volumes. *)
 
-val commit_marker_survives : node_state -> Transid.t -> bool
+val commit_marker_survives : node_state -> Tandem_sim.Transid.t -> bool
 (** Did the transaction's fast-path commit marker reach oxide? A
     single-node fast-path commit leaves no monitor-trail record: its commit
     decision is the marker forced into its own audit trail, after every

@@ -107,14 +107,14 @@ let broadcast t transid tx_state =
   let sent =
     Tx_table.broadcast t.node_state.Tmf_state.tx_tables transid tx_state
   in
-  Span.add_state_broadcasts (spans t) (Transid.to_string transid) sent
+  Span.add_state_broadcasts (spans t) transid sent
 
 (* The home node resolves the span: stamp the outcome once and feed the
    commit/abort latency histograms. Participant nodes replaying phase two
    must not re-finish (Span.finish keeps the first verdict anyway). *)
 let finish_span t transid outcome =
   if Transid.home transid = own_node t then
-    match Span.finish (spans t) (Transid.to_string transid) outcome with
+    match Span.finish (spans t) transid outcome with
     | None -> ()
     | Some span -> (
         match Span.duration span with
@@ -208,7 +208,7 @@ let force_trails t ~self transid trails =
     | trail :: rest -> (
         match Audit_process.force t.net ~self ~node:(own_node t) ~name:trail with
         | Ok () ->
-            Span.incr_forced_writes (spans t) (Transid.to_string transid);
+            Span.incr_forced_writes (spans t) transid;
             force_each rest
         | Error e -> Error (Format.asprintf "force %s: %a" trail Rpc.pp_error e))
   in
@@ -221,13 +221,12 @@ let force_trails t ~self transid trails =
    at END time, and misreading that as read-only would lose its images. The
    per-transid trail index makes this O(trails). *)
 let local_audit_images t transid =
-  let transid_string = Transid.to_string transid in
   List.fold_left
     (fun acc trail_name ->
       match Hashtbl.find_opt t.node_state.Tmf_state.trails trail_name with
       | None -> acc
       | Some trail ->
-          acc + Audit_trail.record_count_for trail ~transid:transid_string)
+          acc + Audit_trail.record_count_for trail ~transid)
     0
     (Tmf_state.trails_of t.node_state transid)
 
@@ -256,26 +255,20 @@ let release_locks t ~self transid =
     (Tmf_state.participants_of t.node_state transid)
 
 let record_disposition ?(forced = true) t disposition transid =
-  let transid_string = Transid.to_string transid in
-  match
-    Monitor_trail.disposition_of t.node_state.Tmf_state.monitor
-      ~transid:transid_string
-  with
+  match Monitor_trail.disposition_of t.node_state.Tmf_state.monitor ~transid with
   | Some _ -> ()
   | None ->
       if forced then
-        Monitor_trail.record t.node_state.Tmf_state.monitor
-          ~transid:transid_string disposition
+        Monitor_trail.record t.node_state.Tmf_state.monitor ~transid disposition
       else
-        Monitor_trail.record_unforced t.node_state.Tmf_state.monitor
-          ~transid:transid_string disposition
+        Monitor_trail.record_unforced t.node_state.Tmf_state.monitor ~transid
+          disposition
 
 (* ------------------------------------------------------------------ *)
 (* Abort execution (the Aborting -> Aborted path, local side). *)
 
 let monitor_disposition t transid =
-  Monitor_trail.disposition_of t.node_state.Tmf_state.monitor
-    ~transid:(Transid.to_string transid)
+  Monitor_trail.disposition_of t.node_state.Tmf_state.monitor ~transid
 
 let already_resolved t transid =
   (* A retried phase-two delivery can arrive after the transid has left the
@@ -317,7 +310,7 @@ let rec local_abort t ~self transid reason =
       Trace.emit (Net.trace t.net) "tmf" "node %d: abort %a (%s)" (own_node t)
         Transid.pp transid reason;
       Metrics.incr (Lazy.force t.tmf_aborts);
-      Span.mark_backout (spans t) (Transid.to_string transid);
+      Span.mark_backout (spans t) transid;
       broadcast t transid Tx_state.Aborting;
       (* All of the transaction's audit records are written to the trails
          while in aborting state, then backout applies the before-images. *)
@@ -347,7 +340,7 @@ let rec local_abort t ~self transid reason =
       cancel_auto_abort info;
       List.iter
         (fun child ->
-          Span.incr_phase2_msgs (spans t) (Transid.to_string transid);
+          Span.incr_phase2_msgs (spans t) transid;
           if presumed then
             oneshot_phase2 t ~self child (Phase2_abort transid)
           else safe_deliver t child (Phase2_abort transid))
@@ -368,7 +361,7 @@ and local_commit_phase2 t ~self transid =
       record_disposition t Monitor_trail.Committed transid;
       Metrics.incr (Lazy.force t.tmf_commits);
       Metrics.incr (Lazy.force t.tmf_commits_by_node);
-      Span.mark_phase2 (spans t) (Transid.to_string transid);
+      Span.mark_phase2 (spans t) transid;
       broadcast t transid Tx_state.Ended;
       release_locks t ~self transid;
       observe_indoubt t info;
@@ -376,7 +369,7 @@ and local_commit_phase2 t ~self transid =
       cancel_auto_abort info;
       List.iter
         (fun child ->
-          Span.incr_phase2_msgs (spans t) (Transid.to_string transid);
+          Span.incr_phase2_msgs (spans t) transid;
           safe_deliver t child (Phase2_commit transid))
         info.Tmf_state.children;
       finish_span t transid Span.Committed;
@@ -387,9 +380,9 @@ and local_commit_phase2 t ~self transid =
 
 let prepare_one t ~self info child =
   Metrics.incr (Lazy.force t.tmf_prepares_sent);
-  Span.incr_prepares (spans t) (Transid.to_string info.Tmf_state.transid);
+  Span.incr_prepares (spans t) info.Tmf_state.transid;
   (* Request plus reply. *)
-  Span.add_messages (spans t) (Transid.to_string info.Tmf_state.transid) 2;
+  Span.add_messages (spans t) info.Tmf_state.transid 2;
   match
     Rpc.call_name t.net ~self ~node:child ~name:"$TMP"
       ~timeout:prepare_timeout ~retries:1
@@ -457,7 +450,7 @@ let prepare_children t ~self info =
 (* Local phase one. Returns the number of audit images this node flushed:
    zero marks this node's slice of the transaction as read-only. *)
 let local_phase1 t ~self transid =
-  Span.mark_phase1 (spans t) (Transid.to_string transid);
+  Span.mark_phase1 (spans t) transid;
   broadcast t transid Tx_state.Ending;
   match flush_and_force t ~self transid with
   | Error _ as e -> e
@@ -489,7 +482,6 @@ let fast_path_force t ~self ~generation transid =
         Ok ()
       end
   | trails -> (
-      let transid_string = Transid.to_string transid in
       let marker_trail, rest =
         match List.rev trails with
         | last :: before -> (last, List.rev before)
@@ -502,7 +494,7 @@ let fast_path_force t ~self ~generation transid =
       | Ok () -> (
           match
             Audit_process.append_images t.net ~self ~node:(own_node t)
-              ~name:marker_trail ~transid:transid_string
+              ~name:marker_trail ~transid
               [ Audit_record.commit_marker_image ]
           with
           | Error e ->
@@ -524,7 +516,7 @@ let fast_path_force t ~self ~generation transid =
 
 let run_fast_path_commit t ~self transid =
   let generation = t.node_state.Tmf_state.generation in
-  Span.mark_phase1 (spans t) (Transid.to_string transid);
+  Span.mark_phase1 (spans t) transid;
   broadcast t transid Tx_state.Ending;
   match flush_participants t ~self transid with
   | Error reason ->

@@ -16,7 +16,7 @@ type t
 
 val create : Tandem_os.Node.t -> t
 
-val broadcast : t -> Transid.t -> Tx_state.t -> int
+val broadcast : t -> Tandem_sim.Transid.t -> Tx_state.t -> int
 (** Send the state change to every processor up now, one bus message each,
     and return how many were sent. Every copy, the sender's own included,
     lands [Hw_config.bus_latency] later.
@@ -37,7 +37,7 @@ val reset : t -> unit
     that no longer exist. *)
 
 val state_on :
-  t -> cpu:Tandem_os.Ids.cpu_id -> Transid.t -> Tx_state.t option
+  t -> cpu:Tandem_os.Ids.cpu_id -> Tandem_sim.Transid.t -> Tx_state.t option
 (** The state as processor [cpu] currently sees it ([None] before the
     Active broadcast arrives or after the transid left the system). *)
 

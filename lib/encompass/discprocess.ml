@@ -77,16 +77,13 @@ let transaction_of t ~cpu (op : op_meta) =
    DISCPROCESS can recognize such transactions; reap and retry once. *)
 let reap_if_stale t resource =
   match Tandem_lock.Lock_table.holder t.locks resource with
-  | Some owner -> (
-      match Tmf.Transid.of_string owner with
-      | Some transid
-        when not (Tmf.transaction_is_live t.tmf ~node:(node_id t) transid) ->
-          Tandem_lock.Lock_table.release_all t.locks ~owner;
-          Tandem_sim.Metrics.incr
-            (Tandem_sim.Metrics.counter (Net.metrics t.net) "lock.stale_reaped");
-          true
-      | Some _ | None -> false)
-  | None -> false
+  | Some owner
+    when not (Tmf.transaction_is_live t.tmf ~node:(node_id t) owner) ->
+      Tandem_lock.Lock_table.release_all t.locks ~owner;
+      Tandem_sim.Metrics.incr
+        (Tandem_sim.Metrics.counter (Net.metrics t.net) "lock.stale_reaped");
+      true
+  | Some _ | None -> false
 
 let acquire_record t transaction ~cpu ~timeout ~file_name ~key =
   match transaction with
@@ -95,7 +92,6 @@ let acquire_record t transaction ~cpu ~timeout ~file_name ~key =
       let resource =
         Tandem_lock.Lock_table.Record_lock { file = file_name; key }
       in
-      let owner = Tmf.Transid.to_string transid in
       (* A grant can arrive after a queue wait, during which the transaction
          may have been aborted — its phase two already released every lock
          it held, so accepting a late grant would strand this one. Re-check
@@ -104,15 +100,18 @@ let acquire_record t transaction ~cpu ~timeout ~file_name ~key =
         match Tmf.state_of t.tmf ~node:(node_id t) ~cpu transid with
         | Some Tmf.Tx_state.Active -> Ok ()
         | Some _ | None ->
-            Tandem_lock.Lock_table.release_all t.locks ~owner;
+            Tandem_lock.Lock_table.release_all t.locks ~owner:transid;
             Error Tx_rejected
       in
-      match Tandem_lock.Lock_table.acquire t.locks ~owner ~timeout resource with
+      match
+        Tandem_lock.Lock_table.acquire t.locks ~owner:transid ~timeout resource
+      with
       | `Granted -> granted ()
       | `Timeout -> (
           if reap_if_stale t resource then begin
             match
-              Tandem_lock.Lock_table.acquire t.locks ~owner ~timeout resource
+              Tandem_lock.Lock_table.acquire t.locks ~owner:transid ~timeout
+                resource
             with
             | `Granted -> granted ()
             | `Timeout -> Error Lock_timeout
@@ -130,16 +129,14 @@ let buffer_audit t transaction ~pending (file : File.t) change =
   | None -> ()
   | Some transid ->
       if (File.def file).Schema.audited then begin
-        let transid_string = Tmf.Transid.to_string transid in
+        let key = Tmf.Transid.to_string transid in
         let image =
-          Tandem_audit.Audit_record.of_change ~volume:t.dp_name
-            ~transid:transid_string change
+          Tandem_audit.Audit_record.of_change ~volume:t.dp_name change
         in
         let existing =
-          Option.value ~default:[]
-            (Tbl.String.find_opt t.audit_buffers transid_string)
+          Option.value ~default:[] (Tbl.String.find_opt t.audit_buffers key)
         in
-        Tbl.String.replace t.audit_buffers transid_string (image :: existing);
+        Tbl.String.replace t.audit_buffers key (image :: existing);
         if (Net.config t.net).Hw_config.dp_checkpoint_coalescing then
           incr pending
         else checkpoint_cost t
@@ -258,8 +255,7 @@ let execute_op t process ~requester ~pending (op : op_meta) payload =
           | None -> Dp_error (Bad_request "file lock outside transaction")
           | Some transid -> (
               match
-                Tandem_lock.Lock_table.acquire t.locks
-                  ~owner:(Tmf.Transid.to_string transid)
+                Tandem_lock.Lock_table.acquire t.locks ~owner:transid
                   ~timeout:op.lock_timeout
                   (Tandem_lock.Lock_table.File_lock file_name)
               with
@@ -285,25 +281,24 @@ let execute t process ~requester (op : op_meta) payload =
 (* TMF-side requests (flush, release, undo) *)
 
 let flush_audit t process transid =
-  let transid_string = Tmf.Transid.to_string transid in
-  match Tbl.String.find_opt t.audit_buffers transid_string with
+  let key = Tmf.Transid.to_string transid in
+  match Tbl.String.find_opt t.audit_buffers key with
   | None | Some [] -> Dp_flushed 0
   | Some images_newest_first -> (
       match
         Tandem_audit.Audit_process.append_images t.net ~self:process
-          ~node:(node_id t) ~name:t.trail_name ~transid:transid_string
+          ~node:(node_id t) ~name:t.trail_name ~transid
           (List.rev images_newest_first)
       with
       | Ok () ->
-          Tbl.String.remove t.audit_buffers transid_string;
+          Tbl.String.remove t.audit_buffers key;
           Dp_flushed (List.length images_newest_first)
       | Error e ->
           Dp_error (Bad_request (Format.asprintf "audit flush: %a" Rpc.pp_error e)))
 
 let release t transid =
-  let transid_string = Tmf.Transid.to_string transid in
-  Tandem_lock.Lock_table.release_all t.locks ~owner:transid_string;
-  Tbl.String.remove t.audit_buffers transid_string;
+  Tandem_lock.Lock_table.release_all t.locks ~owner:transid;
+  Tbl.String.remove t.audit_buffers (Tmf.Transid.to_string transid);
   Dp_ok
 
 let undo t image =

@@ -63,7 +63,7 @@ let call t ~self ~transid partition build_payload =
       (* Charge the data request and its reply to the transaction's span. *)
       (match transid with
       | Some transid ->
-          Span.add_messages (Net.spans t.net) (Tmf.Transid.to_string transid) 2
+          Span.add_messages (Net.spans t.net) transid 2
       | None -> ());
       match
         Rpc.call_name t.net ~self ~node:target_node ~name:volume

@@ -3,7 +3,6 @@ open Tandem_os
 open Screen_program
 
 type terminal = {
-  index : int;
   queue : string Queue.t; (* inputs not yet started, oldest first *)
   mutable waiter : unit Fiber.resume option;
   mutable current_input : string option; (* checkpointed screen data *)
@@ -54,7 +53,7 @@ let abort_quietly t process transid reason =
 
 (* END-TRANSACTION returned without a definite outcome (the TMP was slow or
    taking over): poll the home disposition before deciding. *)
-let resolve_unknown t process transid =
+let resolve_unknown t transid =
   let rec poll attempts =
     match Tmf.disposition t.tmf ~node:(Tmf.Transid.home transid) transid with
     | Some Tandem_audit.Monitor_trail.Committed -> `Committed
@@ -66,7 +65,6 @@ let resolve_unknown t process transid =
           poll (attempts + 1)
         end
   in
-  ignore process;
   poll 0
 
 let execute t term process input =
@@ -112,7 +110,7 @@ let execute t term process input =
                     term.current_transid <- None
                 | Error (`Aborted reason) -> raise (Restart_transaction reason)
                 | Error `Unknown_outcome -> (
-                    match resolve_unknown t process transid with
+                    match resolve_unknown t transid with
                     | `Committed ->
                         ended := true;
                         term.current_transid <- None
@@ -153,7 +151,7 @@ let execute t term process input =
         Metrics.incr (Metrics.counter (Net.metrics t.net) "encompass.restarts");
         (match term.current_transid with
         | Some transid ->
-            Span.incr_restarts (Net.spans t.net) (Tmf.Transid.to_string transid)
+            Span.incr_restarts (Net.spans t.net) transid
         | None -> ());
         if restarts_left > 0 then begin
           (* Randomized pause before re-executing: simultaneous restarts of
@@ -229,9 +227,8 @@ let spawn ~net ~tmf ~node ~name ~lookup_class ~primary_cpu ~backup_cpu
       program;
       backoff_rng = Rng.split (Engine.rng (Net.engine net));
       terminals =
-        Array.init terminals (fun index ->
+        Array.init terminals (fun _ ->
             {
-              index;
               queue = Queue.create ();
               waiter = None;
               current_input = None;

@@ -13,7 +13,7 @@ let file_of_resource = function
   | Record_lock { file; _ } -> file
 
 type waiter = {
-  wait_owner : string;
+  wait_owner : Transid.t;
   resource : resource;
   resume : [ `Granted | `Timeout ] Fiber.resume;
   mutable pending : bool;
@@ -21,8 +21,8 @@ type waiter = {
 }
 
 type file_state = {
-  mutable file_owner : string option;
-  mutable record_owners : string Tbl.String.t; (* key -> owner *)
+  mutable file_owner : Transid.t option;
+  mutable record_owners : Transid.t Tbl.String.t; (* key -> owner *)
 }
 
 (* Grantability only ever changes when a lock in the SAME file is released
@@ -43,6 +43,7 @@ type t = {
   table_name : string;
   files : file_state Tbl.String.t;
   owner_index : (resource, unit) Hashtbl.t Tbl.String.t;
+      (* by [Transid.to_string] *)
   wait_queues : waiter Queue.t Tbl.String.t; (* file -> FIFO *)
   mutable waiting : int; (* pending waiters across all queues *)
 }
@@ -74,7 +75,7 @@ let file_state t file =
 let other_record_owners state ~owner =
   Tbl.String.fold
     (fun _ record_owner found ->
-      found || not (String.equal record_owner owner))
+      found || not (Transid.equal record_owner owner))
     state.record_owners false
 
 let grantable t ~owner resource =
@@ -82,25 +83,26 @@ let grantable t ~owner resource =
   | Record_lock { file; key } -> (
       let state = file_state t file in
       match state.file_owner with
-      | Some file_owner when not (String.equal file_owner owner) -> false
+      | Some file_owner when not (Transid.equal file_owner owner) -> false
       | Some _ | None -> (
           match Tbl.String.find_opt state.record_owners key with
-          | Some record_owner -> String.equal record_owner owner
+          | Some record_owner -> Transid.equal record_owner owner
           | None -> true))
   | File_lock file ->
       let state = file_state t file in
       (match state.file_owner with
-      | Some file_owner -> String.equal file_owner owner
+      | Some file_owner -> Transid.equal file_owner owner
       | None -> true)
       && not (other_record_owners state ~owner)
 
 let note_granted t ~owner resource =
+  let key = Transid.to_string owner in
   let held =
-    match Tbl.String.find_opt t.owner_index owner with
+    match Tbl.String.find_opt t.owner_index key with
     | Some held -> held
     | None ->
         let held = Hashtbl.create 8 in
-        Tbl.String.replace t.owner_index owner held;
+        Tbl.String.replace t.owner_index key held;
         held
   in
   Hashtbl.replace held resource ()
@@ -203,10 +205,11 @@ let try_acquire t ~owner resource =
   else false
 
 let release_all t ~owner =
-  (match Tbl.String.find_opt t.owner_index owner with
+  let key = Transid.to_string owner in
+  (match Tbl.String.find_opt t.owner_index key with
   | None -> ()
   | Some held ->
-      Tbl.String.remove t.owner_index owner;
+      Tbl.String.remove t.owner_index key;
       let touched = Tbl.String.create 8 in
       Hashtbl.iter
         (fun resource () ->
@@ -216,13 +219,13 @@ let release_all t ~owner =
           | File_lock _ -> (
               let state = file_state t file in
               match state.file_owner with
-              | Some file_owner when String.equal file_owner owner ->
+              | Some file_owner when Transid.equal file_owner owner ->
                   state.file_owner <- None
               | Some _ | None -> ())
           | Record_lock { key; _ } -> (
               let state = file_state t file in
               match Tbl.String.find_opt state.record_owners key with
-              | Some record_owner when String.equal record_owner owner ->
+              | Some record_owner when Transid.equal record_owner owner ->
                   Tbl.String.remove state.record_owners key
               | Some _ | None -> ()))
         held;
@@ -245,7 +248,7 @@ let holder t resource =
       | None -> None)
 
 let locks_of t ~owner =
-  match Tbl.String.find_opt t.owner_index owner with
+  match Tbl.String.find_opt t.owner_index (Transid.to_string owner) with
   | None -> []
   | Some held -> Hashtbl.fold (fun resource () acc -> resource :: acc) held []
 

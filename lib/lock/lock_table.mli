@@ -8,7 +8,7 @@
     being given with each request (a timed-out requester is expected to have
     its transaction restarted).
 
-    Owners are opaque strings — the TMF layer passes rendered transids.
+    Owners are transids.
 
     The table is indexed for the TMF hot paths (complexity contracts in
     docs/PERFORMANCE.md): a per-owner resource index makes [release_all] and
@@ -33,11 +33,11 @@ val create :
   name:string ->
   t
 (** [spans], when given, charges lock waits to the owning transaction's
-    span (owners are rendered transids in the TMF stack). *)
+    span. *)
 
 val acquire :
   t ->
-  owner:string ->
+  owner:Tandem_sim.Transid.t ->
   timeout:Tandem_sim.Sim_time.span ->
   resource ->
   [ `Granted | `Timeout ]
@@ -45,16 +45,16 @@ val acquire :
     expires. Re-acquiring a lock already held (directly, or implied by a
     file lock on the record's file) is granted immediately. *)
 
-val try_acquire : t -> owner:string -> resource -> bool
+val try_acquire : t -> owner:Tandem_sim.Transid.t -> resource -> bool
 (** Non-blocking variant. *)
 
-val release_all : t -> owner:string -> unit
+val release_all : t -> owner:Tandem_sim.Transid.t -> unit
 (** Release every lock the owner holds and wake newly-grantable waiters —
     the phase-two / post-backout unlock. *)
 
-val holder : t -> resource -> string option
+val holder : t -> resource -> Tandem_sim.Transid.t option
 
-val locks_of : t -> owner:string -> resource list
+val locks_of : t -> owner:Tandem_sim.Transid.t -> resource list
 (** Test hook: every resource the owner holds, in no fixed order. *)
 
 val reset : t -> unit

@@ -87,7 +87,8 @@ let create ?(capacity = 4096) engine =
     total_aborted = 0;
   }
 
-let start t id =
+let start t transid =
+  let id = Transid.to_string transid in
   match Tbl.String.find_opt t.active_table id with
   | Some span -> span
   | None ->
@@ -173,7 +174,8 @@ let resize t slots =
    slot; unknown ids are dropped — the registry must never be grown by
    stray lock owners or replays. [active] updates an active span; a
    finished one's [field] grows by [n]. *)
-let add t id n ~active ~field =
+let add t transid n ~active ~field =
+  let id = Transid.to_string transid in
   match Tbl.String.find_opt t.active_table id with
   | Some span -> active span n
   | None -> (
@@ -187,7 +189,8 @@ let add t id n ~active ~field =
           end)
 
 (* The same for a stamp, which keeps the first time it is taken. *)
-let stamp t id ~active ~field =
+let stamp t transid ~active ~field =
+  let id = Transid.to_string transid in
   let now = Engine.now t.engine in
   match Tbl.String.find_opt t.active_table id with
   | Some span -> active span now
@@ -292,7 +295,8 @@ let span_at ring slot =
     state_broadcasts = get state_broadcasts;
   }
 
-let find t id =
+let find t transid =
+  let id = Transid.to_string transid in
   match Tbl.String.find_opt t.active_table id with
   | Some _ as hit -> hit
   | None -> (
@@ -302,7 +306,8 @@ let find t id =
           let slot = slot_of ring id in
           if slot < 0 then None else Some (span_at ring slot))
 
-let finish t id outcome =
+let finish t transid outcome =
+  let id = Transid.to_string transid in
   match Tbl.String.find_opt t.active_table id with
   | None -> None (* already finished (or never started): keep the first verdict *)
   | Some span ->

@@ -166,7 +166,8 @@ let node_state cluster node = Tmf.node_state (Cluster.tmf cluster) node
 let render_record (r : Audit_record.t) =
   let image = r.Audit_record.image in
   Printf.sprintf "%d|%s|%s|%s|%s|%s|%s" r.Audit_record.sequence
-    r.Audit_record.transid image.Audit_record.volume image.Audit_record.file
+    (Transid.to_string r.Audit_record.transid)
+    image.Audit_record.volume image.Audit_record.file
     image.Audit_record.key
     (Option.value ~default:"-" image.Audit_record.before)
     (Option.value ~default:"-" image.Audit_record.after)
@@ -184,7 +185,7 @@ let observe ~config =
       (fun node ->
         List.map
           (fun (transid, d) ->
-            ( transid,
+            ( Transid.to_string transid,
               match d with
               | Monitor_trail.Committed -> "committed"
               | Monitor_trail.Aborted -> "aborted" ))

@@ -100,7 +100,8 @@ type observation = {
    content or order. *)
 let render_record (r : Audit_record.t) =
   let image = r.Audit_record.image in
-  Printf.sprintf "%s|%s|%s|%s|%s|%s" r.Audit_record.transid
+  Printf.sprintf "%s|%s|%s|%s|%s|%s"
+    (Transid.to_string r.Audit_record.transid)
     image.Audit_record.volume image.Audit_record.file image.Audit_record.key
     (Option.value ~default:"-" image.Audit_record.before)
     (Option.value ~default:"-" image.Audit_record.after)
@@ -113,7 +114,7 @@ let observe ~config =
   let dispositions =
     List.map
       (fun (transid, d) ->
-        ( transid,
+        ( Transid.to_string transid,
           match d with
           | Monitor_trail.Committed -> "committed"
           | Monitor_trail.Aborted -> "aborted" ))

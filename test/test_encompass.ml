@@ -503,8 +503,7 @@ let data_images cluster transid =
          not
            (Tandem_audit.Audit_record.is_commit_marker
               r.Tandem_audit.Audit_record.image))
-       (Tandem_audit.Audit_trail.records_for trail
-          ~transid:(Tmf.Transid.to_string transid)))
+       (Tandem_audit.Audit_trail.records_for trail ~transid))
 
 let check_done what = function
   | Dp_protocol.Dp_done _ -> ()
@@ -527,7 +526,7 @@ let test_reply_slot_replays_duplicate_op () =
   let state = Tmf.node_state tmf 1 in
   (match
      Tandem_audit.Monitor_trail.disposition_of state.Tmf.Tmf_state.monitor
-       ~transid:(Tmf.Transid.to_string transid)
+       ~transid
    with
   | Some Tandem_audit.Monitor_trail.Committed -> ()
   | _ -> Alcotest.fail "transaction did not commit");
@@ -769,7 +768,7 @@ let test_stale_lock_reaped_by_waiter () =
   (* Plant a ghost: a lock owned by a transid TMF has never heard of. *)
   check_bool "ghost grantable" true
     (Tandem_lock.Lock_table.try_acquire (Discprocess.lock_table dp)
-       ~owner:"1.3.999"
+       ~owner:(Tmf.Transid.make ~home:1 ~cpu:3 ~seq:999)
        (Tandem_lock.Lock_table.Record_lock
           { file = "ACCOUNT"; key = Tandem_db.Key.of_int 3 }));
   Tcp.submit tcp ~terminal:0 (dc_input ~account:3 ~delta:50 ());

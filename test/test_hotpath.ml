@@ -15,6 +15,8 @@ open Tandem_sim
 open Tandem_audit
 open Tandem_encompass
 
+let tid ?(home = 1) ?(cpu = 0) seq = Transid.make ~home ~cpu ~seq
+
 (* ------------------------------------------------------------------ *)
 (* Audit trail vs naive list-backed model *)
 
@@ -23,7 +25,7 @@ module Trail_model = struct
     mutable files : Audit_record.t list list; (* oldest first, ascending *)
     mutable next_seq : int;
     mutable forced : int;
-    mutable settled : string list;
+    mutable settled : Transid.t list;
     mutable floor : int;
     records_per_file : int;
   }
@@ -49,7 +51,7 @@ module Trail_model = struct
   let all t = List.concat t.files
 
   let has_records t transid =
-    List.exists (fun r -> String.equal r.Audit_record.transid transid) (all t)
+    List.exists (fun r -> Transid.equal r.Audit_record.transid transid) (all t)
 
   (* A transaction whose records are all gone is no longer settled: its
      next record starts a fresh, unsettled history. *)
@@ -127,7 +129,7 @@ module Trail_model = struct
     t.floor <- List.fold_left Int.min (Int.min t.floor sequence) (unsettled_oldest t)
 
   let records_for t ~transid =
-    List.filter (fun r -> String.equal r.Audit_record.transid transid) (all t)
+    List.filter (fun r -> Transid.equal r.Audit_record.transid transid) (all t)
 
   let records_from t ~sequence =
     List.filter
@@ -198,7 +200,7 @@ let trail_op_print = function
   | Settle i -> Printf.sprintf "settle t%d" i
   | Archive s -> Printf.sprintf "archive %d%%" s
 
-let transid_pool = [| "1.0.0"; "1.0.1"; "2.0.0"; "2.0.1" |]
+let transid_pool = [| tid 0; tid 1; tid ~home:2 0; tid ~home:2 1 |]
 
 (* Three data keys, so writers collide and dependency edges form, and the
    commit marker, which must give none. *)
@@ -406,7 +408,7 @@ let prop_encoding_round_trips =
       let expected =
         List.mapi
           (fun sequence (i, fields) ->
-            let transid = Printf.sprintf "1.0.%d" i in
+            let transid = tid i in
             let image = image_of fields in
             ignore (Audit_trail.append trail ~transid image);
             { Audit_record.sequence; transid; image })
@@ -415,7 +417,7 @@ let prop_encoding_round_trips =
       let for_transid transid =
         List.filter (fun r -> r.Audit_record.transid = transid) expected
       in
-      let transids = List.init 6 (Printf.sprintf "1.0.%d") in
+      let transids = List.init 6 tid in
       Audit_trail.unforced_records trail = expected
       && List.for_all
            (fun transid ->
@@ -438,7 +440,7 @@ let test_trail_retention_per_record () =
   in
   let trail = Audit_trail.create volume ~name:"$AUDIT" () in
   let records = 10_000 in
-  let transid i = Printf.sprintf "1.0.%d" (i / 4) in
+  let transid i = tid (i / 4) in
   let words () = Obj.reachable_words (Obj.repr trail) in
   let before = words () in
   ignore
@@ -490,14 +492,14 @@ let test_monitor_retention_per_entry () =
     (Fiber.spawn (fun () ->
          for i = 0 to entries - 1 do
            Monitor_trail.record monitor
-             ~transid:(Printf.sprintf "1.0.%d" i)
+             ~transid:(tid i)
              (disposition i)
          done));
   Engine.run engine;
   let forced = words () in
   for i = entries to (2 * entries) - 1 do
     Monitor_trail.record_unforced monitor
-      ~transid:(Printf.sprintf "1.0.%d" i)
+      ~transid:(tid i)
       (disposition i)
   done;
   let per_entry from until =
@@ -688,8 +690,8 @@ let test_cluster_retention () =
 
 module Lock_model = struct
   type t = {
-    mutable file_owners : (string * string) list; (* file -> owner *)
-    mutable record_owners : ((string * string) * string) list;
+    mutable file_owners : (string * Transid.t) list; (* file -> owner *)
+    mutable record_owners : ((string * string) * Transid.t) list;
         (* (file, key) -> owner *)
   }
 
@@ -785,7 +787,7 @@ let lock_table_agrees locks model =
   && waiting_count locks = 0
   && List.for_all
        (fun owner_index ->
-         let owner = Printf.sprintf "t%d" owner_index in
+         let owner = tid owner_index in
          List.sort compare
            (List.map render_resource (locks_of locks ~owner))
          = List.sort compare
@@ -810,7 +812,7 @@ let prop_lock_table_matches_model =
         (fun op ->
           (match op with
           | Acquire (owner_index, file_index, key_index) ->
-              let owner = Printf.sprintf "t%d" owner_index in
+              let owner = tid owner_index in
               let file = Printf.sprintf "F%d" file_index in
               let resource =
                 if key_index = 0 then Tandem_lock.Lock_table.File_lock file
@@ -823,7 +825,7 @@ let prop_lock_table_matches_model =
               && Tandem_lock.Lock_table.holder locks resource
                  = Lock_model.holder model resource
           | Release owner_index ->
-              let owner = Printf.sprintf "t%d" owner_index in
+              let owner = tid owner_index in
               Tandem_lock.Lock_table.release_all locks ~owner;
               Lock_model.release_all model ~owner;
               true)
@@ -1335,14 +1337,14 @@ let test_parallel_prepare_equivalence () =
         (Printf.sprintf "node %d dispositions identical" (i + 1))
         (List.map
            (fun (transid, d) ->
-             ( transid,
+             ( Transid.to_string transid,
                match d with
                | Monitor_trail.Committed -> "committed"
                | Monitor_trail.Aborted -> "aborted" ))
            serial)
         (List.map
            (fun (transid, d) ->
-             ( transid,
+             ( Transid.to_string transid,
                match d with
                | Monitor_trail.Committed -> "committed"
                | Monitor_trail.Aborted -> "aborted" ))
@@ -1355,9 +1357,9 @@ let test_parallel_prepare_equivalence () =
 (* Monitor trail vs a table of strings *)
 
 module Monitor_model = struct
-  (* transid -> (disposition, unforced, order) *)
+  (* [Transid.to_string] -> (transid, disposition, unforced, order) *)
   type t = {
-    table : (string, Monitor_trail.disposition * bool * int) Hashtbl.t;
+    table : (string, Transid.t * Monitor_trail.disposition * bool * int) Hashtbl.t;
     mutable next_order : int;
     mutable covered : int;
   }
@@ -1365,70 +1367,61 @@ module Monitor_model = struct
   let create () = { table = Hashtbl.create 16; next_order = 0; covered = 0 }
 
   let record t ~forced transid disposition =
-    if Hashtbl.mem t.table transid then invalid_arg "duplicate";
+    let key = Transid.to_string transid in
+    if Hashtbl.mem t.table key then invalid_arg "duplicate";
     if forced then t.covered <- t.next_order;
-    Hashtbl.replace t.table transid (disposition, not forced, t.next_order);
+    Hashtbl.replace t.table key (transid, disposition, not forced, t.next_order);
     t.next_order <- t.next_order + 1
 
   let crash t =
     let lost =
       Hashtbl.fold
-        (fun transid (_, unforced, order) lost ->
-          if unforced && order >= t.covered then transid :: lost else lost)
+        (fun key (_, _, unforced, order) lost ->
+          if unforced && order >= t.covered then key :: lost else lost)
         t.table []
     in
     List.iter (Hashtbl.remove t.table) lost;
     List.length lost
 
   let disposition_of t transid =
-    Option.map (fun (d, _, _) -> d) (Hashtbl.find_opt t.table transid)
+    Option.map
+      (fun (_, d, _, _) -> d)
+      (Hashtbl.find_opt t.table (Transid.to_string transid))
 
   let count t disposition =
-    Hashtbl.fold (fun _ (d, _, _) n -> if d = disposition then n + 1 else n) t.table 0
+    Hashtbl.fold (fun _ (_, d, _, _) n -> if d = disposition then n + 1 else n) t.table 0
 
   let entries t =
     Hashtbl.fold
-      (fun transid (d, _, order) acc -> (order, (transid, d)) :: acc)
+      (fun _ (transid, d, _, order) acc -> (order, (transid, d)) :: acc)
       t.table []
-    |> List.sort compare |> List.map snd
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+    |> List.map snd
 end
 
 type monitor_op =
-  | Record of string * Monitor_trail.disposition
-  | Record_unforced of string * Monitor_trail.disposition
+  | Record of Transid.t * Monitor_trail.disposition
+  | Record_unforced of Transid.t * Monitor_trail.disposition
   | Crash
-  | Lookup of string
+  | Lookup of Transid.t
 
-(* Canonical transids of a few (home, cpu) pairs, remote homes among them,
-   drawn out of sequence order; the bounds of the compact form; and
-   strings that parse to the same transid but must stay distinct keys. *)
+(* Transids of a few (home, cpu) pairs, remote homes among them, drawn out
+   of sequence order, and the bounds of the packing. *)
 let monitor_transid_gen =
   QCheck.Gen.(
-    let seq = int_bound 30 in
     frequency
       [
         ( 6,
           map3
-            (fun home cpu seq -> Printf.sprintf "%d.%d.%d" home cpu seq)
+            (fun home cpu seq -> tid ~home ~cpu seq)
             (oneofl [ 1; 2; 3; 7 ])
-            (int_bound 2) seq );
+            (int_bound 2) (int_bound 30) );
         ( 1,
           oneofl
             [
-              "1.0.1073741823"; "1.0.1073741824"; "1023.15.7"; "1024.0.7";
-              "1.1024.7"; "0.0.0"; "1.0.99999999999";
+              tid 1073741823; tid ~home:1023 ~cpu:15 7; tid ~home:0 ~cpu:1023 7;
+              tid ~home:0 0; tid ~home:1023 ~cpu:1023 1073741823;
             ] );
-        ( 3,
-          map2
-            (fun (prefix, suffix) seq -> Printf.sprintf "%s%d%s" prefix seq suffix)
-            (oneofl
-               [
-                 ("1.0.0", ""); ("+1.0.", ""); ("01.0.", ""); ("1.00.", "");
-                 ("1.0.", "."); ("1..", ""); ("-1.0.", ""); ("1.0.", " ");
-                 ("1.0.", ".0"); ("x.0.", "");
-               ])
-            seq );
-        (1, oneofl [ ""; "1.0"; "."; "1.0." ]);
       ])
 
 let monitor_op_gen =
@@ -1445,10 +1438,11 @@ let monitor_op_gen =
 let monitor_op_print =
   let d = function Monitor_trail.Committed -> "C" | Monitor_trail.Aborted -> "A" in
   function
-  | Record (t, x) -> Printf.sprintf "record %S %s" t (d x)
-  | Record_unforced (t, x) -> Printf.sprintf "record_unforced %S %s" t (d x)
+  | Record (t, x) -> Printf.sprintf "record %s %s" (Transid.to_string t) (d x)
+  | Record_unforced (t, x) ->
+      Printf.sprintf "record_unforced %s %s" (Transid.to_string t) (d x)
   | Crash -> "crash"
-  | Lookup t -> Printf.sprintf "lookup %S" t
+  | Lookup t -> "lookup " ^ Transid.to_string t
 
 let prop_monitor_matches_model =
   QCheck.Test.make ~name:"compact monitor trail = table of strings" ~count:300
@@ -1484,7 +1478,7 @@ let prop_monitor_matches_model =
                   = outcome (fun () ->
                         Monitor_model.record model ~forced:false transid d),
                   transid )
-            | Crash -> (Monitor_trail.crash monitor = Monitor_model.crash model, "1.0.1")
+            | Crash -> (Monitor_trail.crash monitor = Monitor_model.crash model, tid 1)
             | Lookup transid -> (true, transid)
           in
           same
@@ -1507,7 +1501,7 @@ module Span_model = struct
   type t = {
     engine : Engine.t;
     capacity : int;
-    active : (string, Span.span) Hashtbl.t;
+    active : (string, Span.span) Hashtbl.t; (* by [Transid.to_string] *)
     by_id : (string, Span.span) Hashtbl.t;
     mutable finished : Span.span list;
     mutable size : int;
@@ -1529,7 +1523,8 @@ module Span_model = struct
       aborted = 0;
     }
 
-  let start t id =
+  let start t transid =
+    let id = Transid.to_string transid in
     match Hashtbl.find_opt t.active id with
     | Some span -> span
     | None ->
@@ -1557,12 +1552,14 @@ module Span_model = struct
         t.started <- t.started + 1;
         span
 
-  let find t id =
+  let find t transid =
+    let id = Transid.to_string transid in
     match Hashtbl.find_opt t.active id with
     | Some _ as hit -> hit
     | None -> Hashtbl.find_opt t.by_id id
 
-  let finish t id outcome =
+  let finish t transid outcome =
+    let id = Transid.to_string transid in
     match Hashtbl.find_opt t.active id with
     | None -> None
     | Some span ->
@@ -1631,9 +1628,9 @@ type span_emit =
   | State_broadcasts of int
 
 type span_op =
-  | Start of string
-  | Finish of string * Span.outcome
-  | Emit of span_emit * string
+  | Start of Transid.t
+  | Finish of Transid.t * Span.outcome
+  | Emit of span_emit * Transid.t
   | Advance of int
   | Churn of int
 
@@ -1652,10 +1649,12 @@ let span_emit_print = function
   | State_broadcasts n -> Printf.sprintf "state_broadcasts %d" n
 
 let span_op_print = function
-  | Start id -> "start " ^ id
+  | Start id -> "start " ^ Transid.to_string id
   | Finish (id, outcome) ->
-      Printf.sprintf "finish %s (%s)" id (Span.outcome_to_string outcome)
-  | Emit (emit, id) -> Printf.sprintf "%s %s" (span_emit_print emit) id
+      Printf.sprintf "finish %s (%s)" (Transid.to_string id)
+        (Span.outcome_to_string outcome)
+  | Emit (emit, id) ->
+      Printf.sprintf "%s %s" (span_emit_print emit) (Transid.to_string id)
   | Advance us -> Printf.sprintf "advance %d" us
   | Churn n -> Printf.sprintf "churn %d" n
 
@@ -1663,15 +1662,17 @@ let span_op_print = function
    spans in the ring, beside ids the registry never saw. [Churn n] starts
    and finishes the first [n] of forty more, enough to grow a ring of 60
    to 80 slots from its first 16 and to trim it. *)
-let span_ids = List.init 12 (Printf.sprintf "1.0.%d")
+let span_ids = List.init 12 tid
 
-let churn_id = Printf.sprintf "2.0.%d"
+let churn_id seq = tid ~home:2 seq
 
-let probe_ids = ("9.9.9" :: span_ids) @ List.map churn_id [ 0; 7; 39 ]
+let unknown_id = tid ~home:9 ~cpu:9 9
+
+let probe_ids = (unknown_id :: span_ids) @ List.map churn_id [ 0; 7; 39 ]
 
 let span_op_gen =
   QCheck.Gen.(
-    let id = oneofl ("9.9.9" :: span_ids) in
+    let id = oneofl (unknown_id :: span_ids) in
     let emit =
       oneof
         [
@@ -1789,20 +1790,20 @@ let prop_span_ring_matches_model =
 
 (* The ring's storage reaches its full size as it first fills: after 3x its
    capacity finishes it holds exactly what it held after one capacity's
-   worth, late events and trims included. Ids of one width keep the id
-   strings' share equal too. *)
+   worth, late events and trims included. Ids of one width (seven-digit
+   sequence numbers) keep the id strings' share equal too. *)
 let test_span_ring_retention () =
   let spans = Tandem_os.Net.spans (Tandem_os.Net.create ()) in
   let capacity = 4_096 in
   let finish_batch from =
     for i = from to from + capacity - 1 do
-      let id = Printf.sprintf "1.0.%07d" i in
+      let id = tid (1_000_000 + i) in
       ignore (Span.start spans id);
       Span.add_messages spans id 2;
       ignore
         (Span.finish spans id
            (if i mod 7 = 0 then Span.Aborted "lock timeout" else Span.Committed));
-      Span.incr_phase2_msgs spans (Printf.sprintf "1.0.%07d" (i - 100))
+      Span.incr_phase2_msgs spans (tid (1_000_000 + i - 100))
     done
   in
   let words () = Obj.reachable_words (Obj.repr spans) in

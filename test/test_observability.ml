@@ -205,29 +205,31 @@ let test_metrics_json_text () =
 let test_span_lifecycle () =
   let engine = Engine.create ~seed:1 () in
   let t = Span.create engine in
-  let s = Span.start t "1.0.1" in
+  let tx1 = Transid.make ~home:1 ~cpu:0 ~seq:1 in
+  let unknown = Transid.make ~home:9 ~cpu:9 ~seq:9 in
+  let s = Span.start t tx1 in
   check_string "span id" "1.0.1" s.Span.span_id;
-  check_bool "start is idempotent" true (Span.start t "1.0.1" == s);
-  Span.add_messages t "1.0.1" 2;
-  Span.incr_prepares t "1.0.1";
-  Span.mark_phase1 t "1.0.1";
-  Span.mark_phase2 t "1.0.1";
+  check_bool "start is idempotent" true (Span.start t tx1 == s);
+  Span.add_messages t tx1 2;
+  Span.incr_prepares t tx1;
+  Span.mark_phase1 t tx1;
+  Span.mark_phase2 t tx1;
   check_int "active" 1 (Span.active_count t);
-  (match Span.finish t "1.0.1" Span.Committed with
+  (match Span.finish t tx1 Span.Committed with
   | Some s' -> check_bool "finish returns the span" true (s' == s)
   | None -> Alcotest.fail "finish returned None");
   check_int "moved to finished ring" 1 (Span.finished_count t);
   check_int "no longer active" 0 (Span.active_count t);
   (* First verdict wins: a late abort cannot overwrite the commit. *)
   check_bool "second resolution rejected" true
-    (Span.finish t "1.0.1" (Span.Aborted "late") = None);
-  (match Span.find t "1.0.1" with
+    (Span.finish t tx1 (Span.Aborted "late") = None);
+  (match Span.find t tx1 with
   | Some s' -> check_string "outcome intact" "committed" (Span.outcome_to_string s'.Span.outcome)
   | None -> Alcotest.fail "finished span not found");
   (* Events against unknown ids disappear without creating state. *)
-  Span.incr_lock_waits t "9.9.9";
-  Span.add_messages t "9.9.9" 5;
-  check_bool "unknown id not materialized" true (Span.find t "9.9.9" = None);
+  Span.incr_lock_waits t unknown;
+  Span.add_messages t unknown 5;
+  check_bool "unknown id not materialized" true (Span.find t unknown = None);
   check_int "started total" 1 (Span.started_total t);
   check_int "committed total" 1 (Span.committed_total t)
 
@@ -235,14 +237,14 @@ let test_span_ring_bounded () =
   let engine = Engine.create ~seed:1 () in
   let t = Span.create ~capacity:4 engine in
   for i = 1 to 10 do
-    let id = Printf.sprintf "1.0.%d" i in
+    let id = Transid.make ~home:1 ~cpu:0 ~seq:i in
     ignore (Span.start t id);
     ignore (Span.finish t id (Span.Aborted "why not"))
   done;
   check_bool "ring stays within capacity" true (Span.finished_count t <= 4);
   check_int "totals keep counting past the trim" 10 (Span.aborted_total t);
   (* The survivors are the newest. *)
-  check_bool "newest span retained" true (Span.find t "1.0.10" <> None)
+  check_bool "newest span retained" true (Span.find t (Transid.make ~home:1 ~cpu:0 ~seq:10) <> None)
 
 (* ------------------------------------------------------------------ *)
 (* Full stack: the paper's three-node transaction (E7's k=3 case) *)

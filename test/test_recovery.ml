@@ -27,7 +27,13 @@ open Tandem_chaos
 module Db = Tandem_db
 
 let check_int = Alcotest.(check int)
-let check_edges = Alcotest.(check (list (pair string string)))
+(* Edges between transactions T<n>: home 1, cpu 0, seq n. *)
+let tx n = Transid.make ~home:1 ~cpu:0 ~seq:n
+
+let check_edges message expected edges =
+  Alcotest.(check (list (pair int int)))
+    message expected
+    (List.map (fun ((a : Transid.t), (b : Transid.t)) -> (a.seq, b.seq)) edges)
 
 (* ------------------------------------------------------------------ *)
 (* Logical state digest *)
@@ -470,7 +476,6 @@ let test_backout_across_purged_files () =
       Fiber.sleep engine (Sim_time.milliseconds 1_000);
       purged_at_begin := files_purged trail;
       let transid = Tmf.begin_transaction tmf ~node:1 ~cpu:1 in
-      let transid_string = Tmf.Transid.to_string transid in
       let participant =
         Tbl.String.find (Tmf.node_state tmf 1).Tmf.Tmf_state.participants "$DATA1"
       in
@@ -486,7 +491,7 @@ let test_backout_across_purged_files () =
         ignore (participant.Tmf.Participant.flush_audit ~self:process transid);
         Fiber.sleep engine (Sim_time.milliseconds 200)
       done;
-      (match Audit_trail.records_for trail ~transid:transid_string with
+      (match Audit_trail.records_for trail ~transid with
       | first :: _ as records ->
           let last = List.nth records (List.length records - 1) in
           spanned := last.Audit_record.sequence - first.Audit_record.sequence;
@@ -541,56 +546,56 @@ let force trail engine =
 let test_dependency_edges_logged () =
   let engine, volume = make_volume () in
   let trail = Audit_trail.create volume ~name:"$AUDIT" () in
-  ignore (Audit_trail.append trail ~transid:"T1" (image ~key:"a" ()));
-  ignore (Audit_trail.append trail ~transid:"T2" (image ~key:"a" ()));
+  ignore (Audit_trail.append trail ~transid:(tx 1) (image ~key:"a" ()));
+  ignore (Audit_trail.append trail ~transid:(tx 2) (image ~key:"a" ()));
   (* Same transaction rewriting its own key logs no edge... *)
-  ignore (Audit_trail.append trail ~transid:"T2" (image ~key:"a" ()));
-  ignore (Audit_trail.append trail ~transid:"T1" (image ~key:"b" ()));
+  ignore (Audit_trail.append trail ~transid:(tx 2) (image ~key:"a" ()));
+  ignore (Audit_trail.append trail ~transid:(tx 1) (image ~key:"b" ()));
   (* ...and distinct keys are independent histories. *)
-  ignore (Audit_trail.append trail ~transid:"T3" (image ~key:"b" ()));
+  ignore (Audit_trail.append trail ~transid:(tx 3) (image ~key:"b" ()));
   check_edges "unforced edges are invisible" []
     (Audit_trail.dependency_edges trail);
   force trail engine;
   check_edges "edges per key, consecutive writers only"
-    [ ("T1", "T2"); ("T1", "T3") ]
+    [ (1, 2); (1, 3) ]
     (Audit_trail.dependency_edges trail)
 
 let test_dependency_markers_skipped () =
   let engine, volume = make_volume () in
   let trail = Audit_trail.create volume ~name:"$AUDIT" () in
   ignore
-    (Audit_trail.append trail ~transid:"T1" Audit_record.commit_marker_image);
+    (Audit_trail.append trail ~transid:(tx 1) Audit_record.commit_marker_image);
   ignore
-    (Audit_trail.append trail ~transid:"T2" Audit_record.commit_marker_image);
-  ignore (Audit_trail.append trail ~transid:"T1" (image ~key:"a" ()));
-  ignore (Audit_trail.append trail ~transid:"T2" (image ~key:"a" ()));
+    (Audit_trail.append trail ~transid:(tx 2) Audit_record.commit_marker_image);
+  ignore (Audit_trail.append trail ~transid:(tx 1) (image ~key:"a" ()));
+  ignore (Audit_trail.append trail ~transid:(tx 2) (image ~key:"a" ()));
   force trail engine;
   (* Both transactions wrote the marker sentinel; only the real data key
      may produce an edge. *)
   check_edges "markers log no edges"
-    [ ("T1", "T2") ]
+    [ (1, 2) ]
     (Audit_trail.dependency_edges trail)
 
 let test_dependency_index_survives_crash () =
   let engine, volume = make_volume () in
   let trail = Audit_trail.create volume ~name:"$AUDIT" () in
-  ignore (Audit_trail.append trail ~transid:"T1" (image ~key:"a" ()));
-  ignore (Audit_trail.append trail ~transid:"T2" (image ~key:"a" ()));
+  ignore (Audit_trail.append trail ~transid:(tx 1) (image ~key:"a" ()));
+  ignore (Audit_trail.append trail ~transid:(tx 2) (image ~key:"a" ()));
   force trail engine;
-  ignore (Audit_trail.append trail ~transid:"T3" (image ~key:"a" ()));
+  ignore (Audit_trail.append trail ~transid:(tx 3) (image ~key:"a" ()));
   check_edges "the tail's edge is not yet forced"
-    [ ("T1", "T2") ]
+    [ (1, 2) ]
     (Audit_trail.dependency_edges trail);
   Audit_trail.crash trail;
   check_edges "forced edges survive"
-    [ ("T1", "T2") ]
+    [ (1, 2) ]
     (Audit_trail.dependency_edges trail);
   (* The writer history must have forgotten T3 with the tail: the next
      writer of "a" depends on T2, not on the lost record. *)
-  ignore (Audit_trail.append trail ~transid:"T4" (image ~key:"a" ()));
+  ignore (Audit_trail.append trail ~transid:(tx 4) (image ~key:"a" ()));
   force trail engine;
   check_edges "post-crash edge chains from the surviving writer"
-    [ ("T1", "T2"); ("T2", "T4") ]
+    [ (1, 2); (2, 4) ]
     (Audit_trail.dependency_edges trail)
 
 let test_dependency_index_survives_purge () =
@@ -598,22 +603,22 @@ let test_dependency_index_survives_purge () =
   let trail =
     Audit_trail.create volume ~name:"$AUDIT" ~records_per_file:2 ()
   in
-  ignore (Audit_trail.append trail ~transid:"T1" (image ~key:"a" ()));
-  ignore (Audit_trail.append trail ~transid:"T2" (image ~key:"a" ()));
-  ignore (Audit_trail.append trail ~transid:"T3" (image ~key:"a" ()));
-  ignore (Audit_trail.append trail ~transid:"T4" (image ~key:"a" ()));
+  ignore (Audit_trail.append trail ~transid:(tx 1) (image ~key:"a" ()));
+  ignore (Audit_trail.append trail ~transid:(tx 2) (image ~key:"a" ()));
+  ignore (Audit_trail.append trail ~transid:(tx 3) (image ~key:"a" ()));
+  ignore (Audit_trail.append trail ~transid:(tx 4) (image ~key:"a" ()));
   force trail engine;
   check_int "one file archived away" 1
     (Audit_trail.purge_files_before trail ~sequence:2);
   (* T1's and T2's records went with the purged file, so no edge starts
      at a purged writer: the surviving writers T3 and T4 stay connected. *)
   check_edges "no edge from a purged writer"
-    [ ("T3", "T4") ]
+    [ (3, 4) ]
     (Audit_trail.dependency_edges trail);
-  ignore (Audit_trail.append trail ~transid:"T5" (image ~key:"a" ()));
+  ignore (Audit_trail.append trail ~transid:(tx 5) (image ~key:"a" ()));
   force trail engine;
   check_edges "edges still derived after purge"
-    [ ("T3", "T4"); ("T4", "T5") ]
+    [ (3, 4); (4, 5) ]
     (Audit_trail.dependency_edges trail)
 
 let () =
